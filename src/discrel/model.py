@@ -1,11 +1,13 @@
 """The assembled pair classifier.
 
-Pipeline per instance: both arguments are padded to a fixed length, embedded
-token by token, passed through their encoder stacks, cross-attended layer by
-layer, 2-max pooled into the pair representation, and scored by two heads —
-one over relation classes and one over implicit connectives.  The connective
-head exists purely as a training-time auxiliary signal; prediction reads the
-relation head alone.
+The forward pass is batch-first.  Every argument is padded to a fixed
+length and embedded token by token; a batch's B first arguments are stacked
+into one (B*N, dim) matrix and run through their encoder stack in one pass,
+and likewise the second arguments.  Each instance's rows are then
+cross-attended layer by layer and 2-max pooled into its pair representation,
+and two heads score all B pair vectors at once — one over relation classes
+and one over implicit connectives.  The connective head exists purely as a
+training-time auxiliary signal; prediction reads the relation head alone.
 
 Ablation toggles mirror the build-up used in experiments:
 
@@ -24,7 +26,7 @@ from . import tensor as T
 from .data import pad_truncate
 from .errors import ConfigError, ParseError, ShapeError
 from .init import uniform_param, zeros_param
-from .pair_level import BiAttention, attention_map, build_pair_representation, pool_layer
+from .pair_level import BiAttention, attention_map, build_pair_representation
 from .sentence_level import argument_stacks
 from .tensor import Parameter, Tensor
 from .word_level import TokenEmbedder, ToyContextualEmbedder
@@ -66,7 +68,7 @@ class RelationModel:
                  rng: np.random.Generator, depth: int = 4, block_type: str = "conv",
                  kernel_size: int = 5, bi_attention: bool = True,
                  res_block: bool = True, res_pair: bool = True,
-                 shared_stacks: bool = False, mask_padding: bool = False,
+                 shared_stacks: bool = False,
                  classifier_hidden: int = 0, max_tokens: int = 100,
                  embedding_dropout: float = 0.0, encoder_dropout: float = 0.0,
                  classifier_dropout: float = 0.0):
@@ -76,7 +78,6 @@ class RelationModel:
         self.embedder = embedder
         self.depth = depth
         self.res_pair = res_pair
-        self.mask_padding = mask_padding
         self.max_tokens = max_tokens
         self.embedding_dropout = embedding_dropout
         self.encoder_dropout = encoder_dropout
@@ -142,51 +143,67 @@ class RelationModel:
 
     # -- forward -------------------------------------------------------------
 
-    def _prepare(self, tokens) -> tuple[list[str], int]:
-        padded = pad_truncate(tokens, self.max_tokens)
-        return padded, min(len(tokens), self.max_tokens)
+    def _embed(self, arguments, training: bool, rng) -> Tensor:
+        """One argument of every instance, padded and stacked: (B*N, dim)."""
+        rows = [self.embedder.embed_sentence(pad_truncate(tokens, self.max_tokens),
+                                             min(len(tokens), self.max_tokens))
+                for tokens in arguments]
+        stacked = rows[0] if len(rows) == 1 else T.concat(rows, axis=0)
+        return T.dropout(stacked, self.embedding_dropout, rng, training)
 
-    def pair_representation(self, arg1_tokens, arg2_tokens,
-                            training: bool = False,
-                            rng: np.random.Generator | None = None) -> Tensor:
-        tokens1, n1 = self._prepare(arg1_tokens)
-        tokens2, n2 = self._prepare(arg2_tokens)
-        e1 = T.dropout(self.embedder.embed_sentence(tokens1, n1),
-                       self.embedding_dropout, rng, training)
-        e2 = T.dropout(self.embedder.embed_sentence(tokens2, n2),
-                       self.embedding_dropout, rng, training)
-        layers1 = self.stack1.forward(e1, self.encoder_dropout, rng, training)
-        layers2 = self.stack2.forward(e2, self.encoder_dropout, rng, training)
+    def _layers(self, pairs, training: bool = False,
+                rng: np.random.Generator | None = None) -> tuple[list[Tensor], list[Tensor]]:
+        """The encoder layers that feed the pair vector (all of them, or the
+        deepest when ``res_pair`` is off) for both arguments, each (B*N, width)."""
+        batch = len(pairs)
+        e1 = self._embed([arg1 for arg1, _ in pairs], training, rng)
+        e2 = self._embed([arg2 for _, arg2 in pairs], training, rng)
+        layers1 = self.stack1.forward(e1, batch, dropout_rate=self.encoder_dropout,
+                                      rng=rng, training=training)
+        layers2 = self.stack2.forward(e2, batch, dropout_rate=self.encoder_dropout,
+                                      rng=rng, training=training)
         if not self.res_pair:
-            layers1 = layers1[-1:]
-            layers2 = layers2[-1:]
-        if self.attention is not None:
-            return build_pair_representation(layers1, layers2, self.attention,
-                                             self.mask_padding, n1, n2)
-        slices = [pool_layer(v1, v2) for v1, v2 in zip(layers1, layers2)]
-        return slices[0] if len(slices) == 1 else T.concat(slices, axis=0)
+            return layers1[-1:], layers2[-1:]
+        return layers1, layers2
+
+    def _pair_rows(self, pairs, training: bool = False,
+                  rng: np.random.Generator | None = None) -> Tensor:
+        """(B, pair_dim) pair vectors for a list of (arg1 tokens, arg2 tokens)."""
+        layers1, layers2 = self._layers(pairs, training, rng)
+        n = self.max_tokens
+        rows = []
+        for i in range(len(pairs)):
+            v1 = [T.slice_rows(v, i * n, (i + 1) * n) for v in layers1]
+            v2 = [T.slice_rows(v, i * n, (i + 1) * n) for v in layers2]
+            pair = build_pair_representation(v1, v2, self.attention)
+            rows.append(T.reshape(pair, (1, self.pair_dim)))
+        return rows[0] if len(rows) == 1 else T.concat(rows, axis=0)
+
+    def batch_scores(self, pairs, training: bool = False,
+                     rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor]:
+        """(relation logits, connective logits), each a (B, C) matrix with one
+        row per (arg1 tokens, arg2 tokens) pair."""
+        rows = T.dropout(self._pair_rows(pairs, training, rng),
+                         self.classifier_dropout, rng, training)
+        return self.relation_head.forward(rows), self.connective_head.forward(rows)
 
     def scores(self, arg1_tokens, arg2_tokens, training: bool = False,
                rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor]:
         """(relation logits, connective logits), each a (1, C) row."""
-        o = self.pair_representation(arg1_tokens, arg2_tokens, training, rng)
-        row = T.dropout(T.reshape(o, (1, self.pair_dim)),
-                        self.classifier_dropout, rng, training)
-        return self.relation_head.forward(row), self.connective_head.forward(row)
+        return self.batch_scores([(arg1_tokens, arg2_tokens)], training, rng)
+
+    def pair_representation(self, arg1_tokens, arg2_tokens,
+                            training: bool = False,
+                            rng: np.random.Generator | None = None) -> Tensor:
+        """The flat pair vector of one instance, length ``pair_dim``."""
+        rows = self._pair_rows([(arg1_tokens, arg2_tokens)], training, rng)
+        return T.reshape(rows, (self.pair_dim,))
 
     def attention_maps(self, arg1_tokens, arg2_tokens) -> list[np.ndarray]:
         """Per layer, the softmaxed score matrix of argument 1 over argument 2."""
         if self.attention is None:
             raise ConfigError("model was built without bi-attention")
-        tokens1, n1 = self._prepare(arg1_tokens)
-        tokens2, n2 = self._prepare(arg2_tokens)
         with T.no_grad():
-            e1 = self.embedder.embed_sentence(tokens1, n1)
-            e2 = self.embedder.embed_sentence(tokens2, n2)
-            layers1 = self.stack1.forward(e1)
-            layers2 = self.stack2.forward(e2)
-            if not self.res_pair:
-                layers1 = layers1[-1:]
-                layers2 = layers2[-1:]
-            return [attention_map(v1, v2, self.attention, self.mask_padding, n2)
+            layers1, layers2 = self._layers([(arg1_tokens, arg2_tokens)])
+            return [attention_map(v1, v2, self.attention)
                     for v1, v2 in zip(layers1, layers2)]

@@ -13,8 +13,7 @@ The two mixtures are 2-max pooled per feature and concatenated, giving a
 fixed-size slice per layer; the final pair representation strings the layer
 slices together, shallowest first, so every depth contributes directly.
 
-Padding positions take part in attention by default; ``mask_padding`` hides
-them from the softmax instead.
+Padding positions take part in attention and pooling like any other row.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ from . import tensor as T
 from .errors import ConfigError, ShapeError
 from .init import uniform_param, zeros_param
 from .tensor import Parameter, Tensor
-
-MASK_VALUE = -1e30
 
 
 class BiAttention:
@@ -47,31 +44,11 @@ class BiAttention:
         return T.add_bias(v1 @ self.ffn_w, self.ffn_b) @ T.transpose(v2)
 
 
-def _key_mask(n: int, n_real: int | None) -> np.ndarray | None:
-    if n_real is None or n_real >= n:
-        return None
-    mask = np.zeros((n, n))
-    mask[:, n_real:] = MASK_VALUE
-    return mask
-
-
-def bi_attend(v1: Tensor, v2: Tensor, attention: BiAttention,
-              mask_padding: bool = False,
-              n_real1: int | None = None,
-              n_real2: int | None = None) -> tuple[Tensor, Tensor]:
+def bi_attend(v1: Tensor, v2: Tensor, attention: BiAttention) -> tuple[Tensor, Tensor]:
     """Cross-attended versions of both arguments, shapes preserved."""
     scores = attention.scores(v1, v2)
-    scores_t = T.transpose(scores)
-    n = v1.shape[0]
-    if mask_padding:
-        m2 = _key_mask(n, n_real2)
-        if m2 is not None:
-            scores = scores + T.constant(m2)
-        m1 = _key_mask(n, n_real1)
-        if m1 is not None:
-            scores_t = scores_t + T.constant(m1)
     w2 = T.softmax_rows(scores) @ v2
-    w1 = T.softmax_rows(scores_t) @ v1
+    w1 = T.softmax_rows(T.transpose(scores)) @ v1
     return w1, w2
 
 
@@ -82,11 +59,11 @@ def pool_layer(w1: Tensor, w2: Tensor) -> Tensor:
     return T.concat([T.topk_pool(w1, 2), T.topk_pool(w2, 2)], axis=0)
 
 
-def build_pair_representation(layers1, layers2, attention: BiAttention,
-                              mask_padding: bool = False,
-                              n_real1: int | None = None,
-                              n_real2: int | None = None) -> Tensor:
-    """Flat pair vector of length 4 * len(layers) * width, layer-major."""
+def build_pair_representation(layers1, layers2, attention: BiAttention | None) -> Tensor:
+    """Flat pair vector of length 4 * len(layers) * width, layer-major.
+
+    Without ``attention`` the encoder outputs are pooled directly.
+    """
     layers1 = list(layers1)
     layers2 = list(layers2)
     if len(layers1) != len(layers2):
@@ -95,23 +72,18 @@ def build_pair_representation(layers1, layers2, attention: BiAttention,
         raise ConfigError("pair representation: no layer outputs")
     slices = []
     for v1, v2 in zip(layers1, layers2):
-        w1, w2 = bi_attend(v1, v2, attention, mask_padding, n_real1, n_real2)
-        slices.append(pool_layer(w1, w2))
+        if attention is not None:
+            v1, v2 = bi_attend(v1, v2, attention)
+        slices.append(pool_layer(v1, v2))
     if len(slices) == 1:
         return slices[0]
     return T.concat(slices, axis=0)
 
 
-def attention_map(v1, v2, attention: BiAttention,
-                  mask_padding: bool = False,
-                  n_real2: int | None = None) -> np.ndarray:
+def attention_map(v1, v2, attention: BiAttention) -> np.ndarray:
     """Softmaxed score matrix (first argument attending over the second),
     for inspection and export; computed off the gradient tape."""
     with T.no_grad():
         scores = attention.scores(T.constant(np.asarray(v1.numpy() if isinstance(v1, Tensor) else v1)),
                                   T.constant(np.asarray(v2.numpy() if isinstance(v2, Tensor) else v2)))
-        if mask_padding:
-            mask = _key_mask(scores.shape[0], n_real2)
-            if mask is not None:
-                scores = scores + T.constant(mask)
         return T.softmax_rows(scores).numpy().copy()

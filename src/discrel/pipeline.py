@@ -52,7 +52,7 @@ from .model import RelationModel
 from .training import (
     TrainResult,
     connective_vocabulary,
-    predict,
+    predict_labels,
     resolve_gold,
     save_trace,
     train,
@@ -315,8 +315,7 @@ def evaluate_model(model: RelationModel, labels: LabelSpace, instances) -> dict:
     """Metric report for one evaluation set; keys in printing order."""
     if not instances:
         raise DataError("evaluation set is empty")
-    predictions = [predict(model, inst.record.arg1, inst.record.arg2)[0]
-                   for inst in instances]
+    predictions = predict_labels(model, instances)
     gold_sets = [inst.gold for inst in instances]
     report: dict[str, object] = {"n": len(instances)}
     report["accuracy"] = accuracy_multigold(predictions, gold_sets)

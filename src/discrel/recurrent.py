@@ -1,7 +1,7 @@
 """Gated recurrent sequence processing.
 
-One cell direction maps an (N, d_in) sequence to (N, d_hidden) hidden states
-starting from a zero state:
+One cell direction maps B stacked sequences, (B*N, d_in), to their
+(B*N, d_hidden) hidden states, each sequence starting from a zero state:
 
     r_t = sigmoid(x_t W_r + h_{t-1} U_r + b_r)        (reset gate)
     z_t = sigmoid(x_t W_z + h_{t-1} U_z + b_z)        (update gate)
@@ -11,8 +11,9 @@ starting from a zero state:
 The reset gate is applied to the previous state *before* the recurrent
 projection, and the update gate weighs the previous state (so z_t == 1 copies
 it forward unchanged).  Input projections for all three gates are batched
-into one (d_in, 3*d_hidden) matrix and computed for the whole sequence up
-front; column blocks are ordered [reset | update | candidate].
+into one (d_in, 3*d_hidden) matrix; column blocks are ordered [reset |
+update | candidate].  The whole scan, forward and backward, is the single
+tape operation ``tensor.gru_sequence``.
 """
 
 from __future__ import annotations
@@ -20,14 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .errors import ShapeError
 from .init import uniform_param, zeros_param
 from .tensor import Parameter, Tensor
-
-
-def reverse_rows(x: Tensor) -> Tensor:
-    n = x.shape[0]
-    return T.gather_rows(x, list(range(n - 1, -1, -1)))
 
 
 class GRUCell:
@@ -44,33 +39,17 @@ class GRUCell:
     def parameters(self) -> list[Parameter]:
         return [self.w_gates, self.u_gates, self.u_cand, self.b_gates]
 
-    def forward(self, x: Tensor) -> Tensor:
-        n = x.shape[0]
-        if n < 1:
-            raise ShapeError("GRUCell: sequence must hold at least one step")
-        dh = self.d_hidden
-        proj = T.add_bias(x @ self.w_gates, self.b_gates)  # (N, 3h), all steps at once
-        h = T.constant(np.zeros((1, dh)))
-        ones = T.constant(np.ones((1, dh)))
-        states = []
-        for t in range(n):
-            row = T.gather_rows(proj, [t])
-            xr = T.slice_cols(row, 0, dh)
-            xz = T.slice_cols(row, dh, 2 * dh)
-            xn = T.slice_cols(row, 2 * dh, 3 * dh)
-            hu = h @ self.u_gates
-            r = T.sigmoid(xr + T.slice_cols(hu, 0, dh))
-            z = T.sigmoid(xz + T.slice_cols(hu, dh, 2 * dh))
-            cand = T.tanh(xn + (r * h) @ self.u_cand)
-            h = z * h + (ones - z) * cand
-            states.append(h)
-        return T.concat(states, axis=0)
+    def forward(self, x: Tensor, batch: int = 1, reverse: bool = False) -> Tensor:
+        """Hidden states of ``batch`` stacked sequences; ``reverse`` scans
+        each from its last row to its first."""
+        return T.gru_sequence(x, self.w_gates, self.u_gates, self.u_cand,
+                              self.b_gates, batch, reverse)
 
 
 class BiGRU:
     """Forward and backward cells over the same input, states concatenated.
 
-    Output is (N, 2*d_hidden): columns [0, d_hidden) from the forward pass,
+    Output is (B*N, 2*d_hidden): columns [0, d_hidden) from the forward pass,
     [d_hidden, 2*d_hidden) from the backward pass, both aligned to input
     positions.
     """
@@ -83,7 +62,7 @@ class BiGRU:
     def parameters(self) -> list[Parameter]:
         return self.fwd.parameters() + self.bwd.parameters()
 
-    def forward(self, x: Tensor) -> Tensor:
-        f = self.fwd.forward(x)
-        b = reverse_rows(self.bwd.forward(reverse_rows(x)))
+    def forward(self, x: Tensor, batch: int = 1) -> Tensor:
+        f = self.fwd.forward(x, batch)
+        b = self.bwd.forward(x, batch, reverse=True)
         return T.concat([f, b], axis=1)

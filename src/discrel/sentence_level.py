@@ -1,4 +1,4 @@
-"""Stacked sentence encoders operating on one argument's token matrix.
+"""Stacked sentence encoders over a batch of one argument's token matrices.
 
 Two interchangeable block designs, both width-preserving so they can be
 stacked and wrapped in residual connections:
@@ -9,11 +9,14 @@ stacked and wrapped in residual connections:
 - recurrent: a bidirectional gated recurrent layer doubles the width (one
   hidden state per direction), an affine projection halves it back.
 
-A stack applies its blocks in sequence and reports every intermediate layer,
-since downstream pairing consumes all depths, not only the last.  Input
-dropout is applied in front of every block.  With all weights zero, a
-residual block is exactly the identity; stacks for the two arguments of a
-pair are built either with their own weights or shared.
+Every block and stack takes B equal-length token matrices stacked by rows,
+(B*N, width), and the batch count B; convolution windows and recurrent
+scans stay inside each instance's rows.  A stack applies its blocks in
+sequence and reports every intermediate layer, since downstream pairing
+consumes all depths, not only the last.  Input dropout is applied in front
+of every block.  With all weights zero, a residual block is exactly the
+identity; stacks for the two arguments of a pair are built either with
+their own weights or shared.
 """
 
 from __future__ import annotations
@@ -40,9 +43,9 @@ class ConvBlock:
     def parameters(self) -> list[Parameter]:
         return [self.kernel, self.bias]
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, batch: int = 1) -> Tensor:
         w = self.width
-        pre = T.conv1d(x, self.kernel, self.bias, pad="same")
+        pre = T.conv1d(x, self.kernel, self.bias, pad="same", batch=batch)
         gated = T.slice_cols(pre, 0, w) * T.sigmoid(T.slice_cols(pre, w, 2 * w))
         return x + gated if self.residual else gated
 
@@ -59,8 +62,8 @@ class RecurrentBlock:
     def parameters(self) -> list[Parameter]:
         return self.bigru.parameters() + [self.proj_w, self.proj_b]
 
-    def forward(self, x: Tensor) -> Tensor:
-        y = T.add_bias(self.bigru.forward(x) @ self.proj_w, self.proj_b)
+    def forward(self, x: Tensor, batch: int = 1) -> Tensor:
+        y = T.add_bias(self.bigru.forward(x, batch) @ self.proj_w, self.proj_b)
         return x + y if self.residual else y
 
 
@@ -91,16 +94,17 @@ class EncoderStack:
     def parameters(self) -> list[Parameter]:
         return [p for block in self.blocks for p in block.parameters()]
 
-    def forward(self, x: Tensor, dropout_rate: float = 0.0,
+    def forward(self, x: Tensor, batch: int = 1, *, dropout_rate: float = 0.0,
                 rng: np.random.Generator | None = None,
                 training: bool = False) -> list[Tensor]:
-        """All layer outputs, shallowest first; each is (N, width)."""
+        """All layer outputs, shallowest first; each is (B*N, width) for the
+        ``batch`` = B instances stacked in ``x``."""
         if x.shape[1] != self.width:
             raise ShapeError(f"EncoderStack: input width {x.shape[1]} != {self.width}")
         outputs = []
         h = x
         for block in self.blocks:
-            h = block.forward(T.dropout(h, dropout_rate, rng, training))
+            h = block.forward(T.dropout(h, dropout_rate, rng, training), batch)
             outputs.append(h)
         return outputs
 

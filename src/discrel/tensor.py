@@ -48,8 +48,10 @@ __all__ = [
     "concat",
     "gather_rows",
     "slice_cols",
+    "slice_rows",
     "softmax_rows",
     "conv1d",
+    "gru_sequence",
     "topk_pool",
     "cross_entropy",
     "sum_all",
@@ -202,10 +204,14 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every participating tensor reachable from ``loss``.
+    """Populate ``grad`` on every leaf tensor reachable from ``loss``.
 
     Consumes the active tape: the recorded operations are replayed once in
-    reverse execution order and then discarded.
+    reverse execution order and then discarded.  Leaves are the tensors no
+    recorded operation produced (parameters and tracked inputs).  An
+    operation's output gradient is complete once its node is reached, and
+    is dropped right after it has been passed on, so the pass never holds
+    the gradients of all activations at once.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -216,6 +222,7 @@ def backward(loss: Tensor) -> None:
         if g is None:
             continue
         node.backward_fn(g)
+        node.output.grad = None
     tape.clear()
 
 
@@ -418,6 +425,22 @@ def slice_cols(t: Tensor, lo: int, hi: int) -> Tensor:
     return out
 
 
+def slice_rows(t: Tensor, lo: int, hi: int) -> Tensor:
+    """Rows [lo, hi) of a 2-D tensor; gradients add into one full-size buffer."""
+    if t.data.ndim != 2:
+        raise ShapeError(f"slice_rows needs a 2-D tensor, got {t.shape}")
+    if not (0 <= lo < hi <= t.shape[0]):
+        raise ShapeError(f"slice_rows: [{lo}, {hi}) outside {t.shape[0]} rows")
+    out = Tensor(t.data[lo:hi])
+    if _tracked(t):
+        def bwd(g):
+            if t.grad is None:
+                t.grad = np.zeros_like(t.data)
+            t.grad[lo:hi] += g
+        _record(out, (t,), bwd)
+    return out
+
+
 def softmax_rows(m: Tensor) -> Tensor:
     """Row-wise softmax with max-subtraction for stability."""
     if m.data.ndim != 2:
@@ -434,18 +457,31 @@ def softmax_rows(m: Tensor) -> Tensor:
     return out
 
 
-def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, pad: str | int = "same") -> Tensor:
+def _sequence_length(x: Tensor, batch: int, op: str) -> int:
+    """Rows per sequence of a (batch*N, d) stack; N must be at least one."""
+    rows = x.shape[0]
+    if batch < 1 or rows < batch or rows % batch:
+        raise ShapeError(f"{op}: {rows} rows do not split into {batch} non-empty sequences")
+    return rows // batch
+
+
+def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, pad: str | int = "same",
+           batch: int = 1) -> Tensor:
     """1-D convolution along the row axis.
 
-    ``x`` is (N, d_in); ``kernel`` is (k, d_in, d_out).  ``pad`` is "same"
-    (symmetric zero padding, odd k required, length preserved), "valid"
-    (no padding), or an explicit symmetric pad count.
+    ``x`` is (B*N, d_in): ``batch`` = B sequences of N rows each, stacked
+    instance-major; ``kernel`` is (k, d_in, d_out).  Each sequence is padded
+    on its own, so no window reaches across two of them, and the output
+    stacks the B results the same way.  ``pad`` is "same" (symmetric zero
+    padding, odd k required, length preserved), "valid" (no padding), or an
+    explicit symmetric pad count.
     """
     if x.data.ndim != 2 or kernel.data.ndim != 3:
         raise ShapeError(f"conv1d: x must be 2-D and kernel 3-D, got {x.shape}, {kernel.shape}")
     k, d_in, d_out = kernel.shape
     if x.shape[1] != d_in:
         raise ShapeError(f"conv1d: input width {x.shape[1]} != kernel d_in {d_in}")
+    n = _sequence_length(x, batch, "conv1d")
     if pad == "same":
         if k % 2 == 0:
             raise ShapeError(f"conv1d: same-padding requires an odd kernel size, got {k}")
@@ -456,19 +492,30 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, pad: str | int
         p = int(pad)
         if p < 0:
             raise ShapeError(f"conv1d: pad must be non-negative, got {p}")
-    n = x.shape[0]
     out_len = n + 2 * p - k + 1
     if out_len < 1:
         raise WindowError(f"conv1d: kernel size {k} exceeds padded length {n + 2 * p}")
     if bias is not None and bias.shape != (d_out,):
         raise ShapeError(f"conv1d: bias {bias.shape} does not match d_out {d_out}")
 
-    xp = np.zeros((n + 2 * p, d_in)) if p else x.data
+    # The padded sequences lie end to end, ``stride`` rows apart, and one
+    # valid convolution runs over all of them.  Output row b*stride + i is
+    # position i of sequence b; the windows in between straddle two
+    # sequences and are dropped.
+    stride = n + 2 * p
     if p:
-        xp[p:p + n] = x.data
-    y = np.zeros((out_len, d_out))
+        xp = np.zeros((batch, stride, d_in))
+        xp[:, p:p + n] = x.data.reshape(batch, n, d_in)
+        xp = xp.reshape(batch * stride, d_in)
+    else:
+        xp = x.data
+    span = batch * stride - k + 1
+    keep = None if batch == 1 else (np.arange(batch)[:, None] * stride + np.arange(out_len)).ravel()
+    y = np.zeros((span, d_out))
     for j in range(k):
-        y += xp[j:j + out_len] @ kernel.data[j]
+        y += xp[j:j + span] @ kernel.data[j]
+    if keep is not None:
+        y = y[keep]
     if bias is not None:
         y += bias.data
     out = Tensor(y)
@@ -476,17 +523,115 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, pad: str | int
     tracked_inputs = (x, kernel) if bias is None else (x, kernel, bias)
     if _tracked(*tracked_inputs):
         def bwd(g):
+            g_all = g
+            if keep is not None:
+                g_all = np.zeros((span, d_out))
+                g_all[keep] = g
             dxp = np.zeros_like(xp)
             if kernel.requires_grad and kernel.grad is None:
                 kernel.grad = np.zeros_like(kernel.data)
             for j in range(k):
                 if kernel.requires_grad:
-                    kernel.grad[j] += xp[j:j + out_len].T @ g
-                dxp[j:j + out_len] += g @ kernel.data[j].T
-            _accum(x, dxp[p:p + n] if p else dxp)
+                    kernel.grad[j] += xp[j:j + span].T @ g_all
+                dxp[j:j + span] += g_all @ kernel.data[j].T
+            if p:
+                dxp = dxp.reshape(batch, stride, d_in)[:, p:p + n].reshape(batch * n, d_in)
+            _accum(x, dxp)
             if bias is not None:
                 _accum(bias, g.sum(axis=0))
         _record(out, tracked_inputs, bwd)
+    return out
+
+
+def gru_sequence(x: Tensor, w_gates: Tensor, u_gates: Tensor, u_cand: Tensor,
+                 b_gates: Tensor, batch: int = 1, reverse: bool = False) -> Tensor:
+    """Gated recurrence over ``batch`` sequences at once, as one tape node.
+
+    ``x`` is (B*N, d): B sequences of N rows, stacked instance-major.  Each
+    sequence starts from a zero state; per step, with h the previous state,
+
+        r = sigmoid(x_t W_r + h U_r + b_r)        (reset gate)
+        z = sigmoid(x_t W_z + h U_z + b_z)        (update gate)
+        c = tanh(x_t W_n + (r * h) U_n + b_n)     (candidate)
+        h = z * h + (1 - z) * c
+
+    where ``w_gates`` is (d, 3h) with column blocks [reset | update |
+    candidate], ``u_gates`` is (h, 2h) as [U_r | U_z], ``u_cand`` is U_n
+    (h, h) and ``b_gates`` is (3h,).  The input projections of all steps
+    are one matmul before the time loop, and each step multiplies the (B, h)
+    states of all sequences together.  ``reverse`` scans every sequence from
+    its last row to its first.  The output is (B*N, h), aligned to the input
+    rows.  The backward pass is hand-written backpropagation through time;
+    the weight gradients are summed over all steps in one matmul each.
+    """
+    if x.data.ndim != 2:
+        raise ShapeError(f"gru_sequence needs a 2-D input, got {x.shape}")
+    n = _sequence_length(x, batch, "gru_sequence")
+    dh = u_cand.shape[0]
+    d_in = x.shape[1]
+    if (w_gates.shape != (d_in, 3 * dh) or u_gates.shape != (dh, 2 * dh)
+            or u_cand.shape != (dh, dh) or b_gates.shape != (3 * dh,)):
+        raise ShapeError(f"gru_sequence: weights {w_gates.shape}, {u_gates.shape}, "
+                         f"{u_cand.shape}, {b_gates.shape} do not fit input width "
+                         f"{d_in} and hidden width {dh}")
+    proj = (x.data @ w_gates.data + b_gates.data).reshape(batch, n, 3 * dh)
+    ug, un = u_gates.data, u_cand.data
+    steps = range(n - 1, -1, -1) if reverse else range(n)
+    gates = np.empty((batch, n, 2 * dh))  # [r | z]
+    cand = np.empty((batch, n, dh))
+    states = np.empty((batch, n, dh))
+    h = np.zeros((batch, dh))
+    for t in steps:
+        # sigmoid(a) = (1 + tanh(a / 2)) / 2, equal up to rounding: one
+        # overflow-free call instead of the sign-split exp form of sigmoid().
+        rz = np.tanh(0.5 * (proj[:, t, :2 * dh] + h @ ug)) * 0.5 + 0.5
+        c = np.tanh(proj[:, t, 2 * dh:] + (rz[:, :dh] * h) @ un)
+        z = rz[:, dh:]
+        h = z * h + (1.0 - z) * c
+        gates[:, t] = rz
+        cand[:, t] = c
+        states[:, t] = h
+    out = Tensor(states.reshape(batch * n, dh))
+
+    inputs = (x, w_gates, u_gates, u_cand, b_gates)
+    if _tracked(*inputs):
+        def bwd(g):
+            g = g.reshape(batch, n, dh)
+            r, z = gates[:, :, :dh], gates[:, :, dh:]
+            # The state entering each step, in scan order.
+            prev = np.zeros_like(states)
+            if reverse:
+                prev[:, :-1] = states[:, 1:]
+            else:
+                prev[:, 1:] = states[:, :-1]
+            # Per-step factors that do not depend on the incoming gradient.
+            to_cand = (1.0 - z) * (1.0 - cand * cand)
+            to_update = (prev - cand) * z * (1.0 - z)
+            to_reset = prev * r * (1.0 - r)
+            d_proj = np.empty((batch, n, 3 * dh))
+            ug_t, un_t = ug.T, un.T
+            d_h = np.zeros((batch, dh))
+            for t in reversed(steps):
+                d_h = d_h + g[:, t]
+                d_c = d_h * to_cand[:, t]
+                d_rh = d_c @ un_t
+                d_rz = d_proj[:, t, :2 * dh]
+                d_rz[:, :dh] = d_rh * to_reset[:, t]
+                d_rz[:, dh:] = d_h * to_update[:, t]
+                d_proj[:, t, 2 * dh:] = d_c
+                d_h = d_h * z[:, t] + d_rh * r[:, t] + d_rz @ ug_t
+            d_proj = d_proj.reshape(batch * n, 3 * dh)
+            if x.requires_grad:
+                _accum(x, d_proj @ w_gates.data.T)
+            if w_gates.requires_grad:
+                _accum(w_gates, x.data.T @ d_proj)
+            if b_gates.requires_grad:
+                _accum(b_gates, d_proj.sum(axis=0))
+            if u_gates.requires_grad:
+                _accum(u_gates, prev.reshape(batch * n, dh).T @ d_proj[:, :2 * dh])
+            if u_cand.requires_grad:
+                _accum(u_cand, (r * prev).reshape(batch * n, dh).T @ d_proj[:, 2 * dh:])
+        _record(out, inputs, bwd)
     return out
 
 
@@ -610,20 +755,31 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray]) -> None:
             fh.write(data.tobytes())
 
 
+def _header_int(path, field: str, what: str) -> int:
+    try:
+        value = int(field)
+    except ValueError:
+        raise ParseError(f"{path}: {what} {field!r} is not an integer") from None
+    if value < 0:
+        raise ParseError(f"{path}: {what} {value} is negative")
+    return value
+
+
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii", errors="replace").split()
         if len(header) != 3 or header[0] != _MAGIC:
             raise ParseError(f"{path}: not a checkpoint file")
-        if int(header[1]) != _VERSION:
+        if _header_int(path, header[1], "version") != _VERSION:
             raise ParseError(f"{path}: unsupported checkpoint version {header[1]}")
-        count = int(header[2])
+        count = _header_int(path, header[2], "array count")
         entries = []
         for i in range(count):
             fields = fh.readline().decode("ascii", errors="replace").split()
             if not fields:
                 raise ParseError(f"{path}: truncated header at entry {i + 1}")
-            entries.append((fields[0], tuple(int(d) for d in fields[1:])))
+            entries.append((fields[0], tuple(_header_int(path, d, f"dimension of {fields[0]}")
+                                             for d in fields[1:])))
         out = {}
         for name, shape in entries:
             n = int(np.prod(shape, dtype=np.int64)) if shape else 1
@@ -631,4 +787,6 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             if len(raw) != 8 * n:
                 raise ParseError(f"{path}: truncated payload for {name}")
             out[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+        if fh.read(1):
+            raise ParseError(f"{path}: trailing bytes after the last array")
         return out

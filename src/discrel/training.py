@@ -1,12 +1,12 @@
 """Joint training loop, prediction, and evaluation.
 
-During training every minibatch is scored by both heads and the two
-cross-entropies are added; the connective head is an auxiliary signal that
-sharpens the shared pair representation but plays no part in evaluation or
-prediction.  Optimization is AdaGrad over the model's trainable parameters
-(frozen components never receive updates).  Model selection is classic
-early stopping: the epoch with the best dev accuracy wins, and its weights
-are restored when the loop ends.
+During training every minibatch is scored by both heads in one batched
+forward pass and the two cross-entropies are added; the connective head is
+an auxiliary signal that sharpens the shared pair representation but plays
+no part in evaluation or prediction.  Optimization is AdaGrad over the
+model's trainable parameters (frozen components never receive updates).
+Model selection is classic early stopping: the epoch with the best dev
+accuracy wins, and its weights are restored when the loop ends.
 """
 
 from __future__ import annotations
@@ -89,6 +89,10 @@ def joint_loss(relation_logits: Tensor, connective_logits, gold_relations,
     return loss + T.cross_entropy(connective_logits, gold_connectives)
 
 
+# Instances scored together by one batched forward pass during evaluation.
+PREDICT_CHUNK = 16
+
+
 def predict(model: RelationModel, arg1_tokens, arg2_tokens) -> tuple[int, np.ndarray]:
     """Relation argmax and its probability row; dropout off, nothing recorded."""
     with T.no_grad():
@@ -97,11 +101,24 @@ def predict(model: RelationModel, arg1_tokens, arg2_tokens) -> tuple[int, np.nda
     return int(np.argmax(probs)), probs
 
 
+def predict_labels(model: RelationModel, instances) -> list[int]:
+    """Relation argmax per instance, ``PREDICT_CHUNK`` instances per forward pass."""
+    instances = list(instances)
+    labels = []
+    with T.no_grad():
+        for start in range(0, len(instances), PREDICT_CHUNK):
+            chunk = instances[start:start + PREDICT_CHUNK]
+            rel_logits, _ = model.batch_scores(
+                [(inst.record.arg1, inst.record.arg2) for inst in chunk])
+            probs = T.softmax_rows(rel_logits).numpy()
+            labels.extend(int(label) for label in np.argmax(probs, axis=1))
+    return labels
+
+
 def evaluate_accuracy(model: RelationModel, instances) -> float:
     """Multi-gold accuracy: a prediction matching any gold label counts."""
-    predictions = [predict(model, inst.record.arg1, inst.record.arg2)[0]
-                   for inst in instances]
-    return accuracy_multigold(predictions, [inst.gold for inst in instances])
+    return accuracy_multigold(predict_labels(model, instances),
+                              [inst.gold for inst in instances])
 
 
 def resolve_gold(prediction: int, gold: frozenset) -> int:
@@ -151,15 +168,10 @@ def train(model: RelationModel, train_instances, dev_instances,
         total_loss = 0.0
         for start in range(0, n, config.batch_size):
             batch = [examples[i] for i in order[start:start + config.batch_size]]
-            rel_rows, conn_rows, rels, conns = [], [], [], []
-            for arg1, arg2, label, conn_id in batch:
-                rel_logits, conn_logits = model.scores(arg1, arg2, training=True, rng=rng)
-                rel_rows.append(rel_logits)
-                conn_rows.append(conn_logits)
-                rels.append(label)
-                conns.append(conn_id)
-            loss = joint_loss(_stack_rows(rel_rows), _stack_rows(conn_rows),
-                              rels, conns, training=True)
+            rel_logits, conn_logits = model.batch_scores(
+                [(arg1, arg2) for arg1, arg2, _, _ in batch], training=True, rng=rng)
+            loss = joint_loss(rel_logits, conn_logits, [ex[2] for ex in batch],
+                              [ex[3] for ex in batch], training=True)
             value = loss.item()
             step += 1
             if not math.isfinite(value):
@@ -183,10 +195,6 @@ def train(model: RelationModel, train_instances, dev_instances,
 
     model.load_state_arrays(best_state)
     return TrainResult(trace, best_epoch, best_dev, best_state)
-
-
-def _stack_rows(rows: list[Tensor]) -> Tensor:
-    return rows[0] if len(rows) == 1 else T.concat(rows, axis=0)
 
 
 def save_trace(path, trace: list[EpochStats]) -> None:

@@ -26,12 +26,11 @@ import numpy as np
 
 from . import tensor as T
 from .bpe import MergeTable, apply_bpe
+from .data import PAD_TOKEN
 from .errors import ConfigError, DataError, InstanceKeyError, ParseError, ShapeError
 from .init import uniform_param, zeros_param
 from .recurrent import BiGRU
 from .tensor import Parameter, Tensor
-
-PAD_TOKEN = "<pad>"
 
 
 # ---------------------------------------------------------------------------

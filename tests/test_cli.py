@@ -1,6 +1,7 @@
 """Command-level behaviour: exit codes, output protocol, and artifacts."""
 
 import csv
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -222,6 +223,27 @@ def test_eval_detects_word_vector_drift(workspace, tmp_path, capsys):
     code, out, err = run_cli(capsys, "eval", tmp_path / "run")
     assert code == 1
     assert "checksum" in err
+
+
+def _bad_first_dimension(data: bytes) -> bytes:
+    header, first_entry, rest = data.split(b"\n", 2)
+    return b"\n".join([header, first_entry + b" q", rest])
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda data: b"tckpt x" + data[data.index(b" ", 6):],  # version
+    _bad_first_dimension,
+    lambda data: data + b"\0\0\0",  # trailing bytes
+])
+def test_eval_reports_a_corrupt_checkpoint(workspace, tmp_path, capsys, corrupt):
+    run_dir = tmp_path / "run"
+    shutil.copytree(workspace / "run", run_dir)
+    checkpoint = run_dir / "model.ckpt"
+    checkpoint.write_bytes(corrupt(checkpoint.read_bytes()))
+    code, out, err = run_cli(capsys, "eval", run_dir)
+    assert code == 1
+    assert err.startswith("error ParseError: ")
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

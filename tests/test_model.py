@@ -275,3 +275,64 @@ def test_end_to_end_gradients(block_type):
         return T.cross_entropy(rel, [1]) + T.cross_entropy(conn, [0])
 
     assert_grads_match(loss, model.parameters(), entries_per_array=2, tol=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# Batched forward
+
+
+PAIRS = [(ARG1, ARG2), (["w6", "cue1a"], ["w7", "w8", "cue1b", "w9"]),
+         (["cue0a"] * 5, ["w1"]), (["w2", "w3", "w4", "w5", "w6", "w7", "w8", "w9", "w0"],
+                                   ["cue1b", "w2"])]
+
+
+@pytest.mark.parametrize("block_type", ["conv", "recurrent"])
+@pytest.mark.parametrize("bi_attention", [True, False])
+def test_batched_rows_equal_single_pair_scores(block_type, bi_attention):
+    model = tiny_model(block_type=block_type, bi_attention=bi_attention)
+    with T.no_grad():
+        rel, conn = model.batch_scores(PAIRS)
+        for i, (arg1, arg2) in enumerate(PAIRS):
+            one_rel, one_conn = model.scores(arg1, arg2)
+            assert np.max(np.abs(rel.numpy()[i] - one_rel.numpy()[0])) <= 1e-10
+            assert np.max(np.abs(conn.numpy()[i] - one_conn.numpy()[0])) <= 1e-10
+
+
+@pytest.mark.parametrize("block_type", ["conv", "recurrent"])
+def test_batched_gradients_equal_the_sum_of_single_pair_gradients(block_type):
+    model = tiny_model(block_type=block_type)
+    params = model.parameters()
+
+    def grads_of(loss):
+        T.backward(loss)
+        out = [p.grad.copy() for p in params]
+        for p in params:
+            p.grad = None
+        return out
+
+    rel, conn = model.batch_scores(PAIRS)
+    batched = grads_of(T.sum_all(rel) + T.sum_all(conn))
+    summed = [np.zeros(p.shape) for p in params]
+    for arg1, arg2 in PAIRS:
+        rel, conn = model.scores(arg1, arg2)
+        for acc, g in zip(summed, grads_of(T.sum_all(rel) + T.sum_all(conn))):
+            acc += g
+    for p, got, want in zip(params, batched, summed):
+        assert np.max(np.abs(got - want)) <= 1e-10, p.name
+
+
+@pytest.mark.parametrize("block_type", ["conv", "recurrent"])
+def test_changing_one_instance_leaves_every_other_row_unchanged(block_type):
+    # Catches padding, convolution windows or recurrent state leaking
+    # across the instance boundaries of the stacked batch.
+    model = tiny_model(block_type=block_type, depth=2)
+    with T.no_grad():
+        rel, conn = model.batch_scores(PAIRS)
+        for k in range(len(PAIRS)):
+            changed = list(PAIRS)
+            changed[k] = (["cue1b", "w0", "w0"], ["cue0a", "w5", "w4", "w3", "w2"])
+            rel_k, conn_k = model.batch_scores(changed)
+            others = [i for i in range(len(PAIRS)) if i != k]
+            assert rel_k.numpy()[others].tobytes() == rel.numpy()[others].tobytes()
+            assert conn_k.numpy()[others].tobytes() == conn.numpy()[others].tobytes()
+            assert not np.array_equal(rel_k.numpy()[k], rel.numpy()[k])

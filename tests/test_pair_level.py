@@ -98,33 +98,6 @@ class TestBiAttend:
         with pytest.raises(ShapeError):
             bi_attend(T.constant(np.zeros((4, 2))), T.constant(np.zeros((4, 2))), att)
 
-    def test_masked_padding_matches_truncated_computation(self):
-        rng = np.random.default_rng(5)
-        att = make_attention(3, seed=6)
-        n, n2 = 6, 4
-        v1 = rng.normal(size=(n, 3))
-        v2 = rng.normal(size=(n, 3))
-        with T.no_grad():
-            _, w2 = bi_attend(T.constant(v1), T.constant(v2), att,
-                              mask_padding=True, n_real1=n, n_real2=n2)
-        m = (v1 @ att.ffn_w.numpy() + att.ffn_b.numpy()) @ v2.T
-        want = softmax_rows_np(m[:, :n2]) @ v2[:n2]
-        assert np.allclose(w2.numpy(), want, atol=1e-12)
-        probs = attention_map(T.constant(v1), T.constant(v2), att,
-                              mask_padding=True, n_real2=n2)
-        assert np.all(probs[:, n2:] == 0.0)
-
-    def test_mask_off_by_default(self):
-        rng = np.random.default_rng(6)
-        att = make_attention(3, seed=7)
-        v1 = rng.normal(size=(4, 3))
-        v2 = rng.normal(size=(4, 3))
-        with T.no_grad():
-            _, plain = bi_attend(T.constant(v1), T.constant(v2), att)
-            _, ignored = bi_attend(T.constant(v1), T.constant(v2), att,
-                                   n_real1=2, n_real2=2)
-        assert np.array_equal(plain.numpy(), ignored.numpy())
-
 
 class TestPoolLayer:
     def test_slice_length_is_four_widths(self):

@@ -3,8 +3,11 @@ import pytest
 
 from discrel import tensor as T
 from discrel.errors import ShapeError
-from discrel.recurrent import BiGRU, GRUCell, reverse_rows
+from discrel.recurrent import BiGRU, GRUCell
 from gradcheck import assert_grads_match
+from gru_oracle import composed_gru
+
+GRADIENT_NAMES = ["x", "w_gates", "u_gates", "u_cand", "b_gates"]
 
 
 def _sigmoid(x):
@@ -139,12 +142,92 @@ class TestBiGRU:
 
         assert_grads_match(loss, [x] + layer.parameters(), tol=1e-6)
 
-    def test_reverse_rows_gradient(self):
-        rng = np.random.default_rng(8)
-        x = T.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-        scale = T.constant(np.arange(15.0).reshape(5, 3))
+    def test_batched_layer_matches_each_instance_alone(self):
+        rng = np.random.default_rng(9)
+        layer = BiGRU(3, 4, rng)
+        xs = [rng.normal(size=(5, 3)) for _ in range(3)]
+        with T.no_grad():
+            batched = layer.forward(T.constant(np.vstack(xs)), 3).numpy()
+            alone = np.vstack([layer.forward(T.constant(x)).numpy() for x in xs])
+        assert np.max(np.abs(batched - alone)) <= 1e-12
+
+
+def random_weights(rng, d_in, dh):
+    """GRU weights with a non-zero bias, so every gradient path is live."""
+    return [T.Parameter(rng.uniform(-0.6, 0.6, (d_in, 3 * dh)), "w_gates"),
+            T.Parameter(rng.uniform(-0.6, 0.6, (dh, 2 * dh)), "u_gates"),
+            T.Parameter(rng.uniform(-0.6, 0.6, (dh, dh)), "u_cand"),
+            T.Parameter(rng.uniform(-0.6, 0.6, 3 * dh), "b_gates")]
+
+
+def output_and_gradients(gru, x, weights, probe, batch, reverse):
+    out = gru(x, *weights, batch=batch, reverse=reverse)
+    T.backward(T.sum_all(out * probe))
+    tensors = [x] + weights
+    grads = [t.grad.copy() for t in tensors]
+    for t in tensors:
+        t.grad = None
+    return out.numpy().copy(), grads
+
+
+class TestFusedSequence:
+    """``tensor.gru_sequence`` against the per-step composed oracle."""
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("n", [1, 6])
+    def test_matches_composed_oracle(self, reverse, batch, n):
+        rng = np.random.default_rng(100 + 10 * batch + n)
+        x = T.Tensor(rng.normal(size=(batch * n, 3)), requires_grad=True)
+        weights = random_weights(rng, 3, 4)
+        probe = T.constant(rng.normal(size=(batch * n, 4)))
+        fused, fused_grads = output_and_gradients(T.gru_sequence, x, weights, probe,
+                                                  batch, reverse)
+        ref, ref_grads = output_and_gradients(composed_gru, x, weights, probe,
+                                              batch, reverse)
+        assert np.max(np.abs(fused - ref)) <= 1e-10
+        for name, got, want in zip(GRADIENT_NAMES, fused_grads, ref_grads):
+            assert np.max(np.abs(got - want)) <= 1e-10, name
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_gradients_match_finite_differences(self, reverse):
+        rng = np.random.default_rng(11)
+        x = T.Tensor(rng.normal(size=(2 * 4, 3)), requires_grad=True)
+        weights = random_weights(rng, 3, 2)
+        probe = T.constant(rng.normal(size=(2 * 4, 2)))
 
         def loss():
-            return T.sum_all(reverse_rows(x) * scale)
+            return T.sum_all(T.gru_sequence(x, *weights, batch=2, reverse=reverse) * probe)
 
-        assert_grads_match(loss, [x], tol=1e-8)
+        assert_grads_match(loss, [x] + weights, tol=1e-6)
+
+    def test_reverse_scans_each_sequence_backwards(self):
+        rng = np.random.default_rng(12)
+        weights = random_weights(rng, 3, 4)
+        x = rng.normal(size=(2, 5, 3))
+        with T.no_grad():
+            rev = T.gru_sequence(T.constant(x.reshape(10, 3)), *weights,
+                                 batch=2, reverse=True).numpy()
+            fwd = T.gru_sequence(T.constant(x[:, ::-1].reshape(10, 3)), *weights,
+                                 batch=2).numpy()
+        assert np.max(np.abs(rev.reshape(2, 5, 4) - fwd.reshape(2, 5, 4)[:, ::-1])) <= 1e-12
+
+    def test_records_one_tape_node_per_call(self):
+        rng = np.random.default_rng(13)
+        weights = random_weights(rng, 3, 4)
+        T.active_tape().clear()
+        T.gru_sequence(T.constant(rng.normal(size=(3 * 50, 3))), *weights, batch=3)
+        assert len(T.active_tape()) == 1
+        T.active_tape().clear()
+
+    def test_rejects_rows_that_do_not_split_into_the_batch(self):
+        weights = random_weights(np.random.default_rng(14), 3, 4)
+        with pytest.raises(ShapeError):
+            T.gru_sequence(T.constant(np.zeros((5, 3))), *weights, batch=2)
+        with pytest.raises(ShapeError):
+            T.gru_sequence(T.constant(np.zeros((1, 3))), *weights, batch=2)
+
+    def test_rejects_weights_of_the_wrong_width(self):
+        weights = random_weights(np.random.default_rng(15), 3, 4)
+        with pytest.raises(ShapeError):
+            T.gru_sequence(T.constant(np.zeros((4, 2))), *weights)

@@ -88,6 +88,35 @@ class TestConv1d:
         )
 
 
+class TestBatchedConv1d:
+    """Stacked sequences are convolved as if each were alone."""
+
+    @pytest.mark.parametrize("pad", ["same", "valid", 1])
+    def test_each_sequence_is_padded_on_its_own(self, pad):
+        rng = np.random.default_rng(30)
+        xs = [rng.uniform(-1, 1, (6, 3)) for _ in range(3)]
+        kernel = T.constant(rng.uniform(-1, 1, (3, 3, 4)))
+        bias = T.constant(rng.uniform(-1, 1, 4))
+        batched = T.conv1d(T.constant(np.vstack(xs)), kernel, bias, pad=pad, batch=3).numpy()
+        alone = np.vstack([T.conv1d(T.constant(x), kernel, bias, pad=pad).numpy() for x in xs])
+        assert batched.shape == alone.shape
+        assert np.max(np.abs(batched - alone)) <= 1e-12
+
+    @pytest.mark.parametrize("pad", ["same", "valid"])
+    def test_grad_vs_finite_differences(self, pad):
+        rng = np.random.default_rng(31)
+        x = T.Tensor(rng.uniform(-1, 1, (3 * 5, 4)), requires_grad=True)
+        kernel = T.Tensor(rng.uniform(-1, 1, (3, 4, 2)), requires_grad=True)
+        bias = T.Tensor(rng.uniform(-1, 1, 2), requires_grad=True)
+        assert_grads_match(
+            lambda: T.sum_all(T.tanh(T.conv1d(x, kernel, bias, pad=pad, batch=3))),
+            [x, kernel, bias])
+
+    def test_rows_must_split_into_the_batch(self):
+        with pytest.raises(ShapeError, match="batch|sequences"):
+            T.conv1d(T.constant(np.zeros((7, 2))), T.constant(np.zeros((3, 2, 2))), batch=2)
+
+
 class TestSoftmaxRows:
     def test_uniform(self):
         out = T.softmax_rows(T.constant([[0.0, 0.0]]))
@@ -206,6 +235,25 @@ class TestGatherSliceConcat:
         x = T.Tensor(rng.uniform(-1, 1, (3, 6)), requires_grad=True)
         assert_grads_match(lambda: T.sum_all(T.tanh(T.slice_cols(x, 2, 5))), [x])
 
+    def test_slice_rows_takes_a_contiguous_block(self):
+        x = T.constant(np.arange(12.0).reshape(6, 2))
+        assert np.array_equal(T.slice_rows(x, 2, 4).numpy(), [[4.0, 5.0], [6.0, 7.0]])
+        with pytest.raises(ShapeError):
+            T.slice_rows(x, 4, 7)
+        with pytest.raises(ShapeError):
+            T.slice_rows(x, 3, 3)
+
+    def test_slice_rows_grad(self):
+        rng = np.random.default_rng(16)
+        x = T.Tensor(rng.uniform(-1, 1, (6, 3)), requires_grad=True)
+
+        def loss():
+            # overlapping blocks: both add into the one gradient of x
+            return T.sum_all(T.tanh(T.slice_rows(x, 1, 4))) + T.sum_all(
+                T.sigmoid(T.slice_rows(x, 3, 6)))
+
+        assert_grads_match(loss, [x])
+
     def test_concat_grad_both_axes(self):
         rng = np.random.default_rng(14)
         a = T.Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
@@ -284,6 +332,13 @@ class TestBackward:
         x = T.Tensor([1.0], requires_grad=True)
         T.backward(T.sum_all(T.tanh(x)))
         assert len(T.active_tape()) == 0
+
+    def test_intermediate_gradients_are_dropped_once_passed_on(self):
+        x = T.Tensor([0.5, -1.0], requires_grad=True)
+        hidden = T.tanh(x)
+        T.backward(T.sum_all(T.mul(hidden, hidden)))
+        assert hidden.grad is None
+        np.testing.assert_allclose(x.grad, 2 * np.tanh(x.data) * (1 - np.tanh(x.data) ** 2))
 
     def test_no_grad_records_nothing(self):
         x = T.Tensor([1.0], requires_grad=True)
@@ -372,4 +427,23 @@ class TestCheckpoint:
         data = path.read_bytes()
         path.write_bytes(data[:-8])
         with pytest.raises(ParseError, match="truncated"):
+            T.load_checkpoint(path)
+
+    @pytest.mark.parametrize("header", [
+        b"tckpt x 1\nw 2\n",        # version
+        b"tckpt 1 one\nw 2\n",      # array count
+        b"tckpt 1 1\nw 2 q\n",      # dimension
+        b"tckpt 1 1\nw -2\n",       # negative dimension
+    ])
+    def test_malformed_header_numbers_are_parse_errors(self, tmp_path, header):
+        path = tmp_path / "bad.tckpt"
+        path.write_bytes(header + np.zeros(2, dtype="<f8").tobytes())
+        with pytest.raises(ParseError):
+            T.load_checkpoint(path)
+
+    def test_trailing_bytes_are_rejected(self, tmp_path):
+        path = tmp_path / "long.tckpt"
+        T.save_checkpoint(path, {"w": np.ones(3)})
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ParseError, match="trailing"):
             T.load_checkpoint(path)

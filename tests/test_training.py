@@ -311,3 +311,38 @@ def test_trace_loader_rejects_other_files(tmp_path):
     path.write_text("a,b\n1,2\n")
     with pytest.raises(DataError):
         load_trace(path)
+
+
+# ---------------------------------------------------------------------------
+# Tape growth
+
+
+def tape_nodes_per_instance(monkeypatch, max_tokens, batch_size=4):
+    """Tape nodes one recurrent training step records, per instance."""
+    records, train_set, dev_set = toy_task(batch_size)
+    vocab, matrix = synthetic_word_vectors(records, dim=4, seed=0)
+    model = RelationModel(TokenEmbedder(word_table=WordEmbeddingTable(vocab, matrix)),
+                          n_relations=2, connectives=sorted({r.connective for r in records}),
+                          rng=np.random.default_rng(1), depth=4, block_type="recurrent",
+                          max_tokens=max_tokens)
+    counts = []
+    real_backward = T.backward
+
+    def counting_backward(loss):
+        counts.append(len(T.active_tape()))
+        real_backward(loss)
+
+    monkeypatch.setattr(T, "backward", counting_backward)
+    train(model, train_set, dev_set[:1],
+          quick_config(batch_size=batch_size, epochs=1, embedding_dropout=0.4,
+                       encoder_dropout=0.4, classifier_dropout=0.3))
+    assert len(counts) == 1
+    return counts[0] / batch_size
+
+
+def test_recurrent_training_step_tape_grows_with_depth_not_length(monkeypatch):
+    # The fused recurrence records one node per direction per layer; a
+    # per-time-step tape would record thousands per instance at 100 tokens.
+    long = tape_nodes_per_instance(monkeypatch, max_tokens=100)
+    assert long < 200
+    assert tape_nodes_per_instance(monkeypatch, max_tokens=10) == long
