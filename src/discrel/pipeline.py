@@ -133,8 +133,11 @@ class TrainingSetup:
     word_vector_sha: str | None
 
 
-def _build_embedder(config: RunConfig, word_table, pieces, merges,
-                    contextual, rng: np.random.Generator) -> TokenEmbedder:
+def build_model(config: RunConfig, n_classes: int, connectives, word_table,
+                pieces, merges, contextual) -> RelationModel:
+    """The run's model around its loaded parts; every trained weight is drawn
+    from one generator seeded by ``config.seed``."""
+    rng = np.random.default_rng(config.seed)
     subword = None
     if pieces is not None:
         subword = SubwordEncoder(pieces, rng, emb_dim=config.subword_vector_dim,
@@ -143,8 +146,15 @@ def _build_embedder(config: RunConfig, word_table, pieces, merges,
     mixer = None
     if contextual is not None:
         mixer = ContextualMixer(contextual.dim, config.contextual_out_dim, rng)
-    return TokenEmbedder(word_table=word_table, subword=subword, merges=merges,
-                         mixer=mixer, contextual=contextual)
+    embedder = TokenEmbedder(word_table=word_table, subword=subword, merges=merges,
+                             mixer=mixer, contextual=contextual)
+    return RelationModel(
+        embedder, n_classes, connectives, rng,
+        depth=config.layers, block_type=config.block_type,
+        kernel_size=config.kernel_size, bi_attention=config.bi_attention,
+        res_block=config.res_block, res_pair=config.res_pair,
+        shared_stacks=config.shared_stacks,
+        classifier_hidden=config.classifier_hidden, max_tokens=config.max_tokens)
 
 
 def prepare_training(config: RunConfig) -> TrainingSetup:
@@ -194,16 +204,8 @@ def prepare_training(config: RunConfig) -> TrainingSetup:
                                "char_dim": config.contextual_char_dim,
                                "words": contextual.words, "chars": contextual.chars}
 
-    rng = np.random.default_rng(config.seed)
-    embedder = _build_embedder(config, word_table, pieces, merges, contextual, rng)
-    connectives = connective_vocabulary(splits.train)
-    model = RelationModel(
-        embedder, labels.n_classes, connectives, rng,
-        depth=config.layers, block_type=config.block_type,
-        kernel_size=config.kernel_size, bi_attention=config.bi_attention,
-        res_block=config.res_block, res_pair=config.res_pair,
-        shared_stacks=config.shared_stacks,
-        classifier_hidden=config.classifier_hidden, max_tokens=config.max_tokens)
+    model = build_model(config, labels.n_classes, connective_vocabulary(splits.train),
+                        word_table, pieces, merges, contextual)
     return TrainingSetup(config, labels, splits, model, pieces,
                          contextual_info, word_sha)
 
@@ -253,28 +255,47 @@ class RestoredRun:
     manifest: dict
 
 
+def _read_manifest(path: Path) -> dict:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: not a JSON manifest ({exc})") from None
+    if not isinstance(manifest, dict) or manifest.get("format") != _MANIFEST_FORMAT:
+        found = manifest.get("format") if isinstance(manifest, dict) else manifest
+        raise ParseError(f"{path}: unsupported manifest format {found!r}")
+    return manifest
+
+
 def restore_run(run_dir) -> RestoredRun:
     run_dir = Path(run_dir)
     manifest_path = run_dir / MANIFEST_NAME
     if not manifest_path.is_file():
         raise ConfigError(f"{run_dir}: no {MANIFEST_NAME}; not a finished run directory")
-    with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if manifest.get("format") != _MANIFEST_FORMAT:
-        raise ParseError(f"{manifest_path}: unsupported manifest format "
-                         f"{manifest.get('format')!r}")
-    config = config_from_dict(manifest["config"])
+    manifest = _read_manifest(manifest_path)
+
+    def entry(mapping, key: str, within: str = ""):
+        if not isinstance(mapping, dict) or key not in mapping:
+            raise ParseError(f"{manifest_path}: missing manifest entry {within}{key!r}")
+        return mapping[key]
+
+    config = config_from_dict(entry(manifest, "config"))
+    task = entry(manifest, "task")
+    labels = LabelSpace(entry(task, "mode", "task."), entry(task, "classes", "task."),
+                        task.get("target"))
+    connectives = entry(manifest, "connectives")
+    pieces = entry(manifest, "subword_pieces")
 
     word_table = None
     if config.use_word:
-        entry = manifest["word_vectors"]
-        path = _require_file(entry["path"], "word_vectors", "to restore the run")
-        if file_sha256(path) != entry["sha256"]:
+        vectors = entry(manifest, "word_vectors")
+        path = _require_file(entry(vectors, "path", "word_vectors."), "word_vectors",
+                             "to restore the run")
+        if file_sha256(path) != entry(vectors, "sha256", "word_vectors."):
             raise ConfigError(f"paths.word_vectors: {path} has changed since "
                               "training (checksum mismatch)")
         word_table = WordEmbeddingTable.load(path)
 
-    pieces = manifest["subword_pieces"]
     merges = None
     if config.use_subword:
         path = _require_file(config.merge_table, "merge_table", "to restore the run")
@@ -282,27 +303,20 @@ def restore_run(run_dir) -> RestoredRun:
 
     contextual = None
     if config.use_contextual:
-        info = manifest["contextual"]
-        if info["source"] == "vectors":
+        info = entry(manifest, "contextual")
+        if entry(info, "source", "contextual.") == "vectors":
             contextual = PrecomputedContextualEmbedder.load(
-                _require_file(info["path"], "contextual_vectors", "to restore the run"))
+                _require_file(entry(info, "path", "contextual."), "contextual_vectors",
+                              "to restore the run"))
         else:
             contextual = ToyContextualEmbedder(
-                info["words"], info["chars"], np.random.default_rng(0),
-                dim=info["dim"], char_dim=info["char_dim"])
+                entry(info, "words", "contextual."), entry(info, "chars", "contextual."),
+                np.random.default_rng(0), dim=entry(info, "dim", "contextual."),
+                char_dim=entry(info, "char_dim", "contextual."))
             contextual.freeze()
 
-    rng = np.random.default_rng(config.seed)
-    embedder = _build_embedder(config, word_table, pieces, merges, contextual, rng)
-    task = manifest["task"]
-    labels = LabelSpace(task["mode"], task["classes"], task.get("target"))
-    model = RelationModel(
-        embedder, labels.n_classes, manifest["connectives"], rng,
-        depth=config.layers, block_type=config.block_type,
-        kernel_size=config.kernel_size, bi_attention=config.bi_attention,
-        res_block=config.res_block, res_pair=config.res_pair,
-        shared_stacks=config.shared_stacks,
-        classifier_hidden=config.classifier_hidden, max_tokens=config.max_tokens)
+    model = build_model(config, labels.n_classes, connectives,
+                        word_table, pieces, merges, contextual)
     model.load_state_arrays(T.load_checkpoint(run_dir / CHECKPOINT_NAME))
     return RestoredRun(config, labels, model, manifest)
 

@@ -44,9 +44,7 @@ class ConvBlock:
         return [self.kernel, self.bias]
 
     def forward(self, x: Tensor, batch: int = 1) -> Tensor:
-        w = self.width
-        pre = T.conv1d(x, self.kernel, self.bias, pad="same", batch=batch)
-        gated = T.slice_cols(pre, 0, w) * T.sigmoid(T.slice_cols(pre, w, 2 * w))
+        gated = T.glu(T.conv1d(x, self.kernel, self.bias, pad="same", batch=batch))
         return x + gated if self.residual else gated
 
 

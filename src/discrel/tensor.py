@@ -30,7 +30,6 @@ from .errors import (
 __all__ = [
     "Tensor",
     "Parameter",
-    "Tape",
     "no_grad",
     "backward",
     "constant",
@@ -40,6 +39,7 @@ __all__ = [
     "add_bias",
     "scalar_mul",
     "sigmoid",
+    "glu",
     "tanh",
     "relu",
     "matmul",
@@ -119,10 +119,6 @@ class Parameter(Tensor):
         super().__init__(data, requires_grad=True)
         self.accumulator = np.zeros_like(self.data)
         self.name = name
-
-    @property
-    def tensor(self) -> "Tensor":
-        return self
 
     def __repr__(self) -> str:
         return f"Parameter({self.name or '<anon>'}, shape={list(self.shape)})"
@@ -256,7 +252,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     if _tracked(a, b):
         def bwd(g):
             _accum(a, g)
-            _accum(b, -g)
+            if b.requires_grad:
+                _accum(b, -g)
         _record(out, (a, b), bwd)
     return out
 
@@ -266,8 +263,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data)
     if _tracked(a, b):
         def bwd(g):
-            _accum(a, g * b.data)
-            _accum(b, g * a.data)
+            if a.requires_grad:
+                _accum(a, g * b.data)
+            if b.requires_grad:
+                _accum(b, g * a.data)
         _record(out, (a, b), bwd)
     return out
 
@@ -280,7 +279,8 @@ def add_bias(m: Tensor, b: Tensor) -> Tensor:
     if _tracked(m, b):
         def bwd(g):
             _accum(m, g)
-            _accum(b, g.reshape(-1, b.shape[0]).sum(axis=0))
+            if b.requires_grad:
+                _accum(b, g.reshape(-1, b.shape[0]).sum(axis=0))
         _record(out, (m, b), bwd)
     return out
 
@@ -293,22 +293,52 @@ def scalar_mul(s: Tensor, t: Tensor) -> Tensor:
     out = Tensor(t.data * sval)
     if _tracked(s, t):
         def bwd(g):
-            _accum(t, g * sval)
-            _accum(s, np.full_like(s.data, (g * t.data).sum()))
+            if t.requires_grad:
+                _accum(t, g * sval)
+            if s.requires_grad:
+                _accum(s, np.full_like(s.data, (g * t.data).sum()))
         _record(out, (s, t), bwd)
     return out
 
 
+def _sigmoid(a: np.ndarray) -> np.ndarray:
+    """sigmoid(a) = tanh(a/2)/2 + 1/2: a single overflow-free tanh, in one
+    buffer; exactly 0, 1/2 and 1 at -800, 0 and 800."""
+    y = np.multiply(a, 0.5)
+    np.tanh(y, out=y)
+    y *= 0.5
+    y += 0.5
+    return y
+
+
 def sigmoid(t: Tensor) -> Tensor:
-    # Split by sign to avoid overflow in exp.
-    x = t.data
-    y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.clip(x, 0, None))),
-                 np.exp(np.clip(x, None, 0)) / (1.0 + np.exp(np.clip(x, None, 0))))
+    y = _sigmoid(t.data)
     out = Tensor(y)
     if _tracked(t):
         def bwd(g):
             _accum(t, g * y * (1.0 - y))
         _record(out, (t,), bwd)
+    return out
+
+
+def glu(x: Tensor) -> Tensor:
+    """Gated linear unit of a (N, 2w) tensor: x[:, :w] * sigmoid(x[:, w:]).
+
+    One tape node; its backward adds both halves into one (N, 2w) gradient.
+    """
+    if x.data.ndim != 2 or x.shape[1] % 2:
+        raise ShapeError(f"glu needs a 2-D tensor of even width, got {x.shape}")
+    w = x.shape[1] // 2
+    a = x.data[:, :w]
+    s = _sigmoid(x.data[:, w:])
+    out = Tensor(a * s)
+    if _tracked(x):
+        def bwd(g):
+            if x.grad is None:
+                x.grad = np.zeros_like(x.data)
+            x.grad[:, :w] += g * s
+            x.grad[:, w:] += g * a * s * (1.0 - s)
+        _record(out, (x,), bwd)
     return out
 
 
@@ -345,8 +375,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data @ b.data)
     if _tracked(a, b):
         def bwd(g):
-            _accum(a, g @ b.data.T)
-            _accum(b, a.data.T @ g)
+            if a.requires_grad:
+                _accum(a, g @ b.data.T)
+            if b.requires_grad:
+                _accum(b, a.data.T @ g)
         _record(out, (a, b), bwd)
     return out
 
@@ -411,6 +443,7 @@ def gather_rows(table: Tensor, indices) -> Tensor:
 
 
 def slice_cols(t: Tensor, lo: int, hi: int) -> Tensor:
+    """Columns [lo, hi) of a 2-D tensor; gradients add into one full-size buffer."""
     if t.data.ndim != 2:
         raise ShapeError(f"slice_cols needs a 2-D tensor, got {t.shape}")
     if not (0 <= lo < hi <= t.shape[1]):
@@ -418,9 +451,9 @@ def slice_cols(t: Tensor, lo: int, hi: int) -> Tensor:
     out = Tensor(t.data[:, lo:hi].copy())
     if _tracked(t):
         def bwd(g):
-            full = np.zeros_like(t.data)
-            full[:, lo:hi] = g
-            _accum(t, full)
+            if t.grad is None:
+                t.grad = np.zeros_like(t.data)
+            t.grad[:, lo:hi] += g
         _record(out, (t,), bwd)
     return out
 
@@ -511,8 +544,8 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, pad: str | int
         xp = x.data
     span = batch * stride - k + 1
     keep = None if batch == 1 else (np.arange(batch)[:, None] * stride + np.arange(out_len)).ravel()
-    y = np.zeros((span, d_out))
-    for j in range(k):
+    y = xp[:span] @ kernel.data[0]
+    for j in range(1, k):
         y += xp[j:j + span] @ kernel.data[j]
     if keep is not None:
         y = y[keep]
@@ -527,17 +560,19 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, pad: str | int
             if keep is not None:
                 g_all = np.zeros((span, d_out))
                 g_all[keep] = g
-            dxp = np.zeros_like(xp)
-            if kernel.requires_grad and kernel.grad is None:
-                kernel.grad = np.zeros_like(kernel.data)
-            for j in range(k):
-                if kernel.requires_grad:
+            if kernel.requires_grad:
+                if kernel.grad is None:
+                    kernel.grad = np.zeros_like(kernel.data)
+                for j in range(k):
                     kernel.grad[j] += xp[j:j + span].T @ g_all
-                dxp[j:j + span] += g_all @ kernel.data[j].T
-            if p:
-                dxp = dxp.reshape(batch, stride, d_in)[:, p:p + n].reshape(batch * n, d_in)
-            _accum(x, dxp)
-            if bias is not None:
+            if x.requires_grad:
+                dxp = np.zeros_like(xp)
+                for j in range(k):
+                    dxp[j:j + span] += g_all @ kernel.data[j].T
+                if p:
+                    dxp = dxp.reshape(batch, stride, d_in)[:, p:p + n].reshape(batch * n, d_in)
+                _accum(x, dxp)
+            if bias is not None and bias.requires_grad:
                 _accum(bias, g.sum(axis=0))
         _record(out, tracked_inputs, bwd)
     return out
@@ -582,9 +617,7 @@ def gru_sequence(x: Tensor, w_gates: Tensor, u_gates: Tensor, u_cand: Tensor,
     states = np.empty((batch, n, dh))
     h = np.zeros((batch, dh))
     for t in steps:
-        # sigmoid(a) = (1 + tanh(a / 2)) / 2, equal up to rounding: one
-        # overflow-free call instead of the sign-split exp form of sigmoid().
-        rz = np.tanh(0.5 * (proj[:, t, :2 * dh] + h @ ug)) * 0.5 + 0.5
+        rz = _sigmoid(proj[:, t, :2 * dh] + h @ ug)
         c = np.tanh(proj[:, t, 2 * dh:] + (rz[:, :dh] * h) @ un)
         z = rz[:, dh:]
         h = z * h + (1.0 - z) * c
@@ -639,22 +672,29 @@ def topk_pool(x: Tensor, k: int) -> Tensor:
     """Per column, the k largest values in descending order, feature-major.
 
     Output layout: the k values of feature 0, then feature 1, ...  Ties break
-    stably by position (earlier row first).
+    by position (earlier row first).  Each of the k passes takes every
+    column's argmax and masks the chosen rows with -inf before the next, so
+    the inputs must be finite.
     """
     if x.data.ndim != 2:
         raise ShapeError(f"topk_pool needs a 2-D tensor, got {x.shape}")
     n, d = x.shape
     if k < 1 or k > n:
         raise WindowError(f"topk_pool: k={k} outside [1, {n}]")
-    order = np.argsort(-x.data, axis=0, kind="stable")[:k]  # (k, d)
-    vals = np.take_along_axis(x.data, order, axis=0)
-    out = Tensor(vals.T.ravel().copy())
+    cols = np.arange(d)
+    order = np.empty((k, d), dtype=np.intp)
+    rest = x.data if k == 1 else x.data.copy()
+    for i in range(k):
+        order[i] = rest.argmax(axis=0)
+        if i + 1 < k:
+            rest[order[i], cols] = -np.inf
+    out = Tensor(x.data[order, cols].T.ravel())
     if _tracked(x):
-        cols = np.broadcast_to(np.arange(d), (k, d))
         def bwd(g):
             if x.grad is None:
                 x.grad = np.zeros_like(x.data)
-            np.add.at(x.grad, (order.ravel(), cols.ravel()), g.reshape(d, k).T.ravel())
+            # each column's k rows are distinct, so no index repeats
+            x.grad[order, cols] += g.reshape(d, k).T
         _record(out, (x,), bwd)
     return out
 

@@ -482,6 +482,9 @@ class TokenEmbedder:
         self.merges = merges
         self.mixer = mixer
         self.contextual = contextual
+        # token -> subword piece indices; fixed by the merge table and the
+        # piece index, so each token is segmented once per embedder.
+        self._piece_indices: dict[str, list[int]] = {}
         self.dim = ((word_table.dim if word_table else 0)
                     + (subword.out_dim if subword else 0)
                     + (mixer.d_out if mixer else 0))
@@ -494,17 +497,23 @@ class TokenEmbedder:
             out.extend(self.mixer.parameters())
         return out
 
+    def _token_piece_indices(self, tok: str) -> list[int]:
+        idxs = self._piece_indices.get(tok)
+        if idxs is None:
+            if tok == PAD_TOKEN:
+                idxs = [SubwordEncoder.PAD_INDEX] * max(self.subword.kernel_sizes)
+            else:
+                idxs = self.subword.indices(apply_bpe(tok, self.merges))
+            self._piece_indices[tok] = idxs
+        return idxs
+
     def _subword_rows(self, tokens) -> Tensor:
         cache: dict[str, Tensor] = {}
         rows = []
         for tok in tokens:
             got = cache.get(tok)
             if got is None:
-                if tok == PAD_TOKEN:
-                    idxs = [SubwordEncoder.PAD_INDEX] * max(self.subword.kernel_sizes)
-                else:
-                    idxs = self.subword.indices(apply_bpe(tok, self.merges))
-                got = self.subword.encode_indices(idxs)
+                got = self.subword.encode_indices(self._token_piece_indices(tok))
                 cache[tok] = got
             rows.append(got)
         return T.concat(rows, axis=0)

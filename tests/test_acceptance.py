@@ -136,6 +136,9 @@ def operation_cases():
          lambda: T.sum_all(T.mul(
              T.dropout(xd, 0.4, np.random.default_rng(11), True), wdrop)), xd)
 
+    xg, wgl = var(5, 6), const(5, 3)
+    case("glu", lambda: T.sum_all(T.mul(T.glu(xg), wgl)), xg)
+
     return cases
 
 

@@ -1,6 +1,7 @@
 """Command-level behaviour: exit codes, output protocol, and artifacts."""
 
 import csv
+import json
 import shutil
 from dataclasses import replace
 
@@ -240,6 +241,25 @@ def test_eval_reports_a_corrupt_checkpoint(workspace, tmp_path, capsys, corrupt)
     shutil.copytree(workspace / "run", run_dir)
     checkpoint = run_dir / "model.ckpt"
     checkpoint.write_bytes(corrupt(checkpoint.read_bytes()))
+    code, out, err = run_cli(capsys, "eval", run_dir)
+    assert code == 1
+    assert err.startswith("error ParseError: ")
+    assert "Traceback" not in err
+
+
+def _without_connectives(text: str) -> str:
+    manifest = json.loads(text)
+    del manifest["connectives"]
+    return json.dumps(manifest)
+
+
+@pytest.mark.parametrize("corrupt", [lambda text: text[:100], _without_connectives],
+                         ids=["truncated", "no_connectives"])
+def test_eval_reports_a_corrupt_manifest(workspace, tmp_path, capsys, corrupt):
+    run_dir = tmp_path / "run"
+    shutil.copytree(workspace / "run", run_dir)
+    manifest = run_dir / "manifest.json"
+    manifest.write_text(corrupt(manifest.read_text(encoding="utf-8")), encoding="utf-8")
     code, out, err = run_cli(capsys, "eval", run_dir)
     assert code == 1
     assert err.startswith("error ParseError: ")

@@ -1,5 +1,7 @@
 """Run assembly, persistence, restore fidelity, reports, and heatmap export."""
 
+import copy
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -127,6 +129,29 @@ def test_restore_requires_a_manifest(tmp_path):
 def test_restore_rejects_unknown_manifest_formats(tmp_path):
     (tmp_path / "manifest.json").write_text('{"format": "discrel-run 99"}')
     with pytest.raises(ParseError, match="99"):
+        restore_run(tmp_path)
+
+
+def test_restore_names_each_missing_manifest_entry(tmp_path):
+    config = small_config(tmp_path, epochs=1)
+    setup = prepare_training(config)
+    run_dir = write_run(tmp_path / "run", setup, run_training(setup))
+    path = run_dir / "manifest.json"
+    intact = json.loads(path.read_text(encoding="utf-8"))
+    for key in ("config", "task", "connectives", "subword_pieces", "word_vectors",
+                "contextual"):
+        manifest = copy.deepcopy(intact)
+        del manifest[key]
+        if key == "contextual":  # only read when the config uses it
+            manifest["config"]["model"]["use_contextual"] = True
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(ParseError, match=f"entry '{key}'"):
+            restore_run(run_dir)
+
+
+def test_restore_rejects_a_truncated_manifest(tmp_path):
+    (tmp_path / "manifest.json").write_text('{"format": "discrel-run 1", "con')
+    with pytest.raises(ParseError, match="JSON"):
         restore_run(tmp_path)
 
 

@@ -178,6 +178,26 @@ class TestTopkPool:
         w = T.constant(rng.uniform(-1, 1, 8))
         assert_grads_match(lambda: T.sum_all(T.mul(T.topk_pool(x, 2), w)), [x])
 
+    @pytest.mark.parametrize("k", [1, 2, "n"])
+    def test_matches_a_stable_sort_with_planted_ties(self, k):
+        rng = np.random.default_rng(40)
+        for trial in range(20):
+            n, d = int(rng.integers(2, 9)), int(rng.integers(1, 6))
+            kk = n if k == "n" else k
+            # few distinct values, so most columns hold ties
+            data = rng.integers(-2, 3, (n, d)).astype(float)
+            data[rng.integers(n)] = data[rng.integers(n)]  # a repeated row
+            order = np.argsort(-data, axis=0, kind="stable")[:kk]
+            x = T.Tensor(data, requires_grad=True)
+            out = T.topk_pool(x, kk)
+            assert np.array_equal(out.numpy(),
+                                  np.take_along_axis(data, order, axis=0).T.ravel())
+            w = rng.normal(size=kk * d)
+            T.backward(T.sum_all(T.mul(out, T.constant(w))))
+            expected = np.zeros((n, d))
+            np.put_along_axis(expected, order, w.reshape(d, kk).T, axis=0)
+            assert np.array_equal(x.grad, expected), f"trial {trial}"
+
 
 class TestElementwise:
     def test_sigmoid_at_zero(self):
@@ -190,6 +210,17 @@ class TestElementwise:
     def test_sigmoid_extreme_no_overflow(self):
         out = T.sigmoid(T.constant([-800.0, 800.0]))
         np.testing.assert_allclose(out.data, [0.0, 1.0], atol=1e-12)
+
+    def test_sigmoid_is_exact_at_the_extremes_and_zero(self):
+        assert np.array_equal(T.sigmoid(T.constant([-800.0, 0.0, 800.0])).numpy(),
+                              [0.0, 0.5, 1.0])
+
+    def test_sigmoid_matches_the_sign_split_exp_form(self):
+        x = np.linspace(-50.0, 50.0, 20001)
+        pos = np.clip(x, 0, None)
+        neg = np.clip(x, None, 0)
+        split = np.where(x >= 0, 1.0 / (1.0 + np.exp(-pos)), np.exp(neg) / (1.0 + np.exp(neg)))
+        assert np.max(np.abs(T.sigmoid(T.constant(x)).numpy() - split)) <= 1e-15
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -217,6 +248,80 @@ class TestElementwise:
         m = T.Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
         b = T.Tensor(rng.uniform(-1, 1, 3), requires_grad=True)
         assert_grads_match(lambda: T.sum_all(T.sigmoid(T.add_bias(m, b))), [m, b])
+
+
+class TestGlu:
+    def test_matches_the_sliced_composition(self):
+        rng = np.random.default_rng(41)
+        data = rng.normal(scale=3.0, size=(7, 10))
+        w = rng.normal(size=(7, 5))
+
+        def run(gate):
+            x = T.Tensor(data.copy(), requires_grad=True)
+            out = gate(x)
+            T.backward(T.sum_all(T.mul(out, T.constant(w))))
+            return out.numpy(), x.grad
+
+        fused, fused_grad = run(T.glu)
+        composed, composed_grad = run(
+            lambda x: T.slice_cols(x, 0, 5) * T.sigmoid(T.slice_cols(x, 5, 10)))
+        assert np.max(np.abs(fused - composed)) <= 1e-12
+        assert np.max(np.abs(fused_grad - composed_grad)) <= 1e-12
+
+    def test_records_one_tape_node(self):
+        x = T.Tensor(np.zeros((2, 4)), requires_grad=True)
+        T.glu(x)
+        assert len(T.active_tape()) == 1
+        T.active_tape().clear()
+
+    def test_odd_width_rejected(self):
+        with pytest.raises(ShapeError, match="even"):
+            T.glu(T.constant(np.zeros((2, 3))))
+
+    def test_grad_vs_finite_differences(self):
+        rng = np.random.default_rng(42)
+        x = T.Tensor(rng.uniform(-2, 2, (5, 6)), requires_grad=True)
+        w = T.constant(rng.uniform(-1, 1, (5, 3)))
+        assert_grads_match(lambda: T.sum_all(T.mul(T.glu(x), w)), [x])
+
+
+class TestUnreadGradients:
+    """An untracked input gets no gradient, and the tracked ones are unchanged."""
+
+    @pytest.mark.parametrize("pad,batch", [("same", 1), ("same", 2), ("valid", 2)])
+    def test_conv1d_with_an_untracked_input(self, pad, batch):
+        rng = np.random.default_rng(43)
+        data = rng.normal(size=(2 * 6, 4))
+        kernel_data = rng.normal(size=(3, 4, 5))
+        bias_data = rng.normal(size=5)
+        g = rng.normal(size=(2 * 6 if pad == "same" else 2 * 4, 5))
+
+        def run(x):
+            kernel = T.Parameter(kernel_data.copy())
+            bias = T.Parameter(bias_data.copy())
+            out = T.conv1d(x, kernel, bias, pad=pad, batch=batch)
+            T.backward(T.sum_all(T.mul(out, T.constant(g))))
+            return kernel.grad, bias.grad
+
+        frozen = T.constant(data)
+        kernel_grad, bias_grad = run(frozen)
+        assert frozen.grad is None
+        tracked = T.Tensor(data, requires_grad=True)
+        kernel_ref, bias_ref = run(tracked)
+        assert tracked.grad is not None
+        assert np.array_equal(kernel_grad, kernel_ref)
+        assert np.array_equal(bias_grad, bias_ref)
+
+    def test_matmul_with_an_untracked_operand(self):
+        rng = np.random.default_rng(44)
+        a_data, b_data = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
+        frozen = T.constant(a_data)
+        b = T.Parameter(b_data)
+        T.backward(T.sum_all(T.tanh(frozen @ b)))
+        assert frozen.grad is None
+        tracked, b_ref = T.Tensor(a_data, requires_grad=True), T.Parameter(b_data)
+        T.backward(T.sum_all(T.tanh(tracked @ b_ref)))
+        assert np.array_equal(b.grad, b_ref.grad)
 
 
 class TestGatherSliceConcat:

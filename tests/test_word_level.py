@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from discrel import tensor as T
-from discrel.bpe import MergeTable, learn_bpe
+from discrel import word_level
+from discrel.bpe import MergeTable, apply_bpe, learn_bpe
 from discrel.errors import (
     ConfigError,
     DataError,
@@ -449,6 +450,24 @@ class TestTokenEmbedder:
         with T.no_grad():
             out = emb.embed_sentence(["aa", "bb", "aa"]).numpy()
         assert np.array_equal(out[0, 4:8], out[2, 4:8])
+
+    def test_each_token_is_segmented_once_across_sentences(self, monkeypatch):
+        sentences = [["aa", "bb", "zz"], ["bb", "cc", "aa"], ["zz", "<pad>", "cc"]]
+        with T.no_grad():
+            unmemoised = [full_embedder(seed=5).embed_sentence(s).numpy() for s in sentences]
+        calls = []
+
+        def counting_apply_bpe(word, table):
+            calls.append(word)
+            return apply_bpe(word, table)
+
+        monkeypatch.setattr(word_level, "apply_bpe", counting_apply_bpe)
+        emb = full_embedder(seed=5)
+        with T.no_grad():
+            memoised = [emb.embed_sentence(s).numpy() for s in sentences]
+        assert sorted(calls) == ["aa", "bb", "cc", "zz"]
+        for got, want in zip(memoised, unmemoised):
+            assert np.array_equal(got, want)
 
     def test_gradients_with_repeated_tokens(self):
         emb = full_embedder(seed=4)
