@@ -11,6 +11,7 @@ early once the best pair occurs fewer than 2 times.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -24,6 +25,13 @@ class MergeTable:
     """An ordered list of learned merges; order of application is significant."""
 
     merges: list[tuple[str, str]] = field(default_factory=list)
+    # pair -> the ascending ranks at which it appears in ``merges``
+    ranks: dict[tuple[str, str], list[int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.ranks = {}
+        for rank, pair in enumerate(self.merges):
+            self.ranks.setdefault(pair, []).append(rank)
 
     def __len__(self) -> int:
         return len(self.merges)
@@ -117,18 +125,33 @@ def learn_bpe(corpus: dict[str, int], num_merges: int) -> MergeTable:
 
 
 def apply_bpe(word: str, table: MergeTable) -> list[str]:
-    """Segment ``word`` by replaying the table's merges over its characters.
+    """Segment ``word`` as replaying the table's merges in order would.
 
-    Unknown characters simply remain singleton subwords; the concatenation of
-    the output always reproduces the word.
+    A merge whose pair is not adjacent in the current symbols is a no-op, so
+    each step jumps to the lowest-ranked merge after the last one applied
+    whose pair does occur, and applies it.  That holds for any table,
+    including ones with repeated or out-of-order merges.  Unknown characters
+    simply remain singleton subwords; the concatenation of the output always
+    reproduces the word.
     """
     if not word:
         raise DataError("apply_bpe: word is empty")
     symbols = list(word)
-    for pair in table.merges:
-        if len(symbols) == 1:
+    ranks = table.ranks
+    last = -1
+    while len(symbols) > 1:
+        best = None
+        for pair in zip(symbols, symbols[1:]):
+            pair_ranks = ranks.get(pair)
+            if pair_ranks is None:
+                continue
+            i = bisect_right(pair_ranks, last)
+            if i < len(pair_ranks) and (best is None or pair_ranks[i] < best):
+                best = pair_ranks[i]
+        if best is None:
             break
-        symbols = _merge_symbols(symbols, pair)
+        symbols = _merge_symbols(symbols, table.merges[best])
+        last = best
     return symbols
 
 

@@ -267,6 +267,14 @@ def _read_manifest(path: Path) -> dict:
     return manifest
 
 
+# (test, description) of each typed manifest entry
+_STRINGS = (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
+            "a list of strings")
+_STRING = (lambda v: isinstance(v, str), "a string")
+_POSITIVE_INT = (lambda v: isinstance(v, int) and not isinstance(v, bool) and v > 0,
+                 "a positive integer")
+
+
 def restore_run(run_dir) -> RestoredRun:
     run_dir = Path(run_dir)
     manifest_path = run_dir / MANIFEST_NAME
@@ -274,24 +282,30 @@ def restore_run(run_dir) -> RestoredRun:
         raise ConfigError(f"{run_dir}: no {MANIFEST_NAME}; not a finished run directory")
     manifest = _read_manifest(manifest_path)
 
-    def entry(mapping, key: str, within: str = ""):
+    def entry(mapping, key: str, within: str = "", kind=None):
         if not isinstance(mapping, dict) or key not in mapping:
             raise ParseError(f"{manifest_path}: missing manifest entry {within}{key!r}")
-        return mapping[key]
+        value = mapping[key]
+        if kind is not None and not kind[0](value):
+            raise ParseError(f"{manifest_path}: manifest entry {within}{key!r} must be "
+                             f"{kind[1]}, got {value!r:.40}")
+        return value
 
     config = config_from_dict(entry(manifest, "config"))
     task = entry(manifest, "task")
-    labels = LabelSpace(entry(task, "mode", "task."), entry(task, "classes", "task."),
+    labels = LabelSpace(entry(task, "mode", "task."), entry(task, "classes", "task.", _STRINGS),
                         task.get("target"))
-    connectives = entry(manifest, "connectives")
-    pieces = entry(manifest, "subword_pieces")
+    connectives = entry(manifest, "connectives", kind=_STRINGS)
+    pieces = entry(manifest, "subword_pieces", kind=_STRINGS if config.use_subword else None)
+    if not config.use_subword:
+        pieces = None
 
     word_table = None
     if config.use_word:
         vectors = entry(manifest, "word_vectors")
-        path = _require_file(entry(vectors, "path", "word_vectors."), "word_vectors",
+        path = _require_file(entry(vectors, "path", "word_vectors.", _STRING), "word_vectors",
                              "to restore the run")
-        if file_sha256(path) != entry(vectors, "sha256", "word_vectors."):
+        if file_sha256(path) != entry(vectors, "sha256", "word_vectors.", _STRING):
             raise ConfigError(f"paths.word_vectors: {path} has changed since "
                               "training (checksum mismatch)")
         word_table = WordEmbeddingTable.load(path)
@@ -306,13 +320,14 @@ def restore_run(run_dir) -> RestoredRun:
         info = entry(manifest, "contextual")
         if entry(info, "source", "contextual.") == "vectors":
             contextual = PrecomputedContextualEmbedder.load(
-                _require_file(entry(info, "path", "contextual."), "contextual_vectors",
+                _require_file(entry(info, "path", "contextual.", _STRING), "contextual_vectors",
                               "to restore the run"))
         else:
             contextual = ToyContextualEmbedder(
-                entry(info, "words", "contextual."), entry(info, "chars", "contextual."),
-                np.random.default_rng(0), dim=entry(info, "dim", "contextual."),
-                char_dim=entry(info, "char_dim", "contextual."))
+                entry(info, "words", "contextual.", _STRINGS),
+                entry(info, "chars", "contextual.", _STRINGS),
+                np.random.default_rng(0), dim=entry(info, "dim", "contextual.", _POSITIVE_INT),
+                char_dim=entry(info, "char_dim", "contextual.", _POSITIVE_INT))
             contextual.freeze()
 
     model = build_model(config, labels.n_classes, connectives,

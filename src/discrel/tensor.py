@@ -13,7 +13,8 @@ heads) is built from the operations in this module.  Design points:
 
 from __future__ import annotations
 
-import struct
+import math
+import os
 import threading
 from typing import Callable, Iterable, Sequence
 
@@ -53,6 +54,7 @@ __all__ = [
     "conv1d",
     "gru_sequence",
     "topk_pool",
+    "segment_max",
     "cross_entropy",
     "sum_all",
     "dropout",
@@ -699,6 +701,41 @@ def topk_pool(x: Tensor, k: int) -> Tensor:
     return out
 
 
+def segment_max(x: Tensor, batch: int, valid) -> Tensor:
+    """Per column, the max over the first ``valid[b]`` rows of each block.
+
+    ``x`` is (B*n, d): ``batch`` = B blocks of n rows, stacked block-major;
+    the output is (B, d), row b from block b.  Rows past a block's valid
+    count are ignored, whatever they hold.  Ties break by position (earlier
+    row first), and the backward pass adds each gradient into the one row
+    that won.
+    """
+    if x.data.ndim != 2:
+        raise ShapeError(f"segment_max needs a 2-D tensor, got {x.shape}")
+    n = _sequence_length(x, batch, "segment_max")
+    d = x.shape[1]
+    valid = np.asarray(valid, dtype=np.intp)
+    if valid.shape != (batch,):
+        raise ShapeError(f"segment_max: need {batch} valid counts, got shape {valid.shape}")
+    if valid.min() < 1 or valid.max() > n:
+        raise WindowError(f"segment_max: valid counts outside [1, {n}]")
+    blocks = x.data.reshape(batch, n, d)
+    if valid.min() < n:
+        blocks = blocks.copy()
+        blocks[np.arange(n) >= valid[:, None]] = -np.inf
+    rows = blocks.argmax(axis=1) + (np.arange(batch) * n)[:, None]
+    cols = np.arange(d)
+    out = Tensor(x.data[rows, cols])
+    if _tracked(x):
+        def bwd(g):
+            if x.grad is None:
+                x.grad = np.zeros_like(x.data)
+            # each column's chosen rows lie in distinct blocks, so no index repeats
+            x.grad[rows, cols] += g
+        _record(out, (x,), bwd)
+    return out
+
+
 def cross_entropy(logits: Tensor, gold) -> Tensor:
     """Mean over the batch of -log softmax(logits)[gold], log-sum-exp stabilized."""
     if logits.data.ndim != 2:
@@ -813,20 +850,30 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         if _header_int(path, header[1], "version") != _VERSION:
             raise ParseError(f"{path}: unsupported checkpoint version {header[1]}")
         count = _header_int(path, header[2], "array count")
-        entries = []
+        entries = {}
         for i in range(count):
             fields = fh.readline().decode("ascii", errors="replace").split()
             if not fields:
                 raise ParseError(f"{path}: truncated header at entry {i + 1}")
-            entries.append((fields[0], tuple(_header_int(path, d, f"dimension of {fields[0]}")
-                                             for d in fields[1:])))
+            name = fields[0]
+            if name in entries:
+                raise ParseError(f"{path}: array {name} is listed twice")
+            entries[name] = tuple(_header_int(path, d, f"dimension of {name}")
+                                  for d in fields[1:])
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
         out = {}
-        for name, shape in entries:
-            n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            raw = fh.read(8 * n)
-            if len(raw) != 8 * n:
+        for name, shape in entries.items():
+            nbytes = 8 * math.prod(shape)  # Python ints: no wrap-around
+            if nbytes > left:
                 raise ParseError(f"{path}: truncated payload for {name}")
-            out[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+            raw = fh.read(nbytes)
+            if len(raw) != nbytes:
+                raise ParseError(f"{path}: truncated payload for {name}")
+            left -= nbytes
+            arr = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+            if not np.isfinite(arr).all():
+                raise ParseError(f"{path}: array {name} holds non-finite values")
+            out[name] = arr
         if fh.read(1):
             raise ParseError(f"{path}: trailing bytes after the last array")
         return out

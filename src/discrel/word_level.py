@@ -45,6 +45,7 @@ def load_word_vectors(path) -> tuple[dict[str, int], np.ndarray]:
     """
     vocab: dict[str, int] = {}
     rows: list[np.ndarray] = []
+    linenos: list[int] = []
     dim = None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -65,9 +66,16 @@ def load_word_vectors(path) -> tuple[dict[str, int], np.ndarray]:
             if word not in vocab:
                 vocab[word] = len(rows)
                 rows.append(vec)
+                linenos.append(lineno)
+            elif not np.isfinite(vec).all():
+                raise ParseError(f"{path}:{lineno}: non-finite vector component")
     if not rows:
         raise ParseError(f"{path}: no vectors found")
-    return vocab, np.vstack(rows)
+    matrix = np.vstack(rows)
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        raise ParseError(f"{path}:{linenos[int(finite.argmin())]}: non-finite vector component")
+    return vocab, matrix
 
 
 def save_word_vectors(path, vocab: dict[str, int], matrix: np.ndarray, header: bool = True) -> None:
@@ -109,6 +117,39 @@ class WordEmbeddingTable:
 
 
 # ---------------------------------------------------------------------------
+# Shared per-token convolution
+
+
+def _distinct(tokens) -> tuple[list[str], list[int]]:
+    """The distinct tokens in first-appearance order, and each token's slot."""
+    slots: dict[str, int] = {}
+    positions = [slots.setdefault(tok, len(slots)) for tok in tokens]
+    return list(slots), positions
+
+
+def _conv_max_pool(table: Parameter, rows, pad_index: int, convs) -> list[Tensor]:
+    """Max over positions of tanh(valid convolution) of each index row.
+
+    Each row of ``table`` indices is first padded with ``pad_index`` up to
+    the widest kernel, and those pads count as positions.  All rows then
+    share one gather and, per (kernel, bias) of ``convs``, one batched
+    convolution over a common width; windows that reach into that shared
+    padding are masked out of the max.  Returns one (len(rows), d_out)
+    tensor per kernel.
+    """
+    convs = list(convs)
+    reach = max(kernel.shape[0] for kernel, _ in convs)
+    lengths = np.array([max(len(row), reach) for row in rows])
+    idx = np.full((len(rows), lengths.max()), pad_index, dtype=np.int64)
+    for i, row in enumerate(rows):
+        idx[i, :len(row)] = row
+    emb = T.gather_rows(table, idx.ravel())
+    return [T.segment_max(T.tanh(T.conv1d(emb, kernel, bias, pad="valid", batch=len(rows))),
+                          len(rows), lengths - kernel.shape[0] + 1)
+            for kernel, bias in convs]
+
+
+# ---------------------------------------------------------------------------
 # Subword feature
 
 
@@ -147,26 +188,20 @@ class SubwordEncoder:
             raise DataError("SubwordEncoder: empty piece sequence")
         return [self.index.get(p, self.UNK_INDEX) for p in pieces]
 
-    def encode_indices(self, idxs: list[int]) -> Tensor:
-        """(1, out_dim) feature for a row of piece indices (padded as needed)."""
-        if not idxs:
+    def encode_indices(self, rows) -> Tensor:
+        """(len(rows), out_dim) features, one per row of piece indices, in one
+        batched pass (rows are padded as needed)."""
+        if not rows or any(len(row) == 0 for row in rows):
             raise DataError("SubwordEncoder: empty piece sequence")
-        need = max(self.kernel_sizes)
-        if len(idxs) < need:
-            idxs = list(idxs) + [self.PAD_INDEX] * (need - len(idxs))
-        emb = T.gather_rows(self.table, idxs)
-        pools = []
-        for kernel, bias in zip(self.kernels, self.conv_biases):
-            conv = T.tanh(T.conv1d(emb, kernel, bias, pad="valid"))
-            pools.append(T.topk_pool(conv, 1))
-        u = T.reshape(T.concat(pools, axis=0), (1, self.out_dim))
+        u = T.concat(_conv_max_pool(self.table, rows, self.PAD_INDEX,
+                                    zip(self.kernels, self.conv_biases)), axis=1)
         gate = T.sigmoid(T.add_bias(u @ self.gate_w, self.gate_b))
         transformed = T.relu(T.add_bias(u @ self.carry_w, self.carry_b))
-        ones = T.constant(np.ones((1, self.out_dim)))
+        ones = T.constant(np.ones((len(rows), self.out_dim)))
         return gate * transformed + (ones - gate) * u
 
     def encode(self, pieces) -> Tensor:
-        return self.encode_indices(self.indices(pieces))
+        return self.encode_indices([self.indices(pieces)])
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +253,8 @@ class ContextualMixer:
 class ToyContextualEmbedder(ContextualEmbedder):
     """Small character-level bidirectional language model used as a stand-in.
 
-    Words are encoded by a character convolution with max pooling; two
+    Words are encoded by a character convolution with max pooling (each
+    distinct word of a sentence once, in one batch); two
     stacked bidirectional recurrent layers produce the per-token outputs
     (lower layer, upper layer).  The model is trained to predict each
     position's next word with its forward state and previous word with its
@@ -274,19 +310,14 @@ class ToyContextualEmbedder(ContextualEmbedder):
                 + self.rnn1.parameters() + self.rnn2.parameters()
                 + [self.head_next_w, self.head_next_b, self.head_prev_w, self.head_prev_b])
 
-    def _word_vector(self, word: str) -> Tensor:
-        idxs = [self.char_ids.get(c, self.CHAR_UNK) for c in word]
-        if len(idxs) < 3:
-            idxs += [self.CHAR_PAD] * (3 - len(idxs))
-        emb = T.gather_rows(self.char_table, idxs)
-        conv = T.tanh(T.conv1d(emb, self.char_kernel, self.char_bias, pad="valid"))
-        return T.reshape(T.topk_pool(conv, 1), (1, self._dim))
-
     def _layers(self, tokens) -> tuple[Tensor, Tensor]:
         if not tokens:
             raise DataError("toy embedder: empty token sequence")
-        x = T.concat([self._word_vector(w) for w in tokens], axis=0)
-        lower = self.rnn1.forward(x)
+        words, positions = _distinct(tokens)
+        rows = [[self.char_ids.get(c, self.CHAR_UNK) for c in w] for w in words]
+        (vectors,) = _conv_max_pool(self.char_table, rows, self.CHAR_PAD,
+                                    [(self.char_kernel, self.char_bias)])
+        lower = self.rnn1.forward(T.gather_rows(vectors, positions))
         upper = self.rnn2.forward(lower)
         return lower, upper
 
@@ -508,15 +539,11 @@ class TokenEmbedder:
         return idxs
 
     def _subword_rows(self, tokens) -> Tensor:
-        cache: dict[str, Tensor] = {}
-        rows = []
-        for tok in tokens:
-            got = cache.get(tok)
-            if got is None:
-                got = self.subword.encode_indices(self._token_piece_indices(tok))
-                cache[tok] = got
-            rows.append(got)
-        return T.concat(rows, axis=0)
+        """Each distinct token encoded once, all in one batch, then placed."""
+        distinct, positions = _distinct(tokens)
+        features = self.subword.encode_indices(
+            [self._token_piece_indices(tok) for tok in distinct])
+        return T.gather_rows(features, positions)
 
     def embed_sentence(self, tokens, n_real: int | None = None) -> Tensor:
         """(N, dim) embedding matrix for one argument's token row.

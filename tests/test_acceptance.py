@@ -139,6 +139,9 @@ def operation_cases():
     xg, wgl = var(5, 6), const(5, 3)
     case("glu", lambda: T.sum_all(T.mul(T.glu(xg), wgl)), xg)
 
+    xm, wm = var(8, 3), const(2, 3)
+    case("segment_max", lambda: T.sum_all(T.mul(T.segment_max(xm, 2, [3, 4]), wm)), xm)
+
     return cases
 
 

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discrel.bpe import (
     MergeTable,
@@ -13,6 +15,7 @@ from discrel.bpe import (
     subword_vocabulary,
     word_frequencies,
 )
+from discrel.cli import _FAILURES
 from discrel.errors import DataError, ParseError
 
 
@@ -63,6 +66,16 @@ def oracle_learn(corpus, num_merges):
         merges.append(pair)
         words = [(_oracle_merge(s, pair), c) for s, c in words]
     return merges
+
+
+def replay_bpe(word, merges):
+    """Segmentation by replaying every merge in table order."""
+    symbols = list(word)
+    for pair in merges:
+        if len(symbols) == 1:
+            break
+        symbols = _oracle_merge(symbols, pair)
+    return symbols
 
 
 def random_corpus(rng, alphabet="abc", max_words=20, max_len=5):
@@ -127,6 +140,24 @@ class TestLearn:
             learn_bpe({"ab": 0}, 5)
 
 
+_WORDS = st.text(alphabet="abcx", min_size=1, max_size=12)
+
+
+@st.composite
+def merge_tables(draw):
+    """Merges of characters, of other merges' outputs and of symbols no
+    merge produces, in any order and with repeats."""
+    symbols = ["a", "b", "c", "cab"]
+    merges = []
+    for _ in range(draw(st.integers(0, 10))):
+        pair = (draw(st.sampled_from(symbols)), draw(st.sampled_from(symbols)))
+        merges.append(pair)
+        symbols.append(pair[0] + pair[1])
+    if merges:
+        merges += draw(st.lists(st.sampled_from(merges), max_size=4))
+    return draw(st.permutations(merges))
+
+
 class TestApply:
     def test_empty_table_yields_characters(self):
         assert apply_bpe("xyz", MergeTable()) == ["x", "y", "z"]
@@ -151,14 +182,25 @@ class TestApply:
             corpus = random_corpus(rng)
             table = learn_bpe(corpus, rng.randint(1, 8))
             word = "".join(rng.choice("abc") for _ in range(rng.randint(1, 10)))
-            symbols = list(word)
-            for pair in table.merges:
-                symbols = _oracle_merge(symbols, pair)
-            assert apply_bpe(word, table) == symbols
+            assert apply_bpe(word, table) == replay_bpe(word, table.merges)
 
     def test_rejects_empty_word(self):
         with pytest.raises(DataError):
             apply_bpe("", MergeTable())
+
+    @settings(max_examples=300)
+    @given(_WORDS, merge_tables())
+    def test_equals_the_replay_on_arbitrary_tables(self, word, merges):
+        assert apply_bpe(word, MergeTable(merges)) == replay_bpe(word, merges)
+
+    @given(_WORDS, st.dictionaries(st.text(alphabet="abc", min_size=1, max_size=6),
+                                   st.integers(1, 5), min_size=1, max_size=8),
+           st.randoms(use_true_random=False))
+    def test_equals_the_replay_on_shuffled_learned_tables(self, word, corpus, shuffler):
+        merges = learn_bpe(corpus, 10).merges
+        merges = merges + merges[: len(merges) // 2]
+        shuffler.shuffle(merges)
+        assert apply_bpe(word, MergeTable(merges)) == replay_bpe(word, merges)
 
 
 class TestTableIO:
@@ -183,6 +225,17 @@ class TestTableIO:
         path = tmp_path / "merges.txt"
         path.write_text("a b\n\nb c\n", encoding="utf-8")
         assert load_merge_table(path).merges == [("a", "b"), ("b", "c")]
+
+
+@given(st.text(max_size=80))
+def test_any_merge_file_loads_or_raises_a_reported_failure(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz_merges.txt"
+    path.write_text(text, encoding="utf-8")
+    try:
+        table = load_merge_table(path)
+    except _FAILURES:
+        return
+    assert "".join(apply_bpe("abcab", table)) == "abcab"
 
 
 class TestFrequencies:

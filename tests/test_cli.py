@@ -253,8 +253,24 @@ def _without_connectives(text: str) -> str:
     return json.dumps(manifest)
 
 
-@pytest.mark.parametrize("corrupt", [lambda text: text[:100], _without_connectives],
-                         ids=["truncated", "no_connectives"])
+def _integer_connectives(text: str) -> str:
+    manifest = json.loads(text)
+    manifest["connectives"] = 5
+    return json.dumps(manifest)
+
+
+def _string_contextual_dim(text: str) -> str:
+    manifest = json.loads(text)
+    manifest["config"]["model"]["use_contextual"] = True
+    manifest["contextual"] = {"source": "fresh", "words": ["a", "b"], "chars": ["a", "b"],
+                              "dim": "64", "char_dim": 16}
+    return json.dumps(manifest)
+
+
+@pytest.mark.parametrize("corrupt", [lambda text: text[:100], _without_connectives,
+                                     _integer_connectives, _string_contextual_dim],
+                         ids=["truncated", "no_connectives", "integer_connectives",
+                              "string_contextual_dim"])
 def test_eval_reports_a_corrupt_manifest(workspace, tmp_path, capsys, corrupt):
     run_dir = tmp_path / "run"
     shutil.copytree(workspace / "run", run_dir)

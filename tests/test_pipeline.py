@@ -149,6 +149,42 @@ def test_restore_names_each_missing_manifest_entry(tmp_path):
             restore_run(run_dir)
 
 
+_TOY = {"source": "fresh", "words": ["a", "b"], "chars": ["a", "b"], "dim": 4, "char_dim": 2}
+
+
+@pytest.mark.parametrize("where, key, value", [
+    ((), "connectives", 5),
+    ((), "connectives", ["and", 3]),
+    (("task",), "classes", "Expansion"),
+    ((), "subword_pieces", {"a": 1}),
+    (("word_vectors",), "path", 7),
+    (("word_vectors",), "sha256", None),
+    (("contextual",), "words", "ab"),
+    (("contextual",), "chars", [["a"]]),
+    (("contextual",), "dim", "64"),
+    (("contextual",), "dim", 0),
+    (("contextual",), "char_dim", True),
+    (("contextual",), "char_dim", 2.0),
+])
+def test_restore_names_each_mistyped_manifest_entry(tmp_path, where, key, value):
+    config = small_config(tmp_path, epochs=1)
+    setup = prepare_training(config)
+    run_dir = write_run(tmp_path / "run", setup, run_training(setup))
+    path = run_dir / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    manifest["contextual"] = dict(_TOY)
+    # subword pieces and the contextual entry are read only when used
+    manifest["config"]["model"]["use_subword"] = key == "subword_pieces"
+    manifest["config"]["model"]["use_contextual"] = where == ("contextual",)
+    target = manifest
+    for part in where:
+        target = target[part]
+    target[key] = value
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(ParseError, match=f"entry {where[0] + '.' if where else ''}'{key}' must be"):
+        restore_run(run_dir)
+
+
 def test_restore_rejects_a_truncated_manifest(tmp_path):
     (tmp_path / "manifest.json").write_text('{"format": "discrel-run 1", "con')
     with pytest.raises(ParseError, match="JSON"):

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from discrel import tensor as T
+from discrel.cli import _FAILURES
 from discrel.errors import (
     LabelError,
     MissingGradientError,
@@ -197,6 +200,56 @@ class TestTopkPool:
             expected = np.zeros((n, d))
             np.put_along_axis(expected, order, w.reshape(d, kk).T, axis=0)
             assert np.array_equal(x.grad, expected), f"trial {trial}"
+
+
+class TestSegmentMax:
+    def test_masks_rows_past_each_valid_count(self):
+        x = T.constant([[1.0, 5.0], [2.0, 0.0], [9.0, 9.0],
+                        [3.0, 1.0], [0.0, 4.0], [7.0, 8.0]])
+        out = T.segment_max(x, 2, [2, 1])
+        assert np.array_equal(out.numpy(), [[2.0, 5.0], [3.0, 1.0]])
+
+    def test_matches_per_block_top1_with_planted_ties(self):
+        rng = np.random.default_rng(41)
+        for trial in range(30):
+            b, n, d = int(rng.integers(1, 5)), int(rng.integers(1, 7)), int(rng.integers(1, 5))
+            # few distinct values, so most columns hold ties
+            data = rng.integers(-2, 3, (b * n, d)).astype(float)
+            valid = rng.integers(1, n + 1, b)
+            w = rng.normal(size=(b, d))
+            x = T.Tensor(data, requires_grad=True)
+            out = T.segment_max(x, b, valid)
+            T.backward(T.sum_all(T.mul(out, T.constant(w))))
+            expected = np.zeros_like(data)
+            for i in range(b):
+                block = T.Tensor(data[i * n:i * n + valid[i]], requires_grad=True)
+                top = T.topk_pool(block, 1)
+                assert np.array_equal(out.numpy()[i], top.numpy()), f"trial {trial}"
+                T.backward(T.sum_all(T.mul(top, T.constant(w[i]))))
+                expected[i * n:i * n + valid[i]] = block.grad
+            assert np.array_equal(x.grad, expected), f"trial {trial}"
+
+    def test_tie_goes_to_the_earlier_row(self):
+        x = T.Tensor([[1.0], [5.0], [5.0], [4.0], [4.0], [6.0]], requires_grad=True)
+        T.backward(T.sum_all(T.segment_max(x, 2, [3, 2])))
+        assert np.array_equal(x.grad.ravel(), [0.0, 1.0, 0.0, 1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("valid", [[0, 2], [2, 4], [3, -1]])
+    def test_valid_count_outside_the_block(self, valid):
+        with pytest.raises(WindowError):
+            T.segment_max(T.constant(np.zeros((6, 2))), 2, valid)
+
+    def test_shape_errors(self):
+        with pytest.raises(ShapeError):
+            T.segment_max(T.constant(np.zeros((6, 2))), 2, [1, 1, 1])
+        with pytest.raises(ShapeError):
+            T.segment_max(T.constant(np.zeros((5, 2))), 2, [1, 1])
+
+    def test_grad_vs_finite_differences(self):
+        rng = np.random.default_rng(42)
+        x = T.Tensor(rng.uniform(-1, 1, (12, 3)), requires_grad=True)
+        w = T.constant(rng.uniform(-1, 1, (3, 3)))
+        assert_grads_match(lambda: T.sum_all(T.mul(T.segment_max(x, 3, [4, 1, 2]), w)), [x])
 
 
 class TestElementwise:
@@ -552,3 +605,50 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"\0")
         with pytest.raises(ParseError, match="trailing"):
             T.load_checkpoint(path)
+
+    @pytest.mark.parametrize("header", [
+        b"tckpt 1 1\nw 99999999999 99999999999\n",   # too many elements to exist
+        b"tckpt 1 1\nw 4294967296 4294967296 4294967296\n",  # wraps int64
+        b"tckpt 1 2\nw 1\nw 1\n",                     # repeated name
+    ])
+    def test_impossible_headers_name_the_array(self, tmp_path, header):
+        path = tmp_path / "bad.tckpt"
+        path.write_bytes(header + np.zeros(2, dtype="<f8").tobytes())
+        with pytest.raises(ParseError, match=r"\bw\b"):
+            T.load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_name_the_array(self, tmp_path, value):
+        path = tmp_path / "nan.tckpt"
+        T.save_checkpoint(path, {"ok": np.ones(2), "w": np.array([1.0, value, 2.0])})
+        with pytest.raises(ParseError, match="array w "):
+            T.load_checkpoint(path)
+
+
+# header fields: plain counts plus values that overflow, wrap int64 or are
+# not ASCII digits at all
+_FIELDS = st.one_of(st.integers(-1, 4).map(str),
+                    st.sampled_from(["x", "4294967296", "99999999999", "1_0", "\u0663"]))
+
+
+@st.composite
+def checkpoint_bytes(draw):
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=64))
+    lines = [f"tckpt {draw(st.sampled_from(['1', '1', '2', 'x']))} {draw(_FIELDS)}"]
+    for _ in range(draw(st.integers(0, 3))):
+        name = draw(st.sampled_from(["w", "b", "w", "\u00e9"]))
+        lines.append(" ".join([name] + draw(st.lists(_FIELDS, max_size=3))))
+    payload = np.array(draw(st.lists(st.floats(), max_size=8)), dtype="<f8").tobytes()
+    return ("\n".join(lines) + "\n").encode("utf-8") + payload + draw(st.binary(max_size=9))
+
+
+@given(checkpoint_bytes())
+def test_any_bytes_load_or_raise_a_reported_failure(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.tckpt"
+    path.write_bytes(data)
+    try:
+        arrays = T.load_checkpoint(path)
+    except _FAILURES:
+        return
+    assert all(np.isfinite(a).all() for a in arrays.values())

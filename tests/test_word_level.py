@@ -81,6 +81,15 @@ class TestWordEmbeddingTable:
         with pytest.raises(ParseError):
             load_word_vectors(path)
 
+    @pytest.mark.parametrize("text", ["a 1.0 2.0\nb 1e400 0.0\n", "a 1.0 nan\n",
+                                      "a 1.0 2.0\na -inf 2.0\n"],
+                             ids=["overflow", "nan", "repeated_word"])
+    def test_non_finite_component_rejected(self, tmp_path, text):
+        path = tmp_path / "vectors.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match="non-finite"):
+            load_word_vectors(path)
+
 
 def numpy_subword_forward(enc, idxs):
     """Independent replay of the subword feature in plain numpy."""
@@ -149,7 +158,7 @@ class TestSubwordEncoder:
         idx = enc.index["cd"]
         emb = enc.table.numpy()[idx]
         with T.no_grad():
-            out = enc.encode_indices([idx] * 4).numpy()[0]
+            out = enc.encode_indices([[idx] * 4]).numpy()[0]
         pools = []
         for k, kernel, bias in zip(enc.kernel_sizes, enc.kernels, enc.conv_biases):
             acc = bias.numpy().copy()
@@ -166,8 +175,8 @@ class TestSubwordEncoder:
         idxs = enc.indices(["ab", "e"])
         kmax = max(enc.kernel_sizes)
         with T.no_grad():
-            base = enc.encode_indices([enc.PAD_INDEX] * kmax + idxs).numpy()
-            more = enc.encode_indices([enc.PAD_INDEX] * (kmax + 2) + idxs).numpy()
+            base = enc.encode_indices([[enc.PAD_INDEX] * kmax + idxs]).numpy()
+            more = enc.encode_indices([[enc.PAD_INDEX] * (kmax + 2) + idxs]).numpy()
         assert np.array_equal(base, more)
 
     def test_unknown_piece_maps_to_unk_row(self):
@@ -181,12 +190,47 @@ class TestSubwordEncoder:
         with pytest.raises(DataError):
             enc.encode_indices([])
 
+    # mixed lengths: one-piece rows, rows shorter than the widest kernel, an
+    # unknown piece, and rows long enough to leave most rows padded
+    MIXED = (["ab"], ["e", "cd", "ab", "e", "cd", "e"], ["cd", "e"], ["e"],
+             ["ab", "ab", "cd"], ["??"], ["cd", "ab", "e", "e"])
+
+    def test_batched_rows_equal_single_rows_and_the_oracle(self):
+        enc = self.make(seed=6)
+        rows = [enc.indices(pieces) for pieces in self.MIXED]
+        with T.no_grad():
+            batched = enc.encode_indices(rows).numpy()
+            assert batched.shape == (len(rows), enc.out_dim)
+            for i, row in enumerate(rows):
+                single = enc.encode_indices([row]).numpy()[0]
+                want, _ = numpy_subword_forward(enc, row)
+                assert np.max(np.abs(batched[i] - single)) < 1e-12
+                assert np.max(np.abs(batched[i] - want)) < 1e-12
+
+    def test_batched_gradients_equal_summed_single_row_gradients(self):
+        enc = self.make(seed=7)
+        rows = [enc.indices(pieces) for pieces in self.MIXED]
+        w = np.random.default_rng(8).normal(size=(len(rows), enc.out_dim))
+        T.backward(T.sum_all(T.mul(enc.encode_indices(rows), T.constant(w))))
+        batched = [p.grad for p in enc.parameters()]
+        for p in enc.parameters():
+            p.grad = None
+        for row, w_row in zip(rows, w):
+            T.backward(T.sum_all(T.mul(enc.encode_indices([row]), T.constant(w_row[None]))))
+        for p, got in zip(enc.parameters(), batched):
+            assert np.max(np.abs(got - p.grad)) < 1e-12, p.name
+
+    def test_any_empty_row_rejected(self):
+        enc = self.make()
+        with pytest.raises(DataError):
+            enc.encode_indices([[2, 3], []])
+
     def test_gradients(self):
         enc = self.make(seed=5)
         idxs = enc.indices(["ab", "cd", "e", "ab"])
 
         def loss():
-            return T.sum_all(enc.encode_indices(idxs))
+            return T.sum_all(enc.encode_indices([idxs]))
 
         assert_grads_match(loss, enc.parameters(), entries_per_array=6, tol=1e-6)
 
@@ -324,6 +368,45 @@ class TestToyContextualEmbedder:
     def test_odd_width_rejected(self):
         with pytest.raises(ConfigError):
             ToyContextualEmbedder(["a", "b"], ["a", "b"], np.random.default_rng(0), dim=7)
+
+    def test_batched_character_conv_equals_a_per_word_reference(self):
+        rng = np.random.default_rng(6)
+        emb = ToyContextualEmbedder.from_corpus([["sun", "a", "moonlight"], ["a", "sun"]],
+                                                rng, dim=6, char_dim=4)
+        assert np.any(emb.char_table.numpy()[emb.CHAR_PAD] != 0.0)  # pads are real rows
+        # repeats, one- and two-character words (padded to the kernel), an
+        # unknown character, and one long word that leaves the rest padded
+        tokens = ["sun", "a", "moonlight", "a", "zq", "sun", "x"]
+
+        def per_word(tokens):
+            vectors = []
+            for word in tokens:
+                idxs = [emb.char_ids.get(c, emb.CHAR_UNK) for c in word]
+                idxs += [emb.CHAR_PAD] * max(0, 3 - len(idxs))
+                conv = T.tanh(T.conv1d(T.gather_rows(emb.char_table, idxs),
+                                       emb.char_kernel, emb.char_bias, pad="valid"))
+                vectors.append(T.reshape(T.topk_pool(conv, 1), (1, emb.dim)))
+            lower = emb.rnn1.forward(T.concat(vectors, axis=0))
+            return lower, emb.rnn2.forward(lower)
+
+        w = rng.normal(size=(2, len(tokens), emb.dim))
+        results = []
+        for layers in (emb._layers, per_word):
+            lower, upper = layers(tokens)
+            T.backward(T.sum_all(T.mul(lower, T.constant(w[0])))
+                       + T.sum_all(T.mul(upper, T.constant(w[1]))))
+            grads = []
+            for p in emb.parameters():
+                grads.append(p.grad)
+                p.grad = None
+            results.append((lower.numpy(), upper.numpy(), grads))
+        (lo, up, grads), (ref_lo, ref_up, ref_grads) = results
+        assert np.max(np.abs(lo - ref_lo)) < 1e-12
+        assert np.max(np.abs(up - ref_up)) < 1e-12
+        for p, got, want in zip(emb.parameters(), grads, ref_grads):
+            assert (got is None) == (want is None), p.name
+            if got is not None:
+                assert np.max(np.abs(got - want)) < 1e-12, p.name
 
 
 class TestPrecomputedEmbedder:
@@ -468,6 +551,20 @@ class TestTokenEmbedder:
         assert sorted(calls) == ["aa", "bb", "cc", "zz"]
         for got, want in zip(memoised, unmemoised):
             assert np.array_equal(got, want)
+
+    def test_each_sentence_is_one_subword_batch(self, monkeypatch):
+        emb = full_embedder(seed=6)
+        batches = []
+        encode = emb.subword.encode_indices
+
+        def recording_encode(rows):
+            batches.append(len(rows))
+            return encode(rows)
+
+        monkeypatch.setattr(emb.subword, "encode_indices", recording_encode)
+        with T.no_grad():
+            emb.embed_sentence(["aa", "bb", "aa", "<pad>", "zz", "bb"], n_real=3)
+        assert batches == [4]  # aa, bb, <pad>, zz
 
     def test_gradients_with_repeated_tokens(self):
         emb = full_embedder(seed=4)
