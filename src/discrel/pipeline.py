@@ -215,12 +215,23 @@ def run_training(setup: TrainingSetup) -> TrainResult:
                  to_train_config(setup.config))
 
 
+def _fresh(run_dir: Path, name: str) -> Path:
+    """``run_dir / name`` with any earlier copy removed, so the file is
+    written as a new one.  Truncating an existing file in place instead makes
+    ext4 (auto_da_alloc) start writing all of it to disk on close, which
+    made a repeated ``write_run`` several times slower and as variable as
+    the disk."""
+    path = run_dir / name
+    path.unlink(missing_ok=True)
+    return path
+
+
 def write_run(run_dir, setup: TrainingSetup, result: TrainResult) -> Path:
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    save_config(run_dir / CONFIG_NAME, setup.config)
-    T.save_checkpoint(run_dir / CHECKPOINT_NAME, result.state)
-    save_trace(run_dir / TRACE_NAME, result.trace)
+    save_config(_fresh(run_dir, CONFIG_NAME), setup.config)
+    T.save_checkpoint(_fresh(run_dir, CHECKPOINT_NAME), result.state)
+    save_trace(_fresh(run_dir, TRACE_NAME), result.trace)
     manifest = {
         "format": _MANIFEST_FORMAT,
         "config": config_to_dict(setup.config),
@@ -237,7 +248,7 @@ def write_run(run_dir, setup: TrainingSetup, result: TrainResult) -> Path:
         "best_epoch": result.best_epoch,
         "best_dev_accuracy": result.best_dev_accuracy,
     }
-    with open(run_dir / MANIFEST_NAME, "w", encoding="utf-8") as fh:
+    with open(_fresh(run_dir, MANIFEST_NAME), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return run_dir

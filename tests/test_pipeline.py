@@ -2,6 +2,7 @@
 
 import copy
 import json
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -108,6 +109,26 @@ def test_training_run_persists_and_restores_predictions(tmp_path):
         after = predict(restored.model, rec.arg1, rec.arg2)
         assert before[0] == after[0]
         assert np.array_equal(before[1], after[1])
+
+
+def test_rewriting_a_run_replaces_each_file_with_a_new_one(tmp_path):
+    config = small_config(tmp_path, epochs=1)
+    setup = prepare_training(config)
+    result = run_training(setup)
+    run_dir = write_run(tmp_path / "run", setup, result)
+    names = ("config.ini", "manifest.json", "model.ckpt", "trace.csv")
+    (tmp_path / "old").mkdir()
+    for name in names:
+        os.link(run_dir / name, tmp_path / "old" / name)
+    old_bytes = {name: (run_dir / name).read_bytes() for name in names}
+
+    write_run(run_dir, setup, result)
+    for name in names:
+        assert not os.path.samefile(run_dir / name, tmp_path / "old" / name)
+        assert (run_dir / name).read_bytes() == old_bytes[name]
+    rec = load_corpus(config.corpus)[0]
+    assert np.array_equal(predict(restore_run(run_dir).model, rec.arg1, rec.arg2)[1],
+                          predict(setup.model, rec.arg1, rec.arg2)[1])
 
 
 def test_restore_rejects_a_changed_word_vector_file(tmp_path):
