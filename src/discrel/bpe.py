@@ -15,7 +15,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import DataError, ParseError
+from .errors import DataError, ParseError, utf8_text
 
 MIN_PAIR_COUNT = 2
 
@@ -164,7 +164,7 @@ def save_merge_table(path, table: MergeTable) -> None:
 
 def load_merge_table(path) -> MergeTable:
     merges = []
-    with open(path, encoding="utf-8") as fh:
+    with utf8_text(path), open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -179,7 +179,7 @@ def load_merge_table(path) -> MergeTable:
 def load_word_frequencies(path) -> dict[str, int]:
     """Read a "word count" per-line frequency file."""
     freqs: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
+    with utf8_text(path), open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import configparser
 
 from .data import SPLITS, TOP_LEVEL_CLASSES
-from .errors import ConfigError
+from .errors import ConfigError, utf8_text
 from .sentence_level import BLOCK_TYPES
 from .training import TrainConfig
 
@@ -141,7 +141,8 @@ def _format_value(value, kind: str) -> str:
 
 def parse_config(path, validate_values: bool = True) -> RunConfig:
     parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path)
+    with utf8_text(path):
+        read = parser.read(path, encoding="utf-8")
     if not read:
         raise ConfigError(f"config file not found: {path}")
     config = RunConfig()

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, LabelError, ParseError
+from .errors import ConfigError, DataError, LabelError, ParseError, utf8_text
 
 PAD_TOKEN = "<pad>"
 
@@ -79,7 +79,7 @@ _RECORD_KEYS = {"arg1", "arg2", "senses", "connective", "section"}
 
 def load_corpus(path) -> list[InstanceRecord]:
     records = []
-    with open(path, encoding="utf-8") as fh:
+    with utf8_text(path), open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

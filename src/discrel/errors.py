@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the text-decoding guard
+that maps a non-UTF-8 file onto them."""
+
+from contextlib import contextmanager
 
 
 class ShapeError(ValueError):
@@ -35,3 +38,12 @@ class DivergenceError(RuntimeError):
 
 class InstanceKeyError(KeyError):
     """A requested instance is absent from a keyed store."""
+
+
+@contextmanager
+def utf8_text(path):
+    """Report a non-UTF-8 byte read inside the block as a ParseError naming ``path``."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None

@@ -9,6 +9,23 @@ and two heads score all B pair vectors at once — one over relation classes
 and one over implicit connectives.  The connective head exists purely as a
 training-time auxiliary signal; prediction reads the relation head alone.
 
+Padding is computed once per distinct row, never trimmed.  Every ``<pad>``
+row embeds to the same vector (a zero word vector, the pad subword
+features, and zero contextual input to the row-wise mixer).  So in a
+same-padded conv stack of depth L and kernel k, with h = (k-1)/2 and R the
+longest real length among the instances fed to it, layer l holds one
+repeated row over [R + l*h, N - l*h) of every instance.  When a pass has no
+dropout (inference, or training with embedding and encoder dropout both
+0), the block type is conv and N' = R + 2*L*h + 1 < N, each argument is
+embedded and encoded at N' rows, and each layer output is expanded back to
+N rows by one row gather: row j reads row j up to R + L*h, the repeated row
+R + L*h up to N - L*h, and row j - (N - N') after that.  Each row it reads
+sees the same windows as its full-length counterpart, so the outputs equal
+the full-length pass bitwise; the gather's backward sums the repeated row's
+gradients, which agree with the full-length pass up to rounding.
+Recurrent blocks always run at N rows: their state changes along the pad
+run.
+
 Ablation toggles mirror the build-up used in experiments:
 
 - ``bi_attention``   off: pool the encoder outputs directly, no attention
@@ -77,6 +94,8 @@ class RelationModel:
             raise ConfigError("need at least 2 connectives for the auxiliary head")
         self.embedder = embedder
         self.depth = depth
+        # how far past the last real row a conv stack's outputs keep changing
+        self.pad_reach = depth * (kernel_size - 1) // 2 if block_type == "conv" else None
         self.res_pair = res_pair
         self.max_tokens = max_tokens
         self.embedding_dropout = embedding_dropout
@@ -143,28 +162,56 @@ class RelationModel:
 
     # -- forward -------------------------------------------------------------
 
-    def _embed(self, arguments, training: bool, rng) -> Tensor:
-        """One argument of every instance, padded and stacked: (B*N, dim)."""
-        rows = [self.embedder.embed_sentence(pad_truncate(tokens, self.max_tokens),
-                                             min(len(tokens), self.max_tokens))
-                for tokens in arguments]
-        stacked = rows[0] if len(rows) == 1 else T.concat(rows, axis=0)
+    def _rows_per_instance(self, real: int, training: bool) -> int:
+        """Rows each instance runs through the encoders: ``max_tokens``, or
+        the shortened N' when ``real`` (the longest real length) allows it."""
+        if self.pad_reach is None or (
+                training and (self.embedding_dropout or self.encoder_dropout)):
+            return self.max_tokens
+        return min(self.max_tokens, real + 2 * self.pad_reach + 1)
+
+    def _embed(self, arguments, rows: int, training: bool, rng) -> Tensor:
+        """One argument of every instance, padded to ``rows`` and stacked."""
+        embedded = [self.embedder.embed_sentence(pad_truncate(tokens, rows),
+                                                 min(len(tokens), self.max_tokens))
+                    for tokens in arguments]
+        stacked = embedded[0] if len(embedded) == 1 else T.concat(embedded, axis=0)
         return T.dropout(stacked, self.embedding_dropout, rng, training)
+
+    def _expand(self, layers: list[Tensor], real: int, rows: int,
+                batch: int) -> list[Tensor]:
+        """Layer outputs of ``rows`` rows per instance back to ``max_tokens``."""
+        n = self.max_tokens
+        if rows == n:
+            return layers
+        edge = real + self.pad_reach
+        j = np.arange(n)
+        source = np.where(j <= edge, j,
+                          np.where(j < n - self.pad_reach, edge, j - (n - rows)))
+        index = (np.arange(batch)[:, None] * rows + source).ravel()
+        return [T.gather_rows(v, index) for v in layers]
 
     def _layers(self, pairs, training: bool = False,
                 rng: np.random.Generator | None = None) -> tuple[list[Tensor], list[Tensor]]:
         """The encoder layers that feed the pair vector (all of them, or the
         deepest when ``res_pair`` is off) for both arguments, each (B*N, width)."""
         batch = len(pairs)
-        e1 = self._embed([arg1 for arg1, _ in pairs], training, rng)
-        e2 = self._embed([arg2 for _, arg2 in pairs], training, rng)
+        args1 = [arg1 for arg1, _ in pairs]
+        args2 = [arg2 for _, arg2 in pairs]
+        real1 = max(min(len(tokens), self.max_tokens) for tokens in args1)
+        real2 = max(min(len(tokens), self.max_tokens) for tokens in args2)
+        rows1 = self._rows_per_instance(real1, training)
+        rows2 = self._rows_per_instance(real2, training)
+        e1 = self._embed(args1, rows1, training, rng)
+        e2 = self._embed(args2, rows2, training, rng)
         layers1 = self.stack1.forward(e1, batch, dropout_rate=self.encoder_dropout,
                                       rng=rng, training=training)
         layers2 = self.stack2.forward(e2, batch, dropout_rate=self.encoder_dropout,
                                       rng=rng, training=training)
         if not self.res_pair:
-            return layers1[-1:], layers2[-1:]
-        return layers1, layers2
+            layers1, layers2 = layers1[-1:], layers2[-1:]
+        return (self._expand(layers1, real1, rows1, batch),
+                self._expand(layers2, real2, rows2, batch))
 
     def _pair_rows(self, pairs, training: bool = False,
                   rng: np.random.Generator | None = None) -> Tensor:

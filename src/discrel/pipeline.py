@@ -229,6 +229,9 @@ def _fresh(run_dir: Path, name: str) -> Path:
 def write_run(run_dir, setup: TrainingSetup, result: TrainResult) -> Path:
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
+    # The manifest is what ``restore_run`` keys on: it goes first and comes
+    # back last, so a save cut short leaves no run that restores.
+    manifest_path = _fresh(run_dir, MANIFEST_NAME)
     save_config(_fresh(run_dir, CONFIG_NAME), setup.config)
     T.save_checkpoint(_fresh(run_dir, CHECKPOINT_NAME), result.state)
     save_trace(_fresh(run_dir, TRACE_NAME), result.trace)
@@ -248,7 +251,7 @@ def write_run(run_dir, setup: TrainingSetup, result: TrainResult) -> Path:
         "best_epoch": result.best_epoch,
         "best_dev_accuracy": result.best_dev_accuracy,
     }
-    with open(_fresh(run_dir, MANIFEST_NAME), "w", encoding="utf-8") as fh:
+    with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return run_dir

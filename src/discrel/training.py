@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import accuracy_multigold
-from .errors import ConfigError, DataError, DivergenceError
+from .errors import ConfigError, DataError, DivergenceError, utf8_text
 from .model import RelationModel
 from .tensor import Tensor
 
@@ -206,7 +206,7 @@ def save_trace(path, trace: list[EpochStats]) -> None:
 
 
 def load_trace(path) -> list[EpochStats]:
-    with open(path, encoding="utf-8") as fh:
+    with utf8_text(path), open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != "epoch,train_loss,dev_accuracy":
         raise DataError(f"{path}: not a training trace")

@@ -27,7 +27,7 @@ import numpy as np
 from . import tensor as T
 from .bpe import MergeTable, apply_bpe
 from .data import PAD_TOKEN
-from .errors import ConfigError, DataError, InstanceKeyError, ParseError, ShapeError
+from .errors import ConfigError, DataError, InstanceKeyError, ParseError, ShapeError, utf8_text
 from .init import uniform_param, zeros_param
 from .recurrent import BiGRU
 from .tensor import Parameter, Tensor
@@ -47,7 +47,7 @@ def load_word_vectors(path) -> tuple[dict[str, int], np.ndarray]:
     rows: list[np.ndarray] = []
     linenos: list[int] = []
     dim = None
-    with open(path, encoding="utf-8") as fh:
+    with utf8_text(path), open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             fields = line.rstrip("\n").split(" ")
             if lineno == 1 and len(fields) == 2:
@@ -407,6 +407,15 @@ _CTX_MAGIC = "ctxvec"
 _CTX_VERSION = 1
 
 
+def _int_at_least(field: str, least: int) -> int | None:
+    """``field`` read as an integer no smaller than ``least``, else None."""
+    try:
+        value = int(field)
+    except ValueError:
+        return None
+    return value if value >= least else None
+
+
 def save_contextual_vectors(path, entries, dim: int) -> None:
     """``entries`` iterates (tokens, lower, upper) with arrays (N, dim)."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -434,13 +443,15 @@ class PrecomputedContextualEmbedder(ContextualEmbedder):
 
     @classmethod
     def load(cls, path) -> "PrecomputedContextualEmbedder":
-        with open(path, encoding="utf-8") as fh:
+        with utf8_text(path), open(path, encoding="utf-8") as fh:
             header = fh.readline().split()
             if len(header) != 3 or header[0] != _CTX_MAGIC:
                 raise ParseError(f"{path}: not a contextual-vector file")
             if header[1] != str(_CTX_VERSION):
                 raise ParseError(f"{path}: unsupported version {header[1]}")
-            dim = int(header[2])
+            dim = _int_at_least(header[2], 1)
+            if dim is None:
+                raise ParseError(f"{path}:1: width {header[2]!r} is not a positive integer")
             store: dict[str, tuple[np.ndarray, np.ndarray]] = {}
             lineno = 1
             while True:
@@ -451,10 +462,9 @@ class PrecomputedContextualEmbedder(ContextualEmbedder):
                 fields = record.rstrip("\n").split(" ")
                 if fields[0] != "@" or len(fields) < 3:
                     raise ParseError(f"{path}:{lineno}: expected '@ <n> <tokens>' record")
-                try:
-                    n = int(fields[1])
-                except ValueError:
-                    raise ParseError(f"{path}:{lineno}: bad token count {fields[1]!r}") from None
+                n = _int_at_least(fields[1], 0)
+                if n is None:
+                    raise ParseError(f"{path}:{lineno}: bad token count {fields[1]!r}")
                 key = " ".join(fields[2:])
                 layers = []
                 for _ in range(2):
@@ -467,7 +477,13 @@ class PrecomputedContextualEmbedder(ContextualEmbedder):
                         vals = line.split()
                         if len(vals) != dim:
                             raise ParseError(f"{path}:{lineno}: row has {len(vals)} values, expected {dim}")
-                        rows.append([float(v) for v in vals])
+                        try:
+                            row = [float(v) for v in vals]
+                        except ValueError:
+                            raise ParseError(f"{path}:{lineno}: non-numeric vector component") from None
+                        if not all(math.isfinite(v) for v in row):
+                            raise ParseError(f"{path}:{lineno}: non-finite vector component")
+                        rows.append(row)
                     layers.append(np.array(rows, dtype=np.float64).reshape(n, dim))
                 store[key] = (layers[0], layers[1])
         return cls(store, dim)

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from discrel import tensor as T
 from discrel.bpe import learn_bpe, load_merge_table, word_frequencies
 from discrel.cli import main
 from discrel.config import RunConfig, save_config
@@ -196,6 +197,35 @@ def test_train_reports_a_missing_config_file(tmp_path, capsys):
     code, out, err = run_cli(capsys, "train", tmp_path / "nowhere.ini")
     assert code == 1
     assert "error ConfigError" in err
+
+
+def test_train_reports_a_non_utf8_corpus(workspace, tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes((workspace / "corpus.jsonl").read_bytes() + b"\xff\n")
+    config = spawn_config(workspace, tmp_path, corpus=str(corpus), epochs=1)
+    code, out, err = run_cli(capsys, "train", config)
+    assert code == 1
+    assert err.startswith(f"error ParseError: {corpus}: not UTF-8 text")
+    assert "Traceback" not in err
+
+
+def test_eval_refuses_a_run_whose_retraining_save_was_cut_short(
+        workspace, tmp_path, capsys, monkeypatch):
+    config = spawn_config(workspace, tmp_path, epochs=1)
+    assert run_cli(capsys, "train", config)[0] == 0
+    save_checkpoint = T.save_checkpoint
+
+    def interrupted(path, arrays):
+        save_checkpoint(path, arrays)
+        raise OSError("interrupted")
+
+    monkeypatch.setattr(T, "save_checkpoint", interrupted)
+    code, _, err = run_cli(capsys, "train", spawn_config(workspace, tmp_path, epochs=2))
+    assert code == 1 and err.startswith("error OSError: interrupted")
+    code, out, err = run_cli(capsys, "eval", tmp_path / "run")
+    assert code == 1
+    assert err.startswith("error ConfigError: ") and "manifest.json" in err
+    assert "Traceback" not in err
 
 
 def test_output_root_env_fallback(workspace, tmp_path, capsys, monkeypatch):

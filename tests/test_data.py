@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from discrel.bpe import load_merge_table, load_word_frequencies
+from discrel.config import parse_config
 from discrel.data import (
     ELEVEN_WAY_SENSES,
     PDTB_JI,
@@ -20,6 +22,8 @@ from discrel.data import (
     synthetic_word_vectors,
 )
 from discrel.errors import ConfigError, DataError, LabelError, ParseError
+from discrel.training import load_trace
+from discrel.word_level import PrecomputedContextualEmbedder, load_word_vectors
 
 
 def make_record(senses, section=2, connective="because"):
@@ -332,3 +336,27 @@ class TestSyntheticCorpus:
         words = {t for r in records for t in r.arg1 + r.arg2}
         assert set(vocab) == words
         assert matrix.shape == (len(words), 6)
+
+
+# ---------------------------------------------------------------------------
+# Every text loader reports a non-UTF-8 byte as a ParseError naming the file
+
+
+_VALID_RECORD = b'{"arg1": ["a"], "arg2": ["b"], "senses": ["Expansion.List"]}\n'
+
+
+@pytest.mark.parametrize("load,data", [
+    pytest.param(load_merge_table, b"a b\n\xff c\n", id="merges"),
+    pytest.param(load_word_frequencies, b"a 3\n\xff 2\n", id="frequencies"),
+    pytest.param(load_word_vectors, b"a 0.5 1.0\n\xff 0.5 1.0\n", id="word_vectors"),
+    pytest.param(load_corpus, _VALID_RECORD + b'{"arg1": ["\xff"]}\n', id="corpus"),
+    pytest.param(PrecomputedContextualEmbedder.load, b"ctxvec 1 1\n@ 1 \xff\n0.0\n0.0\n",
+                 id="contextual"),
+    pytest.param(load_trace, b"epoch,train_loss,dev_accuracy\n1,0.5,\xff\n", id="trace"),
+    pytest.param(parse_config, b"[model]\nlayers = \xff\n", id="config"),
+])
+def test_text_loaders_report_non_utf8_bytes(tmp_path, load, data):
+    path = tmp_path / "input.txt"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match=r"input\.txt: not UTF-8 text"):
+        load(path)

@@ -1,0 +1,279 @@
+"""Dropout-free conv passes compute each padding row once.
+
+The model embeds and encodes every argument at N' = R + 2*L*h + 1 rows
+instead of ``max_tokens`` when no dropout is active, then expands each layer
+output back with one row gather.  These tests pin the precondition (every
+pad row embeds to the same vector), the equivalence with the full-length
+pass (logits, attention maps and gradients), and that the short path is the
+one actually taken.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from discrel import tensor as T
+from discrel.bpe import learn_bpe, subword_vocabulary, word_frequencies
+from discrel.data import pad_truncate
+from discrel.model import RelationModel
+from discrel.pair_level import attention_map, build_pair_representation
+from discrel.sentence_level import EncoderStack
+from discrel.training import predict, predict_labels
+from discrel.word_level import (
+    ContextualMixer,
+    PrecomputedContextualEmbedder,
+    SubwordEncoder,
+    TokenEmbedder,
+    WordEmbeddingTable,
+    build_toy_embedder,
+)
+
+WORDS = [f"tok{i}" for i in range(24)]
+CONNECTIVES = ["and", "because", "but"]
+
+
+def word_table(dim=6):
+    rng = np.random.default_rng(0)
+    return WordEmbeddingTable({w: i for i, w in enumerate(WORDS)},
+                              rng.normal(size=(len(WORDS), dim)))
+
+
+def subword_parts():
+    merges = learn_bpe(word_frequencies([WORDS]), 8)
+    encoder = SubwordEncoder(subword_vocabulary(WORDS, merges), np.random.default_rng(1),
+                             emb_dim=3, kernel_sizes=(2, 3), channels=2)
+    return encoder, merges
+
+
+def toy_embedder():
+    sentences = [WORDS[i:i + 6] for i in range(0, 20, 3)]
+    toy, _ = build_toy_embedder(sentences, dim=8, char_dim=4, epochs=1, seed=3)
+    return toy
+
+
+def full_embedder():
+    subword, merges = subword_parts()
+    return TokenEmbedder(word_table=word_table(), subword=subword, merges=merges,
+                         mixer=ContextualMixer(8, 4, np.random.default_rng(2)),
+                         contextual=toy_embedder())
+
+
+def sentences(rng, lengths):
+    return [[WORDS[int(i)] for i in rng.integers(0, len(WORDS), n)] for n in lengths]
+
+
+# ---------------------------------------------------------------------------
+# Precondition: one pad row, wherever it sits
+
+
+def precomputed_embedder(token_rows):
+    rng = np.random.default_rng(4)
+    store = {" ".join(tokens): (rng.normal(size=(len(tokens), 5)),
+                                rng.normal(size=(len(tokens), 5)))
+             for tokens in token_rows}
+    return PrecomputedContextualEmbedder(store, 5)
+
+
+@pytest.mark.parametrize("part", ["word", "subword", "toy", "precomputed"])
+def test_every_pad_row_embeds_identically(part):
+    rows = sentences(np.random.default_rng(5), [3, 7, 1])
+    if part == "word":
+        embedder = TokenEmbedder(word_table=word_table())
+    elif part == "subword":
+        subword, merges = subword_parts()
+        embedder = TokenEmbedder(subword=subword, merges=merges)
+    else:
+        contextual = toy_embedder() if part == "toy" else precomputed_embedder(rows)
+        embedder = TokenEmbedder(mixer=ContextualMixer(contextual.dim, 4,
+                                                       np.random.default_rng(6)),
+                                 contextual=contextual)
+    pad_row = None
+    with T.no_grad():
+        for tokens in rows:
+            full = embedder.embed_sentence(pad_truncate(tokens, 40), len(tokens)).numpy()
+            short = embedder.embed_sentence(pad_truncate(tokens, 12), len(tokens)).numpy()
+            # padded to fewer rows, the embedding is a bitwise prefix of the full one
+            assert short.tobytes() == full[:12].tobytes()
+            if pad_row is None:
+                pad_row = full[-1]
+            for row in full[len(tokens):]:
+                assert row.tobytes() == pad_row.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Equivalence with the full-length pass
+
+
+def full_length_scores(model, pairs, training=False, rng=None):
+    """The unshortened oracle: both stacks run at ``max_tokens`` rows."""
+    n = model.max_tokens
+
+    def encode(stack, arguments):
+        rows = [model.embedder.embed_sentence(pad_truncate(tokens, n), min(len(tokens), n))
+                for tokens in arguments]
+        layers = stack.forward(T.concat(rows, axis=0), len(arguments))
+        return layers if model.res_pair else layers[-1:]
+
+    layers1 = encode(model.stack1, [arg1 for arg1, _ in pairs])
+    layers2 = encode(model.stack2, [arg2 for _, arg2 in pairs])
+    rows = []
+    for i in range(len(pairs)):
+        pair = build_pair_representation(
+            [T.slice_rows(v, i * n, (i + 1) * n) for v in layers1],
+            [T.slice_rows(v, i * n, (i + 1) * n) for v in layers2], model.attention)
+        rows.append(T.reshape(pair, (1, model.pair_dim)))
+    pooled = T.dropout(T.concat(rows, axis=0), model.classifier_dropout, rng, training)
+    return (model.relation_head.forward(pooled), model.connective_head.forward(pooled),
+            layers1, layers2)
+
+
+def eq_model(kernel_size=5, depth=4, max_tokens=40, **kwargs):
+    rng = np.random.default_rng(7)
+    model = RelationModel(full_embedder(), 3, CONNECTIVES, rng, depth=depth,
+                          kernel_size=kernel_size, max_tokens=max_tokens, **kwargs)
+    noise = np.random.default_rng(8)
+    for p in model.parameters():  # move every block off its zero-initialised identity
+        p.data += noise.normal(scale=0.1, size=p.shape)
+    return model
+
+
+def eq_pairs(longest, batch=4, seed=9):
+    """``batch`` pairs of mixed lengths; the longest of each argument is ``longest``."""
+    rng = np.random.default_rng(seed)
+    lengths1 = [longest] + [int(n) for n in rng.integers(1, longest + 1, batch - 1)]
+    lengths2 = [max(1, longest // 2)] * (batch - 1) + [longest]
+    return list(zip(sentences(rng, lengths1), sentences(rng, lengths2)))
+
+
+@pytest.fixture
+def stack_rows(monkeypatch):
+    """Input rows of every ``EncoderStack.forward`` call, in call order."""
+    seen = []
+    original = EncoderStack.forward
+
+    def spy(self, x, batch=1, **kwargs):
+        seen.append(x.shape[0])
+        return original(self, x, batch, **kwargs)
+
+    monkeypatch.setattr(EncoderStack, "forward", spy)
+    return seen
+
+
+def grads(params):
+    out = [p.grad.copy() for p in params]
+    for p in params:
+        p.grad = None
+    return out
+
+
+# (kernel size, depth, longest argument, model options)
+CASES = [
+    (5, 4, 12, {}),
+    (5, 4, 1, {}),                      # R = 1
+    (5, 4, 40, {}),                     # R = max_tokens: no shortening
+    (5, 4, 55, {}),                     # R > max_tokens: truncation
+    (3, 1, 12, {}),                     # L = 1
+    (1, 2, 12, {}),                     # k = 1
+    (3, 2, 5, {"res_pair": False, "shared_stacks": True}),
+    (3, 2, 5, {"bi_attention": False, "res_block": False}),
+]
+
+
+@pytest.mark.parametrize("kernel_size,depth,longest,options", CASES)
+def test_eval_logits_equal_the_full_length_pass_bitwise(kernel_size, depth, longest,
+                                                         options, stack_rows):
+    model = eq_model(kernel_size, depth, **options)
+    pairs = eq_pairs(longest)
+    with T.no_grad():
+        rel, conn = model.batch_scores(pairs)
+        want_rel, want_conn, _, _ = full_length_scores(model, pairs)
+    assert rel.numpy().tobytes() == want_rel.numpy().tobytes()
+    assert conn.numpy().tobytes() == want_conn.numpy().tobytes()
+    rows = min(40, min(longest, 40) + depth * (kernel_size - 1) + 1)
+    assert stack_rows[:2] == [len(pairs) * rows] * 2
+
+
+@pytest.mark.parametrize("kernel_size,depth,longest,options", CASES)
+def test_dropout_free_training_matches_the_full_length_pass(kernel_size, depth, longest,
+                                                            options):
+    # classifier dropout acts on the pooled pair vectors, so it leaves the
+    # encoders dropout-free and the short path open
+    model = eq_model(kernel_size, depth, classifier_dropout=0.3, **options)
+    pairs = eq_pairs(longest)
+    params = model.parameters()
+
+    def loss(rel, conn):
+        return T.cross_entropy(rel, [0, 1, 2, 0]) + T.cross_entropy(conn, [2, 1, 0, 1])
+
+    rel, conn = model.batch_scores(pairs, training=True, rng=np.random.default_rng(3))
+    T.backward(loss(rel, conn))
+    got = grads(params)
+    want_rel, want_conn, _, _ = full_length_scores(model, pairs, True, np.random.default_rng(3))
+    T.backward(loss(want_rel, want_conn))
+    want = grads(params)
+    assert rel.numpy().tobytes() == want_rel.numpy().tobytes()
+    assert conn.numpy().tobytes() == want_conn.numpy().tobytes()
+    for p, g, w in zip(params, got, want):
+        assert np.max(np.abs(g - w)) <= 1e-10 * max(1.0, np.max(np.abs(w))), p.name
+
+
+@pytest.mark.parametrize("longest", [1, 12, 55])
+def test_attention_maps_equal_the_full_length_pass_bitwise(longest):
+    model = eq_model(kernel_size=3, depth=3)
+    arg1, arg2 = eq_pairs(longest, batch=1)[0]
+    maps = model.attention_maps(arg1, arg2)
+    with T.no_grad():
+        _, _, layers1, layers2 = full_length_scores(model, [(arg1, arg2)])
+    assert len(maps) == 3
+    for got, v1, v2 in zip(maps, layers1, layers2):
+        assert got.tobytes() == attention_map(v1, v2, model.attention).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The short path is the one taken
+
+
+def guard_model(**kwargs):
+    rng = np.random.default_rng(11)
+    return RelationModel(TokenEmbedder(word_table=word_table()), 3, CONNECTIVES, rng,
+                         depth=4, kernel_size=5, max_tokens=100, **kwargs)
+
+
+def twenty_token_pairs(batch=5):
+    rng = np.random.default_rng(12)
+    return list(zip(sentences(rng, [20] * batch), sentences(rng, [20, 3, 17, 20, 9][:batch])))
+
+
+def test_predict_labels_runs_the_stacks_at_the_shortened_length(stack_rows):
+    # N' = R + 2*L*h + 1 = 20 + 2*4*2 + 1 = 37 rows per instance, not 100
+    pairs = twenty_token_pairs()
+    instances = [SimpleNamespace(record=SimpleNamespace(arg1=a1, arg2=a2)) for a1, a2 in pairs]
+    model = guard_model(embedding_dropout=0.4, encoder_dropout=0.4)
+    predict_labels(model, instances)
+    assert stack_rows == [5 * 37, 5 * 37]
+
+
+def test_single_predicts_attention_maps_and_dropout_free_training_are_shortened(stack_rows):
+    pairs = twenty_token_pairs()
+    model = guard_model()
+    predict(model, *pairs[0])
+    model.attention_maps(*pairs[0])
+    model.batch_scores(pairs, training=True, rng=np.random.default_rng(0))
+    T.active_tape().clear()
+    assert stack_rows == [37, 37, 37, 37, 5 * 37, 5 * 37]
+
+
+@pytest.mark.parametrize("rates", [(0.4, 0.0), (0.0, 0.4)])
+def test_training_with_dropout_runs_the_full_length(rates, stack_rows):
+    model = guard_model(embedding_dropout=rates[0], encoder_dropout=rates[1])
+    model.batch_scores(twenty_token_pairs(), training=True, rng=np.random.default_rng(0))
+    T.active_tape().clear()
+    assert stack_rows == [5 * 100, 5 * 100]
+
+
+def test_recurrent_blocks_run_the_full_length(stack_rows):
+    model = guard_model(block_type="recurrent")
+    predict_labels(model, [SimpleNamespace(record=SimpleNamespace(arg1=a1, arg2=a2))
+                           for a1, a2 in twenty_token_pairs()])
+    assert stack_rows == [5 * 100, 5 * 100]

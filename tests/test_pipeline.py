@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from discrel import tensor as T
 from discrel.config import RunConfig
 from discrel.data import load_corpus, save_corpus, synthetic_corpus, synthetic_word_vectors
 from discrel.errors import ConfigError, DataError, InstanceKeyError, ParseError
@@ -129,6 +130,32 @@ def test_rewriting_a_run_replaces_each_file_with_a_new_one(tmp_path):
     rec = load_corpus(config.corpus)[0]
     assert np.array_equal(predict(restore_run(run_dir).model, rec.arg1, rec.arg2)[1],
                           predict(setup.model, rec.arg1, rec.arg2)[1])
+
+
+@pytest.mark.parametrize("written", ["all", "half"])
+def test_a_save_cut_short_over_a_finished_run_leaves_no_restorable_run(
+        tmp_path, monkeypatch, written):
+    config = small_config(tmp_path, epochs=1)
+    setup = prepare_training(config)
+    result = run_training(setup)
+    run_dir = write_run(tmp_path / "run", setup, result)
+    for p in setup.model.parameters():  # new weights of the same shapes
+        p.data += 0.5
+    save_checkpoint = T.save_checkpoint
+
+    def interrupted(path, arrays):
+        save_checkpoint(path, arrays)
+        if written == "half":
+            data = path.read_bytes()
+            path.write_bytes(data[:len(data) // 2])
+        raise OSError("interrupted")
+
+    monkeypatch.setattr(T, "save_checkpoint", interrupted)
+    with pytest.raises(OSError, match="interrupted"):
+        write_run(run_dir, setup, replace(result, state=setup.model.state_arrays()))
+    assert not (run_dir / "manifest.json").exists()
+    with pytest.raises(ConfigError, match="manifest"):
+        restore_run(run_dir)
 
 
 def test_restore_rejects_a_changed_word_vector_file(tmp_path):

@@ -457,6 +457,33 @@ class TestPrecomputedEmbedder:
         with pytest.raises(ParseError):
             PrecomputedContextualEmbedder.load(path)
 
+    @pytest.mark.parametrize("width", ["x", "0", "-2", "1.5"])
+    def test_bad_header_width_names_line_one(self, tmp_path, width):
+        path = tmp_path / "ctx.txt"
+        path.write_text(f"ctxvec 1 {width}\n@ 1 a\n0.0\n0.0\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"ctx\.txt:1: width"):
+            PrecomputedContextualEmbedder.load(path)
+
+    def test_negative_record_count_names_its_line(self, tmp_path):
+        path = tmp_path / "ctx.txt"
+        path.write_text("ctxvec 1 2\n@ 1 a\n0.0 0.0\n0.0 0.0\n@ -1 b\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"ctx\.txt:5: bad token count '-1'"):
+            PrecomputedContextualEmbedder.load(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_values_name_their_line(self, tmp_path, value):
+        path = tmp_path / "ctx.txt"
+        path.write_text(f"ctxvec 1 2\n@ 2 a b\n0.0 0.0\n0.0 0.0\n0.0 0.0\n0.0 {value}\n",
+                        encoding="utf-8")
+        with pytest.raises(ParseError, match=r"ctx\.txt:6: non-finite"):
+            PrecomputedContextualEmbedder.load(path)
+
+    def test_non_numeric_values_name_their_line(self, tmp_path):
+        path = tmp_path / "ctx.txt"
+        path.write_text("ctxvec 1 2\n@ 1 a\n0.0 zero\n0.0 0.0\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"ctx\.txt:3: non-numeric"):
+            PrecomputedContextualEmbedder.load(path)
+
     def test_shape_validation_on_save(self, tmp_path):
         with pytest.raises(ShapeError):
             save_contextual_vectors(tmp_path / "ctx.txt",
