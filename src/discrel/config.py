@@ -139,10 +139,13 @@ def _format_value(value, kind: str) -> str:
     return str(value)
 
 
-def parse_config(path, validate_values: bool = True) -> RunConfig:
+def parse_config(path) -> RunConfig:
     parser = configparser.ConfigParser(interpolation=None)
-    with utf8_text(path):
-        read = parser.read(path, encoding="utf-8")
+    try:
+        with utf8_text(path):
+            read = parser.read(path, encoding="utf-8")
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: {' '.join(str(exc).split())}") from None
     if not read:
         raise ConfigError(f"config file not found: {path}")
     config = RunConfig()
@@ -155,8 +158,7 @@ def parse_config(path, validate_values: bool = True) -> RunConfig:
                 raise ConfigError(f"{path}: unknown key {section}.{key}")
             attr, kind = found
             setattr(config, attr, _parse_value(f"{section}.{key}", raw, kind))
-    if validate_values:
-        validate(config)
+    validate(config)
     return config
 
 
@@ -254,15 +256,16 @@ def validate(config: RunConfig) -> None:
         to_train_config(config)
     except ConfigError as exc:
         raise ConfigError(f"train.{exc}") from None
+    for attr in ("embedding_dropout", "encoder_dropout", "classifier_dropout"):
+        rate = getattr(config, attr)
+        if not 0.0 <= rate < 1.0:
+            raise ConfigError(f"train.{attr} must be in [0, 1), got {rate}")
 
 
 def to_train_config(config: RunConfig) -> TrainConfig:
     return TrainConfig(
         learning_rate=config.learning_rate,
         batch_size=config.batch_size,
-        embedding_dropout=config.embedding_dropout,
-        encoder_dropout=config.encoder_dropout,
-        classifier_dropout=config.classifier_dropout,
         epochs=config.epochs,
         patience=config.patience,
         seed=config.seed,

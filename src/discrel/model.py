@@ -9,22 +9,26 @@ and two heads score all B pair vectors at once — one over relation classes
 and one over implicit connectives.  The connective head exists purely as a
 training-time auxiliary signal; prediction reads the relation head alone.
 
+Dropout acts on the embeddings, each encoder block's input and the pair
+vector, at rates fixed when the model is built; the forward methods draw
+masks from an optional ``rng``, and a pass without an rng draws no masks.
+
 Padding is computed once per distinct row, never trimmed.  Every ``<pad>``
 row embeds to the same vector (a zero word vector, the pad subword
 features, and zero contextual input to the row-wise mixer).  So in a
 same-padded conv stack of depth L and kernel k, with h = (k-1)/2 and R the
 longest real length among the instances fed to it, layer l holds one
-repeated row over [R + l*h, N - l*h) of every instance.  When a pass has no
-dropout (inference, or training with embedding and encoder dropout both
-0), the block type is conv and N' = R + 2*L*h + 1 < N, each argument is
-embedded and encoded at N' rows, and each layer output is expanded back to
-N rows by one row gather: row j reads row j up to R + L*h, the repeated row
-R + L*h up to N - L*h, and row j - (N - N') after that.  Each row it reads
-sees the same windows as its full-length counterpart, so the outputs equal
-the full-length pass bitwise; the gather's backward sums the repeated row's
-gradients, which agree with the full-length pass up to rounding.
-Recurrent blocks always run at N rows: their state changes along the pad
-run.
+repeated row over [R + l*h, N - l*h) of every instance.  When a pass draws
+no embedding or encoder masks (inference, or training with both the
+embedding and encoder rates at 0), the block type is conv and
+N' = R + 2*L*h + 1 < N, each argument is embedded and encoded at N' rows,
+and each layer output is expanded back to N rows by one row gather: row j
+reads row j up to R + L*h, the repeated row R + L*h up to N - L*h, and row
+j - (N - N') after that.  Each row it reads sees the same windows as its
+full-length counterpart, so the outputs equal the full-length pass bitwise;
+the gather's backward sums the repeated row's gradients, which agree with
+the full-length pass up to rounding.  Recurrent blocks always run at N
+rows: their state changes along the pad run.
 
 Ablation toggles mirror the build-up used in experiments:
 
@@ -41,7 +45,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import pad_truncate
-from .errors import ConfigError, ParseError, ShapeError
+from .errors import ConfigError
 from .init import uniform_param, zeros_param
 from .pair_level import BiAttention, attention_map, build_pair_representation
 from .sentence_level import argument_stacks
@@ -149,34 +153,28 @@ class RelationModel:
         return out
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for p in self.parameters():
-            if p.name not in arrays:
-                raise ParseError(f"checkpoint is missing array {p.name!r}")
-            if arrays[p.name].shape != p.shape:
-                raise ShapeError(f"checkpoint array {p.name!r} has shape "
-                                 f"{arrays[p.name].shape}, expected {p.shape}")
-            p.data[...] = arrays[p.name]
+        T.load_parameters(self.parameters(), arrays, "checkpoint")
         if isinstance(self.embedder.contextual, ToyContextualEmbedder):
             self.embedder.contextual.load_state_arrays(
                 {k: v for k, v in arrays.items() if k.startswith(CONTEXTUAL_STATE_PREFIX)})
 
     # -- forward -------------------------------------------------------------
 
-    def _rows_per_instance(self, real: int, training: bool) -> int:
+    def _rows_per_instance(self, real: int, rng) -> int:
         """Rows each instance runs through the encoders: ``max_tokens``, or
         the shortened N' when ``real`` (the longest real length) allows it."""
         if self.pad_reach is None or (
-                training and (self.embedding_dropout or self.encoder_dropout)):
+                rng is not None and (self.embedding_dropout or self.encoder_dropout)):
             return self.max_tokens
         return min(self.max_tokens, real + 2 * self.pad_reach + 1)
 
-    def _embed(self, arguments, rows: int, training: bool, rng) -> Tensor:
+    def _embed(self, arguments, rows: int, rng) -> Tensor:
         """One argument of every instance, padded to ``rows`` and stacked."""
         embedded = [self.embedder.embed_sentence(pad_truncate(tokens, rows),
                                                  min(len(tokens), self.max_tokens))
                     for tokens in arguments]
         stacked = embedded[0] if len(embedded) == 1 else T.concat(embedded, axis=0)
-        return T.dropout(stacked, self.embedding_dropout, rng, training)
+        return T.dropout(stacked, self.embedding_dropout, rng)
 
     def _expand(self, layers: list[Tensor], real: int, rows: int,
                 batch: int) -> list[Tensor]:
@@ -191,8 +189,8 @@ class RelationModel:
         index = (np.arange(batch)[:, None] * rows + source).ravel()
         return [T.gather_rows(v, index) for v in layers]
 
-    def _layers(self, pairs, training: bool = False,
-                rng: np.random.Generator | None = None) -> tuple[list[Tensor], list[Tensor]]:
+    def _layers(self, pairs, rng: np.random.Generator | None = None
+                ) -> tuple[list[Tensor], list[Tensor]]:
         """The encoder layers that feed the pair vector (all of them, or the
         deepest when ``res_pair`` is off) for both arguments, each (B*N, width)."""
         batch = len(pairs)
@@ -200,23 +198,20 @@ class RelationModel:
         args2 = [arg2 for _, arg2 in pairs]
         real1 = max(min(len(tokens), self.max_tokens) for tokens in args1)
         real2 = max(min(len(tokens), self.max_tokens) for tokens in args2)
-        rows1 = self._rows_per_instance(real1, training)
-        rows2 = self._rows_per_instance(real2, training)
-        e1 = self._embed(args1, rows1, training, rng)
-        e2 = self._embed(args2, rows2, training, rng)
-        layers1 = self.stack1.forward(e1, batch, dropout_rate=self.encoder_dropout,
-                                      rng=rng, training=training)
-        layers2 = self.stack2.forward(e2, batch, dropout_rate=self.encoder_dropout,
-                                      rng=rng, training=training)
+        rows1 = self._rows_per_instance(real1, rng)
+        rows2 = self._rows_per_instance(real2, rng)
+        e1 = self._embed(args1, rows1, rng)
+        e2 = self._embed(args2, rows2, rng)
+        layers1 = self.stack1.forward(e1, batch, dropout_rate=self.encoder_dropout, rng=rng)
+        layers2 = self.stack2.forward(e2, batch, dropout_rate=self.encoder_dropout, rng=rng)
         if not self.res_pair:
             layers1, layers2 = layers1[-1:], layers2[-1:]
         return (self._expand(layers1, real1, rows1, batch),
                 self._expand(layers2, real2, rows2, batch))
 
-    def _pair_rows(self, pairs, training: bool = False,
-                  rng: np.random.Generator | None = None) -> Tensor:
+    def _pair_rows(self, pairs, rng: np.random.Generator | None = None) -> Tensor:
         """(B, pair_dim) pair vectors for a list of (arg1 tokens, arg2 tokens)."""
-        layers1, layers2 = self._layers(pairs, training, rng)
+        layers1, layers2 = self._layers(pairs, rng)
         n = self.max_tokens
         rows = []
         for i in range(len(pairs)):
@@ -226,24 +221,22 @@ class RelationModel:
             rows.append(T.reshape(pair, (1, self.pair_dim)))
         return rows[0] if len(rows) == 1 else T.concat(rows, axis=0)
 
-    def batch_scores(self, pairs, training: bool = False,
-                     rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor]:
+    def batch_scores(self, pairs, rng: np.random.Generator | None = None
+                     ) -> tuple[Tensor, Tensor]:
         """(relation logits, connective logits), each a (B, C) matrix with one
         row per (arg1 tokens, arg2 tokens) pair."""
-        rows = T.dropout(self._pair_rows(pairs, training, rng),
-                         self.classifier_dropout, rng, training)
+        rows = T.dropout(self._pair_rows(pairs, rng), self.classifier_dropout, rng)
         return self.relation_head.forward(rows), self.connective_head.forward(rows)
 
-    def scores(self, arg1_tokens, arg2_tokens, training: bool = False,
+    def scores(self, arg1_tokens, arg2_tokens,
                rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor]:
         """(relation logits, connective logits), each a (1, C) row."""
-        return self.batch_scores([(arg1_tokens, arg2_tokens)], training, rng)
+        return self.batch_scores([(arg1_tokens, arg2_tokens)], rng)
 
     def pair_representation(self, arg1_tokens, arg2_tokens,
-                            training: bool = False,
                             rng: np.random.Generator | None = None) -> Tensor:
         """The flat pair vector of one instance, length ``pair_dim``."""
-        rows = self._pair_rows([(arg1_tokens, arg2_tokens)], training, rng)
+        rows = self._pair_rows([(arg1_tokens, arg2_tokens)], rng)
         return T.reshape(rows, (self.pair_dim,))
 
     def attention_maps(self, arg1_tokens, arg2_tokens) -> list[np.ndarray]:

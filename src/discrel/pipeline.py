@@ -154,7 +154,10 @@ def build_model(config: RunConfig, n_classes: int, connectives, word_table,
         kernel_size=config.kernel_size, bi_attention=config.bi_attention,
         res_block=config.res_block, res_pair=config.res_pair,
         shared_stacks=config.shared_stacks,
-        classifier_hidden=config.classifier_hidden, max_tokens=config.max_tokens)
+        classifier_hidden=config.classifier_hidden, max_tokens=config.max_tokens,
+        embedding_dropout=config.embedding_dropout,
+        encoder_dropout=config.encoder_dropout,
+        classifier_dropout=config.classifier_dropout)
 
 
 def prepare_training(config: RunConfig) -> TrainingSetup:

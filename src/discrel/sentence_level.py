@@ -14,9 +14,10 @@ Every block and stack takes B equal-length token matrices stacked by rows,
 scans stay inside each instance's rows.  A stack applies its blocks in
 sequence and reports every intermediate layer, since downstream pairing
 consumes all depths, not only the last.  Input dropout is applied in front
-of every block.  With all weights zero, a residual block is exactly the
-identity; stacks for the two arguments of a pair are built either with
-their own weights or shared.
+of every block; a pass without an rng draws no masks (inference), and
+neither does a pass at rate 0.  With all weights zero, a residual block is
+exactly the identity; stacks for the two arguments of a pair are built
+either with their own weights or shared.
 """
 
 from __future__ import annotations
@@ -93,16 +94,16 @@ class EncoderStack:
         return [p for block in self.blocks for p in block.parameters()]
 
     def forward(self, x: Tensor, batch: int = 1, *, dropout_rate: float = 0.0,
-                rng: np.random.Generator | None = None,
-                training: bool = False) -> list[Tensor]:
+                rng: np.random.Generator | None = None) -> list[Tensor]:
         """All layer outputs, shallowest first; each is (B*N, width) for the
-        ``batch`` = B instances stacked in ``x``."""
+        ``batch`` = B instances stacked in ``x``.  Dropout masks are drawn
+        from ``rng`` only when one is given."""
         if x.shape[1] != self.width:
             raise ShapeError(f"EncoderStack: input width {x.shape[1]} != {self.width}")
         outputs = []
         h = x
         for block in self.blocks:
-            h = block.forward(T.dropout(h, dropout_rate, rng, training), batch)
+            h = block.forward(T.dropout(h, dropout_rate, rng), batch)
             outputs.append(h)
         return outputs
 

@@ -61,6 +61,7 @@ __all__ = [
     "adagrad_step",
     "save_checkpoint",
     "load_checkpoint",
+    "load_parameters",
 ]
 
 
@@ -769,11 +770,11 @@ def sum_all(t: Tensor) -> Tensor:
     return out
 
 
-def dropout(t: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
-    """Inverted-scaling dropout; identity (and no RNG draw) when not training."""
+def dropout(t: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted-scaling dropout; identity (and no RNG draw) without an ``rng``."""
     if not (0.0 <= rate < 1.0):
         raise ShapeError(f"dropout: rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rng is None or rate == 0.0:
         return t
     keep = 1.0 - rate
     mask = (rng.random(t.shape) >= rate) / keep
@@ -877,3 +878,16 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         if fh.read(1):
             raise ParseError(f"{path}: trailing bytes after the last array")
         return out
+
+
+def load_parameters(params: Iterable[Parameter], arrays: dict[str, np.ndarray],
+                    source: str) -> None:
+    """Copy each parameter's value from the array of the same name;
+    ``source`` names where ``arrays`` came from in errors."""
+    for p in params:
+        if p.name not in arrays:
+            raise ParseError(f"{source} is missing array {p.name!r}")
+        if arrays[p.name].shape != p.shape:
+            raise ShapeError(f"{source} array {p.name!r} has shape "
+                             f"{arrays[p.name].shape}, expected {p.shape}")
+        p.data[...] = arrays[p.name]

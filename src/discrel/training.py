@@ -25,31 +25,23 @@ from .tensor import Tensor
 
 @dataclass
 class TrainConfig:
+    """The loop's own settings; dropout rates belong to the model."""
+
     learning_rate: float = 0.001
     batch_size: int = 64
-    embedding_dropout: float = 0.4
-    encoder_dropout: float = 0.4
-    classifier_dropout: float = 0.3
     epochs: int = 100
     patience: int = 10
     seed: int = 0
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.eps <= 0:
-            raise ConfigError(f"eps must be positive, got {self.eps}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
         if self.patience < 0:
             raise ConfigError(f"patience must be non-negative, got {self.patience}")
-        for key in ("embedding_dropout", "encoder_dropout", "classifier_dropout"):
-            rate = getattr(self, key)
-            if not 0.0 <= rate < 1.0:
-                raise ConfigError(f"{key} must be in [0, 1), got {rate}")
 
 
 @dataclass
@@ -78,15 +70,11 @@ def connective_vocabulary(instances) -> list[str]:
     return sorted(seen)
 
 
-def joint_loss(relation_logits: Tensor, connective_logits, gold_relations,
-               gold_connectives=None, training: bool = True) -> Tensor:
-    """Relation cross-entropy, plus the connective term when training."""
-    loss = T.cross_entropy(relation_logits, gold_relations)
-    if not training:
-        return loss
-    if connective_logits is None or gold_connectives is None:
-        raise DataError("training loss needs connective logits and gold connectives")
-    return loss + T.cross_entropy(connective_logits, gold_connectives)
+def joint_loss(relation_logits: Tensor, connective_logits: Tensor, gold_relations,
+               gold_connectives) -> Tensor:
+    """Relation cross-entropy plus connective cross-entropy."""
+    return (T.cross_entropy(relation_logits, gold_relations)
+            + T.cross_entropy(connective_logits, gold_connectives))
 
 
 # Instances scored together by one batched forward pass during evaluation.
@@ -96,7 +84,7 @@ PREDICT_CHUNK = 16
 def predict(model: RelationModel, arg1_tokens, arg2_tokens) -> tuple[int, np.ndarray]:
     """Relation argmax and its probability row; dropout off, nothing recorded."""
     with T.no_grad():
-        rel_logits, _ = model.scores(arg1_tokens, arg2_tokens, training=False)
+        rel_logits, _ = model.scores(arg1_tokens, arg2_tokens)
         probs = T.softmax_rows(rel_logits).numpy()[0]
     return int(np.argmax(probs)), probs
 
@@ -138,15 +126,9 @@ def train(model: RelationModel, train_instances, dev_instances,
     if not train_instances or not dev_instances:
         raise DataError("training needs non-empty train and dev sets")
 
-    model.embedding_dropout = config.embedding_dropout
-    model.encoder_dropout = config.encoder_dropout
-    model.classifier_dropout = config.classifier_dropout
-
     examples = []
     for i, inst in enumerate(train_instances):
         conn = inst.record.connective
-        if conn is None:
-            raise DataError(f"training instance {i} has no connective annotation")
         if conn not in model.connective_index:
             raise DataError(f"training instance {i}: connective {conn!r} is outside "
                             "the model's connective vocabulary")
@@ -169,9 +151,9 @@ def train(model: RelationModel, train_instances, dev_instances,
         for start in range(0, n, config.batch_size):
             batch = [examples[i] for i in order[start:start + config.batch_size]]
             rel_logits, conn_logits = model.batch_scores(
-                [(arg1, arg2) for arg1, arg2, _, _ in batch], training=True, rng=rng)
+                [(arg1, arg2) for arg1, arg2, _, _ in batch], rng)
             loss = joint_loss(rel_logits, conn_logits, [ex[2] for ex in batch],
-                              [ex[3] for ex in batch], training=True)
+                              [ex[3] for ex in batch])
             value = loss.item()
             step += 1
             if not math.isfinite(value):
@@ -179,7 +161,7 @@ def train(model: RelationModel, train_instances, dev_instances,
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}, step {step}")
             T.backward(loss)
-            T.adagrad_step(model.parameters(), lr=config.learning_rate, eps=config.eps)
+            T.adagrad_step(model.parameters(), lr=config.learning_rate)
             total_loss += value * len(batch)
         dev_accuracy = evaluate_accuracy(model, dev_instances)
         trace.append(EpochStats(epoch, total_loss / n, dev_accuracy))

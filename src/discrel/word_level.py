@@ -372,13 +372,7 @@ class ToyContextualEmbedder(ContextualEmbedder):
         return {p.name: p.data.copy() for p in self.parameters()}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for p in self.parameters():
-            if p.name not in arrays:
-                raise ParseError(f"toy embedder state: missing array {p.name!r}")
-            if arrays[p.name].shape != p.shape:
-                raise ShapeError(f"toy embedder state: {p.name} has shape "
-                                 f"{arrays[p.name].shape}, expected {p.shape}")
-            p.data[...] = arrays[p.name]
+        T.load_parameters(self.parameters(), arrays, "toy embedder state")
         self._cache.clear()
 
 

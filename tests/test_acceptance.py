@@ -134,7 +134,7 @@ def operation_cases():
     xd, wdrop = var(5, 4), const(5, 4)
     case("dropout",
          lambda: T.sum_all(T.mul(
-             T.dropout(xd, 0.4, np.random.default_rng(11), True), wdrop)), xd)
+             T.dropout(xd, 0.4, np.random.default_rng(11)), wdrop)), xd)
 
     xg, wgl = var(5, 6), const(5, 3)
     case("glu", lambda: T.sum_all(T.mul(T.glu(xg), wgl)), xg)
@@ -375,9 +375,8 @@ def test_planted_cue_corpus_is_memorized_and_generalized():
                           connective_vocabulary(train_instances),
                           np.random.default_rng(1), depth=2, block_type="conv",
                           kernel_size=3, max_tokens=8)
-    config = TrainConfig(learning_rate=0.03, batch_size=16,
-                         embedding_dropout=0.0, encoder_dropout=0.0,
-                         classifier_dropout=0.0, epochs=200, patience=30, seed=0)
+    config = TrainConfig(learning_rate=0.03, batch_size=16, epochs=200, patience=30,
+                         seed=0)
     result = train(model, train_instances, train_as_eval, config)
 
     losses = [row.train_loss for row in result.trace]

@@ -193,6 +193,19 @@ def test_train_rejects_unknown_config_keys(tmp_path, capsys):
     assert "model.kernel" in err
 
 
+@pytest.mark.parametrize("text,needle", [
+    ("layers = 3\n", "no section headers"),
+    ("[model]\nlayers = 3\nlayers = 4\n", "option 'layers' in section 'model' already exists"),
+])
+def test_train_reports_config_syntax_errors(tmp_path, capsys, text, needle):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text)
+    code, out, err = run_cli(capsys, "train", bad)
+    assert code == 1
+    assert err.startswith(f"error ConfigError: {bad}: ") and needle in err
+    assert "Traceback" not in err
+
+
 def test_train_reports_a_missing_config_file(tmp_path, capsys):
     code, out, err = run_cli(capsys, "train", tmp_path / "nowhere.ini")
     assert code == 1

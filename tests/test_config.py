@@ -99,6 +99,9 @@ def test_bad_bool_names_the_key(tmp_path):
     ({"batch_size": 0}, "train.batch_size"),
     ({"classifier_dropout": 1.0}, "train.classifier_dropout"),
     ({"patience": -2}, "train.patience"),
+    ({"embedding_dropout": 1.0}, "train.embedding_dropout"),
+    ({"encoder_dropout": -0.1}, "train.encoder_dropout"),
+    ({"classifier_dropout": 1.5}, "train.classifier_dropout"),
 ])
 def test_validation_names_the_offending_key(changes, needle):
     config = replace(RunConfig(), **changes)

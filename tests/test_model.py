@@ -247,17 +247,17 @@ def test_attention_maps_need_attention_enabled():
 def test_inference_is_deterministic_and_ignores_dropout_rates():
     model = tiny_model(embedding_dropout=0.4, encoder_dropout=0.4,
                        classifier_dropout=0.3)
-    a = model.scores(ARG1, ARG2, training=False)[0].numpy()
-    b = model.scores(ARG1, ARG2, training=False)[0].numpy()
+    a = model.scores(ARG1, ARG2)[0].numpy()
+    b = model.scores(ARG1, ARG2)[0].numpy()
     assert np.array_equal(a, b)
+    assert np.array_equal(a, tiny_model().scores(ARG1, ARG2)[0].numpy())
 
 
 def test_training_mode_applies_dropout():
     model = tiny_model(embedding_dropout=0.4, encoder_dropout=0.4,
                        classifier_dropout=0.3)
-    clean = model.scores(ARG1, ARG2, training=False)[0].numpy()
-    noisy = model.scores(ARG1, ARG2, training=True,
-                         rng=np.random.default_rng(5))[0].numpy()
+    clean = model.scores(ARG1, ARG2)[0].numpy()
+    noisy = model.scores(ARG1, ARG2, np.random.default_rng(5))[0].numpy()
     assert not np.array_equal(clean, noisy)
     T.active_tape().clear()
 

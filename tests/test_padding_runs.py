@@ -105,7 +105,7 @@ def test_every_pad_row_embeds_identically(part):
 # Equivalence with the full-length pass
 
 
-def full_length_scores(model, pairs, training=False, rng=None):
+def full_length_scores(model, pairs, rng=None):
     """The unshortened oracle: both stacks run at ``max_tokens`` rows."""
     n = model.max_tokens
 
@@ -123,7 +123,7 @@ def full_length_scores(model, pairs, training=False, rng=None):
             [T.slice_rows(v, i * n, (i + 1) * n) for v in layers1],
             [T.slice_rows(v, i * n, (i + 1) * n) for v in layers2], model.attention)
         rows.append(T.reshape(pair, (1, model.pair_dim)))
-    pooled = T.dropout(T.concat(rows, axis=0), model.classifier_dropout, rng, training)
+    pooled = T.dropout(T.concat(rows, axis=0), model.classifier_dropout, rng)
     return (model.relation_head.forward(pooled), model.connective_head.forward(pooled),
             layers1, layers2)
 
@@ -206,10 +206,10 @@ def test_dropout_free_training_matches_the_full_length_pass(kernel_size, depth, 
     def loss(rel, conn):
         return T.cross_entropy(rel, [0, 1, 2, 0]) + T.cross_entropy(conn, [2, 1, 0, 1])
 
-    rel, conn = model.batch_scores(pairs, training=True, rng=np.random.default_rng(3))
+    rel, conn = model.batch_scores(pairs, np.random.default_rng(3))
     T.backward(loss(rel, conn))
     got = grads(params)
-    want_rel, want_conn, _, _ = full_length_scores(model, pairs, True, np.random.default_rng(3))
+    want_rel, want_conn, _, _ = full_length_scores(model, pairs, np.random.default_rng(3))
     T.backward(loss(want_rel, want_conn))
     want = grads(params)
     assert rel.numpy().tobytes() == want_rel.numpy().tobytes()
@@ -259,7 +259,7 @@ def test_single_predicts_attention_maps_and_dropout_free_training_are_shortened(
     model = guard_model()
     predict(model, *pairs[0])
     model.attention_maps(*pairs[0])
-    model.batch_scores(pairs, training=True, rng=np.random.default_rng(0))
+    model.batch_scores(pairs, np.random.default_rng(0))
     T.active_tape().clear()
     assert stack_rows == [37, 37, 37, 37, 5 * 37, 5 * 37]
 
@@ -267,7 +267,7 @@ def test_single_predicts_attention_maps_and_dropout_free_training_are_shortened(
 @pytest.mark.parametrize("rates", [(0.4, 0.0), (0.0, 0.4)])
 def test_training_with_dropout_runs_the_full_length(rates, stack_rows):
     model = guard_model(embedding_dropout=rates[0], encoder_dropout=rates[1])
-    model.batch_scores(twenty_token_pairs(), training=True, rng=np.random.default_rng(0))
+    model.batch_scores(twenty_token_pairs(), np.random.default_rng(0))
     T.active_tape().clear()
     assert stack_rows == [5 * 100, 5 * 100]
 

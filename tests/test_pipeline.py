@@ -1,18 +1,21 @@
 """Run assembly, persistence, restore fidelity, reports, and heatmap export."""
 
 import copy
+import inspect
 import json
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from discrel import tensor as T
-from discrel.config import RunConfig
+from discrel.config import RunConfig, to_train_config
 from discrel.data import load_corpus, save_corpus, synthetic_corpus, synthetic_word_vectors
 from discrel.errors import ConfigError, DataError, InstanceKeyError, ParseError
+from discrel.model import RelationModel
 from discrel.pipeline import (
+    build_model,
     corpus_sentences,
     evaluate_model,
     export_attention,
@@ -27,8 +30,8 @@ from discrel.pipeline import (
     write_pgm,
     write_run,
 )
-from discrel.training import predict
-from discrel.word_level import save_word_vectors
+from discrel.training import TrainConfig, predict
+from discrel.word_level import WordEmbeddingTable, save_word_vectors
 
 SENSES = ["Expansion.Conjunction", "Temporal.Asynchronous"]
 
@@ -87,6 +90,24 @@ def test_file_sha256_tracks_content(tmp_path):
     path.write_bytes(b"alphb")
     assert first != file_sha256(path)
     assert len(first) == 64
+
+
+def test_every_training_option_reaches_the_loop_or_the_model():
+    # each value differs from its TrainConfig, RunConfig and RelationModel default
+    config = replace(RunConfig(), learning_rate=0.02, batch_size=5, epochs=3,
+                     patience=1, seed=9, embedding_dropout=0.15,
+                     encoder_dropout=0.25, classifier_dropout=0.35)
+    loop = to_train_config(config)
+    for field in fields(TrainConfig):
+        assert getattr(loop, field.name) == getattr(config, field.name), field.name
+        assert getattr(loop, field.name) != field.default, field.name
+    table = WordEmbeddingTable({"a": 0}, np.ones((1, 4)))
+    model = build_model(config, 2, ["x", "y"], table, None, None, None)
+    model_defaults = inspect.signature(RelationModel).parameters
+    for rate in ("embedding_dropout", "encoder_dropout", "classifier_dropout"):
+        assert getattr(model, rate) == getattr(config, rate), rate
+        assert getattr(model, rate) not in (getattr(RunConfig(), rate),
+                                            model_defaults[rate].default), rate
 
 
 # ---------------------------------------------------------------------------

@@ -122,10 +122,10 @@ class TestEncoderStack:
         zero_weights(stack)
         x = np.random.default_rng(12).normal(size=(6, 4))
         outs = stack.forward(T.constant(x), dropout_rate=0.5,
-                             rng=np.random.default_rng(99), training=True)
+                             rng=np.random.default_rng(99))
         replay = np.random.default_rng(99)
-        d1 = T.dropout(T.constant(x), 0.5, replay, True)
-        d2 = T.dropout(d1, 0.5, replay, True)
+        d1 = T.dropout(T.constant(x), 0.5, replay)
+        d2 = T.dropout(d1, 0.5, replay)
         assert np.array_equal(outs[0].numpy(), d1.numpy())
         assert np.array_equal(outs[1].numpy(), d2.numpy())
         T.active_tape().clear()
@@ -135,9 +135,11 @@ class TestEncoderStack:
         stack = EncoderStack(4, 2, rng, block_type="recurrent")
         x = rng.normal(size=(5, 4))
         with T.no_grad():
-            a = stack.forward(T.constant(x), dropout_rate=0.4, rng=None, training=False)
-            b = stack.forward(T.constant(x), dropout_rate=0.4, rng=None, training=False)
+            a = stack.forward(T.constant(x), dropout_rate=0.4)
+            b = stack.forward(T.constant(x), dropout_rate=0.4)
+            clean = stack.forward(T.constant(x))
         assert np.array_equal(a[-1].numpy(), b[-1].numpy())
+        assert np.array_equal(a[-1].numpy(), clean[-1].numpy())
 
     @pytest.mark.parametrize("block_type", ["conv", "recurrent"])
     def test_gradients_through_stack(self, block_type):

@@ -506,6 +506,20 @@ class TestBackward:
         assert len(T.active_tape()) == 0
 
 
+class TestDropout:
+    def test_without_an_rng_the_input_passes_through(self):
+        x = T.constant(np.arange(6.0).reshape(2, 3))
+        assert T.dropout(x, 0.5, None) is x
+        with pytest.raises(ShapeError):
+            T.dropout(x, 1.0, None)
+
+    def test_rate_zero_draws_nothing(self):
+        rng = np.random.default_rng(4)
+        x = T.constant(np.ones((2, 2)))
+        assert T.dropout(x, 0.0, rng) is x
+        assert rng.random() == np.random.default_rng(4).random()
+
+
 class TestAdagrad:
     def test_zero_gradient_leaves_parameters(self):
         p = T.Parameter([1.0, 2.0])

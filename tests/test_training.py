@@ -60,12 +60,9 @@ def test_config_defaults():
     config = TrainConfig()
     assert config.learning_rate == 0.001
     assert config.batch_size == 64
-    assert config.embedding_dropout == 0.4
-    assert config.encoder_dropout == 0.4
-    assert config.classifier_dropout == 0.3
     assert config.epochs == 100
     assert config.patience == 10
-    assert config.eps == 1e-8
+    assert config.seed == 0
 
 
 @pytest.mark.parametrize("bad", [
@@ -74,10 +71,6 @@ def test_config_defaults():
     {"batch_size": 0},
     {"epochs": 0},
     {"patience": -1},
-    {"eps": 0.0},
-    {"embedding_dropout": 1.0},
-    {"encoder_dropout": -0.1},
-    {"classifier_dropout": 1.5},
 ])
 def test_config_rejects_out_of_range_values(bad):
     with pytest.raises(ConfigError):
@@ -91,7 +84,7 @@ def test_config_rejects_out_of_range_values(bad):
 def test_uniform_logits_give_log_class_counts():
     rel = T.constant(np.zeros((1, 2)))
     conn = T.constant(np.zeros((1, 4)))
-    loss = joint_loss(rel, conn, [0], [0], training=True)
+    loss = joint_loss(rel, conn, [0], [0])
     assert abs(loss.item() - (math.log(2) + math.log(4))) < 1e-12
 
 
@@ -101,21 +94,15 @@ def test_loss_decomposes_exactly_into_head_terms():
     conn = T.constant(rng.normal(size=(4, 5)))
     rel_term = T.cross_entropy(rel, [0, 1, 0, 1]).item()
     conn_term = T.cross_entropy(conn, [2, 0, 4, 1]).item()
-    total = joint_loss(rel, conn, [0, 1, 0, 1], [2, 0, 4, 1], training=True).item()
+    total = joint_loss(rel, conn, [0, 1, 0, 1], [2, 0, 4, 1]).item()
     assert total == rel_term + conn_term
-
-
-def test_evaluation_loss_is_the_relation_term_alone():
-    rng = np.random.default_rng(4)
-    rel = T.constant(rng.normal(size=(3, 2)))
-    got = joint_loss(rel, None, [1, 0, 1], training=False).item()
-    assert got == T.cross_entropy(rel, [1, 0, 1]).item()
 
 
 def test_training_loss_requires_connective_supervision():
     rel = T.constant(np.zeros((1, 2)))
-    with pytest.raises(DataError):
-        joint_loss(rel, None, [0], None, training=True)
+    # there is no relation-only form: the connective terms are required
+    with pytest.raises(TypeError):
+        joint_loss(rel, None, [0])
 
 
 def test_joint_gradient_is_the_sum_of_per_head_gradients():
@@ -137,7 +124,7 @@ def test_joint_gradient_is_the_sum_of_per_head_gradients():
 
     def joint():
         rel, conn = model.scores(arg1, arg2)
-        return joint_loss(rel, conn, [1], [0], training=True)
+        return joint_loss(rel, conn, [1], [0])
 
     for got, a, b in zip(grads_of(joint), rel_grads, conn_grads):
         assert np.allclose(got, a + b, atol=1e-12)
@@ -150,20 +137,9 @@ def test_joint_gradients_match_finite_differences():
 
     def loss():
         rel, conn = model.scores(arg1, arg2)
-        return joint_loss(rel, conn, [1], [0], training=True)
+        return joint_loss(rel, conn, [1], [0])
 
     assert_grads_match(loss, model.parameters(), entries_per_array=2, tol=1e-4)
-
-
-def test_connective_head_gets_no_gradient_from_evaluation_loss():
-    records, _, _ = toy_task(4)
-    model = toy_model(records, dim=4)
-    rel, conn = model.scores(records[0].arg1, records[0].arg2)
-    T.backward(joint_loss(rel, conn, [1], training=False))
-    assert all(p.grad is None for p in model.connective_head.parameters())
-    assert all(p.grad is not None for p in model.relation_head.parameters())
-    for p in model.parameters():
-        p.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +162,7 @@ def test_connective_vocabulary_demands_annotations():
 
 
 def quick_config(**kwargs):
-    base = dict(learning_rate=0.1, batch_size=8, embedding_dropout=0.0,
-                encoder_dropout=0.0, classifier_dropout=0.0,
-                epochs=25, patience=25, seed=0)
+    base = dict(learning_rate=0.1, batch_size=8, epochs=25, patience=25, seed=0)
     base.update(kwargs)
     return TrainConfig(**base)
 
@@ -241,6 +215,20 @@ def test_unknown_connective_is_rejected_before_training():
         train(model, train_set + [TrainInstance(stranger, 0)], dev_set, quick_config())
 
 
+def test_missing_connective_is_rejected_before_any_step(monkeypatch):
+    records, train_set, dev_set = toy_task(8)
+    model = toy_model(records)
+    before = model.state_arrays()
+    steps = []
+    monkeypatch.setattr(T, "backward", lambda loss: steps.append(loss))
+    unannotated = InstanceRecord(arg1=["a"], arg2=["b"], senses=[SENSES[0]])
+    with pytest.raises(DataError, match="training instance 8"):
+        train(model, train_set + [TrainInstance(unannotated, 0)], dev_set, quick_config())
+    assert steps == []
+    for name, array in model.state_arrays().items():
+        assert np.array_equal(array, before[name]), name
+
+
 def test_frozen_word_table_survives_training_untouched():
     records, train_set, dev_set = toy_task(8)
     model = toy_model(records)
@@ -252,10 +240,9 @@ def test_frozen_word_table_survives_training_untouched():
 def test_same_seed_reproduces_trace_and_weights_bitwise(tmp_path):
     def run(path):
         records, train_set, dev_set = toy_task(8)
-        model = toy_model(records)
-        config = quick_config(epochs=4, embedding_dropout=0.2,
-                              encoder_dropout=0.2, classifier_dropout=0.1)
-        result = train(model, train_set, dev_set, config)
+        model = toy_model(records, embedding_dropout=0.2, encoder_dropout=0.2,
+                          classifier_dropout=0.1)
+        result = train(model, train_set, dev_set, quick_config(epochs=4))
         T.save_checkpoint(path, result.state)
         return result
 
@@ -324,7 +311,8 @@ def tape_nodes_per_instance(monkeypatch, max_tokens, batch_size=4):
     model = RelationModel(TokenEmbedder(word_table=WordEmbeddingTable(vocab, matrix)),
                           n_relations=2, connectives=sorted({r.connective for r in records}),
                           rng=np.random.default_rng(1), depth=4, block_type="recurrent",
-                          max_tokens=max_tokens)
+                          max_tokens=max_tokens, embedding_dropout=0.4,
+                          encoder_dropout=0.4, classifier_dropout=0.3)
     counts = []
     real_backward = T.backward
 
@@ -333,9 +321,7 @@ def tape_nodes_per_instance(monkeypatch, max_tokens, batch_size=4):
         real_backward(loss)
 
     monkeypatch.setattr(T, "backward", counting_backward)
-    train(model, train_set, dev_set[:1],
-          quick_config(batch_size=batch_size, epochs=1, embedding_dropout=0.4,
-                       encoder_dropout=0.4, classifier_dropout=0.3))
+    train(model, train_set, dev_set[:1], quick_config(batch_size=batch_size, epochs=1))
     assert len(counts) == 1
     return counts[0] / batch_size
 

@@ -360,6 +360,24 @@ class TestToyContextualEmbedder:
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
 
+    def test_state_loading_names_a_missing_array(self):
+        rng = np.random.default_rng(4)
+        emb = ToyContextualEmbedder.from_corpus([["a", "b"], ["b", "a"]], rng, dim=6, char_dim=4)
+        state = emb.state_arrays()
+        name = emb.parameters()[0].name
+        del state[name]
+        with pytest.raises(ParseError, match=f"toy embedder state is missing array '{name}'"):
+            emb.load_state_arrays(state)
+
+    def test_state_loading_rejects_a_wrong_shape(self):
+        rng = np.random.default_rng(4)
+        emb = ToyContextualEmbedder.from_corpus([["a", "b"], ["b", "a"]], rng, dim=6, char_dim=4)
+        state = emb.state_arrays()
+        name = emb.parameters()[-1].name
+        state[name] = np.zeros(state[name].shape + (2,))
+        with pytest.raises(ShapeError, match=f"array '{name}' has shape"):
+            emb.load_state_arrays(state)
+
     def test_tiny_corpus_rejected(self):
         rng = np.random.default_rng(5)
         with pytest.raises(DataError):
