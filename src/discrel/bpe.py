@@ -36,10 +36,6 @@ class MergeTable:
     def __len__(self) -> int:
         return len(self.merges)
 
-    def symbols(self) -> set[str]:
-        """All symbols the table can produce beyond single characters."""
-        return {left + right for left, right in self.merges}
-
 
 def _word_pair_counts(symbols: list[str]) -> Counter:
     """Non-overlapping adjacent-pair counts for one symbol sequence."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import configparser
 
 from .data import SPLITS, TOP_LEVEL_CLASSES
-from .errors import ConfigError, utf8_text
+from .errors import ConfigError, ParseError, utf8_text
 from .sentence_level import BLOCK_TYPES
 from .training import TrainConfig
 
@@ -181,14 +181,34 @@ def config_to_dict(config: RunConfig) -> dict:
     return out
 
 
+# JSON value checks per schema kind, for manifests (a bool is no int here)
+_KIND_CHECKS = {
+    "int": lambda v: type(v) is int,
+    "float": lambda v: type(v) in (int, float),
+    "bool": lambda v: type(v) is bool,
+    "str": lambda v: type(v) is str,
+    "ints": lambda v: type(v) is list and all(type(part) is int for part in v),
+}
+
+
 def config_from_dict(data: dict) -> RunConfig:
+    """Inverse of ``config_to_dict``; a value of the wrong JSON type is a
+    ``ParseError`` naming its ``config.section.key``."""
+    if not isinstance(data, dict):
+        raise ParseError(f"manifest entry 'config' must be an object, got {data!r:.40}")
     config = RunConfig()
     for section, entries in data.items():
+        if not isinstance(entries, dict):
+            raise ParseError(f"manifest entry config.{section} must be an object, "
+                             f"got {entries!r:.40}")
         for key, value in entries.items():
             found = _BY_LOCATION.get((section, key))
             if found is None:
                 raise ConfigError(f"manifest config: unknown key {section}.{key}")
             attr, kind = found
+            if not _KIND_CHECKS[kind](value):
+                raise ParseError(f"manifest entry config.{section}.{key} must be {kind}, "
+                                 f"got {value!r:.40}")
             setattr(config, attr, tuple(value) if kind == "ints" else value)
     validate(config)
     return config

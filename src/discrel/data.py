@@ -152,8 +152,8 @@ class LabelSpace:
         self._index = {c: i for i, c in enumerate(self.classes)}
 
     @classmethod
-    def eleven_way(cls, retained=None) -> "LabelSpace":
-        return cls("eleven_way", list(retained) if retained is not None else ELEVEN_WAY_SENSES)
+    def eleven_way(cls) -> "LabelSpace":
+        return cls("eleven_way", ELEVEN_WAY_SENSES)
 
     @classmethod
     def four_way(cls) -> "LabelSpace":
@@ -318,6 +318,8 @@ def synthetic_corpus(n_records: int, class_names, seed: int = 0,
     class_names = list(class_names)
     if not class_names:
         raise ConfigError("synthetic corpus: need at least one class")
+    if filler_words < 1:
+        raise ConfigError(f"synthetic corpus: need at least one filler word, got {filler_words}")
     rng = np.random.default_rng(seed)
     fillers = [f"w{i}" for i in range(filler_words)]
     records = []

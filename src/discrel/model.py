@@ -96,6 +96,10 @@ class RelationModel:
         connectives = list(connectives)
         if len(connectives) < 2:
             raise ConfigError("need at least 2 connectives for the auxiliary head")
+        for what, rate in (("embedding", embedding_dropout), ("encoder", encoder_dropout),
+                           ("classifier", classifier_dropout)):
+            if not 0.0 <= rate < 1.0:
+                raise ConfigError(f"{what}_dropout must be in [0, 1), got {rate}")
         self.embedder = embedder
         self.depth = depth
         # how far past the last real row a conv stack's outputs keep changing
@@ -228,16 +232,15 @@ class RelationModel:
         rows = T.dropout(self._pair_rows(pairs, rng), self.classifier_dropout, rng)
         return self.relation_head.forward(rows), self.connective_head.forward(rows)
 
-    def scores(self, arg1_tokens, arg2_tokens,
-               rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor]:
-        """(relation logits, connective logits), each a (1, C) row."""
-        return self.batch_scores([(arg1_tokens, arg2_tokens)], rng)
+    def scores(self, arg1_tokens, arg2_tokens) -> tuple[Tensor, Tensor]:
+        """(relation logits, connective logits) of one instance without
+        dropout, each a (1, C) row."""
+        return self.batch_scores([(arg1_tokens, arg2_tokens)])
 
-    def pair_representation(self, arg1_tokens, arg2_tokens,
-                            rng: np.random.Generator | None = None) -> Tensor:
-        """The flat pair vector of one instance, length ``pair_dim``."""
-        rows = self._pair_rows([(arg1_tokens, arg2_tokens)], rng)
-        return T.reshape(rows, (self.pair_dim,))
+    def pair_representation(self, arg1_tokens, arg2_tokens) -> Tensor:
+        """The flat pair vector of one instance without dropout, length
+        ``pair_dim``."""
+        return T.reshape(self._pair_rows([(arg1_tokens, arg2_tokens)]), (self.pair_dim,))
 
     def attention_maps(self, arg1_tokens, arg2_tokens) -> list[np.ndarray]:
         """Per layer, the softmaxed score matrix of argument 1 over argument 2."""

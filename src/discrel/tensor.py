@@ -52,7 +52,7 @@ __all__ = [
     "slice_rows",
     "softmax_rows",
     "conv1d",
-    "gru_sequence",
+    "bigru_sequence",
     "topk_pool",
     "segment_max",
     "cross_entropy",
@@ -140,32 +140,18 @@ class _Node:
         self.backward_fn = backward_fn
 
 
-class Tape:
-    """Ordered record of executed differentiable operations."""
-
-    __slots__ = ("nodes",)
-
-    def __init__(self):
-        self.nodes: list[_Node] = []
-
-    def clear(self) -> None:
-        self.nodes.clear()
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-
 _STATE = threading.local()
 
 
 def _state():
     if not hasattr(_STATE, "tape"):
-        _STATE.tape = Tape()
+        _STATE.tape = []
         _STATE.enabled = True
     return _STATE
 
 
-def active_tape() -> Tape:
+def active_tape() -> list[_Node]:
+    """This thread's recorded operations, in execution order."""
     return _state().tape
 
 
@@ -190,7 +176,7 @@ def _tracked(*inputs: Tensor) -> bool:
 
 def _record(output: Tensor, inputs: tuple[Tensor, ...], backward_fn: Callable) -> None:
     output.requires_grad = True
-    _state().tape.nodes.append(_Node(output, inputs, backward_fn))
+    _state().tape.append(_Node(output, inputs, backward_fn))
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
@@ -216,7 +202,7 @@ def backward(loss: Tensor) -> None:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
     tape = active_tape()
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(tape.nodes):
+    for node in reversed(tape):
         g = node.output.grad
         if g is None:
             continue
@@ -501,7 +487,7 @@ def _sequence_length(x: Tensor, batch: int, op: str) -> int:
     return rows // batch
 
 
-def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, pad: str | int = "same",
+def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, pad: str = "same",
            batch: int = 1) -> Tensor:
     """1-D convolution along the row axis.
 
@@ -509,8 +495,7 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, pad: str | int
     instance-major; ``kernel`` is (k, d_in, d_out).  Each sequence is padded
     on its own, so no window reaches across two of them, and the output
     stacks the B results the same way.  ``pad`` is "same" (symmetric zero
-    padding, odd k required, length preserved), "valid" (no padding), or an
-    explicit symmetric pad count.
+    padding, odd k required, length preserved) or "valid" (no padding).
     """
     if x.data.ndim != 2 or kernel.data.ndim != 3:
         raise ShapeError(f"conv1d: x must be 2-D and kernel 3-D, got {x.shape}, {kernel.shape}")
@@ -525,9 +510,7 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, pad: str | int
     elif pad == "valid":
         p = 0
     else:
-        p = int(pad)
-        if p < 0:
-            raise ShapeError(f"conv1d: pad must be non-negative, got {p}")
+        raise ShapeError(f"conv1d: pad must be 'same' or 'valid', got {pad!r}")
     out_len = n + 2 * p - k + 1
     if out_len < 1:
         raise WindowError(f"conv1d: kernel size {k} exceeds padded length {n + 2 * p}")
@@ -581,43 +564,23 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, pad: str | int
     return out
 
 
-def gru_sequence(x: Tensor, w_gates: Tensor, u_gates: Tensor, u_cand: Tensor,
-                 b_gates: Tensor, batch: int = 1, reverse: bool = False) -> Tensor:
-    """Gated recurrence over ``batch`` sequences at once, as one tape node.
-
-    ``x`` is (B*N, d): B sequences of N rows, stacked instance-major.  Each
-    sequence starts from a zero state; per step, with h the previous state,
-
-        r = sigmoid(x_t W_r + h U_r + b_r)        (reset gate)
-        z = sigmoid(x_t W_z + h U_z + b_z)        (update gate)
-        c = tanh(x_t W_n + (r * h) U_n + b_n)     (candidate)
-        h = z * h + (1 - z) * c
-
-    where ``w_gates`` is (d, 3h) with column blocks [reset | update |
-    candidate], ``u_gates`` is (h, 2h) as [U_r | U_z], ``u_cand`` is U_n
-    (h, h) and ``b_gates`` is (3h,).  The input projections of all steps
-    are one matmul before the time loop, and each step multiplies the (B, h)
-    states of all sequences together.  ``reverse`` scans every sequence from
-    its last row to its first.  The output is (B*N, h), aligned to the input
-    rows.  The backward pass is hand-written backpropagation through time;
-    the weight gradients are summed over all steps in one matmul each.
-    """
-    if x.data.ndim != 2:
-        raise ShapeError(f"gru_sequence needs a 2-D input, got {x.shape}")
-    n = _sequence_length(x, batch, "gru_sequence")
-    dh = u_cand.shape[0]
-    d_in = x.shape[1]
-    if (w_gates.shape != (d_in, 3 * dh) or u_gates.shape != (dh, 2 * dh)
+def _gru_direction(x: Tensor, weights: Sequence[Tensor], steps: range,
+                   states: np.ndarray) -> Callable:
+    """One direction of ``bigru_sequence``: scans each sequence's rows in the
+    order of ``steps`` and writes its (B, N, h) hidden states into
+    ``states``.  Returns the direction's backpropagation through time, which
+    takes the gradient of those states and adds into ``x`` and the weights."""
+    w_gates, u_gates, u_cand, b_gates = weights
+    batch, n, dh = states.shape
+    if (w_gates.shape != (x.shape[1], 3 * dh) or u_gates.shape != (dh, 2 * dh)
             or u_cand.shape != (dh, dh) or b_gates.shape != (3 * dh,)):
-        raise ShapeError(f"gru_sequence: weights {w_gates.shape}, {u_gates.shape}, "
+        raise ShapeError(f"bigru_sequence: weights {w_gates.shape}, {u_gates.shape}, "
                          f"{u_cand.shape}, {b_gates.shape} do not fit input width "
-                         f"{d_in} and hidden width {dh}")
+                         f"{x.shape[1]} and hidden width {dh}")
     proj = (x.data @ w_gates.data + b_gates.data).reshape(batch, n, 3 * dh)
     ug, un = u_gates.data, u_cand.data
-    steps = range(n - 1, -1, -1) if reverse else range(n)
     gates = np.empty((batch, n, 2 * dh))  # [r | z]
     cand = np.empty((batch, n, dh))
-    states = np.empty((batch, n, dh))
     h = np.zeros((batch, dh))
     for t in steps:
         rz = _sigmoid(proj[:, t, :2 * dh] + h @ ug)
@@ -627,46 +590,85 @@ def gru_sequence(x: Tensor, w_gates: Tensor, u_gates: Tensor, u_cand: Tensor,
         gates[:, t] = rz
         cand[:, t] = c
         states[:, t] = h
-    out = Tensor(states.reshape(batch * n, dh))
 
-    inputs = (x, w_gates, u_gates, u_cand, b_gates)
+    def bptt(g):
+        r, z = gates[:, :, :dh], gates[:, :, dh:]
+        # The state entering each step, in scan order.
+        prev = np.zeros((batch, n, dh))
+        if steps.step < 0:
+            prev[:, :-1] = states[:, 1:]
+        else:
+            prev[:, 1:] = states[:, :-1]
+        # Per-step factors that do not depend on the incoming gradient.
+        to_cand = (1.0 - z) * (1.0 - cand * cand)
+        to_update = (prev - cand) * z * (1.0 - z)
+        to_reset = prev * r * (1.0 - r)
+        d_proj = np.empty((batch, n, 3 * dh))
+        ug_t, un_t = ug.T, un.T
+        d_h = np.zeros((batch, dh))
+        for t in reversed(steps):
+            d_h = d_h + g[:, t]
+            d_c = d_h * to_cand[:, t]
+            d_rh = d_c @ un_t
+            d_rz = d_proj[:, t, :2 * dh]
+            d_rz[:, :dh] = d_rh * to_reset[:, t]
+            d_rz[:, dh:] = d_h * to_update[:, t]
+            d_proj[:, t, 2 * dh:] = d_c
+            d_h = d_h * z[:, t] + d_rh * r[:, t] + d_rz @ ug_t
+        d_proj = d_proj.reshape(batch * n, 3 * dh)
+        if x.requires_grad:
+            _accum(x, d_proj @ w_gates.data.T)
+        if w_gates.requires_grad:
+            _accum(w_gates, x.data.T @ d_proj)
+        if b_gates.requires_grad:
+            _accum(b_gates, d_proj.sum(axis=0))
+        if u_gates.requires_grad:
+            _accum(u_gates, prev.reshape(batch * n, dh).T @ d_proj[:, :2 * dh])
+        if u_cand.requires_grad:
+            _accum(u_cand, (r * prev).reshape(batch * n, dh).T @ d_proj[:, 2 * dh:])
+    return bptt
+
+
+def bigru_sequence(x: Tensor, forward: Sequence[Tensor], backward: Sequence[Tensor],
+                   batch: int = 1) -> Tensor:
+    """Bidirectional gated recurrence over ``batch`` sequences, one tape node.
+
+    ``x`` is (B*N, d): B sequences of N rows, stacked instance-major.  Each
+    direction scans every sequence from a zero state, the forward one from
+    its first row and the backward one from its last; per step, with h the
+    previous state,
+
+        r = sigmoid(x_t W_r + h U_r + b_r)        (reset gate)
+        z = sigmoid(x_t W_z + h U_z + b_z)        (update gate)
+        c = tanh(x_t W_n + (r * h) U_n + b_n)     (candidate)
+        h = z * h + (1 - z) * c
+
+    ``forward`` and ``backward`` are each one direction's (w_gates, u_gates,
+    u_cand, b_gates): ``w_gates`` is (d, 3h) with column blocks [reset |
+    update | candidate], ``u_gates`` is (h, 2h) as [U_r | U_z], ``u_cand``
+    is U_n (h, h) and ``b_gates`` is (3h,).  A direction's input projections
+    of all steps are one matmul before its time loop, and each step
+    multiplies the (B, h) states of all sequences together.  The output is
+    (B*N, 2h), aligned to the input rows: forward states in columns [0, h),
+    backward states in [h, 2h).  The backward pass is hand-written
+    backpropagation through time, the backward direction first; the weight
+    gradients are summed over all steps in one matmul each.
+    """
+    if x.data.ndim != 2:
+        raise ShapeError(f"bigru_sequence needs a 2-D input, got {x.shape}")
+    n = _sequence_length(x, batch, "bigru_sequence")
+    dh = forward[2].shape[0]
+    states = np.empty((batch, n, 2 * dh))
+    fwd_bptt = _gru_direction(x, forward, range(n), states[:, :, :dh])
+    bwd_bptt = _gru_direction(x, backward, range(n - 1, -1, -1), states[:, :, dh:])
+    out = Tensor(states.reshape(batch * n, 2 * dh))
+
+    inputs = (x, *forward, *backward)
     if _tracked(*inputs):
         def bwd(g):
-            g = g.reshape(batch, n, dh)
-            r, z = gates[:, :, :dh], gates[:, :, dh:]
-            # The state entering each step, in scan order.
-            prev = np.zeros_like(states)
-            if reverse:
-                prev[:, :-1] = states[:, 1:]
-            else:
-                prev[:, 1:] = states[:, :-1]
-            # Per-step factors that do not depend on the incoming gradient.
-            to_cand = (1.0 - z) * (1.0 - cand * cand)
-            to_update = (prev - cand) * z * (1.0 - z)
-            to_reset = prev * r * (1.0 - r)
-            d_proj = np.empty((batch, n, 3 * dh))
-            ug_t, un_t = ug.T, un.T
-            d_h = np.zeros((batch, dh))
-            for t in reversed(steps):
-                d_h = d_h + g[:, t]
-                d_c = d_h * to_cand[:, t]
-                d_rh = d_c @ un_t
-                d_rz = d_proj[:, t, :2 * dh]
-                d_rz[:, :dh] = d_rh * to_reset[:, t]
-                d_rz[:, dh:] = d_h * to_update[:, t]
-                d_proj[:, t, 2 * dh:] = d_c
-                d_h = d_h * z[:, t] + d_rh * r[:, t] + d_rz @ ug_t
-            d_proj = d_proj.reshape(batch * n, 3 * dh)
-            if x.requires_grad:
-                _accum(x, d_proj @ w_gates.data.T)
-            if w_gates.requires_grad:
-                _accum(w_gates, x.data.T @ d_proj)
-            if b_gates.requires_grad:
-                _accum(b_gates, d_proj.sum(axis=0))
-            if u_gates.requires_grad:
-                _accum(u_gates, prev.reshape(batch * n, dh).T @ d_proj[:, :2 * dh])
-            if u_cand.requires_grad:
-                _accum(u_cand, (r * prev).reshape(batch * n, dh).T @ d_proj[:, 2 * dh:])
+            g = g.reshape(batch, n, 2 * dh)
+            bwd_bptt(g[:, :, dh:])
+            fwd_bptt(g[:, :, :dh])
         _record(out, inputs, bwd)
     return out
 

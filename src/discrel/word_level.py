@@ -78,11 +78,11 @@ def load_word_vectors(path) -> tuple[dict[str, int], np.ndarray]:
     return vocab, matrix
 
 
-def save_word_vectors(path, vocab: dict[str, int], matrix: np.ndarray, header: bool = True) -> None:
+def save_word_vectors(path, vocab: dict[str, int], matrix: np.ndarray) -> None:
+    """Write the text format ``load_word_vectors`` reads, "count dim" header first."""
     order = sorted(vocab, key=vocab.get)
     with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"{len(order)} {matrix.shape[1]}\n")
+        fh.write(f"{len(order)} {matrix.shape[1]}\n")
         for word in order:
             comps = " ".join(repr(float(v)) for v in matrix[vocab[word]])
             fh.write(f"{word} {comps}\n")

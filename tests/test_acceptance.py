@@ -142,6 +142,13 @@ def operation_cases():
     xm, wm = var(8, 3), const(2, 3)
     case("segment_max", lambda: T.sum_all(T.mul(T.segment_max(xm, 2, [3, 4]), wm)), xm)
 
+    xr, wr = var(2 * 3, 2), const(2 * 3, 4)
+    forward = [var(2, 6), var(2, 4), var(2, 2), var(6)]
+    backward = [var(2, 6), var(2, 4), var(2, 2), var(6)]
+    case("bigru_sequence",
+         lambda: T.sum_all(T.mul(T.bigru_sequence(xr, forward, backward, batch=2), wr)),
+         xr, *forward, *backward)
+
     return cases
 
 

@@ -84,6 +84,16 @@ def test_gen_synthetic_reports_and_writes(tmp_path, capsys):
     assert vectors.read_text().splitlines()
 
 
+def test_gen_synthetic_rejects_an_empty_filler_vocabulary(tmp_path, capsys):
+    corpus = tmp_path / "c.jsonl"
+    code, out, err = run_cli(capsys, "gen-synthetic", corpus, "--records", 10,
+                             "--fillers", 0)
+    assert code == 1
+    assert err.startswith("error ConfigError: ")
+    assert "filler" in err
+    assert not corpus.exists()
+
+
 def test_learn_bpe_is_deterministic(workspace, tmp_path, capsys):
     corpus = workspace / "corpus.jsonl"
     first, second = tmp_path / "m1.txt", tmp_path / "m2.txt"
@@ -310,10 +320,38 @@ def _string_contextual_dim(text: str) -> str:
     return json.dumps(manifest)
 
 
+def _config_entry(path: str, value):
+    """A corruption that sets the manifest entry at ``path`` (keys split by
+    dots) to ``value``."""
+    def corrupt(text: str) -> str:
+        manifest = json.loads(text)
+        *parents, key = path.split(".")
+        target = manifest
+        for parent in parents:
+            target = target[parent]
+        target[key] = value
+        return json.dumps(manifest)
+    return corrupt
+
+
+MISTYPED_CONFIG = {
+    "string_layers": ("config.model.layers", "4"),
+    "integer_model_section": ("config.model", 5),
+    "list_config": ("config", []),
+    "integer_kernel_sizes": ("config.model.subword_kernel_sizes", 3),
+    "float_max_tokens": ("config.model.max_tokens", 10.5),
+    "string_res_block": ("config.model.res_block", "yes"),
+    "boolean_layers": ("config.model.layers", True),
+    "string_learning_rate": ("config.train.learning_rate", "0.1"),
+    "integer_split": ("config.task.split", 3),
+}
+
+
 @pytest.mark.parametrize("corrupt", [lambda text: text[:100], _without_connectives,
-                                     _integer_connectives, _string_contextual_dim],
+                                     _integer_connectives, _string_contextual_dim]
+                         + [_config_entry(*entry) for entry in MISTYPED_CONFIG.values()],
                          ids=["truncated", "no_connectives", "integer_connectives",
-                              "string_contextual_dim"])
+                              "string_contextual_dim", *MISTYPED_CONFIG])
 def test_eval_reports_a_corrupt_manifest(workspace, tmp_path, capsys, corrupt):
     run_dir = tmp_path / "run"
     shutil.copytree(workspace / "run", run_dir)

@@ -257,9 +257,17 @@ def test_training_mode_applies_dropout():
     model = tiny_model(embedding_dropout=0.4, encoder_dropout=0.4,
                        classifier_dropout=0.3)
     clean = model.scores(ARG1, ARG2)[0].numpy()
-    noisy = model.scores(ARG1, ARG2, np.random.default_rng(5))[0].numpy()
+    noisy = model.batch_scores([(ARG1, ARG2)], np.random.default_rng(5))[0].numpy()
     assert not np.array_equal(clean, noisy)
     T.active_tape().clear()
+
+
+@pytest.mark.parametrize("rate", ["embedding_dropout", "encoder_dropout",
+                                  "classifier_dropout"])
+@pytest.mark.parametrize("value", [-0.1, 1.0, 1.5])
+def test_dropout_rates_outside_the_unit_interval_are_rejected_at_build(rate, value):
+    with pytest.raises(ConfigError, match=f"{rate} must be in \\[0, 1\\), got {value}"):
+        tiny_model(**{rate: value})
 
 
 # ---------------------------------------------------------------------------

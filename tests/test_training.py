@@ -37,7 +37,7 @@ SENSES = ["Expansion.Conjunction", "Temporal.Asynchronous"]
 def toy_task(n=16, seed=0):
     """A linearly separable two-class corpus with per-class cue words."""
     records = synthetic_corpus(n, SENSES, seed=seed, filler_words=8, arg_len=5)
-    labels = LabelSpace.eleven_way(retained=SENSES)
+    labels = LabelSpace("eleven_way", SENSES)
     train_set = [TrainInstance(r, labels.labels_of(r.senses)[0]) for r in records]
     dev_set = [EvalInstance(r, frozenset(labels.labels_of(r.senses))) for r in records]
     return records, train_set, dev_set
@@ -327,7 +327,7 @@ def tape_nodes_per_instance(monkeypatch, max_tokens, batch_size=4):
 
 
 def test_recurrent_training_step_tape_grows_with_depth_not_length(monkeypatch):
-    # The fused recurrence records one node per direction per layer; a
+    # The fused recurrence records one node per bidirectional layer; a
     # per-time-step tape would record thousands per instance at 100 tokens.
     long = tape_nodes_per_instance(monkeypatch, max_tokens=100)
     assert long < 200
