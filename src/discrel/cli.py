@@ -76,6 +76,8 @@ def cmd_learn_bpe(args) -> int:
 
 
 def cmd_prep_contextual(args) -> int:
+    if args.max_tokens < 1:
+        raise ConfigError(f"--max-tokens: must be at least 1, got {args.max_tokens}")
     records = load_corpus(args.corpus)
     sentences = corpus_sentences(records)
     embedder, history = build_toy_embedder(
@@ -98,11 +100,13 @@ def cmd_gen_synthetic(args) -> int:
     records = synthetic_corpus(args.records, class_names, seed=args.seed,
                                filler_words=args.fillers, arg_len=args.arg_len,
                                multi_sense_rate=args.multi_sense)
+    vectors = None
+    if args.word_vectors:
+        vectors = synthetic_word_vectors(records, dim=args.dim, seed=args.seed)
     save_corpus(args.out, records)
     vectors_note = "-"
-    if args.word_vectors:
-        vocab, matrix = synthetic_word_vectors(records, dim=args.dim, seed=args.seed)
-        save_word_vectors(args.word_vectors, vocab, matrix)
+    if vectors is not None:
+        save_word_vectors(args.word_vectors, *vectors)
         vectors_note = args.word_vectors
     return _ok(records=len(records), classes=len(class_names),
                out=args.out, word_vectors=vectors_note)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import configparser
 
 from .data import SPLITS, TOP_LEVEL_CLASSES
-from .errors import ConfigError, ParseError, utf8_text
+from .errors import ConfigError, utf8_text
 from .sentence_level import BLOCK_TYPES
 from .training import TrainConfig
 
@@ -157,8 +157,11 @@ def parse_config(path) -> RunConfig:
             if found is None:
                 raise ConfigError(f"{path}: unknown key {section}.{key}")
             attr, kind = found
-            setattr(config, attr, _parse_value(f"{section}.{key}", raw, kind))
-    validate(config)
+            setattr(config, attr, _parse_value(f"{path}: {section}.{key}", raw, kind))
+    try:
+        validate(config)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return config
 
 
@@ -172,50 +175,15 @@ def save_config(path, config: RunConfig) -> None:
         parser.write(fh)
 
 
-def config_to_dict(config: RunConfig) -> dict:
-    """Nested {section: {key: value}} with native types, for manifests."""
-    out: dict[str, dict] = {}
+def validate(config: RunConfig) -> None:
+    """Check every value range and that each string fits on one INI line;
+    whether paths exist is checked by the commands that use them."""
     for section, key, attr, kind in _SCHEMA:
         value = getattr(config, attr)
-        out.setdefault(section, {})[key] = list(value) if kind == "ints" else value
-    return out
-
-
-# JSON value checks per schema kind, for manifests (a bool is no int here)
-_KIND_CHECKS = {
-    "int": lambda v: type(v) is int,
-    "float": lambda v: type(v) in (int, float),
-    "bool": lambda v: type(v) is bool,
-    "str": lambda v: type(v) is str,
-    "ints": lambda v: type(v) is list and all(type(part) is int for part in v),
-}
-
-
-def config_from_dict(data: dict) -> RunConfig:
-    """Inverse of ``config_to_dict``; a value of the wrong JSON type is a
-    ``ParseError`` naming its ``config.section.key``."""
-    if not isinstance(data, dict):
-        raise ParseError(f"manifest entry 'config' must be an object, got {data!r:.40}")
-    config = RunConfig()
-    for section, entries in data.items():
-        if not isinstance(entries, dict):
-            raise ParseError(f"manifest entry config.{section} must be an object, "
-                             f"got {entries!r:.40}")
-        for key, value in entries.items():
-            found = _BY_LOCATION.get((section, key))
-            if found is None:
-                raise ConfigError(f"manifest config: unknown key {section}.{key}")
-            attr, kind = found
-            if not _KIND_CHECKS[kind](value):
-                raise ParseError(f"manifest entry config.{section}.{key} must be {kind}, "
-                                 f"got {value!r:.40}")
-            setattr(config, attr, tuple(value) if kind == "ints" else value)
-    validate(config)
-    return config
-
-
-def validate(config: RunConfig) -> None:
-    """Check every value range; paths are checked by the commands that use them."""
+        # an INI value is one line, read back stripped
+        if kind == "str" and (value != value.strip() or "\n" in value or "\r" in value):
+            raise ConfigError(f"{section}.{key}: must be one line without surrounding "
+                              f"whitespace, got {value!r}")
     task = config.task
     if task not in ("eleven-way", "four-way"):
         if not task.startswith("binary:") or task.split(":", 1)[1] not in TOP_LEVEL_CLASSES:

@@ -66,7 +66,8 @@ class InstanceRecord:
             raise DataError("senses must be a non-empty list of strings")
         if self.connective is not None and not isinstance(self.connective, str):
             raise DataError("connective must be a string or null")
-        if not isinstance(self.section, int) or not (0 <= self.section <= 24):
+        if (not isinstance(self.section, int) or isinstance(self.section, bool)
+                or not 0 <= self.section <= 24):
             raise DataError(f"section must be an integer in [0, 24], got {self.section!r}")
 
     def to_dict(self) -> dict:
@@ -320,6 +321,8 @@ def synthetic_corpus(n_records: int, class_names, seed: int = 0,
         raise ConfigError("synthetic corpus: need at least one class")
     if filler_words < 1:
         raise ConfigError(f"synthetic corpus: need at least one filler word, got {filler_words}")
+    if arg_len < 1:
+        raise ConfigError(f"synthetic corpus: arguments need at least one token, got {arg_len}")
     rng = np.random.default_rng(seed)
     fillers = [f"w{i}" for i in range(filler_words)]
     records = []
@@ -343,6 +346,8 @@ def synthetic_corpus(n_records: int, class_names, seed: int = 0,
 
 def synthetic_word_vectors(records, dim: int = 12, seed: int = 0) -> tuple[dict[str, int], np.ndarray]:
     """A random (but seeded) vector table covering the corpus vocabulary."""
+    if dim < 1:
+        raise ConfigError(f"synthetic word vectors: width must be positive, got {dim}")
     words = sorted({t for rec in records for t in rec.arg1 + rec.arg2})
     rng = np.random.default_rng(seed)
     vocab = {w: i for i, w in enumerate(words)}

@@ -148,8 +148,8 @@ class RelationModel:
         """Everything a checkpoint must hold to reproduce inference.
 
         Includes the frozen contextual embedder's weights (it has no other
-        persistent home); the word-vector table is referenced by path in the
-        run manifest instead of being copied around.
+        persistent home); the word-vector table is named by path in the run's
+        ``config.ini`` instead of being copied around.
         """
         out = {p.name: p.data.copy() for p in self.parameters()}
         if isinstance(self.embedder.contextual, ToyContextualEmbedder):

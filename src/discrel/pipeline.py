@@ -3,16 +3,17 @@ restore, evaluate, export.
 
 A finished training run is a directory holding four files:
 
-- ``config.ini``    the resolved configuration the run used
-- ``manifest.json`` everything needed to rebuild the model around the weights
-                    (label space, connective vocabulary, subword pieces,
-                    contextual-embedder vocabulary, word-vector checksum)
+- ``config.ini``    the resolved configuration the run used; restore reads it
+- ``manifest.json`` what the configuration cannot rebuild: the connective
+                    vocabulary, subword pieces, contextual-embedder
+                    vocabulary, word-vector checksum, data counts, best epoch
 - ``model.ckpt``    trainable weights plus the frozen contextual embedder
 - ``trace.csv``     per-epoch training loss and dev accuracy
 
-The word-vector table is deliberately not copied into the checkpoint; the
-manifest pins its path and SHA-256 so a drifted file fails loudly instead of
-silently changing predictions.
+The input files (word vectors, merge table, precomputed contextual vectors)
+are deliberately not copied into the run: ``config.ini`` names them, and the
+manifest pins the word vectors' SHA-256 so a drifted file fails loudly
+instead of silently changing predictions.
 """
 
 from __future__ import annotations
@@ -27,14 +28,7 @@ import numpy as np
 
 from . import tensor as T
 from .bpe import load_merge_table, subword_vocabulary
-from .config import (
-    OUTPUT_ROOT_ENV,
-    RunConfig,
-    config_from_dict,
-    config_to_dict,
-    save_config,
-    to_train_config,
-)
+from .config import OUTPUT_ROOT_ENV, RunConfig, parse_config, save_config, to_train_config
 from .data import (
     InstanceRecord,
     LabelSpace,
@@ -128,9 +122,26 @@ class TrainingSetup:
     labels: LabelSpace
     splits: Splits
     model: RelationModel
-    pieces: list | None
-    contextual_info: dict | None
     word_vector_sha: str | None
+
+
+def _load_inputs(config: RunConfig, why: str):
+    """The input files ``config`` names, loaded: (word table, its SHA-256,
+    merge table, precomputed contextual embedder), each None when unused."""
+    word_table = word_sha = merges = contextual = None
+    if config.use_word:
+        path = _require_file(config.word_vectors, "word_vectors",
+                             f"{why} when model.use_word is true")
+        word_table = WordEmbeddingTable.load(path)
+        word_sha = file_sha256(path)
+    if config.use_subword:
+        merges = load_merge_table(_require_file(
+            config.merge_table, "merge_table", f"{why} when model.use_subword is true"))
+    if config.use_contextual and config.contextual_source == "vectors":
+        contextual = PrecomputedContextualEmbedder.load(_require_file(
+            config.contextual_vectors, "contextual_vectors",
+            f"{why} when model.contextual_source is 'vectors'"))
+    return word_table, word_sha, merges, contextual
 
 
 def build_model(config: RunConfig, n_classes: int, connectives, word_table,
@@ -169,48 +180,24 @@ def prepare_training(config: RunConfig) -> TrainingSetup:
     if not splits.train or not splits.dev:
         raise DataError(f"corpus {corpus_path}: split {config.split!r} left "
                         f"{len(splits.train)} train / {len(splits.dev)} dev instances")
-
-    word_table = None
-    word_sha = None
-    if config.use_word:
-        path = _require_file(config.word_vectors, "word_vectors",
-                             "when model.use_word is true")
-        word_table = WordEmbeddingTable.load(path)
-        word_sha = file_sha256(path)
+    word_table, word_sha, merges, contextual = _load_inputs(config, "to train")
 
     pieces = None
-    merges = None
     if config.use_subword:
-        path = _require_file(config.merge_table, "merge_table",
-                             "when model.use_subword is true")
-        merges = load_merge_table(path)
         train_words = {tok for inst in splits.train
                        for tok in inst.record.arg1 + inst.record.arg2}
         pieces = subword_vocabulary(sorted(train_words), merges)
-
-    contextual = None
-    contextual_info = None
-    if config.use_contextual:
-        if config.contextual_source == "vectors":
-            path = _require_file(config.contextual_vectors, "contextual_vectors",
-                                 "when model.contextual_source is 'vectors'")
-            contextual = PrecomputedContextualEmbedder.load(path)
-            contextual_info = {"source": "vectors", "path": path, "dim": contextual.dim}
-        else:
-            sentences = corpus_sentences(inst.record for inst in splits.train)
-            contextual, _ = build_toy_embedder(
-                sentences, dim=config.contextual_dim,
-                char_dim=config.contextual_char_dim,
-                epochs=config.contextual_epochs, lr=config.contextual_lr,
-                seed=config.seed)
-            contextual_info = {"source": "fresh", "dim": contextual.dim,
-                               "char_dim": config.contextual_char_dim,
-                               "words": contextual.words, "chars": contextual.chars}
+    if config.use_contextual and contextual is None:
+        sentences = corpus_sentences(inst.record for inst in splits.train)
+        contextual, _ = build_toy_embedder(
+            sentences, dim=config.contextual_dim,
+            char_dim=config.contextual_char_dim,
+            epochs=config.contextual_epochs, lr=config.contextual_lr,
+            seed=config.seed)
 
     model = build_model(config, labels.n_classes, connective_vocabulary(splits.train),
                         word_table, pieces, merges, contextual)
-    return TrainingSetup(config, labels, splits, model, pieces,
-                         contextual_info, word_sha)
+    return TrainingSetup(config, labels, splits, model, word_sha)
 
 
 def run_training(setup: TrainingSetup) -> TrainResult:
@@ -238,16 +225,16 @@ def write_run(run_dir, setup: TrainingSetup, result: TrainResult) -> Path:
     save_config(_fresh(run_dir, CONFIG_NAME), setup.config)
     T.save_checkpoint(_fresh(run_dir, CHECKPOINT_NAME), result.state)
     save_trace(_fresh(run_dir, TRACE_NAME), result.trace)
+    embedder = setup.model.embedder
     manifest = {
         "format": _MANIFEST_FORMAT,
-        "config": config_to_dict(setup.config),
-        "task": {"mode": setup.labels.mode, "classes": setup.labels.classes,
-                 "target": setup.labels.target},
         "connectives": setup.model.connectives,
-        "subword_pieces": setup.pieces,
-        "contextual": setup.contextual_info,
-        "word_vectors": ({"path": setup.config.word_vectors,
-                          "sha256": setup.word_vector_sha}
+        "subword_pieces": (list(embedder.subword.index)
+                           if embedder.subword is not None else None),
+        "contextual": ({"words": embedder.contextual.words,
+                        "chars": embedder.contextual.chars}
+                       if isinstance(embedder.contextual, ToyContextualEmbedder) else None),
+        "word_vectors": ({"sha256": setup.word_vector_sha}
                          if setup.word_vector_sha else None),
         "counts": {"train": len(setup.splits.train), "dev": len(setup.splits.dev),
                    "test": len(setup.splits.test)},
@@ -269,7 +256,6 @@ class RestoredRun:
     config: RunConfig
     labels: LabelSpace
     model: RelationModel
-    manifest: dict
 
 
 def _read_manifest(path: Path) -> dict:
@@ -288,16 +274,18 @@ def _read_manifest(path: Path) -> dict:
 _STRINGS = (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
             "a list of strings")
 _STRING = (lambda v: isinstance(v, str), "a string")
-_POSITIVE_INT = (lambda v: isinstance(v, int) and not isinstance(v, bool) and v > 0,
-                 "a positive integer")
 
 
 def restore_run(run_dir) -> RestoredRun:
+    """Rebuild a finished run: ``config.ini`` says what the model is made of,
+    the manifest supplies what the config cannot rebuild, and the checkpoint
+    supplies the weights."""
     run_dir = Path(run_dir)
     manifest_path = run_dir / MANIFEST_NAME
     if not manifest_path.is_file():
         raise ConfigError(f"{run_dir}: no {MANIFEST_NAME}; not a finished run directory")
     manifest = _read_manifest(manifest_path)
+    config = parse_config(run_dir / CONFIG_NAME)
 
     def entry(mapping, key: str, within: str = "", kind=None):
         if not isinstance(mapping, dict) or key not in mapping:
@@ -308,49 +296,27 @@ def restore_run(run_dir) -> RestoredRun:
                              f"{kind[1]}, got {value!r:.40}")
         return value
 
-    config = config_from_dict(entry(manifest, "config"))
-    task = entry(manifest, "task")
-    labels = LabelSpace(entry(task, "mode", "task."), entry(task, "classes", "task.", _STRINGS),
-                        task.get("target"))
     connectives = entry(manifest, "connectives", kind=_STRINGS)
-    pieces = entry(manifest, "subword_pieces", kind=_STRINGS if config.use_subword else None)
-    if not config.use_subword:
-        pieces = None
-
-    word_table = None
+    pieces = entry(manifest, "subword_pieces", kind=_STRINGS) if config.use_subword else None
+    word_sha = None
     if config.use_word:
-        vectors = entry(manifest, "word_vectors")
-        path = _require_file(entry(vectors, "path", "word_vectors.", _STRING), "word_vectors",
-                             "to restore the run")
-        if file_sha256(path) != entry(vectors, "sha256", "word_vectors.", _STRING):
-            raise ConfigError(f"paths.word_vectors: {path} has changed since "
-                              "training (checksum mismatch)")
-        word_table = WordEmbeddingTable.load(path)
-
-    merges = None
-    if config.use_subword:
-        path = _require_file(config.merge_table, "merge_table", "to restore the run")
-        merges = load_merge_table(path)
-
-    contextual = None
-    if config.use_contextual:
+        word_sha = entry(entry(manifest, "word_vectors"), "sha256", "word_vectors.", _STRING)
+    word_table, found_sha, merges, contextual = _load_inputs(config, "to restore the run")
+    if found_sha != word_sha:
+        raise ConfigError(f"paths.word_vectors: {config.word_vectors} has changed since "
+                          "training (checksum mismatch)")
+    if config.use_contextual and contextual is None:
         info = entry(manifest, "contextual")
-        if entry(info, "source", "contextual.") == "vectors":
-            contextual = PrecomputedContextualEmbedder.load(
-                _require_file(entry(info, "path", "contextual.", _STRING), "contextual_vectors",
-                              "to restore the run"))
-        else:
-            contextual = ToyContextualEmbedder(
-                entry(info, "words", "contextual.", _STRINGS),
-                entry(info, "chars", "contextual.", _STRINGS),
-                np.random.default_rng(0), dim=entry(info, "dim", "contextual.", _POSITIVE_INT),
-                char_dim=entry(info, "char_dim", "contextual.", _POSITIVE_INT))
-            contextual.freeze()
-
-    model = build_model(config, labels.n_classes, connectives,
-                        word_table, pieces, merges, contextual)
+        contextual = ToyContextualEmbedder(
+            entry(info, "words", "contextual.", _STRINGS),
+            entry(info, "chars", "contextual.", _STRINGS), np.random.default_rng(0),
+            dim=config.contextual_dim, char_dim=config.contextual_char_dim)
+        contextual.freeze()
+    labels = task_label_space(config.task)
+    model = build_model(config, labels.n_classes, connectives, word_table, pieces, merges,
+                        contextual)
     model.load_state_arrays(T.load_checkpoint(run_dir / CHECKPOINT_NAME))
-    return RestoredRun(config, labels, model, manifest)
+    return RestoredRun(config, labels, model)
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,29 @@ def test_gen_synthetic_rejects_an_empty_filler_vocabulary(tmp_path, capsys):
     assert not corpus.exists()
 
 
+@pytest.mark.parametrize("flags", [["--arg-len", 0], ["--arg-len", -2],
+                                   ["--word-vectors", "v.txt", "--dim", 0]])
+def test_gen_synthetic_rejects_sizes_that_make_a_bad_file(tmp_path, capsys, flags):
+    corpus = tmp_path / "c.jsonl"
+    flags = [tmp_path / f if f == "v.txt" else f for f in flags]
+    code, out, err = run_cli(capsys, "gen-synthetic", corpus, "--records", 10, *flags)
+    assert code == 1
+    assert err.startswith("error ConfigError: ")
+    assert f"got {flags[-1]}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("max_tokens", [0, -1])
+def test_prep_contextual_rejects_a_non_positive_token_limit(workspace, tmp_path, capsys,
+                                                           max_tokens):
+    out_path = tmp_path / "ctx.txt"
+    code, out, err = run_cli(capsys, "prep-contextual", workspace / "corpus.jsonl",
+                             out_path, "--max-tokens", max_tokens)
+    assert code == 1
+    assert err.startswith("error ConfigError: --max-tokens")
+    assert not out_path.exists()
+
+
 def test_learn_bpe_is_deterministic(workspace, tmp_path, capsys):
     corpus = workspace / "corpus.jsonl"
     first, second = tmp_path / "m1.txt", tmp_path / "m2.txt"
@@ -312,46 +335,9 @@ def _integer_connectives(text: str) -> str:
     return json.dumps(manifest)
 
 
-def _string_contextual_dim(text: str) -> str:
-    manifest = json.loads(text)
-    manifest["config"]["model"]["use_contextual"] = True
-    manifest["contextual"] = {"source": "fresh", "words": ["a", "b"], "chars": ["a", "b"],
-                              "dim": "64", "char_dim": 16}
-    return json.dumps(manifest)
-
-
-def _config_entry(path: str, value):
-    """A corruption that sets the manifest entry at ``path`` (keys split by
-    dots) to ``value``."""
-    def corrupt(text: str) -> str:
-        manifest = json.loads(text)
-        *parents, key = path.split(".")
-        target = manifest
-        for parent in parents:
-            target = target[parent]
-        target[key] = value
-        return json.dumps(manifest)
-    return corrupt
-
-
-MISTYPED_CONFIG = {
-    "string_layers": ("config.model.layers", "4"),
-    "integer_model_section": ("config.model", 5),
-    "list_config": ("config", []),
-    "integer_kernel_sizes": ("config.model.subword_kernel_sizes", 3),
-    "float_max_tokens": ("config.model.max_tokens", 10.5),
-    "string_res_block": ("config.model.res_block", "yes"),
-    "boolean_layers": ("config.model.layers", True),
-    "string_learning_rate": ("config.train.learning_rate", "0.1"),
-    "integer_split": ("config.task.split", 3),
-}
-
-
 @pytest.mark.parametrize("corrupt", [lambda text: text[:100], _without_connectives,
-                                     _integer_connectives, _string_contextual_dim]
-                         + [_config_entry(*entry) for entry in MISTYPED_CONFIG.values()],
-                         ids=["truncated", "no_connectives", "integer_connectives",
-                              "string_contextual_dim", *MISTYPED_CONFIG])
+                                     _integer_connectives],
+                         ids=["truncated", "no_connectives", "integer_connectives"])
 def test_eval_reports_a_corrupt_manifest(workspace, tmp_path, capsys, corrupt):
     run_dir = tmp_path / "run"
     shutil.copytree(workspace / "run", run_dir)
@@ -361,6 +347,40 @@ def test_eval_reports_a_corrupt_manifest(workspace, tmp_path, capsys, corrupt):
     assert code == 1
     assert err.startswith("error ParseError: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("config_text", [
+    None,  # no config.ini at all
+    "layers = 4\n",  # no section header
+    "[model]\nlayers = four\n",
+])
+def test_eval_reports_a_missing_or_corrupt_config(workspace, tmp_path, capsys, config_text):
+    run_dir = tmp_path / "run"
+    shutil.copytree(workspace / "run", run_dir)
+    config = run_dir / "config.ini"
+    if config_text is None:
+        config.unlink()
+    else:
+        config.write_text(config_text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "eval", run_dir)
+    assert code == 1
+    assert err.startswith("error ConfigError: ")
+    assert str(config) in err
+    assert "Traceback" not in err
+
+
+def test_eval_scores_by_the_task_in_the_config(workspace, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    shutil.copytree(workspace / "run", run_dir)
+    manifest_path = run_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    # a label-space entry of the kind older runs carried is not read
+    manifest["task"] = {"mode": "binary", "classes": ["others", "Temporal"],
+                        "target": "Temporal"}
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    code, out, err = run_cli(capsys, "eval", run_dir)
+    assert code == 0 and err == ""
+    assert run_cli(capsys, "eval", workspace / "run")[1] == out
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
 """Config file parsing, validation messages, and the preset grids."""
 
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from discrel.config import (
+    CONTEXTUAL_SOURCES,
     RunConfig,
     apply_baseline,
-    config_from_dict,
-    config_to_dict,
     ladder_rows,
     layer_sweep_rows,
     parse_config,
@@ -18,7 +20,9 @@ from discrel.config import (
     validate,
     vary_rows,
 )
+from discrel.data import SPLITS, TOP_LEVEL_CLASSES
 from discrel.errors import ConfigError
+from discrel.sentence_level import BLOCK_TYPES
 
 
 def test_defaults_round_trip(tmp_path):
@@ -70,6 +74,14 @@ def test_bad_int_names_the_key(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text("[model]\nlayers = four\n")
     with pytest.raises(ConfigError, match="model.layers"):
+        parse_config(path)
+
+
+@pytest.mark.parametrize("text", ["[model]\nlayers = four\n", "[model]\nlayers = 0\n"])
+def test_value_errors_name_the_file(tmp_path, text):
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: model.layers: "):
         parse_config(path)
 
 
@@ -125,17 +137,61 @@ def test_train_config_extraction():
         == (0.01, 16, 7, 2, 5)
 
 
-def test_dict_round_trip():
-    config = replace(RunConfig(), use_subword=True, subword_kernel_sizes=(3, 5),
-                     merge_table="m.txt", layers=2)
-    assert config_from_dict(config_to_dict(config)) == config
+# One INI line's worth of text: the characters INI syntax gives a meaning to
+# (comments, interpolation, assignment, section headers) and non-ASCII text;
+# no line breaks and no surrounding whitespace, which a value cannot carry.
+_LINE = st.lists(st.sampled_from([";", "#", "%", "=", "[x]", ":", "é", "語", " "])
+                 | st.characters(codec="utf-8", exclude_characters="\r\n"),
+                 max_size=12).map(lambda parts: "".join(parts).strip())
+_COUNT = st.integers(1, 2**40)
+_RATE = st.floats(0.0, 1.0, exclude_max=True)
+_STEP = st.floats(0.0, 1e6, exclude_min=True)
 
 
-def test_dict_rejects_unknown_keys():
-    data = config_to_dict(RunConfig())
-    data["model"]["mystery"] = 1
-    with pytest.raises(ConfigError, match="model.mystery"):
-        config_from_dict(data)
+@st.composite
+def run_configs(draw):
+    """Any valid RunConfig; each field drawn from its own kind."""
+    parts = draw(st.tuples(st.booleans(), st.booleans(), st.booleans()).filter(any))
+    return RunConfig(
+        task=draw(st.sampled_from(["eleven-way", "four-way"]
+                                  + [f"binary:{c}" for c in TOP_LEVEL_CLASSES])),
+        split=draw(st.sampled_from(sorted(SPLITS))),
+        block_type=draw(st.sampled_from(BLOCK_TYPES)),
+        layers=draw(_COUNT), kernel_size=2 * draw(_COUNT) + 1,
+        shared_stacks=draw(st.booleans()), bi_attention=draw(st.booleans()),
+        res_block=draw(st.booleans()), res_pair=draw(st.booleans()),
+        use_word=parts[0], use_subword=parts[1], use_contextual=parts[2],
+        max_tokens=draw(st.integers(2, 2**40)), classifier_hidden=draw(st.integers(0, 2**40)),
+        subword_vector_dim=draw(_COUNT), subword_channels=draw(_COUNT),
+        subword_kernel_sizes=tuple(draw(st.lists(_COUNT, min_size=1, max_size=4))),
+        contextual_source=draw(st.sampled_from(CONTEXTUAL_SOURCES)),
+        contextual_dim=2 * draw(_COUNT), contextual_char_dim=draw(_COUNT),
+        contextual_out_dim=draw(_COUNT), contextual_epochs=draw(st.integers(0, 2**40)),
+        contextual_lr=draw(_STEP), learning_rate=draw(_STEP), batch_size=draw(_COUNT),
+        embedding_dropout=draw(_RATE), encoder_dropout=draw(_RATE),
+        classifier_dropout=draw(_RATE), epochs=draw(_COUNT),
+        patience=draw(st.integers(0, 2**40)), seed=draw(st.integers(0, 2**32 - 1)),
+        corpus=draw(_LINE), word_vectors=draw(_LINE), merge_table=draw(_LINE),
+        contextual_vectors=draw(_LINE), output_dir=draw(_LINE))
+
+
+@given(run_configs())
+def test_any_valid_config_survives_the_ini_round_trip(tmp_path_factory, config):
+    validate(config)
+    path = tmp_path_factory.getbasetemp() / "round_trip.ini"
+    save_config(path, config)
+    assert parse_config(path) == config
+
+
+_STRING_FIELDS = [f.name for f in fields(RunConfig) if f.type == "str"]
+
+
+@pytest.mark.parametrize("value", ["a\nb", "a\n;b", "a\n#b", "a\n b", "a\rb", "a\r\nb",
+                                   "a\n", " a", "a\t", "\u2028a"])
+def test_strings_an_ini_value_cannot_carry_are_rejected(value):
+    for field in _STRING_FIELDS:
+        with pytest.raises(ConfigError, match="must be one line"):
+            validate(replace(RunConfig(), **{field: value}))
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,8 @@ class TestInstanceRecord:
             InstanceRecord(arg1=["x"], arg2=["y"], senses=["Expansion.List"], section=25)
         with pytest.raises(DataError):
             InstanceRecord(arg1=["x"], arg2=["y"], senses=["Expansion.List"], connective=3)
+        with pytest.raises(DataError, match="section"):
+            InstanceRecord(arg1=["x"], arg2=["y"], senses=["Expansion.List"], section=True)
 
     def test_connective_may_be_absent(self):
         rec = make_record(["Expansion.List"], connective=None)
@@ -78,6 +80,13 @@ class TestCorpusIO:
         path.write_text('{"arg1": ["a"], "arg2": ["b"], "senses": ["Expansion.List"], '
                         '"section": 2, "exra": 1}\n', encoding="utf-8")
         with pytest.raises(ParseError, match="exra"):
+            load_corpus(path)
+
+    def test_boolean_section_is_rejected(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"arg1": ["a"], "arg2": ["b"], "senses": ["Expansion.List"], '
+                        '"section": true}\n', encoding="utf-8")
+        with pytest.raises(ParseError, match=r":1: section must be an integer"):
             load_corpus(path)
 
     def test_invalid_record_reports_line(self, tmp_path):

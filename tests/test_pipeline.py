@@ -1,5 +1,6 @@
 """Run assembly, persistence, restore fidelity, reports, and heatmap export."""
 
+import configparser
 import copy
 import inspect
 import json
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 from discrel import tensor as T
-from discrel.config import RunConfig, to_train_config
+from discrel.bpe import learn_bpe, save_merge_table, word_frequencies
+from discrel.config import RunConfig, save_config, to_train_config
 from discrel.data import load_corpus, save_corpus, synthetic_corpus, synthetic_word_vectors
 from discrel.errors import ConfigError, DataError, InstanceKeyError, ParseError
 from discrel.model import RelationModel
@@ -31,7 +33,12 @@ from discrel.pipeline import (
     write_run,
 )
 from discrel.training import TrainConfig, predict
-from discrel.word_level import WordEmbeddingTable, save_word_vectors
+from discrel.word_level import (
+    WordEmbeddingTable,
+    build_toy_embedder,
+    save_contextual_vectors,
+    save_word_vectors,
+)
 
 SENSES = ["Expansion.Conjunction", "Temporal.Asynchronous"]
 
@@ -207,44 +214,36 @@ def test_restore_names_each_missing_manifest_entry(tmp_path):
     run_dir = write_run(tmp_path / "run", setup, run_training(setup))
     path = run_dir / "manifest.json"
     intact = json.loads(path.read_text(encoding="utf-8"))
-    for key in ("config", "task", "connectives", "subword_pieces", "word_vectors",
-                "contextual"):
+    # subword pieces and the toy-embedder vocabulary are read only when used
+    for key, parts in [("connectives", {}), ("subword_pieces", {"use_subword": True}),
+                       ("word_vectors", {}), ("contextual", {"use_contextual": True})]:
+        save_config(run_dir / "config.ini", replace(config, **parts))
         manifest = copy.deepcopy(intact)
         del manifest[key]
-        if key == "contextual":  # only read when the config uses it
-            manifest["config"]["model"]["use_contextual"] = True
         path.write_text(json.dumps(manifest), encoding="utf-8")
         with pytest.raises(ParseError, match=f"entry '{key}'"):
             restore_run(run_dir)
 
 
-_TOY = {"source": "fresh", "words": ["a", "b"], "chars": ["a", "b"], "dim": 4, "char_dim": 2}
-
-
 @pytest.mark.parametrize("where, key, value", [
     ((), "connectives", 5),
     ((), "connectives", ["and", 3]),
-    (("task",), "classes", "Expansion"),
     ((), "subword_pieces", {"a": 1}),
-    (("word_vectors",), "path", 7),
     (("word_vectors",), "sha256", None),
     (("contextual",), "words", "ab"),
     (("contextual",), "chars", [["a"]]),
-    (("contextual",), "dim", "64"),
-    (("contextual",), "dim", 0),
-    (("contextual",), "char_dim", True),
-    (("contextual",), "char_dim", 2.0),
-])
+], ids=["where0-connectives-5", "where1-connectives-value1", "where3-subword_pieces-value3",
+        "where5-sha256-None", "where6-words-ab", "where7-chars-value7"])
 def test_restore_names_each_mistyped_manifest_entry(tmp_path, where, key, value):
     config = small_config(tmp_path, epochs=1)
     setup = prepare_training(config)
     run_dir = write_run(tmp_path / "run", setup, run_training(setup))
     path = run_dir / "manifest.json"
     manifest = json.loads(path.read_text(encoding="utf-8"))
-    manifest["contextual"] = dict(_TOY)
-    # subword pieces and the contextual entry are read only when used
-    manifest["config"]["model"]["use_subword"] = key == "subword_pieces"
-    manifest["config"]["model"]["use_contextual"] = where == ("contextual",)
+    manifest["contextual"] = {"words": ["a", "b"], "chars": ["a", "b"]}
+    # subword pieces and the toy-embedder vocabulary are read only when used
+    save_config(run_dir / "config.ini", replace(config, use_subword=key == "subword_pieces",
+                                                use_contextual=where == ("contextual",)))
     target = manifest
     for part in where:
         target = target[part]
@@ -252,6 +251,64 @@ def test_restore_names_each_mistyped_manifest_entry(tmp_path, where, key, value)
     path.write_text(json.dumps(manifest), encoding="utf-8")
     with pytest.raises(ParseError, match=f"entry {where[0] + '.' if where else ''}'{key}' must be"):
         restore_run(run_dir)
+
+
+def test_restore_reads_the_configuration_from_config_ini(tmp_path):
+    config = small_config(tmp_path, epochs=1)
+    setup = prepare_training(config)
+    run_dir = write_run(tmp_path / "run", setup, run_training(setup))
+    (run_dir / "config.ini").unlink()
+    with pytest.raises(ConfigError, match="config file not found"):
+        restore_run(run_dir)
+
+
+@pytest.mark.parametrize("source", ["fresh", "vectors"])
+def test_a_run_written_in_the_older_layout_restores(tmp_path, source):
+    """Run directories once also carried the configuration, the label space,
+    the input paths and the embedder widths in the manifest; the reader
+    ignores those entries and rebuilds the same model."""
+    merges = tmp_path / "merges.txt"
+    contextual_vectors = tmp_path / "ctx.txt"
+    config = small_config(tmp_path, task="binary:Expansion", epochs=2, use_subword=True,
+                          merge_table=str(merges), use_contextual=True,
+                          contextual_source=source, contextual_dim=4,
+                          contextual_char_dim=2, contextual_epochs=1,
+                          contextual_out_dim=3, subword_vector_dim=4, subword_channels=3,
+                          contextual_vectors=str(contextual_vectors))
+    records = load_corpus(config.corpus)
+    save_merge_table(merges, learn_bpe(word_frequencies(
+        [rec.arg1 for rec in records] + [rec.arg2 for rec in records]), 10))
+    sentences = corpus_sentences(records)
+    toy, _ = build_toy_embedder(sentences, dim=4, char_dim=2, epochs=0)
+    save_contextual_vectors(contextual_vectors,
+                            [(s,) + toy.embed(s) for s in sentences], dim=4)
+    setup = prepare_training(config)
+    run_dir = write_run(tmp_path / "run", setup, run_training(setup))
+
+    path = run_dir / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(run_dir / "config.ini", encoding="utf-8")
+    manifest["config"] = {section: {key: getattr(config, "task" if key == "kind" else key)
+                                    for key in parser[section]}
+                          for section in parser.sections()}
+    manifest["task"] = {"mode": setup.labels.mode, "classes": setup.labels.classes,
+                        "target": setup.labels.target}
+    manifest["word_vectors"]["path"] = config.word_vectors
+    if source == "fresh":
+        manifest["contextual"].update(source="fresh", dim=4, char_dim=2)
+    else:
+        manifest["contextual"] = {"source": "vectors", "path": str(contextual_vectors),
+                                  "dim": 4}
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+
+    restored = restore_run(run_dir)
+    assert restored.labels.classes == ["others", "Expansion"]
+    for rec in records[:6]:
+        before = predict(setup.model, rec.arg1, rec.arg2)
+        after = predict(restored.model, rec.arg1, rec.arg2)
+        assert before[0] == after[0]
+        assert np.array_equal(before[1], after[1])
 
 
 def test_restore_rejects_a_truncated_manifest(tmp_path):
