@@ -38,7 +38,12 @@ from .pipeline import (
     run_training,
     write_run,
 )
-from .word_level import build_toy_embedder, save_contextual_vectors, save_word_vectors
+from .word_level import (
+    build_toy_embedder,
+    check_toy_settings,
+    save_contextual_vectors,
+    save_word_vectors,
+)
 
 _FAILURES = (ConfigError, DataError, ParseError, LabelError, ShapeError,
              WindowError, DivergenceError, InstanceKeyError,
@@ -62,6 +67,8 @@ def _parse_ids(raw: str) -> list[int]:
 
 
 def cmd_learn_bpe(args) -> int:
+    if args.merges < 0:
+        raise ConfigError(f"--merges: must be non-negative, got {args.merges}")
     if args.freq:
         frequencies = load_word_frequencies(args.corpus)
     else:
@@ -78,6 +85,8 @@ def cmd_learn_bpe(args) -> int:
 def cmd_prep_contextual(args) -> int:
     if args.max_tokens < 1:
         raise ConfigError(f"--max-tokens: must be at least 1, got {args.max_tokens}")
+    check_toy_settings(args.width, args.char_width, args.epochs, args.lr,
+                       ("--width", "--char-width", "--epochs", "--lr"))
     records = load_corpus(args.corpus)
     sentences = corpus_sentences(records)
     embedder, history = build_toy_embedder(

@@ -18,6 +18,7 @@ from .data import SPLITS, TOP_LEVEL_CLASSES
 from .errors import ConfigError, utf8_text
 from .sentence_level import BLOCK_TYPES
 from .training import TrainConfig
+from .word_level import check_toy_settings
 
 CONTEXTUAL_SOURCES = ("fresh", "vectors")
 OUTPUT_ROOT_ENV = "DISCREL_OUTPUT_ROOT"
@@ -225,18 +226,10 @@ def validate(config: RunConfig) -> None:
             raise ConfigError(f"model.contextual_source: expected one of "
                               f"{CONTEXTUAL_SOURCES}, got {config.contextual_source!r}")
         if config.contextual_source == "fresh":
-            if config.contextual_dim < 2 or config.contextual_dim % 2:
-                raise ConfigError(f"model.contextual_dim: must be even and at least 2, "
-                                  f"got {config.contextual_dim}")
-            if config.contextual_char_dim < 1:
-                raise ConfigError(f"model.contextual_char_dim: must be positive, "
-                                  f"got {config.contextual_char_dim}")
-            if config.contextual_epochs < 0:
-                raise ConfigError(f"model.contextual_epochs: must be non-negative, "
-                                  f"got {config.contextual_epochs}")
-            if config.contextual_lr <= 0:
-                raise ConfigError(f"model.contextual_lr: must be positive, "
-                                  f"got {config.contextual_lr}")
+            check_toy_settings(config.contextual_dim, config.contextual_char_dim,
+                               config.contextual_epochs, config.contextual_lr,
+                               ("model.contextual_dim", "model.contextual_char_dim",
+                                "model.contextual_epochs", "model.contextual_lr"))
         if config.contextual_out_dim < 1:
             raise ConfigError(f"model.contextual_out_dim: must be positive, "
                               f"got {config.contextual_out_dim}")

@@ -319,6 +319,8 @@ def synthetic_corpus(n_records: int, class_names, seed: int = 0,
     class_names = list(class_names)
     if not class_names:
         raise ConfigError("synthetic corpus: need at least one class")
+    if n_records < 1:
+        raise ConfigError(f"synthetic corpus: need at least one record, got {n_records}")
     if filler_words < 1:
         raise ConfigError(f"synthetic corpus: need at least one filler word, got {filler_words}")
     if arg_len < 1:

@@ -2,16 +2,21 @@
 
 The forward pass is batch-first.  Every argument is padded to a fixed
 length and embedded token by token; a batch's B first arguments are stacked
-into one (B*N, dim) matrix and run through their encoder stack in one pass,
-and likewise the second arguments.  Each instance's rows are then
-cross-attended layer by layer and 2-max pooled into its pair representation,
-and two heads score all B pair vectors at once — one over relation classes
-and one over implicit connectives.  The connective head exists purely as a
-training-time auxiliary signal; prediction reads the relation head alone.
+into one (B*N, dim) matrix, and likewise the second arguments.  The two
+argument stacks advance together, one layer of both at a time, so each
+recurrent layer is one scan of all four recurrences (both arguments, both
+directions).  Each instance's rows are then cross-attended layer by layer
+and 2-max pooled into its pair representation, and two heads score all B
+pair vectors at once — one over relation classes and one over implicit
+connectives.  The connective head exists purely as a training-time
+auxiliary signal; prediction reads the relation head alone.
 
 Dropout acts on the embeddings, each encoder block's input and the pair
 vector, at rates fixed when the model is built; the forward methods draw
 masks from an optional ``rng``, and a pass without an rng draws no masks.
+Masks are drawn in the order the pass runs: the first arguments'
+embeddings, the second arguments', the encoder inputs (layer by layer,
+argument 1 before argument 2 within a layer), then the pair vectors.
 
 Padding is computed once per distinct row, never trimmed.  Every ``<pad>``
 row embeds to the same vector (a zero word vector, the pad subword
@@ -48,7 +53,7 @@ from .data import pad_truncate
 from .errors import ConfigError
 from .init import uniform_param, zeros_param
 from .pair_level import BiAttention, attention_map, build_pair_representation
-from .sentence_level import argument_stacks
+from .sentence_level import EncoderStack, argument_stacks
 from .tensor import Parameter, Tensor
 from .word_level import TokenEmbedder, ToyContextualEmbedder
 
@@ -206,8 +211,9 @@ class RelationModel:
         rows2 = self._rows_per_instance(real2, rng)
         e1 = self._embed(args1, rows1, rng)
         e2 = self._embed(args2, rows2, rng)
-        layers1 = self.stack1.forward(e1, batch, dropout_rate=self.encoder_dropout, rng=rng)
-        layers2 = self.stack2.forward(e2, batch, dropout_rate=self.encoder_dropout, rng=rng)
+        layers1, layers2 = EncoderStack.forward(
+            (self.stack1, self.stack2), (e1, e2), batch,
+            dropout_rate=self.encoder_dropout, rng=rng)
         if not self.res_pair:
             layers1, layers2 = layers1[-1:], layers2[-1:]
         return (self._expand(layers1, real1, rows1, batch),

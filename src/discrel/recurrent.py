@@ -1,13 +1,20 @@
 """The bidirectional gated recurrent layer, the model's one recurrence unit.
 
-``BiGRU`` owns both directions' weights and runs them as the single tape
-operation ``tensor.bigru_sequence``, whose docstring gives the gate
-equations: the reset gate acts on the previous state *before* the recurrent
+``BiGRU`` owns both directions' weights.  ``BiGRU.forward`` runs one layer
+per input, each with its own ``BiGRU`` (or the same one several times), as
+the single tape operation ``tensor.bigru_scan``: the two arguments of a pair
+advance through a recurrent stack together, and all four recurrences of a
+layer (each argument, each direction) are stepped in one scan.  (So an
+encoder draws its dropout masks layer by layer, argument 1 before argument
+2, see ``sentence_level``.)  The op's docstring gives the gate equations:
+the reset gate acts on the previous state *before* the recurrent
 projection, and the update gate weighs the previous state (so z == 1 copies
 it forward unchanged).
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -36,5 +43,8 @@ class BiGRU:
     def parameters(self) -> list[Parameter]:
         return [*self.fwd, *self.bwd]
 
-    def forward(self, x: Tensor, batch: int = 1) -> Tensor:
-        return T.bigru_sequence(x, self.fwd, self.bwd, batch)
+    @staticmethod
+    def forward(layers: Sequence[BiGRU], inputs: Sequence[Tensor],
+                batch: int = 1) -> tuple[Tensor, ...]:
+        """``layers[i]`` over ``inputs[i]`` (B*N rows each), all in one scan."""
+        return T.bigru_scan(inputs, [(layer.fwd, layer.bwd) for layer in layers], batch)

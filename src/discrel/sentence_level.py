@@ -13,14 +13,21 @@ Every block and stack takes B equal-length token matrices stacked by rows,
 (B*N, width), and the batch count B; convolution windows and recurrent
 scans stay inside each instance's rows.  A stack applies its blocks in
 sequence and reports every intermediate layer, since downstream pairing
-consumes all depths, not only the last.  Input dropout is applied in front
-of every block; a pass without an rng draws no masks (inference), and
-neither does a pass at rate 0.  With all weights zero, a residual block is
-exactly the identity; stacks for the two arguments of a pair are built
-either with their own weights or shared.
+consumes all depths, not only the last.  ``EncoderStack.forward`` runs
+several stacks (a pair's two argument stacks) over their own inputs.  The
+stacks advance together, one layer of all of them at a time, and a block
+type's ``forward`` takes that layer's blocks and inputs, so the recurrent
+layers of every stack at a depth are one scan.  Input dropout is applied
+in front of every block, its masks drawn in the order the blocks run
+(layer by layer, stack order within a layer); a pass without an rng draws
+no masks (inference), and neither does a pass at rate 0.  With all weights
+zero, a residual block is exactly the identity; stacks for the two
+arguments of a pair are built either with their own weights or shared.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -44,9 +51,15 @@ class ConvBlock:
     def parameters(self) -> list[Parameter]:
         return [self.kernel, self.bias]
 
-    def forward(self, x: Tensor, batch: int = 1) -> Tensor:
-        gated = T.glu(T.conv1d(x, self.kernel, self.bias, pad="same", batch=batch))
-        return x + gated if self.residual else gated
+    @staticmethod
+    def forward(blocks: Sequence[ConvBlock], inputs: Sequence[Tensor],
+                batch: int = 1) -> list[Tensor]:
+        """``blocks[i]`` over ``inputs[i]``, one after the other."""
+        out = []
+        for block, x in zip(blocks, inputs):
+            gated = T.glu(T.conv1d(x, block.kernel, block.bias, pad="same", batch=batch))
+            out.append(x + gated if block.residual else gated)
+        return out
 
 
 class RecurrentBlock:
@@ -61,9 +74,17 @@ class RecurrentBlock:
     def parameters(self) -> list[Parameter]:
         return self.bigru.parameters() + [self.proj_w, self.proj_b]
 
-    def forward(self, x: Tensor, batch: int = 1) -> Tensor:
-        y = T.add_bias(self.bigru.forward(x, batch) @ self.proj_w, self.proj_b)
-        return x + y if self.residual else y
+    @staticmethod
+    def forward(blocks: Sequence[RecurrentBlock], inputs: Sequence[Tensor],
+                batch: int = 1) -> list[Tensor]:
+        """``blocks[i]`` over ``inputs[i]``; the recurrences of all of them
+        are one scan."""
+        states = BiGRU.forward([block.bigru for block in blocks], inputs, batch)
+        out = []
+        for block, x, h in zip(blocks, inputs, states):
+            y = T.add_bias(h @ block.proj_w, block.proj_b)
+            out.append(x + y if block.residual else y)
+        return out
 
 
 BLOCK_TYPES = ("conv", "recurrent")
@@ -93,18 +114,27 @@ class EncoderStack:
     def parameters(self) -> list[Parameter]:
         return [p for block in self.blocks for p in block.parameters()]
 
-    def forward(self, x: Tensor, batch: int = 1, *, dropout_rate: float = 0.0,
-                rng: np.random.Generator | None = None) -> list[Tensor]:
-        """All layer outputs, shallowest first; each is (B*N, width) for the
-        ``batch`` = B instances stacked in ``x``.  Dropout masks are drawn
-        from ``rng`` only when one is given."""
-        if x.shape[1] != self.width:
-            raise ShapeError(f"EncoderStack: input width {x.shape[1]} != {self.width}")
-        outputs = []
-        h = x
-        for block in self.blocks:
-            h = block.forward(T.dropout(h, dropout_rate, rng), batch)
-            outputs.append(h)
+    @staticmethod
+    def forward(stacks: Sequence[EncoderStack], inputs: Sequence[Tensor], batch: int = 1, *,
+                dropout_rate: float = 0.0,
+                rng: np.random.Generator | None = None) -> list[list[Tensor]]:
+        """Per stack, all layer outputs of ``stacks[i]`` over ``inputs[i]``,
+        shallowest first; each is (B*N, width) for the ``batch`` = B
+        instances stacked in the input.  The stacks share a block type and
+        depth and advance one layer of all of them at a time, so that each
+        depth's recurrences are one scan.  Dropout masks are drawn from
+        ``rng`` only when one is given, in that order: layer by layer,
+        stack order within a layer."""
+        for stack, x in zip(stacks, inputs, strict=True):
+            if x.shape[1] != stack.width:
+                raise ShapeError(f"EncoderStack: input width {x.shape[1]} != {stack.width}")
+        outputs = [[] for _ in stacks]
+        hs = list(inputs)
+        for blocks in zip(*(stack.blocks for stack in stacks), strict=True):
+            hs = type(blocks[0]).forward(
+                blocks, [T.dropout(h, dropout_rate, rng) for h in hs], batch)
+            for layers, h in zip(outputs, hs):
+                layers.append(h)
         return outputs
 
 

@@ -52,7 +52,7 @@ __all__ = [
     "slice_rows",
     "softmax_rows",
     "conv1d",
-    "bigru_sequence",
+    "bigru_scan",
     "topk_pool",
     "segment_max",
     "cross_entropy",
@@ -134,7 +134,8 @@ class Parameter(Tensor):
 class _Node:
     __slots__ = ("output", "inputs", "backward_fn")
 
-    def __init__(self, output: Tensor, inputs: tuple[Tensor, ...], backward_fn: Callable):
+    def __init__(self, output: Tensor | tuple[Tensor, ...], inputs: tuple[Tensor, ...],
+                 backward_fn: Callable):
         self.output = output
         self.inputs = inputs
         self.backward_fn = backward_fn
@@ -174,8 +175,16 @@ def _tracked(*inputs: Tensor) -> bool:
     return st.enabled and any(t.requires_grad for t in inputs)
 
 
-def _record(output: Tensor, inputs: tuple[Tensor, ...], backward_fn: Callable) -> None:
-    output.requires_grad = True
+def _record(output: Tensor | tuple[Tensor, ...], inputs: tuple[Tensor, ...],
+            backward_fn: Callable) -> None:
+    """Append one node; an operation with several outputs passes them as a
+    tuple, and its ``backward_fn`` receives their gradients as a list, None
+    for an output that got none.  A ``backward_fn`` owns the gradient
+    arrays it receives and may overwrite them: ``backward`` drops the
+    outputs' references right after the call, and ``_accum`` copies every
+    gradient it stores, so no other holder sees the change."""
+    for t in output if isinstance(output, tuple) else (output,):
+        t.requires_grad = True
     _state().tape.append(_Node(output, inputs, backward_fn))
 
 
@@ -196,18 +205,28 @@ def backward(loss: Tensor) -> None:
     recorded operation produced (parameters and tracked inputs).  An
     operation's output gradient is complete once its node is reached, and
     is dropped right after it has been passed on, so the pass never holds
-    the gradients of all activations at once.
+    the gradients of all activations at once; the node's ``backward_fn``
+    takes ownership of it and may use it as scratch space.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
     tape = active_tape()
     loss.grad = np.ones_like(loss.data)
     for node in reversed(tape):
-        g = node.output.grad
+        out = node.output
+        if isinstance(out, tuple):
+            grads = [t.grad for t in out]
+            if all(g is None for g in grads):
+                continue
+            node.backward_fn(grads)
+            for t in out:
+                t.grad = None
+            continue
+        g = out.grad
         if g is None:
             continue
         node.backward_fn(g)
-        node.output.grad = None
+        out.grad = None
     tape.clear()
 
 
@@ -290,10 +309,11 @@ def scalar_mul(s: Tensor, t: Tensor) -> Tensor:
     return out
 
 
-def _sigmoid(a: np.ndarray) -> np.ndarray:
+def _sigmoid(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """sigmoid(a) = tanh(a/2)/2 + 1/2: a single overflow-free tanh, in one
-    buffer; exactly 0, 1/2 and 1 at -800, 0 and 800."""
-    y = np.multiply(a, 0.5)
+    buffer (``out`` when given, which may be ``a``); exactly 0, 1/2 and 1
+    at -800, 0 and 800."""
+    y = np.multiply(a, 0.5, out=out)
     np.tanh(y, out=y)
     y *= 0.5
     y += 0.5
@@ -564,113 +584,248 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, pad: str = "sa
     return out
 
 
-def _gru_direction(x: Tensor, weights: Sequence[Tensor], steps: range,
-                   states: np.ndarray) -> Callable:
-    """One direction of ``bigru_sequence``: scans each sequence's rows in the
-    order of ``steps`` and writes its (B, N, h) hidden states into
-    ``states``.  Returns the direction's backpropagation through time, which
-    takes the gradient of those states and adds into ``x`` and the weights."""
-    w_gates, u_gates, u_cand, b_gates = weights
-    batch, n, dh = states.shape
-    if (w_gates.shape != (x.shape[1], 3 * dh) or u_gates.shape != (dh, 2 * dh)
-            or u_cand.shape != (dh, dh) or b_gates.shape != (3 * dh,)):
-        raise ShapeError(f"bigru_sequence: weights {w_gates.shape}, {u_gates.shape}, "
-                         f"{u_cand.shape}, {b_gates.shape} do not fit input width "
-                         f"{x.shape[1]} and hidden width {dh}")
-    proj = (x.data @ w_gates.data + b_gates.data).reshape(batch, n, 3 * dh)
-    ug, un = u_gates.data, u_cand.data
-    gates = np.empty((batch, n, 2 * dh))  # [r | z]
-    cand = np.empty((batch, n, dh))
-    h = np.zeros((batch, dh))
-    for t in steps:
-        rz = _sigmoid(proj[:, t, :2 * dh] + h @ ug)
-        c = np.tanh(proj[:, t, 2 * dh:] + (rz[:, :dh] * h) @ un)
-        z = rz[:, dh:]
-        h = z * h + (1.0 - z) * c
-        gates[:, t] = rz
-        cand[:, t] = c
-        states[:, t] = h
-
-    def bptt(g):
-        r, z = gates[:, :, :dh], gates[:, :, dh:]
-        # The state entering each step, in scan order.
-        prev = np.zeros((batch, n, dh))
-        if steps.step < 0:
-            prev[:, :-1] = states[:, 1:]
-        else:
-            prev[:, 1:] = states[:, :-1]
-        # Per-step factors that do not depend on the incoming gradient.
-        to_cand = (1.0 - z) * (1.0 - cand * cand)
-        to_update = (prev - cand) * z * (1.0 - z)
-        to_reset = prev * r * (1.0 - r)
-        d_proj = np.empty((batch, n, 3 * dh))
-        ug_t, un_t = ug.T, un.T
-        d_h = np.zeros((batch, dh))
-        for t in reversed(steps):
-            d_h = d_h + g[:, t]
-            d_c = d_h * to_cand[:, t]
-            d_rh = d_c @ un_t
-            d_rz = d_proj[:, t, :2 * dh]
-            d_rz[:, :dh] = d_rh * to_reset[:, t]
-            d_rz[:, dh:] = d_h * to_update[:, t]
-            d_proj[:, t, 2 * dh:] = d_c
-            d_h = d_h * z[:, t] + d_rh * r[:, t] + d_rz @ ug_t
-        d_proj = d_proj.reshape(batch * n, 3 * dh)
-        if x.requires_grad:
-            _accum(x, d_proj @ w_gates.data.T)
-        if w_gates.requires_grad:
-            _accum(w_gates, x.data.T @ d_proj)
-        if b_gates.requires_grad:
-            _accum(b_gates, d_proj.sum(axis=0))
-        if u_gates.requires_grad:
-            _accum(u_gates, prev.reshape(batch * n, dh).T @ d_proj[:, :2 * dh])
-        if u_cand.requires_grad:
-            _accum(u_cand, (r * prev).reshape(batch * n, dh).T @ d_proj[:, 2 * dh:])
-    return bptt
+# Streams of a scan step together only while their recurrent weights (3h^2
+# floats each) fit this many bytes: the four streams of a two-input layer
+# up to h = 104, pairs up to h = 147, one at a time from h = 148.  One such
+# layer at N = 100 on one BLAS thread, each group size against one stream
+# at a time (forward, forward+backward; B = 1, then B = 16):
+#   h = 100  four 1.24 1.39, 1.03 0.99   pairs 0.96 1.22, 1.03 1.01
+#   h = 128  four 1.10 1.13, 0.99 0.97   pairs 1.07 1.09, 1.05 0.99
+#   h = 140  four 0.99 1.03, 1.02 0.94   pairs 1.05 1.06, 1.06 0.98
+#   h = 150  four 0.87 0.91, 0.99 0.99   pairs 1.02 1.04, 1.04 0.99
+#   h = 160  four 0.88 0.89, 0.98 0.97   pairs 0.99 1.01, 1.01 1.00
+#   h = 200  four 0.74 0.82, 0.97 0.95   pairs 0.85 0.89, 0.97 0.97
+#   h = 300  four 0.81 0.88, 1.01 0.96   pairs 0.76 0.85, 1.01 0.97
+# At every point the size this budget picks is within 5% of the fastest.
+SCAN_GROUP_BYTES = 1 << 20
 
 
-def bigru_sequence(x: Tensor, forward: Sequence[Tensor], backward: Sequence[Tensor],
-                   batch: int = 1) -> Tensor:
-    """Bidirectional gated recurrence over ``batch`` sequences, one tape node.
+def _scan_order(a: np.ndarray, batch: int, n: int, reverse: bool) -> np.ndarray:
+    """(B*N, w) rows of B sequences as an (N*B, w) copy in scan order:
+    step-major, each sequence read from its last row when ``reverse``."""
+    steps = a.reshape(batch, n, -1).transpose(1, 0, 2)
+    return (steps[::-1] if reverse else steps).reshape(n * batch, -1)
 
-    ``x`` is (B*N, d): B sequences of N rows, stacked instance-major.  Each
-    direction scans every sequence from a zero state, the forward one from
-    its first row and the backward one from its last; per step, with h the
-    previous state,
+
+def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """(G, ...) stack of G equal-shape arrays; a view of a lone one."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def bigru_scan(inputs: Sequence[Tensor],
+               weights: Sequence[tuple[Sequence[Tensor], Sequence[Tensor]]],
+               batch: int = 1) -> tuple[Tensor, ...]:
+    """Bidirectional gated recurrences over several inputs, one tape node.
+
+    Each input is (B*N, d): ``batch`` = B sequences of N rows, stacked
+    instance-major, all inputs with the same B and N.  ``weights`` holds one
+    (forward, backward) pair per input, each direction's (w_gates, u_gates,
+    u_cand, b_gates); the same ``Parameter``s may serve several inputs.
+    Each direction scans every sequence from a zero state, the forward one
+    from its first row and the backward one from its last; per step, with h
+    the previous state,
 
         r = sigmoid(x_t W_r + h U_r + b_r)        (reset gate)
         z = sigmoid(x_t W_z + h U_z + b_z)        (update gate)
         c = tanh(x_t W_n + (r * h) U_n + b_n)     (candidate)
         h = z * h + (1 - z) * c
 
-    ``forward`` and ``backward`` are each one direction's (w_gates, u_gates,
-    u_cand, b_gates): ``w_gates`` is (d, 3h) with column blocks [reset |
-    update | candidate], ``u_gates`` is (h, 2h) as [U_r | U_z], ``u_cand``
-    is U_n (h, h) and ``b_gates`` is (3h,).  A direction's input projections
-    of all steps are one matmul before its time loop, and each step
-    multiplies the (B, h) states of all sequences together.  The output is
-    (B*N, 2h), aligned to the input rows: forward states in columns [0, h),
-    backward states in [h, 2h).  The backward pass is hand-written
-    backpropagation through time, the backward direction first; the weight
-    gradients are summed over all steps in one matmul each.
-    """
-    if x.data.ndim != 2:
-        raise ShapeError(f"bigru_sequence needs a 2-D input, got {x.shape}")
-    n = _sequence_length(x, batch, "bigru_sequence")
-    dh = forward[2].shape[0]
-    states = np.empty((batch, n, 2 * dh))
-    fwd_bptt = _gru_direction(x, forward, range(n), states[:, :, :dh])
-    bwd_bptt = _gru_direction(x, backward, range(n - 1, -1, -1), states[:, :, dh:])
-    out = Tensor(states.reshape(batch * n, 2 * dh))
+    ``w_gates`` is (d, 3h) with column blocks [reset | update | candidate],
+    ``u_gates`` is (h, 2h) as [U_r | U_z], ``u_cand`` is U_n (h, h) and
+    ``b_gates`` is (3h,).  Output i is (B*N, 2h), aligned to the rows of
+    input i: forward states in columns [0, h), backward states in [h, 2h).
 
-    inputs = (x, *forward, *backward)
-    if _tracked(*inputs):
-        def bwd(g):
-            g = g.reshape(batch, n, 2 * dh)
-            bwd_bptt(g[:, :, dh:])
-            fwd_bptt(g[:, :, :dh])
-        _record(out, inputs, bwd)
-    return out
+    The S = 2 * len(inputs) recurrences (every input's forward stream, then
+    every input's backward stream) never feed each other, so they advance
+    together: each step multiplies the (S, B, h) states of all of them by
+    their stacked U matrices in one batched matmul.  Everything is laid out
+    stream-major and step-major, (S, N, B, .), so one step of all streams is
+    one strided view.  One (S, N, B, 3h) buffer is the only per-step store:
+    it is filled with the input projections before the loop (a backward
+    stream's time-reversed, so it too is read first step to last), each
+    step overwrites its projections with that step's [r | z | c], and the
+    backpropagation through time overwrites those with their gradients,
+    from which the weight and input gradients are each one matmul per
+    stream.  States go straight into the outputs, in input order.  The
+    derivative factors of the gates are computed a few steps at a time, in
+    arrays that with their temporaries hold no more than one stream's
+    projection.  The backward pass consumes the output gradients it is
+    given: once a step has read its slot, the slot holds r * h for the U_n
+    gradient.
+
+    Streams step together in groups of as many as their recurrent weights
+    fit in ``SCAN_GROUP_BYTES`` (its comment has the timings), so a wide
+    layer scans its streams in pairs or one at a time; any grouping gives
+    bitwise the same results.
+    """
+    n_in = len(inputs)
+    if n_in == 0 or len(weights) != n_in:
+        raise ShapeError(f"bigru_scan: {n_in} inputs need as many weight pairs, "
+                         f"got {len(weights)}")
+    if any(x.data.ndim != 2 for x in inputs):
+        raise ShapeError(f"bigru_scan needs 2-D inputs, got {[x.shape for x in inputs]}")
+    rows = inputs[0].shape[0]
+    if any(x.shape[0] != rows for x in inputs):
+        raise ShapeError(f"bigru_scan: inputs of {[x.shape[0] for x in inputs]} rows "
+                         f"must all have the same number")
+    n = _sequence_length(inputs[0], batch, "bigru_scan")
+    dh = weights[0][0][2].shape[0]
+    # Stream s is input s % n_in, scanned backwards when s >= n_in.
+    streams = [(i, reverse) for reverse in (False, True) for i in range(n_in)]
+    params = [weights[i][reverse] for i, reverse in streams]
+    for (i, _), (w_gates, u_gates, u_cand, b_gates) in zip(streams, params):
+        if (w_gates.shape != (inputs[i].shape[1], 3 * dh) or u_gates.shape != (dh, 2 * dh)
+                or u_cand.shape != (dh, dh) or b_gates.shape != (3 * dh,)):
+            raise ShapeError(f"bigru_scan: weights {w_gates.shape}, {u_gates.shape}, "
+                             f"{u_cand.shape}, {b_gates.shape} do not fit input width "
+                             f"{inputs[i].shape[1]} and hidden width {dh}")
+    n_streams = 2 * n_in
+    flat = [t for pair in weights for direction in pair for t in direction]
+    tracked = _tracked(*inputs, *flat)
+
+    buf = np.empty((n_streams, n, batch, 3 * dh))
+    for s, ((i, reverse), (w_gates, _, _, b_gates)) in enumerate(zip(streams, params)):
+        proj = buf[s].reshape(n * batch, 3 * dh)
+        np.matmul(_scan_order(inputs[i].data, batch, n, reverse), w_gates.data, out=proj)
+        proj += b_gates.data
+    # Each group of streams: its stream range, then the ranges of the
+    # inputs it scans forwards and backwards.
+    size = max(1, SCAN_GROUP_BYTES // (3 * dh * dh * 8))
+    groups = [(lo, hi, min(lo, n_in), min(hi, n_in), max(lo, n_in) - n_in,
+               max(hi, n_in) - n_in)
+              for lo, hi in ((lo, min(lo + size, n_streams))
+                             for lo in range(0, n_streams, size))]
+
+    def stacked_u(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """The group's U_r|U_z and U_n, stacked; rebuilt where needed, not kept."""
+        return (_stacked([p[1].data for p in params[lo:hi]]),
+                _stacked([p[2].data for p in params[lo:hi]]))
+
+    states = np.empty((n_in, batch, n, 2 * dh))
+    for lo, hi, f_lo, f_hi, b_lo, b_hi in groups:
+        ug, un = stacked_u(lo, hi)
+        split = f_hi - f_lo
+        h = np.zeros((hi - lo, batch, dh))
+        for t in range(n):
+            step = buf[lo:hi, t]
+            rz = h @ ug
+            rz += step[..., :2 * dh]
+            _sigmoid(rz, out=rz)
+            c = (rz[..., :dh] * h) @ un
+            c += step[..., 2 * dh:]
+            np.tanh(c, out=c)
+            if tracked:
+                step[..., :2 * dh] = rz
+                step[..., 2 * dh:] = c
+            z = rz[..., dh:]
+            h = z * h + (1.0 - z) * c
+            if split:
+                states[f_lo:f_hi, :, t, :dh] = h[:split]
+            if b_hi > b_lo:
+                states[b_lo:b_hi, :, n - 1 - t, dh:] = h[split:]
+    outs = tuple(Tensor(states[i].reshape(batch * n, 2 * dh)) for i in range(n_in))
+    if not tracked:
+        return outs
+
+    def bwd(grads):
+        grads = [(np.zeros((batch * n, 2 * dh)) if g is None else g).reshape(batch, n, 2 * dh)
+                 for g in grads]
+        # Each stream's (output gradient, reversed?, first column).
+        slots = [(grads[i], reverse, dh if reverse else 0) for i, reverse in streams]
+        for lo, hi, *ranges in groups:
+            ug, un = stacked_u(lo, hi)
+            _group_bptt(buf[lo:hi], states, slots[lo:hi], ranges,
+                        ug.transpose(0, 2, 1), un.transpose(0, 2, 1))
+
+        # Inputs last to first, each one's backward stream first: the order
+        # in which separate per-input scans would add into shared weights.
+        for s in sorted(range(n_streams), key=lambda s: (-streams[s][0], -s)):
+            i, reverse = streams[s]
+            x = inputs[i]
+            w_gates, u_gates, u_cand, b_gates = params[s]
+            d_proj = buf[s].reshape(n * batch, 3 * dh)
+            if w_gates.requires_grad:
+                _accum(w_gates, _scan_order(x.data, batch, n, reverse).T @ d_proj)
+            if x.requires_grad:
+                if x.grad is None:
+                    x.grad = np.zeros_like(x.data)
+                # Splitting the row axis is a view in any layout, so this
+                # adds into the gradient itself, in scan order.
+                steps = x.grad.reshape(batch, n, -1).transpose(1, 0, 2)
+                steps = steps[::-1] if reverse else steps
+                steps += (d_proj @ w_gates.data.T).reshape(n, batch, -1)
+            if b_gates.requires_grad:
+                _accum(b_gates, d_proj.sum(axis=0))
+            g, _, col = slots[s]
+            if u_gates.requires_grad:
+                prev = np.zeros((n, batch, dh))
+                held = states[i, :, :, col:col + dh].transpose(1, 0, 2)
+                prev[1:] = (held[::-1] if reverse else held)[:-1]
+                _accum(u_gates, prev.reshape(n * batch, dh).T @ d_proj[:, :2 * dh])
+            if u_cand.requires_grad:
+                _accum(u_cand, _scan_order(g[:, :, col:col + dh], batch, n, reverse).T
+                       @ d_proj[:, 2 * dh:])
+    _record(outs, (*inputs, *flat), bwd)
+    return outs
+
+
+def _group_bptt(buf: np.ndarray, states: np.ndarray, slots, ranges: Sequence[int],
+                ugt: np.ndarray, unt: np.ndarray) -> None:
+    """Backpropagation through time for one group of ``bigru_scan``'s streams.
+
+    ``buf`` is the group's (G, N, B, 3h) part of the buffer, holding each
+    step's [r | z | c]; they are overwritten with the gradients of the
+    pre-activations.  ``slots`` are the streams' (output gradient, reversed?,
+    first column), ``ranges`` the (first, end) inputs the group scans
+    forwards, then backwards, and ``ugt`` and ``unt`` the stacked,
+    transposed U matrices.
+    """
+    size, n, batch, width = buf.shape
+    dh = width // 3
+    f_lo, f_hi, b_lo, b_hi = ranges
+    split = f_hi - f_lo
+    # Steps per chunk, so that its five (G, K, B, h) arrays of derivative
+    # factors, and the temporaries that compute them, hold no more than one
+    # stream's (N, B, 3h) projection.
+    chunk = max(1, 3 * n // (10 * size))
+    d_h = np.zeros((size, batch, dh))
+    for t1 in range(n, 0, -chunk):
+        t0 = max(0, t1 - chunk)
+        # The state entering each step of the chunk, zero before step 0.
+        first = 1 if t0 == 0 else 0
+        prev = np.zeros((size, t1 - t0, batch, dh))
+        prev[:split, first:] = (
+            states[f_lo:f_hi, :, t0 - 1 + first:t1 - 1, :dh].transpose(0, 2, 1, 3))
+        prev[split:, first:] = (
+            states[b_lo:b_hi, :, n - t1 + 1:n - t0 - first + 1, dh:][:, :, ::-1]
+            .transpose(0, 2, 1, 3))
+        gates = buf[:, t0:t1]
+        r, z, c = gates[..., :dh], gates[..., dh:2 * dh], gates[..., 2 * dh:]
+        to_cand = (1.0 - z) * (1.0 - c * c)
+        to_update = (prev - c) * z * (1.0 - z)
+        rh = prev * r
+        to_reset = rh * (1.0 - r)
+        del prev
+        for t in range(t1 - 1, t0 - 1, -1):
+            j = t - t0
+            for k, (g, reverse, col) in enumerate(slots):
+                d_h[k] += g[:, n - 1 - t if reverse else t, col:col + dh]
+            step = buf[:, t]
+            r, z, c = step[..., :dh], step[..., dh:2 * dh], step[..., 2 * dh:]
+            carry = d_h * z
+            d_c = np.multiply(d_h, to_cand[:, j], out=c)
+            d_rh = d_c @ unt
+            carry += d_rh * r
+            np.multiply(d_rh, to_reset[:, j], out=r)
+            np.multiply(d_h, to_update[:, j], out=z)
+            d_h = carry
+            d_h += step[..., :2 * dh] @ ugt
+        # The chunk's output-gradient slots are read; they keep r * h now.
+        for k, (g, reverse, col) in enumerate(slots):
+            if reverse:
+                g[:, n - t1:n - t0, col:col + dh] = rh[k, ::-1].transpose(1, 0, 2)
+            else:
+                g[:, t0:t1, col:col + dh] = rh[k].transpose(1, 0, 2)
 
 
 def topk_pool(x: Tensor, k: int) -> Tensor:

@@ -317,8 +317,8 @@ class ToyContextualEmbedder(ContextualEmbedder):
         rows = [[self.char_ids.get(c, self.CHAR_UNK) for c in w] for w in words]
         (vectors,) = _conv_max_pool(self.char_table, rows, self.CHAR_PAD,
                                     [(self.char_kernel, self.char_bias)])
-        lower = self.rnn1.forward(T.gather_rows(vectors, positions))
-        upper = self.rnn2.forward(lower)
+        (lower,) = BiGRU.forward([self.rnn1], [T.gather_rows(vectors, positions)])
+        (upper,) = BiGRU.forward([self.rnn2], [lower])
         return lower, upper
 
     def embed(self, tokens) -> tuple[np.ndarray, np.ndarray]:
@@ -374,6 +374,21 @@ class ToyContextualEmbedder(ContextualEmbedder):
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         T.load_parameters(self.parameters(), arrays, "toy embedder state")
         self._cache.clear()
+
+
+def check_toy_settings(dim: int, char_dim: int, epochs: int, lr: float,
+                       names: tuple[str, str, str, str]) -> None:
+    """Raise ``ConfigError`` unless a toy embedder can be built and trained
+    with these settings; ``names`` are the caller's names for the four."""
+    dim_name, char_dim_name, epochs_name, lr_name = names
+    if dim < 2 or dim % 2:
+        raise ConfigError(f"{dim_name}: must be even and at least 2, got {dim}")
+    if char_dim < 1:
+        raise ConfigError(f"{char_dim_name}: must be positive, got {char_dim}")
+    if epochs < 0:
+        raise ConfigError(f"{epochs_name}: must be non-negative, got {epochs}")
+    if lr <= 0:
+        raise ConfigError(f"{lr_name}: must be positive, got {lr}")
 
 
 def build_toy_embedder(sentences, dim: int = 64, char_dim: int = 16,

@@ -3,8 +3,8 @@
 This is the recurrence written out one gate and one time step at a time
 (about fifteen tape nodes per step), exactly as the equations in
 ``discrel.recurrent`` read.  It is slow, but every step is plainly the
-textbook update, so it is the reference that each direction of the fused
-``tensor.bigru_sequence`` must reproduce on outputs and on gradients.
+textbook update, so it is the reference that every stream of the fused
+``tensor.bigru_scan`` must reproduce on outputs and on gradients.
 """
 
 import numpy as np
@@ -40,7 +40,7 @@ def composed_direction(x, w_gates, u_gates, u_cand, b_gates):
 
 
 def composed_gru(x, w_gates, u_gates, u_cand, b_gates, batch=1, reverse=False):
-    """One direction of ``tensor.bigru_sequence``, one sequence at a time;
+    """One stream of ``tensor.bigru_scan``, one sequence at a time;
     ``reverse`` scans each sequence from its last row to its first."""
     n = x.shape[0] // batch
     outputs = []

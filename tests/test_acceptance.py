@@ -145,9 +145,21 @@ def operation_cases():
     xr, wr = var(2 * 3, 2), const(2 * 3, 4)
     forward = [var(2, 6), var(2, 4), var(2, 2), var(6)]
     backward = [var(2, 6), var(2, 4), var(2, 2), var(6)]
-    case("bigru_sequence",
-         lambda: T.sum_all(T.mul(T.bigru_sequence(xr, forward, backward, batch=2), wr)),
+    case("bigru_scan",
+         lambda: T.sum_all(T.mul(T.bigru_scan([xr], [(forward, backward)], batch=2)[0], wr)),
          xr, *forward, *backward)
+
+    # Two inputs: the second reuses the first's forward weights, as shared
+    # stacks do, and has backward weights of its own.
+    x1, x2, w1, w2 = var(2 * 3, 2), var(2 * 3, 2), const(2 * 3, 4), const(2 * 3, 4)
+    backward2 = [var(2, 6), var(2, 4), var(2, 2), var(6)]
+
+    def two_inputs():
+        out1, out2 = T.bigru_scan([x1, x2], [(forward, backward), (forward, backward2)],
+                                  batch=2)
+        return T.sum_all(T.mul(out1, w1)) + T.sum_all(T.mul(out2, w2))
+
+    case("bigru_scan over two inputs", two_inputs, x1, x2, *forward, *backward, *backward2)
 
     return cases
 
@@ -206,7 +218,7 @@ def test_zero_initialized_blocks_are_bitwise_identities(block_type):
     for p in block.parameters():
         p.data[...] = 0.0
     with T.no_grad():
-        out = block.forward(x)
+        (out,) = type(block).forward([block], [x])
     assert out.numpy().tobytes() == x.numpy().tobytes()
 
 
@@ -219,7 +231,7 @@ def test_zero_initialized_stack_of_five_stays_an_identity(block_type):
     for p in stack.parameters():
         p.data[...] = 0.0
     with T.no_grad():
-        outputs = stack.forward(x)
+        (outputs,) = EncoderStack.forward([stack], [x])
     assert len(outputs) == 5
     for out in outputs:
         assert out.numpy().tobytes() == x.numpy().tobytes()

@@ -95,7 +95,8 @@ def test_gen_synthetic_rejects_an_empty_filler_vocabulary(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags", [["--arg-len", 0], ["--arg-len", -2],
-                                   ["--word-vectors", "v.txt", "--dim", 0]])
+                                   ["--word-vectors", "v.txt", "--dim", 0],
+                                   ["--records", -3]])
 def test_gen_synthetic_rejects_sizes_that_make_a_bad_file(tmp_path, capsys, flags):
     corpus = tmp_path / "c.jsonl"
     flags = [tmp_path / f if f == "v.txt" else f for f in flags]
@@ -115,6 +116,28 @@ def test_prep_contextual_rejects_a_non_positive_token_limit(workspace, tmp_path,
     assert code == 1
     assert err.startswith("error ConfigError: --max-tokens")
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("flags", [["--width", 0], ["--width", 5], ["--char-width", 0],
+                                   ["--epochs", -1], ["--lr", 0]])
+def test_prep_contextual_rejects_bad_model_arguments_before_reading(tmp_path, capsys, flags):
+    # The corpus does not exist: the arguments are checked first.
+    out_path = tmp_path / "ctx.txt"
+    code, out, err = run_cli(capsys, "prep-contextual", tmp_path / "missing.jsonl",
+                             out_path, *flags)
+    assert code == 1
+    assert err.startswith(f"error ConfigError: {flags[0]}: ")
+    assert f"got {flags[1]}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_learn_bpe_rejects_a_negative_merge_count(workspace, tmp_path, capsys):
+    out_path = tmp_path / "merges.txt"
+    code, out, err = run_cli(capsys, "learn-bpe", workspace / "corpus.jsonl", out_path,
+                             "--merges", -1)
+    assert code == 1
+    assert err.startswith("error ConfigError: --merges: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_learn_bpe_is_deterministic(workspace, tmp_path, capsys):

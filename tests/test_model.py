@@ -8,6 +8,7 @@ from discrel.data import pad_truncate
 from discrel.errors import ConfigError, ParseError, ShapeError
 from discrel.model import ClassifierHead, RelationModel
 from discrel.pair_level import pool_layer
+from discrel.sentence_level import EncoderStack
 from discrel.word_level import (
     ContextualMixer,
     TokenEmbedder,
@@ -105,8 +106,8 @@ def test_baseline_without_attention_pools_encoder_outputs_directly():
     tokens2, n2 = pad_truncate(ARG2, model.max_tokens), len(ARG2)
     e1 = model.embedder.embed_sentence(tokens1, n1)
     e2 = model.embedder.embed_sentence(tokens2, n2)
-    v1 = model.stack1.forward(e1)[-1]
-    v2 = model.stack2.forward(e2)[-1]
+    layers1, layers2 = EncoderStack.forward([model.stack1, model.stack2], [e1, e2])
+    v1, v2 = layers1[-1], layers2[-1]
     want = pool_layer(v1, v2).numpy()
     assert np.array_equal(got, want)
 
@@ -274,9 +275,14 @@ def test_dropout_rates_outside_the_unit_interval_are_rejected_at_build(rate, val
 # Gradients
 
 
-@pytest.mark.parametrize("block_type", ["conv", "recurrent"])
-def test_end_to_end_gradients(block_type):
-    model = tiny_model(dim=4, depth=1, max_tokens=4, block_type=block_type)
+# With shared stacks one scan runs both arguments through the same recurrent
+# weights, which gather the gradients of all four streams.
+@pytest.mark.parametrize("block_type,shared", [("conv", False), ("recurrent", False),
+                                               ("recurrent", True)],
+                         ids=["conv", "recurrent", "recurrent-shared"])
+def test_end_to_end_gradients(block_type, shared):
+    model = tiny_model(dim=4, depth=1, max_tokens=4, block_type=block_type,
+                       shared_stacks=shared)
 
     def loss():
         rel, conn = model.scores(["w1", "cue0a", "w2"], ["cue0b", "w3"])

@@ -109,14 +109,17 @@ def full_length_scores(model, pairs, rng=None):
     """The unshortened oracle: both stacks run at ``max_tokens`` rows."""
     n = model.max_tokens
 
-    def encode(stack, arguments):
-        rows = [model.embedder.embed_sentence(pad_truncate(tokens, n), min(len(tokens), n))
-                for tokens in arguments]
-        layers = stack.forward(T.concat(rows, axis=0), len(arguments))
-        return layers if model.res_pair else layers[-1:]
+    def embed(arguments):
+        return T.concat([model.embedder.embed_sentence(pad_truncate(tokens, n),
+                                                       min(len(tokens), n))
+                         for tokens in arguments], axis=0)
 
-    layers1 = encode(model.stack1, [arg1 for arg1, _ in pairs])
-    layers2 = encode(model.stack2, [arg2 for _, arg2 in pairs])
+    layers1, layers2 = (
+        layers if model.res_pair else layers[-1:]
+        for layers in EncoderStack.forward(
+            [model.stack1, model.stack2],
+            [embed([arg1 for arg1, _ in pairs]), embed([arg2 for _, arg2 in pairs])],
+            len(pairs)))
     rows = []
     for i in range(len(pairs)):
         pair = build_pair_representation(
@@ -148,13 +151,13 @@ def eq_pairs(longest, batch=4, seed=9):
 
 @pytest.fixture
 def stack_rows(monkeypatch):
-    """Input rows of every ``EncoderStack.forward`` call, in call order."""
+    """Input rows of every stack run by ``EncoderStack.forward``, in call order."""
     seen = []
     original = EncoderStack.forward
 
-    def spy(self, x, batch=1, **kwargs):
-        seen.append(x.shape[0])
-        return original(self, x, batch, **kwargs)
+    def spy(stacks, inputs, batch=1, **kwargs):
+        seen.extend(x.shape[0] for x in inputs)
+        return original(stacks, inputs, batch, **kwargs)
 
     monkeypatch.setattr(EncoderStack, "forward", spy)
     return seen

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,18 @@ from gru_oracle import composed_gru
 
 GRADIENT_NAMES = ["x"] + [f"{direction}.{name}" for direction in ("fwd", "bwd")
                           for name in ("w_gates", "u_gates", "u_cand", "b_gates")]
+
+
+def run(layer, x, batch=1):
+    """One layer over one input."""
+    (out,) = BiGRU.forward([layer], [x], batch)
+    return out
+
+
+def scan(x, forward, backward, batch=1):
+    """``tensor.bigru_scan`` over one input."""
+    (out,) = T.bigru_scan([x], [(forward, backward)], batch)
+    return out
 
 
 def _sigmoid(x):
@@ -45,7 +59,7 @@ class TestGRUCell:
             n = int(rng.integers(1, 8))
             layer = BiGRU(d_in, dh, rng)
             x = rng.normal(size=(n, d_in))
-            got = layer.forward(T.constant(x)).numpy()
+            got = run(layer, T.constant(x)).numpy()
             assert got.shape == (n, 2 * dh)
             assert np.allclose(got[:, :dh], ref_gru(x, layer.fwd), atol=1e-12)
             assert np.allclose(got[:, dh:], ref_gru(x[::-1], layer.bwd)[::-1], atol=1e-12)
@@ -58,7 +72,7 @@ class TestGRUCell:
         rng = np.random.default_rng(1)
         layer = BiGRU(3, 4, rng)
         x = rng.normal(size=(2, 3))
-        out = layer.forward(T.constant(x)).numpy()
+        out = run(layer, T.constant(x)).numpy()
         for weights, row, cols in ((layer.fwd, 0, slice(0, 4)), (layer.bwd, 1, slice(4, 8))):
             w = weights[0].numpy()
             b = weights[3].numpy()
@@ -72,10 +86,10 @@ class TestGRUCell:
         layer = BiGRU(3, 5, rng)
         x = rng.normal(size=(7, 3))
         with T.no_grad():
-            base = layer.forward(T.constant(x)).numpy()[:, :5]
+            base = run(layer, T.constant(x)).numpy()[:, :5]
             bumped = x.copy()
             bumped[4:] += 10.0
-            after = layer.forward(T.constant(bumped)).numpy()[:, :5]
+            after = run(layer, T.constant(bumped)).numpy()[:, :5]
         assert np.array_equal(base[:4], after[:4])
         assert not np.allclose(base[4:], after[4:])
 
@@ -84,10 +98,10 @@ class TestGRUCell:
         layer = BiGRU(3, 5, rng)
         x = rng.normal(size=(7, 3))
         with T.no_grad():
-            base = layer.forward(T.constant(x)).numpy()[:, 5:]
+            base = run(layer, T.constant(x)).numpy()[:, 5:]
             bumped = x.copy()
             bumped[:3] += 10.0
-            after = layer.forward(T.constant(bumped)).numpy()[:, 5:]
+            after = run(layer, T.constant(bumped)).numpy()[:, 5:]
         assert np.array_equal(base[3:], after[3:])
         assert not np.allclose(base[:3], after[:3])
 
@@ -98,7 +112,7 @@ class TestGRUCell:
             weights[3].data[3:6] = 50.0  # update gate pinned at ~1: keep old state
         x = rng.normal(size=(6, 2))
         with T.no_grad():
-            out = layer.forward(T.constant(x)).numpy()
+            out = run(layer, T.constant(x)).numpy()
         assert np.all(np.abs(out) < 1e-10)
 
     def test_gradients(self):
@@ -108,14 +122,14 @@ class TestGRUCell:
         probe = T.constant(rng.normal(size=(2 * 5, 8)))
 
         def loss():
-            return T.sum_all(layer.forward(x, 2) * probe)
+            return T.sum_all(run(layer, x, 2) * probe)
 
         assert_grads_match(loss, [x] + layer.parameters(), tol=1e-6)
 
     def test_rejects_empty_sequence(self):
         layer = BiGRU(3, 4, np.random.default_rng(0))
         with pytest.raises(ShapeError):
-            layer.forward(T.constant(np.zeros((0, 3))))
+            run(layer, T.constant(np.zeros((0, 3))))
 
 
 class TestBiGRU:
@@ -125,11 +139,11 @@ class TestBiGRU:
         layer = BiGRU(3, 4, rng)
         x = T.constant(rng.normal(size=(6, 3)))
         with T.no_grad():
-            base = layer.forward(x).numpy()
+            base = run(layer, x).numpy()
             layer.bwd[1].data[...] *= -1.0
-            new_bwd = layer.forward(x).numpy()
+            new_bwd = run(layer, x).numpy()
             layer.fwd[0].data[...] *= -1.0
-            new_both = layer.forward(x).numpy()
+            new_both = run(layer, x).numpy()
         assert base.shape == (6, 8)
         assert np.array_equal(new_bwd[:, :4], base[:, :4])
         assert not np.allclose(new_bwd[:, 4:], base[:, 4:])
@@ -149,8 +163,8 @@ class TestBiGRU:
             dst.data[...] = src.data
         x = rng.normal(size=(5, 3))
         with T.no_grad():
-            base = layer.forward(T.constant(x)).numpy()
-            rev = swapped.forward(T.constant(x[::-1].copy())).numpy()
+            base = run(layer, T.constant(x)).numpy()
+            rev = run(swapped, T.constant(x[::-1].copy())).numpy()
         want = np.concatenate([base[::-1, 4:], base[::-1, :4]], axis=1)
         assert np.allclose(rev, want, atol=1e-12)
 
@@ -160,7 +174,7 @@ class TestBiGRU:
         x = T.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
 
         def loss():
-            return T.sum_all(layer.forward(x))
+            return T.sum_all(run(layer, x))
 
         assert_grads_match(loss, [x] + layer.parameters(), tol=1e-6)
 
@@ -169,8 +183,8 @@ class TestBiGRU:
         layer = BiGRU(3, 4, rng)
         xs = [rng.normal(size=(5, 3)) for _ in range(3)]
         with T.no_grad():
-            batched = layer.forward(T.constant(np.vstack(xs)), 3).numpy()
-            alone = np.vstack([layer.forward(T.constant(x)).numpy() for x in xs])
+            batched = run(layer, T.constant(np.vstack(xs)), 3).numpy()
+            alone = np.vstack([run(layer, T.constant(x)).numpy() for x in xs])
         assert np.max(np.abs(batched - alone)) <= 1e-12
 
     def test_parameter_names_and_order(self):
@@ -183,7 +197,7 @@ class TestBiGRU:
         rng = np.random.default_rng(17)
         layer = BiGRU(3, 4, rng)
         T.active_tape().clear()
-        layer.forward(T.constant(rng.normal(size=(2 * 6, 3))), 2)
+        run(layer, T.constant(rng.normal(size=(2 * 6, 3))), 2)
         assert len(T.active_tape()) == 1
         T.active_tape().clear()
 
@@ -218,7 +232,7 @@ def output_and_gradients(bigru, x, forward, backward, probe, batch, x_reused):
 
 
 class TestFusedSequence:
-    """``tensor.bigru_sequence`` against the per-step composed oracle."""
+    """``tensor.bigru_scan`` over one input against the per-step composed oracle."""
 
     @pytest.mark.parametrize("x_reused", [False, True])
     @pytest.mark.parametrize("batch", [1, 3])
@@ -229,7 +243,7 @@ class TestFusedSequence:
         forward = random_weights(rng, 3, 4)
         backward = random_weights(rng, 3, 4)
         probe = T.constant(rng.normal(size=(batch * n, 8)))
-        fused, fused_grads = output_and_gradients(T.bigru_sequence, x, forward, backward,
+        fused, fused_grads = output_and_gradients(scan, x, forward, backward,
                                                   probe, batch, x_reused)
         ref, ref_grads = output_and_gradients(composed_bigru, x, forward, backward,
                                               probe, batch, x_reused)
@@ -251,7 +265,7 @@ class TestFusedSequence:
         read, unread = (backward, forward) if backward_half else (forward, backward)
 
         def loss():
-            return T.sum_all(T.bigru_sequence(x, forward, backward, batch=2) * probe)
+            return T.sum_all(scan(x, forward, backward, batch=2) * probe)
 
         assert_grads_match(loss, [x] + read, tol=1e-6)
         T.backward(loss())
@@ -264,9 +278,9 @@ class TestFusedSequence:
         weights = random_weights(rng, 3, 4)
         x = rng.normal(size=(2, 5, 3))
         with T.no_grad():
-            out = T.bigru_sequence(T.constant(x.reshape(10, 3)), weights, weights,
+            out = scan(T.constant(x.reshape(10, 3)), weights, weights,
                                    batch=2).numpy().reshape(2, 5, 8)
-            flipped = T.bigru_sequence(T.constant(x[:, ::-1].reshape(10, 3)), weights,
+            flipped = scan(T.constant(x[:, ::-1].reshape(10, 3)), weights,
                                        weights, batch=2).numpy().reshape(2, 5, 8)
         assert np.max(np.abs(out[:, :, 4:] - flipped[:, ::-1, :4])) <= 1e-12
 
@@ -275,21 +289,152 @@ class TestFusedSequence:
         forward = random_weights(rng, 3, 4)
         backward = random_weights(rng, 3, 4)
         T.active_tape().clear()
-        T.bigru_sequence(T.constant(rng.normal(size=(3 * 50, 3))), forward, backward, batch=3)
+        scan(T.constant(rng.normal(size=(3 * 50, 3))), forward, backward, batch=3)
         assert len(T.active_tape()) == 1
         T.active_tape().clear()
 
     def test_rejects_rows_that_do_not_split_into_the_batch(self):
         weights = random_weights(np.random.default_rng(14), 3, 4)
         with pytest.raises(ShapeError):
-            T.bigru_sequence(T.constant(np.zeros((5, 3))), weights, weights, batch=2)
+            scan(T.constant(np.zeros((5, 3))), weights, weights, batch=2)
         with pytest.raises(ShapeError):
-            T.bigru_sequence(T.constant(np.zeros((1, 3))), weights, weights, batch=2)
+            scan(T.constant(np.zeros((1, 3))), weights, weights, batch=2)
 
     def test_rejects_weights_of_the_wrong_width(self):
         rng = np.random.default_rng(15)
         weights = random_weights(rng, 3, 4)
         with pytest.raises(ShapeError):
-            T.bigru_sequence(T.constant(np.zeros((4, 2))), weights, weights)
+            scan(T.constant(np.zeros((4, 2))), weights, weights)
         with pytest.raises(ShapeError):
-            T.bigru_sequence(T.constant(np.zeros((4, 3))), weights, random_weights(rng, 3, 5))
+            scan(T.constant(np.zeros((4, 3))), weights, random_weights(rng, 3, 5))
+
+
+def layer_weights(rng, shared):
+    """(forward, backward) weights of two inputs: distinct, or the same
+    ``Parameter``s twice as shared stacks give."""
+    first = (random_weights(rng, 3, 4), random_weights(rng, 3, 4))
+    return [first, first if shared else (random_weights(rng, 3, 4), random_weights(rng, 3, 4))]
+
+
+def distinct(tensors):
+    seen = {}
+    for t in tensors:
+        seen.setdefault(id(t), t)
+    return list(seen.values())
+
+
+def joint_output_and_gradients(outputs_of, xs, weights, probes):
+    outs = outputs_of(xs, weights)
+    T.backward(T.sum_all(T.concat([o * p for o, p in zip(outs, probes)], axis=1)))
+    tensors = distinct(xs + [t for pair in weights for d in pair for t in d])
+    grads = [t.grad.copy() for t in tensors]
+    for t in tensors:
+        t.grad = None
+    return [o.numpy().copy() for o in outs], grads
+
+
+class TestJointScan:
+    """``tensor.bigru_scan`` over both arguments of a layer at once."""
+
+    # N = 40 takes the backward pass's gate factors three steps at a time.
+    @pytest.mark.parametrize("shared", [False, True])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("n", [1, 6, 40])
+    def test_matches_composed_oracle(self, shared, batch, n):
+        rng = np.random.default_rng(200 + 10 * batch + n + shared)
+        xs = [T.Tensor(rng.normal(size=(batch * n, 3)), requires_grad=True) for _ in range(2)]
+        weights = layer_weights(rng, shared)
+        probes = [T.constant(rng.normal(size=(batch * n, 8))) for _ in range(2)]
+        fused, fused_grads = joint_output_and_gradients(
+            lambda xs, ws: T.bigru_scan(xs, ws, batch), xs, weights, probes)
+        ref, ref_grads = joint_output_and_gradients(
+            lambda xs, ws: [composed_bigru(x, *w, batch) for x, w in zip(xs, ws)],
+            xs, weights, probes)
+        for got, want in zip(fused, ref):
+            assert np.max(np.abs(got - want)) <= 1e-10
+        assert len(fused_grads) == (2 + 8 if shared else 2 + 16)
+        for got, want in zip(fused_grads, ref_grads):
+            assert np.max(np.abs(got - want)) <= 1e-10
+
+    @pytest.mark.parametrize("group_bytes", [0, 3 * 3 * 4 * 4 * 8])
+    def test_fewer_streams_per_group_give_bitwise_equal_results(self, monkeypatch,
+                                                                  group_bytes):
+        # One stream per group, and groups of three, which put one input's
+        # forward and backward streams in different groups.
+        rng = np.random.default_rng(20)
+        xs = [T.Tensor(rng.normal(size=(3 * 7, 3)), requires_grad=True) for _ in range(2)]
+        weights = layer_weights(rng, shared=False)
+        probes = [T.constant(rng.normal(size=(3 * 7, 8))) for _ in range(2)]
+
+        def scanned():
+            return joint_output_and_gradients(lambda xs, ws: T.bigru_scan(xs, ws, 3),
+                                              xs, weights, probes)
+
+        together, together_grads = scanned()
+        monkeypatch.setattr(T, "SCAN_GROUP_BYTES", group_bytes)
+        apart, apart_grads = scanned()
+        for got, want in zip(apart + apart_grads, together + together_grads):
+            assert got.tobytes() == want.tobytes()
+
+    def test_records_one_tape_node_for_both_inputs(self):
+        rng = np.random.default_rng(21)
+        T.active_tape().clear()
+        T.bigru_scan([T.constant(rng.normal(size=(2 * 5, 3))) for _ in range(2)],
+                     layer_weights(rng, shared=False), batch=2)
+        assert len(T.active_tape()) == 1
+        T.active_tape().clear()
+
+    def test_an_output_the_loss_never_reads_contributes_nothing(self):
+        # Only the second output feeds the loss: the first input and the
+        # weights only it uses get zero gradients.
+        rng = np.random.default_rng(22)
+        xs = [T.Tensor(rng.normal(size=(4, 3)), requires_grad=True) for _ in range(2)]
+        weights = layer_weights(rng, shared=False)
+        _, second = T.bigru_scan(xs, weights)
+        T.backward(T.sum_all(second))
+        assert not xs[0].grad.any()
+        assert all(not w.grad.any() for d in weights[0] for w in d)
+        assert xs[1].grad.any()
+
+    def test_rejects_inputs_of_different_lengths_or_unpaired_weights(self):
+        rng = np.random.default_rng(23)
+        weights = layer_weights(rng, shared=False)
+        with pytest.raises(ShapeError):
+            T.bigru_scan([T.constant(np.zeros((4, 3))), T.constant(np.zeros((6, 3)))],
+                         weights, batch=2)
+        with pytest.raises(ShapeError):
+            T.bigru_scan([T.constant(np.zeros((4, 3)))], weights)
+        with pytest.raises(ShapeError):
+            T.bigru_scan([], [])
+
+    def test_peak_memory_is_the_buffer_the_output_and_one_projection(self):
+        # Forward and backward of one layer over both arguments at the
+        # recurrent benchmark's training shapes.  What the op keeps is one
+        # (S, N, B, 3h) buffer and the outputs; anything it allocates on top
+        # must fit in one stream's (N, B, 3h) projection.  The inputs,
+        # weights, their gradient slots and the output gradients exist
+        # before the measurement starts.  With numpy 2.4.6 the peak is
+        # 11.97 MB against this bound of 12.16 MB; the margin depends on
+        # numpy's temporaries, so after a numpy upgrade compare the peak at
+        # the previous commit before blaming the op.
+        batch, n, h = 16, 100, 50
+        rng = np.random.default_rng(24)
+        xs = [T.Tensor(rng.normal(size=(batch * n, h)), requires_grad=True) for _ in range(2)]
+        weights = [(random_weights(rng, h, h), random_weights(rng, h, h)) for _ in range(2)]
+        out_grads = [rng.normal(size=(batch * n, 2 * h)) for _ in range(2)]
+        for t in xs + [w for pair in weights for d in pair for w in d]:
+            t.grad = np.zeros_like(t.data)
+        T.active_tape().clear()
+        tracemalloc.start()
+        try:
+            T.bigru_scan(xs, weights, batch)
+            (node,) = T.active_tape()
+            node.backward_fn(out_grads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            T.active_tape().clear()
+        buffer = 4 * n * batch * 3 * h * 8
+        outputs = 2 * batch * n * 2 * h * 8
+        projection = n * batch * 3 * h * 8
+        assert peak <= buffer + outputs + projection

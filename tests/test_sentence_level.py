@@ -3,8 +3,15 @@ import pytest
 
 from discrel import tensor as T
 from discrel.errors import ConfigError, ShapeError
+from discrel.recurrent import BiGRU
 from discrel.sentence_level import ConvBlock, EncoderStack, RecurrentBlock, argument_stacks
 from gradcheck import assert_grads_match
+
+
+def run_stack(stack, x, **kwargs):
+    """One stack's layer outputs over one input."""
+    (layers,) = EncoderStack.forward([stack], [x], **kwargs)
+    return layers
 
 
 def zero_weights(stack):
@@ -20,7 +27,8 @@ class TestConvBlock:
         block = ConvBlock(3, 1, rng, residual=False)
         x = rng.normal(size=(5, 3))
         with T.no_grad():
-            got = block.forward(T.constant(x)).numpy()
+            (got,) = ConvBlock.forward([block], [T.constant(x)])
+            got = got.numpy()
         pre = x @ block.kernel.numpy()[0] + block.bias.numpy()
         want = pre[:, :3] / (1.0 + np.exp(-pre[:, 3:]))
         assert np.allclose(got, want, atol=1e-12)
@@ -31,8 +39,8 @@ class TestConvBlock:
         res = ConvBlock(4, 3, np.random.default_rng(1), residual=True)
         x = np.random.default_rng(2).normal(size=(6, 4))
         with T.no_grad():
-            a = plain.forward(T.constant(x)).numpy()
-            b = res.forward(T.constant(x)).numpy()
+            a = ConvBlock.forward([plain], [T.constant(x)])[0].numpy()
+            b = ConvBlock.forward([res], [T.constant(x)])[0].numpy()
         assert np.allclose(b, a + x, atol=1e-12)
 
     def test_interior_translation_equivariance(self):
@@ -46,8 +54,8 @@ class TestConvBlock:
         shifted = np.zeros((12, 3))
         shifted[3:8] = sig
         with T.no_grad():
-            y0 = block.forward(T.constant(x)).numpy()
-            y1 = block.forward(T.constant(shifted)).numpy()
+            y0, y1 = (y.numpy() for y in ConvBlock.forward(
+                [block, block], [T.constant(x), T.constant(shifted)]))
         assert np.allclose(y1[2:10], y0[1:9], atol=1e-12)
 
     def test_even_kernel_rejected(self):
@@ -61,8 +69,9 @@ class TestRecurrentBlock:
         block = RecurrentBlock(3, rng, residual=False)
         x = rng.normal(size=(6, 3))
         with T.no_grad():
-            got = block.forward(T.constant(x)).numpy()
-            h = block.bigru.forward(T.constant(x)).numpy()
+            (got,) = RecurrentBlock.forward([block], [T.constant(x)])
+            (h,) = BiGRU.forward([block.bigru], [T.constant(x)])
+            got, h = got.numpy(), h.numpy()
         want = h @ block.proj_w.numpy() + block.proj_b.numpy()
         assert h.shape == (6, 6)
         assert got.shape == (6, 3)
@@ -73,9 +82,9 @@ class TestRecurrentBlock:
         block = RecurrentBlock(3, rng, residual=True)
         x = np.random.default_rng(6).normal(size=(4, 3))
         with T.no_grad():
-            out = block.forward(T.constant(x)).numpy()
+            out = RecurrentBlock.forward([block], [T.constant(x)])[0].numpy()
             block.residual = False
-            body = block.forward(T.constant(x)).numpy()
+            body = RecurrentBlock.forward([block], [T.constant(x)])[0].numpy()
         assert np.allclose(out, body + x, atol=1e-12)
 
 
@@ -86,7 +95,7 @@ class TestEncoderStack:
         stack = EncoderStack(5, 4, rng, block_type=block_type, kernel_size=3)
         x = rng.normal(size=(9, 5))
         with T.no_grad():
-            outs = stack.forward(T.constant(x))
+            outs = run_stack(stack, T.constant(x))
         assert len(outs) == 4
         assert all(o.shape == (9, 5) for o in outs)
 
@@ -99,7 +108,7 @@ class TestEncoderStack:
         zero_weights(stack)
         x = np.random.default_rng(9).normal(size=(8, 6))
         with T.no_grad():
-            outs = stack.forward(T.constant(x))
+            outs = run_stack(stack, T.constant(x))
         for out in outs:
             assert np.array_equal(out.numpy(), x)
 
@@ -108,10 +117,10 @@ class TestEncoderStack:
         stack = EncoderStack(4, 3, rng, block_type="conv", kernel_size=3)
         x = rng.normal(size=(7, 4))
         with T.no_grad():
-            outs = stack.forward(T.constant(x))
+            outs = run_stack(stack, T.constant(x))
             h = T.constant(x)
             for block, out in zip(stack.blocks, outs):
-                h = block.forward(h)
+                (h,) = ConvBlock.forward([block], [h])
                 assert np.array_equal(h.numpy(), out.numpy())
 
     def test_dropout_applies_before_every_block(self):
@@ -121,7 +130,7 @@ class TestEncoderStack:
         stack = EncoderStack(4, 2, rng, block_type="conv", kernel_size=3)
         zero_weights(stack)
         x = np.random.default_rng(12).normal(size=(6, 4))
-        outs = stack.forward(T.constant(x), dropout_rate=0.5,
+        outs = run_stack(stack, T.constant(x), dropout_rate=0.5,
                              rng=np.random.default_rng(99))
         replay = np.random.default_rng(99)
         d1 = T.dropout(T.constant(x), 0.5, replay)
@@ -130,14 +139,33 @@ class TestEncoderStack:
         assert np.array_equal(outs[1].numpy(), d2.numpy())
         T.active_tape().clear()
 
+    @pytest.mark.parametrize("block_type", ["conv", "recurrent"])
+    def test_two_stacks_draw_masks_in_the_order_their_blocks_run(self, block_type):
+        # Zeroed residual blocks pass their dropped input through, so each
+        # (stack, layer) output exposes its mask: the stacks advance one
+        # layer of both at a time.
+        rng = np.random.default_rng(17)
+        stacks = [EncoderStack(4, 2, rng, block_type=block_type, kernel_size=3)
+                  for _ in range(2)]
+        for stack in stacks:
+            zero_weights(stack)
+        xs = [T.constant(rng.normal(size=(6, 4))) for _ in range(2)]
+        outs = EncoderStack.forward(stacks, xs, dropout_rate=0.5,
+                                    rng=np.random.default_rng(99))
+        replay = np.random.default_rng(99)
+        h = list(xs)
+        for stack, layer in [(0, 0), (1, 0), (0, 1), (1, 1)]:
+            h[stack] = T.dropout(h[stack], 0.5, replay)
+            assert np.array_equal(outs[stack][layer].numpy(), h[stack].numpy())
+
     def test_eval_mode_is_deterministic_and_dropout_free(self):
         rng = np.random.default_rng(13)
         stack = EncoderStack(4, 2, rng, block_type="recurrent")
         x = rng.normal(size=(5, 4))
         with T.no_grad():
-            a = stack.forward(T.constant(x), dropout_rate=0.4)
-            b = stack.forward(T.constant(x), dropout_rate=0.4)
-            clean = stack.forward(T.constant(x))
+            a = run_stack(stack, T.constant(x), dropout_rate=0.4)
+            b = run_stack(stack, T.constant(x), dropout_rate=0.4)
+            clean = run_stack(stack, T.constant(x))
         assert np.array_equal(a[-1].numpy(), b[-1].numpy())
         assert np.array_equal(a[-1].numpy(), clean[-1].numpy())
 
@@ -148,7 +176,7 @@ class TestEncoderStack:
         x = T.Tensor(rng.normal(size=(5, 4)), requires_grad=True)
 
         def loss():
-            outs = stack.forward(x)
+            outs = run_stack(stack, x)
             return T.sum_all(T.concat(outs, axis=0))
 
         assert_grads_match(loss, [x] + stack.parameters(),
@@ -162,7 +190,7 @@ class TestEncoderStack:
             EncoderStack(4, 2, rng, block_type="transformer")
         stack = EncoderStack(4, 1, rng)
         with pytest.raises(ShapeError):
-            stack.forward(T.constant(np.zeros((3, 5))))
+            run_stack(stack, T.constant(np.zeros((3, 5))))
 
 
 class TestArgumentStacks:

@@ -11,6 +11,7 @@ from discrel.errors import (
     ParseError,
     ShapeError,
 )
+from discrel.recurrent import BiGRU
 from discrel.word_level import (
     ContextualEmbedder,
     ContextualMixer,
@@ -404,8 +405,9 @@ class TestToyContextualEmbedder:
                 conv = T.tanh(T.conv1d(T.gather_rows(emb.char_table, idxs),
                                        emb.char_kernel, emb.char_bias, pad="valid"))
                 vectors.append(T.reshape(T.topk_pool(conv, 1), (1, emb.dim)))
-            lower = emb.rnn1.forward(T.concat(vectors, axis=0))
-            return lower, emb.rnn2.forward(lower)
+            (lower,) = BiGRU.forward([emb.rnn1], [T.concat(vectors, axis=0)])
+            (upper,) = BiGRU.forward([emb.rnn2], [lower])
+            return lower, upper
 
         w = rng.normal(size=(2, len(tokens), emb.dim))
         results = []
