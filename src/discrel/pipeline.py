@@ -18,7 +18,6 @@ instead of silently changing predictions.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from dataclasses import dataclass
@@ -87,14 +86,6 @@ def resolve_output_dir(config: RunConfig) -> Path:
     raise ConfigError(f"paths.output_dir: set it in the config or export {OUTPUT_ROOT_ENV}")
 
 
-def file_sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _require_file(path: str, key: str, reason: str) -> str:
     if not path:
         raise ConfigError(f"paths.{key}: required {reason}")
@@ -122,18 +113,20 @@ class TrainingSetup:
     labels: LabelSpace
     splits: Splits
     model: RelationModel
-    word_vector_sha: str | None
 
 
-def _load_inputs(config: RunConfig, why: str):
-    """The input files ``config`` names, loaded: (word table, its SHA-256,
-    merge table, precomputed contextual embedder), each None when unused."""
-    word_table = word_sha = merges = contextual = None
+def _load_inputs(config: RunConfig, why: str, word_sha: str | None = None):
+    """The input files ``config`` names, loaded: (word table, merge table,
+    precomputed contextual embedder), each None when unused.  With
+    ``word_sha``, the word-vector file must still have that SHA-256."""
+    word_table = merges = contextual = None
     if config.use_word:
         path = _require_file(config.word_vectors, "word_vectors",
                              f"{why} when model.use_word is true")
-        word_table = WordEmbeddingTable.load(path)
-        word_sha = file_sha256(path)
+        try:
+            word_table = WordEmbeddingTable.load(path, word_sha)
+        except ConfigError as exc:  # the checksum mismatch, raised before parsing
+            raise ConfigError(f"paths.word_vectors: {exc}") from None
     if config.use_subword:
         merges = load_merge_table(_require_file(
             config.merge_table, "merge_table", f"{why} when model.use_subword is true"))
@@ -141,7 +134,7 @@ def _load_inputs(config: RunConfig, why: str):
         contextual = PrecomputedContextualEmbedder.load(_require_file(
             config.contextual_vectors, "contextual_vectors",
             f"{why} when model.contextual_source is 'vectors'"))
-    return word_table, word_sha, merges, contextual
+    return word_table, merges, contextual
 
 
 def build_model(config: RunConfig, n_classes: int, connectives, word_table,
@@ -180,7 +173,7 @@ def prepare_training(config: RunConfig) -> TrainingSetup:
     if not splits.train or not splits.dev:
         raise DataError(f"corpus {corpus_path}: split {config.split!r} left "
                         f"{len(splits.train)} train / {len(splits.dev)} dev instances")
-    word_table, word_sha, merges, contextual = _load_inputs(config, "to train")
+    word_table, merges, contextual = _load_inputs(config, "to train")
 
     pieces = None
     if config.use_subword:
@@ -197,7 +190,7 @@ def prepare_training(config: RunConfig) -> TrainingSetup:
 
     model = build_model(config, labels.n_classes, connective_vocabulary(splits.train),
                         word_table, pieces, merges, contextual)
-    return TrainingSetup(config, labels, splits, model, word_sha)
+    return TrainingSetup(config, labels, splits, model)
 
 
 def run_training(setup: TrainingSetup) -> TrainResult:
@@ -234,8 +227,8 @@ def write_run(run_dir, setup: TrainingSetup, result: TrainResult) -> Path:
         "contextual": ({"words": embedder.contextual.words,
                         "chars": embedder.contextual.chars}
                        if isinstance(embedder.contextual, ToyContextualEmbedder) else None),
-        "word_vectors": ({"sha256": setup.word_vector_sha}
-                         if setup.word_vector_sha else None),
+        "word_vectors": ({"sha256": embedder.word_table.sha256}
+                         if embedder.word_table is not None else None),
         "counts": {"train": len(setup.splits.train), "dev": len(setup.splits.dev),
                    "test": len(setup.splits.test)},
         "best_epoch": result.best_epoch,
@@ -301,10 +294,7 @@ def restore_run(run_dir) -> RestoredRun:
     word_sha = None
     if config.use_word:
         word_sha = entry(entry(manifest, "word_vectors"), "sha256", "word_vectors.", _STRING)
-    word_table, found_sha, merges, contextual = _load_inputs(config, "to restore the run")
-    if found_sha != word_sha:
-        raise ConfigError(f"paths.word_vectors: {config.word_vectors} has changed since "
-                          "training (checksum mismatch)")
+    word_table, merges, contextual = _load_inputs(config, "to restore the run", word_sha)
     if config.use_contextual and contextual is None:
         info = entry(manifest, "contextual")
         contextual = ToyContextualEmbedder(

@@ -20,6 +20,7 @@ exported from a larger model.
 from __future__ import annotations
 
 import abc
+import hashlib
 import math
 
 import numpy as np
@@ -37,45 +38,131 @@ from .tensor import Parameter, Tensor
 # Frozen word vectors
 
 
-def load_word_vectors(path) -> tuple[dict[str, int], np.ndarray]:
-    """Parse a text vector file: one "word v1 v2 ..." per line.
+# loadtxt converts each field in C with Python's float grammar, minus
+# underscores and non-ASCII digits; it skips empty lines
+_LOADTXT = {"dtype": np.float64, "delimiter": " ", "comments": None, "ndmin": 2}
+_NON_NUMERIC = "non-numeric vector component"
 
-    A first line of exactly two fields is treated as a "count dim" header
-    and skipped.
+
+def load_word_vectors(path, sha256: str | None = None) -> tuple[dict[str, int], np.ndarray, str]:
+    """Parse a text vector file: an optional "count dim" header, then one
+    "word v1 ... vD" line per word; returns (vocabulary, matrix, the file's
+    SHA-256).
+
+    The file is read once.  With ``sha256`` given, its bytes must have that
+    digest, checked before anything is parsed: a changed file is a
+    ConfigError even when it is malformed too.
+
+    - A first line of exactly two fields is the header, two decimal
+      integers: ``count`` is the number of lines after it, and ``dim`` the
+      number of components on line 2.
+    - Every other line is a word, then its components, each after one
+      space, as many on every line.  A component is what ``float`` reads,
+      in ASCII and without underscores, and must be finite; numpy's reader
+      also lets the controls U+001C to U+001F pad it, which ``float`` does
+      not.  Lines end in LF, CRLF or CR.
+    - A repeated word keeps its first row; its later rows are still checked.
+
+    Any fault raises ParseError naming the file and the first faulty line.
     """
-    vocab: dict[str, int] = {}
-    rows: list[np.ndarray] = []
-    linenos: list[int] = []
-    dim = None
-    with utf8_text(path), open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = line.rstrip("\n").split(" ")
-            if lineno == 1 and len(fields) == 2:
-                continue
-            if len(fields) < 2:
-                raise ParseError(f"{path}:{lineno}: expected 'word v1 ...', got {line!r}")
-            word = fields[0]
-            try:
-                vec = np.array([float(v) for v in fields[1:]], dtype=np.float64)
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric vector component") from None
-            if dim is None:
-                dim = vec.size
-            elif vec.size != dim:
-                raise ParseError(f"{path}:{lineno}: vector has {vec.size} components, expected {dim}")
-            if word not in vocab:
-                vocab[word] = len(rows)
-                rows.append(vec)
-                linenos.append(lineno)
-            elif not np.isfinite(vec).all():
-                raise ParseError(f"{path}:{lineno}: non-finite vector component")
-    if not rows:
+    # Binary lines rather than one buffer the size of the file: freeing such
+    # a buffer makes glibc serve later allocations up to its size from the
+    # heap, which made peak memory vary from run to run.
+    with open(path, "rb") as fh:
+        data = list(fh)
+    digest = hashlib.sha256()
+    for raw in data:
+        digest.update(raw)
+    if sha256 is not None and digest.hexdigest() != sha256:
+        raise ConfigError(f"{path} has changed since its SHA-256 was recorded (checksum mismatch)")
+    words: list[str] = []
+    with utf8_text(path):
+        header = _header(path, data)
+        try:
+            matrix = np.loadtxt((numbers for _, numbers in _vector_lines(path, data, header, words)),
+                                **_LOADTXT)
+            if header not in (None, matrix.shape) or not np.isfinite(matrix).all():
+                raise ValueError
+        except ValueError:  # a fault somewhere: find the first, one line at a time
+            _raise_first_fault(path, data, header)
+            raise
+    first_row: dict[str, int] = {}
+    for i, word in enumerate(words):
+        first_row.setdefault(word, i)
+    if len(first_row) < len(words):
+        matrix = matrix[list(first_row.values())]
+    return {word: i for i, word in enumerate(first_row)}, matrix, digest.hexdigest()
+
+
+def _lines(data: list[bytes]):
+    """The text lines of a file read as binary lines, split as a
+    universal-newline reader splits them."""
+    for raw in data:
+        line = raw.decode("utf-8")
+        if "\r" not in line:
+            yield line
+            continue
+        *ended, last = line.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        yield from (text + "\n" for text in ended)
+        if last:
+            yield last
+
+
+def _header(path, data: list[bytes]) -> tuple[int, int] | None:
+    """(count, dim) from a first line of two fields, else None."""
+    line = next(_lines(data), "")
+    fields = line.rstrip("\n").split(" ")
+    if len(fields) != 2:
+        return None
+    if not all(field.isascii() and field.isdigit() for field in fields):
+        raise ParseError(f"{path}:1: expected a 'count dim' header, got {line!r}")
+    return int(fields[0]), int(fields[1])
+
+
+def _vector_lines(path, data: list[bytes], header, words: list[str]):
+    """(line number, numeric part) of each line after the header, in file
+    order, appending each line's word to ``words``.  Raises ParseError at a
+    line without a space, at a line 2 that does not fit the header's dim, and
+    at a line with nothing after its word, which loadtxt would skip."""
+    for lineno, line in enumerate(_lines(data), start=1):
+        if lineno == 1 and header is not None:
+            continue
+        split = line.find(" ")
+        if split < 0:
+            raise ParseError(f"{path}:{lineno}: expected 'word v1 ...', got {line!r}")
+        numbers = line[split + 1:]
+        if lineno == 2 and header is not None and numbers.count(" ") + 1 != header[1]:
+            raise ParseError(f"{path}:1: header gives dim {header[1]}, "
+                             f"but line 2 has {numbers.count(' ') + 1} components")
+        if numbers in ("", "\n"):
+            raise ParseError(f"{path}:{lineno}: {_NON_NUMERIC}")
+        words.append(line[:split])
+        yield lineno, numbers
+    if not words:
         raise ParseError(f"{path}: no vectors found")
-    matrix = np.vstack(rows)
-    finite = np.isfinite(matrix).all(axis=1)
-    if not finite.all():
-        raise ParseError(f"{path}:{linenos[int(finite.argmin())]}: non-finite vector component")
-    return vocab, matrix
+
+
+def _raise_first_fault(path, data: list[bytes], header) -> None:
+    """Raise ParseError at the first faulty line, reading each line alone;
+    called once the file is known to hold a fault."""
+    if header is not None:
+        follow = sum(1 for _ in _lines(data)) - 1
+        if header[0] != follow:
+            raise ParseError(f"{path}:1: header gives count {header[0]}, "
+                             f"but {follow} lines follow it")
+    width = None
+    for lineno, numbers in _vector_lines(path, data, header, []):
+        n = numbers.count(" ") + 1
+        try:
+            row = np.loadtxt([numbers], **_LOADTXT)[0]
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: {_NON_NUMERIC}") from None
+        if width is None:
+            width = n
+        if n != width:
+            raise ParseError(f"{path}:{lineno}: vector has {n} components, expected {width}")
+        if not np.isfinite(row).all():
+            raise ParseError(f"{path}:{lineno}: non-finite vector component")
 
 
 def save_word_vectors(path, vocab: dict[str, int], matrix: np.ndarray) -> None:
@@ -91,18 +178,21 @@ def save_word_vectors(path, vocab: dict[str, int], matrix: np.ndarray) -> None:
 class WordEmbeddingTable:
     """Pre-trained word vectors, fixed for the whole life of the model."""
 
-    def __init__(self, vocab: dict[str, int], matrix: np.ndarray):
+    def __init__(self, vocab: dict[str, int], matrix: np.ndarray, sha256: str | None = None):
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or len(vocab) != matrix.shape[0]:
             raise ShapeError(f"word table: {len(vocab)} words vs matrix {matrix.shape}")
         self.vocab = dict(vocab)
         self.matrix = matrix
         self.dim = matrix.shape[1]
+        self.sha256 = sha256
 
     @classmethod
-    def load(cls, path) -> "WordEmbeddingTable":
-        vocab, matrix = load_word_vectors(path)
-        return cls(vocab, matrix)
+    def load(cls, path, sha256: str | None = None) -> "WordEmbeddingTable":
+        """The table in ``path``, which must have digest ``sha256`` if given;
+        the table's ``sha256`` is the file's."""
+        vocab, matrix, digest = load_word_vectors(path, sha256)
+        return cls(vocab, matrix, digest)
 
     def lookup(self, word: str) -> np.ndarray:
         if word == PAD_TOKEN:

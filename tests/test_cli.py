@@ -278,6 +278,31 @@ def test_train_reports_a_non_utf8_corpus(workspace, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_train_reports_a_malformed_word_vector_file(workspace, tmp_path, capsys):
+    vectors = tmp_path / "vectors.txt"
+    lines = (workspace / "vectors.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[3] = lines[3].split(" ", 1)[0] + "\n"
+    vectors.write_text("".join(lines), encoding="utf-8")
+    config = spawn_config(workspace, tmp_path, word_vectors=str(vectors), epochs=1)
+    code, out, err = run_cli(capsys, "train", config)
+    assert code == 1
+    assert err.startswith(f"error ParseError: {vectors}:4: expected 'word v1 ...'")
+    assert "Traceback" not in err
+
+
+def test_eval_refuses_a_changed_vector_file_before_parsing_it(workspace, tmp_path, capsys):
+    vectors = tmp_path / "vectors.txt"
+    shutil.copy(workspace / "vectors.txt", vectors)
+    config = spawn_config(workspace, tmp_path, word_vectors=str(vectors), epochs=1)
+    assert run_cli(capsys, "train", config)[0] == 0
+    vectors.write_text("a 1.0 oops\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "eval", tmp_path / "run")
+    assert code == 1
+    assert err.startswith(f"error ConfigError: paths.word_vectors: {vectors} ")
+    assert "checksum mismatch" in err
+    assert "Traceback" not in err
+
+
 def test_eval_refuses_a_run_whose_retraining_save_was_cut_short(
         workspace, tmp_path, capsys, monkeypatch):
     config = spawn_config(workspace, tmp_path, epochs=1)

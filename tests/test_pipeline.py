@@ -2,6 +2,7 @@
 
 import configparser
 import copy
+import hashlib
 import inspect
 import json
 import os
@@ -21,7 +22,6 @@ from discrel.pipeline import (
     corpus_sentences,
     evaluate_model,
     export_attention,
-    file_sha256,
     prepare_training,
     quantize_attention_row,
     resolve_output_dir,
@@ -91,12 +91,14 @@ def test_resolve_output_dir_prefers_the_config(monkeypatch):
 
 
 def test_file_sha256_tracks_content(tmp_path):
-    path = tmp_path / "blob"
-    path.write_bytes(b"alpha")
-    first = file_sha256(path)
-    path.write_bytes(b"alphb")
-    assert first != file_sha256(path)
-    assert len(first) == 64
+    """The word table's digest, which manifests pin, is the SHA-256 of the
+    file's bytes."""
+    path = tmp_path / "vectors.txt"
+    path.write_bytes(b"alpha 1.0 2.0\n")
+    first = WordEmbeddingTable.load(path).sha256
+    assert first == hashlib.sha256(b"alpha 1.0 2.0\n").hexdigest()
+    path.write_bytes(b"alphb 1.0 2.0\n")
+    assert first != WordEmbeddingTable.load(path).sha256
 
 
 def test_every_training_option_reaches_the_loop_or_the_model():
@@ -194,6 +196,16 @@ def test_restore_rejects_a_changed_word_vector_file(tmp_path):
     vocab, matrix = synthetic_word_vectors(records, dim=8, seed=99)
     save_word_vectors(config.word_vectors, vocab, matrix)
     with pytest.raises(ConfigError, match="checksum"):
+        restore_run(run_dir)
+
+
+def test_restore_checks_the_checksum_before_parsing(tmp_path):
+    config = small_config(tmp_path, epochs=1)
+    setup = prepare_training(config)
+    run_dir = write_run(tmp_path / "run", setup, run_training(setup))
+    with open(config.word_vectors, "a", encoding="utf-8") as fh:
+        fh.write("broken\n")
+    with pytest.raises(ConfigError, match="checksum mismatch"):
         restore_run(run_dir)
 
 

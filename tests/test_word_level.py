@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discrel import tensor as T
 from discrel import word_level
@@ -25,6 +29,7 @@ from discrel.word_level import (
     save_contextual_vectors,
     save_word_vectors,
 )
+import vectors_oracle
 from gradcheck import assert_grads_match
 
 
@@ -59,7 +64,7 @@ class TestWordEmbeddingTable:
         matrix = rng.normal(size=(3, 5))
         path = tmp_path / "vectors.txt"
         save_word_vectors(path, vocab, matrix)
-        got_vocab, got = load_word_vectors(path)
+        got_vocab, got, _ = load_word_vectors(path)
         assert got_vocab == vocab
         assert np.array_equal(got, matrix)
 
@@ -90,6 +95,157 @@ class TestWordEmbeddingTable:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError, match="non-finite"):
             load_word_vectors(path)
+
+
+def write_vectors(tmp_path, text: str):
+    path = tmp_path / "vectors.txt"
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+class TestVectorFileFaults:
+    """Each fault is a ParseError naming the file and the faulty line."""
+
+    @pytest.mark.parametrize("text,where,message", [
+        ("a 1 2\n\nb 3 4\n", 2, "expected 'word v1 ...', got '\\n'"),
+        ("a 1 2\nb\nc 3 4\n", 2, "expected 'word v1 ...', got 'b\\n'"),
+        ("a 1 2\nb 3 4\nc 5 6\nd 7\n", 4, "vector has 1 components, expected 2"),
+        ("a 1 2\nb 3 4\nc 5 6 7\n", 3, "vector has 3 components, expected 2"),
+        ("a 1 2\nb 3 4\nc 5 oops\nd 7 8\n", 3, "non-numeric vector component"),
+        ("a 1 2\nb 3 \n", 2, "non-numeric vector component"),
+        ("a 1 2\nb \nc 3 4\n", 2, "non-numeric vector component"),
+        ("a 1 2\nb 3 4\na nan 0\n", 3, "non-finite vector component"),
+        ("a 1 2\nb 3 4\nb 1e400 0\n", 3, "non-finite vector component"),
+        ("a 1 2\nb 1_0 4\n", 2, "non-numeric vector component"),
+        ("a 1 2\nb \u0661 4\n", 2, "non-numeric vector component"),
+    ], ids=["blank_line", "lone_word", "short_row", "long_row", "non_numeric",
+            "trailing_space", "nothing_after_word", "nan_in_duplicate",
+            "overflow_in_duplicate", "underscore", "arabic_indic_digit"])
+    def test_fault_names_its_line(self, tmp_path, text, where, message):
+        path = write_vectors(tmp_path, text)
+        with pytest.raises(ParseError) as info:
+            load_word_vectors(path)
+        assert str(info.value) == f"{path}:{where}: {message}"
+
+    def test_the_first_faulty_line_is_reported(self, tmp_path):
+        # line 2 holds a non-finite first occurrence, line 4 is ragged
+        path = write_vectors(tmp_path, "a 1 2\nb inf 2\nc 3 4\nd 5\n")
+        with pytest.raises(ParseError, match=r"vectors\.txt:2: non-finite"):
+            load_word_vectors(path)
+
+    @pytest.mark.parametrize("text,message", [
+        ("3 2\na 1 2\nb 3 4\n", "header gives count 3, but 2 lines follow it"),
+        ("1 2\na 1 2\nb 3 4\n", "header gives count 1, but 2 lines follow it"),
+        ("2 3\na 1 2\nb 3 4\n", "header gives dim 3, but line 2 has 2 components"),
+        ("two 2\na 1 2\n", "expected a 'count dim' header, got 'two 2\\n'"),
+        ("a 0.5\nb 0.25\n", "expected a 'count dim' header, got 'a 0.5\\n'"),
+    ], ids=["truncated", "count_too_small", "dim", "not_integers", "headerless_width_one"])
+    def test_header_must_match_the_rows(self, tmp_path, text, message):
+        path = write_vectors(tmp_path, text)
+        with pytest.raises(ParseError) as info:
+            load_word_vectors(path)
+        assert str(info.value) == f"{path}:1: {message}"
+
+    def test_a_file_cut_at_a_line_boundary_is_refused(self, tmp_path):
+        rng = np.random.default_rng(4)
+        path = tmp_path / "vectors.txt"
+        save_word_vectors(path, {f"w{i}": i for i in range(5)}, rng.normal(size=(5, 3)))
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:-1]))
+        with pytest.raises(ParseError, match=r"vectors\.txt:1: header gives count 5, but 4"):
+            load_word_vectors(path)
+
+    @pytest.mark.parametrize("text", ["", "2 3\n", "0 3\n"], ids=["empty", "header_only", "count_zero"])
+    def test_no_vectors(self, tmp_path, text):
+        path = write_vectors(tmp_path, text)
+        match = r"vectors\.txt:1: header" if text == "2 3\n" else r"vectors\.txt: no vectors found"
+        with pytest.raises(ParseError, match=match):
+            load_word_vectors(path)
+
+    def test_crlf_and_cr_line_ends_load_like_lf(self, tmp_path):
+        text = "3 2\na 1.5 -2\nb 3e-3 4\na 0 0\n"
+        vocab, matrix, _ = load_word_vectors(write_vectors(tmp_path, text))
+        assert vocab == {"a": 0, "b": 1}
+        for end in ("\r\n", "\r"):
+            got_vocab, got, _ = load_word_vectors(write_vectors(tmp_path, text.replace("\n", end)))
+            assert got_vocab == vocab
+            assert got.tobytes() == matrix.tobytes()
+
+    def test_repeated_word_keeps_its_first_row(self, tmp_path):
+        vocab, matrix, _ = load_word_vectors(write_vectors(tmp_path, "a 1 2\nb 3 4\na 5 6\nc 7 8\n"))
+        assert vocab == {"a": 0, "b": 1, "c": 2}
+        assert matrix.tolist() == [[1, 2], [3, 4], [7, 8]]
+
+    def test_digest_is_of_the_bytes_read(self, tmp_path):
+        path = write_vectors(tmp_path, "a 1 2\r\n")
+        assert load_word_vectors(path)[2] == hashlib.sha256(b"a 1 2\r\n").hexdigest()
+
+    def test_changed_file_is_refused_before_it_is_parsed(self, tmp_path):
+        path = write_vectors(tmp_path, "a 1 2\nb oops\n")
+        with pytest.raises(ConfigError, match="checksum mismatch"):
+            load_word_vectors(path, sha256="0" * 64)
+        with pytest.raises(ParseError):
+            load_word_vectors(path, sha256=hashlib.sha256(path.read_bytes()).hexdigest())
+
+
+_WORDS = st.sampled_from(["a", "b", "cc", "\u00e9t\u00e9", ""])
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: "%.6g" % v),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr))
+_SPECIAL = st.sampled_from(["nan", "-inf", "inf", "1e400", "-1e400", "NaN", "1e-400", "-0"])
+_JUNK = st.sampled_from(["oops", "", "1.0.0", "--1", "0x1", "1e"])
+_LINE_KINDS = ["row"] * 20 + ["blank", "lone", "bare", "ragged", "junk", "special"]
+
+
+@st.composite
+def vector_files(draw) -> bytes:
+    """Text vector files, most of them valid, the rest with one or more of
+    the faults the loader must find."""
+    dim = draw(st.sampled_from([1, 2, 2, 3, 4]))
+    lines = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(_LINE_KINDS))
+        word = draw(_WORDS)
+        comps = [draw(_NUMBERS) for _ in range(dim)]
+        where = draw(st.integers(0, dim - 1))
+        if kind == "ragged":
+            comps = comps[:-1] if draw(st.booleans()) else comps + comps[:1]
+        elif kind in ("junk", "special"):
+            comps[where] = draw(_JUNK if kind == "junk" else _SPECIAL)
+        lines.append({"blank": "", "lone": word, "bare": word + " "}.get(
+            kind, " ".join([word] + comps)))
+    header = draw(st.sampled_from(["none"] * 3 + ["good"] * 3 + ["count", "dim", "words"]))
+    count, width = len(lines), dim
+    if header == "count":
+        count += draw(st.sampled_from([-1, 1]))
+    elif header == "dim":
+        width += 1
+    if header != "none":
+        lines.insert(0, "x y" if header == "words" else f"{count} {width}")
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if lines and not draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends)).encode("utf-8")
+
+
+@settings(max_examples=300)
+@given(data=vector_files())
+def test_loader_agrees_with_the_per_line_oracle(tmp_path_factory, data):
+    """The same (vocabulary, matrix) bit for bit, or the ParseError the
+    oracle gives for the first faulty line."""
+    path = tmp_path_factory.mktemp("vectors") / "vectors.txt"
+    expected = vectors_oracle.first_fault(path, data)
+    path.write_bytes(data)
+    if expected is None:
+        want_vocab, want = vectors_oracle.load_word_vectors(path)
+        vocab, matrix, _ = load_word_vectors(path)
+        assert list(vocab.items()) == list(want_vocab.items())
+        assert matrix.dtype == want.dtype and matrix.shape == want.shape
+        assert matrix.tobytes() == want.tobytes()
+    else:
+        with pytest.raises(ParseError) as info:
+            load_word_vectors(path)
+        assert str(info.value) == expected
 
 
 def numpy_subword_forward(enc, idxs):
