@@ -11,6 +11,11 @@ pair vectors at once — one over relation classes and one over implicit
 connectives.  The connective head exists purely as a training-time
 auxiliary signal; prediction reads the relation head alone.
 
+On a training step's tape, each conv block, each attention call and the
+recurrences of each recurrent layer are one node apiece, keeping only what
+their backward reads, and ``tensor.backward`` frees every node once it has
+passed it: the forward activations, not the weights, set a step's memory.
+
 Dropout acts on the embeddings, each encoder block's input and the pair
 vector, at rates fixed when the model is built; the forward methods draw
 masks from an optional ``rng``, and a pass without an rng draws no masks.

@@ -9,9 +9,12 @@ attention-weighted mixture of the other:
     w2 = rowsoftmax(M)   v2     (one mixture of v2 rows per v1 position)
     w1 = rowsoftmax(M^T) v1     (one mixture of v1 rows per v2 position)
 
-The two mixtures are 2-max pooled per feature and concatenated, giving a
-fixed-size slice per layer; the final pair representation strings the layer
-slices together, shallowest first, so every depth contributes directly.
+Each layer's attention is one tape node, ``tensor.bi_attention``, which
+keeps the affine map and the two softmax matrices for its hand-written
+backward.  The two mixtures are 2-max pooled per feature and concatenated,
+giving a fixed-size slice per layer; the final pair representation strings
+the layer slices together, shallowest first, so every depth contributes
+directly.
 
 Padding positions take part in attention and pooling like any other row.
 """
@@ -45,11 +48,9 @@ class BiAttention:
 
 
 def bi_attend(v1: Tensor, v2: Tensor, attention: BiAttention) -> tuple[Tensor, Tensor]:
-    """Cross-attended versions of both arguments, shapes preserved."""
-    scores = attention.scores(v1, v2)
-    w2 = T.softmax_rows(scores) @ v2
-    w1 = T.softmax_rows(T.transpose(scores)) @ v1
-    return w1, w2
+    """Cross-attended versions of both arguments, shapes preserved, as one
+    tape node."""
+    return T.bi_attention(v1, v2, attention.ffn_w, attention.ffn_b)
 
 
 def pool_layer(w1: Tensor, w2: Tensor) -> Tensor:

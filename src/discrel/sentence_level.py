@@ -5,7 +5,9 @@ stacked and wrapped in residual connections:
 
 - convolutional: a same-padded convolution doubles the width, a gated linear
   unit halves it back (first half of the channels gated by the sigmoid of the
-  second half);
+  second half); the whole block, residual included, is one tape node,
+  ``tensor.gated_conv``, which keeps for its backward one buffer holding the
+  first half of the channels and the sigmoid of the second;
 - recurrent: a bidirectional gated recurrent layer doubles the width (one
   hidden state per direction), an affine projection halves it back.
 
@@ -54,12 +56,10 @@ class ConvBlock:
     @staticmethod
     def forward(blocks: Sequence[ConvBlock], inputs: Sequence[Tensor],
                 batch: int = 1) -> list[Tensor]:
-        """``blocks[i]`` over ``inputs[i]``, one after the other."""
-        out = []
-        for block, x in zip(blocks, inputs):
-            gated = T.glu(T.conv1d(x, block.kernel, block.bias, pad="same", batch=batch))
-            out.append(x + gated if block.residual else gated)
-        return out
+        """``blocks[i]`` over ``inputs[i]``, one after the other, each one
+        tape node."""
+        return [T.gated_conv(x, block.kernel, block.bias, batch, block.residual)
+                for block, x in zip(blocks, inputs)]
 
 
 class RecurrentBlock:

@@ -6,8 +6,12 @@ heads) is built from the operations in this module.  Design points:
 - 64-bit floats throughout, so finite-difference gradient checks are sharp.
 - A thread-local gradient tape records every differentiable operation whose
   inputs participate in the graph; ``backward`` replays it once, in exact
-  reverse execution order, then discards it.  Distinct model instances may
-  therefore run in parallel threads without sharing autodiff state.
+  reverse execution order, dropping each node as soon as it has been
+  replayed.  Distinct model instances may therefore run in parallel threads
+  without sharing autodiff state.
+- A node keeps only what its backward reads, so composite layers that
+  would otherwise keep every intermediate (the gated conv block, the
+  bi-attention) are single ops.
 - No broadcasting in binary elementwise ops; bias addition is its own op.
 """
 
@@ -40,7 +44,6 @@ __all__ = [
     "add_bias",
     "scalar_mul",
     "sigmoid",
-    "glu",
     "tanh",
     "relu",
     "matmul",
@@ -52,6 +55,8 @@ __all__ = [
     "slice_rows",
     "softmax_rows",
     "conv1d",
+    "gated_conv",
+    "bi_attention",
     "bigru_scan",
     "topk_pool",
     "segment_max",
@@ -181,8 +186,12 @@ def _record(output: Tensor | tuple[Tensor, ...], inputs: tuple[Tensor, ...],
     tuple, and its ``backward_fn`` receives their gradients as a list, None
     for an output that got none.  A ``backward_fn`` owns the gradient
     arrays it receives and may overwrite them: ``backward`` drops the
-    outputs' references right after the call, and ``_accum`` copies every
-    gradient it stores, so no other holder sees the change."""
+    outputs' references before the call, and ``_accum`` copies every
+    gradient it stores, so no other holder sees the change.
+
+    Whatever ``backward_fn`` refers to lives as long as the node, which
+    ``backward`` drops once it has replayed it: an op should let it refer
+    only to the arrays its gradient formulas read."""
     for t in output if isinstance(output, tuple) else (output,):
         t.requires_grad = True
     _state().tape.append(_Node(output, inputs, backward_fn))
@@ -200,34 +209,44 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every leaf tensor reachable from ``loss``.
 
-    Consumes the active tape: the recorded operations are replayed once in
-    reverse execution order and then discarded.  Leaves are the tensors no
-    recorded operation produced (parameters and tracked inputs).  An
-    operation's output gradient is complete once its node is reached, and
-    is dropped right after it has been passed on, so the pass never holds
-    the gradients of all activations at once; the node's ``backward_fn``
-    takes ownership of it and may use it as scratch space.
+    Consumes the active tape: each recorded operation is popped off it in
+    reverse execution order and replayed, and is then dropped, together
+    with the arrays its backward kept, so the forward pass's activations
+    drain while the parameter gradients fill.  The tape is empty afterwards
+    even when a backward step raises.  Leaves are the tensors no recorded
+    operation produced (parameters and tracked inputs).  An operation's
+    output gradient is complete once its node is reached, and is handed to
+    the node's ``backward_fn``, which takes ownership of it and may use it
+    as scratch space.
     """
-    if loss.data.size != 1:
-        raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
     tape = active_tape()
-    loss.grad = np.ones_like(loss.data)
-    for node in reversed(tape):
-        out = node.output
-        if isinstance(out, tuple):
-            grads = [t.grad for t in out]
-            if all(g is None for g in grads):
-                continue
-            node.backward_fn(grads)
-            for t in out:
-                t.grad = None
-            continue
-        g = out.grad
-        if g is None:
-            continue
-        node.backward_fn(g)
-        out.grad = None
-    tape.clear()
+    try:
+        if loss.data.size != 1:
+            raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
+        loss.grad = np.ones_like(loss.data)
+        while tape:
+            _replay(tape.pop())
+    finally:
+        tape.clear()
+
+
+def _replay(node: _Node) -> None:
+    """Pass one node's output gradients on to its inputs; a node whose
+    outputs got none is skipped.  Nothing here outlives the call."""
+    out = node.output
+    if isinstance(out, tuple):
+        grads = [t.grad for t in out]
+        if all(g is None for g in grads):
+            return
+        for t in out:
+            t.grad = None
+        node.backward_fn(grads)
+        return
+    g = out.grad
+    if g is None:
+        return
+    out.grad = None
+    node.backward_fn(g)
 
 
 def constant(data) -> Tensor:
@@ -327,27 +346,6 @@ def sigmoid(t: Tensor) -> Tensor:
         def bwd(g):
             _accum(t, g * y * (1.0 - y))
         _record(out, (t,), bwd)
-    return out
-
-
-def glu(x: Tensor) -> Tensor:
-    """Gated linear unit of a (N, 2w) tensor: x[:, :w] * sigmoid(x[:, w:]).
-
-    One tape node; its backward adds both halves into one (N, 2w) gradient.
-    """
-    if x.data.ndim != 2 or x.shape[1] % 2:
-        raise ShapeError(f"glu needs a 2-D tensor of even width, got {x.shape}")
-    w = x.shape[1] // 2
-    a = x.data[:, :w]
-    s = _sigmoid(x.data[:, w:])
-    out = Tensor(a * s)
-    if _tracked(x):
-        def bwd(g):
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            x.grad[:, :w] += g * s
-            x.grad[:, w:] += g * a * s * (1.0 - s)
-        _record(out, (x,), bwd)
     return out
 
 
@@ -483,20 +481,86 @@ def slice_rows(t: Tensor, lo: int, hi: int) -> Tensor:
     return out
 
 
+def _softmax_rows(a: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of a 2-D array, max-subtracted for stability."""
+    e = a - a.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
+
+
+def _softmax_rows_backward(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Gradient of the softmax input for softmax ``y`` and output gradient
+    ``g``, computed in ``g``'s own buffer."""
+    g -= (g * y).sum(axis=1, keepdims=True)
+    g *= y
+    return g
+
+
 def softmax_rows(m: Tensor) -> Tensor:
     """Row-wise softmax with max-subtraction for stability."""
     if m.data.ndim != 2:
         raise ShapeError(f"softmax_rows needs a 2-D tensor, got {m.shape}")
-    shifted = m.data - m.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
+    y = _softmax_rows(m.data)
     out = Tensor(y)
     if _tracked(m):
         def bwd(g):
-            inner = (g * y).sum(axis=1, keepdims=True)
-            _accum(m, (g - inner) * y)
+            _accum(m, _softmax_rows_backward(g, y))
         _record(out, (m,), bwd)
     return out
+
+
+def bi_attention(v1: Tensor, v2: Tensor, w: Tensor, b: Tensor) -> tuple[Tensor, Tensor]:
+    """Each of two (N, d) row sets re-expressed over the other, one tape node.
+
+    With M = (v1 w + b) v2^T the (N, N) bilinear scores of v1's rows against
+    v2's, the outputs are (softmax_rows(M^T) v1, softmax_rows(M) v2): one
+    mixture of v1 rows per v2 row, then one of v2 rows per v1 row.  ``w`` is
+    (d, d) and ``b`` is (d,).  The node keeps the affine map v1 w + b and
+    the two softmax matrices; its backward is written out by hand, and
+    either output may go without a gradient.
+    """
+    if (v1.data.ndim != 2 or v2.shape != v1.shape or w.shape != (v1.shape[1],) * 2
+            or b.shape != (v1.shape[1],)):
+        raise ShapeError(f"bi_attention: arguments {v1.shape} and {v2.shape} must both be "
+                         f"(N, d) for weights (d, d) and (d,), got {w.shape} and {b.shape}")
+    affine = v1.data @ w.data
+    affine += b.data
+    # v2^T as a contiguous copy, as the scores have always been computed:
+    # a transposed view takes another BLAS path and moves the last bits.
+    scores = affine @ v2.data.T.copy()
+    p2 = _softmax_rows(scores)
+    p1 = _softmax_rows(scores.T.copy())
+    del scores
+    outs = (Tensor(p1 @ v1.data), Tensor(p2 @ v2.data))
+    if not _tracked(v1, v2, w, b):
+        return outs
+
+    def bwd(grads):
+        g1, g2 = grads
+        d_scores = None
+        if g1 is not None:
+            d_p1 = g1 @ v1.data.T
+            if v1.requires_grad:
+                _accum(v1, p1.T @ g1)
+            d_scores = _softmax_rows_backward(d_p1, p1).T
+        if g2 is not None:
+            d_p2 = g2 @ v2.data.T
+            if v2.requires_grad:
+                _accum(v2, p2.T @ g2)
+            d_p2 = _softmax_rows_backward(d_p2, p2)
+            d_scores = d_p2 if d_scores is None else d_scores + d_p2
+        if v2.requires_grad:
+            _accum(v2, d_scores.T @ affine)
+        d_affine = d_scores @ v2.data
+        if w.requires_grad:
+            _accum(w, v1.data.T @ d_affine)
+        if b.requires_grad:
+            _accum(b, d_affine.sum(axis=0))
+        if v1.requires_grad:
+            _accum(v1, d_affine @ w.data.T)
+    _record(outs, (v1, v2, w, b), bwd)
+    return outs
 
 
 def _sequence_length(x: Tensor, batch: int, op: str) -> int:
@@ -507,15 +571,79 @@ def _sequence_length(x: Tensor, batch: int, op: str) -> int:
     return rows // batch
 
 
-def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, pad: str = "same",
-           batch: int = 1) -> Tensor:
-    """1-D convolution along the row axis.
+# The one convolution: ``batch`` sequences stacked by rows, each zero-padded
+# by ``pad`` rows at both ends, lie end to end ``stride`` = N + 2*pad rows
+# apart, and k shifted matmuls run one valid convolution over all of them.
+# Output row b*stride + i is position i of sequence b; the windows in
+# between straddle two sequences and are dropped.
+
+
+def _padded(x: np.ndarray, batch: int, pad: int) -> np.ndarray:
+    """The sequences of ``x``, each between ``pad`` zero rows, end to end."""
+    if not pad:
+        return x
+    n, d = x.shape[0] // batch, x.shape[1]
+    xp = np.zeros((batch, n + 2 * pad, d))
+    xp[:, pad:pad + n] = x.reshape(batch, n, d)
+    return xp.reshape(-1, d)
+
+
+def _conv_windows(rows: int, k: int, batch: int, pad: int) -> tuple[int, int, np.ndarray | None]:
+    """(stride, span, kept rows) of the convolution; no row is dropped for
+    a single sequence."""
+    stride = rows // batch + 2 * pad
+    span = batch * stride - k + 1
+    if batch == 1:
+        return stride, span, None
+    return stride, span, (np.arange(batch)[:, None] * stride + np.arange(stride - k + 1)).ravel()
+
+
+def _conv(x: np.ndarray, kernel: np.ndarray, batch: int, pad: int) -> np.ndarray:
+    """(B*N, d_in) -> (B*(N + 2*pad - k + 1), d_out) for a (k, d_in, d_out)
+    kernel."""
+    _, span, keep = _conv_windows(x.shape[0], kernel.shape[0], batch, pad)
+    xp = _padded(x, batch, pad)
+    y = xp[:span] @ kernel[0]
+    for j in range(1, kernel.shape[0]):
+        y += xp[j:j + span] @ kernel[j]
+    return y if keep is None else y[keep]
+
+
+def _conv_backward(x: Tensor, kernel: Tensor, g: np.ndarray, batch: int, pad: int) -> None:
+    """Adds the gradients of ``_conv`` for output gradient ``g`` into those
+    of ``kernel`` and ``x`` that require one.  The padded copy of ``x`` is
+    built again here rather than kept from the forward pass."""
+    k, d_in, d_out = kernel.shape
+    stride, span, keep = _conv_windows(x.shape[0], k, batch, pad)
+    if keep is not None:
+        g_all = np.zeros((span, d_out))
+        g_all[keep] = g
+        g = g_all
+    if kernel.requires_grad:
+        xp = _padded(x.data, batch, pad)
+        if kernel.grad is None:
+            kernel.grad = np.zeros_like(kernel.data)
+        for j in range(k):
+            kernel.grad[j] += xp[j:j + span].T @ g
+        del xp
+    if not x.requires_grad:
+        return
+    dxp = np.zeros((batch * stride, d_in))
+    for j in range(k):
+        dxp[j:j + span] += g @ kernel.data[j].T
+    if pad:
+        n = stride - 2 * pad
+        dxp = dxp.reshape(batch, stride, d_in)[:, pad:pad + n].reshape(batch * n, d_in)
+    _accum(x, dxp)
+
+
+def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, batch: int = 1) -> Tensor:
+    """Valid 1-D convolution along the row axis.
 
     ``x`` is (B*N, d_in): ``batch`` = B sequences of N rows each, stacked
-    instance-major; ``kernel`` is (k, d_in, d_out).  Each sequence is padded
-    on its own, so no window reaches across two of them, and the output
-    stacks the B results the same way.  ``pad`` is "same" (symmetric zero
-    padding, odd k required, length preserved) or "valid" (no padding).
+    instance-major; ``kernel`` is (k, d_in, d_out).  No window reaches
+    across two sequences, and the output stacks the B results of N - k + 1
+    rows the same way.
     """
     if x.data.ndim != 2 or kernel.data.ndim != 3:
         raise ShapeError(f"conv1d: x must be 2-D and kernel 3-D, got {x.shape}, {kernel.shape}")
@@ -523,38 +651,11 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, pad: str = "sa
     if x.shape[1] != d_in:
         raise ShapeError(f"conv1d: input width {x.shape[1]} != kernel d_in {d_in}")
     n = _sequence_length(x, batch, "conv1d")
-    if pad == "same":
-        if k % 2 == 0:
-            raise ShapeError(f"conv1d: same-padding requires an odd kernel size, got {k}")
-        p = (k - 1) // 2
-    elif pad == "valid":
-        p = 0
-    else:
-        raise ShapeError(f"conv1d: pad must be 'same' or 'valid', got {pad!r}")
-    out_len = n + 2 * p - k + 1
-    if out_len < 1:
-        raise WindowError(f"conv1d: kernel size {k} exceeds padded length {n + 2 * p}")
+    if n < k:
+        raise WindowError(f"conv1d: kernel size {k} exceeds sequence length {n}")
     if bias is not None and bias.shape != (d_out,):
         raise ShapeError(f"conv1d: bias {bias.shape} does not match d_out {d_out}")
-
-    # The padded sequences lie end to end, ``stride`` rows apart, and one
-    # valid convolution runs over all of them.  Output row b*stride + i is
-    # position i of sequence b; the windows in between straddle two
-    # sequences and are dropped.
-    stride = n + 2 * p
-    if p:
-        xp = np.zeros((batch, stride, d_in))
-        xp[:, p:p + n] = x.data.reshape(batch, n, d_in)
-        xp = xp.reshape(batch * stride, d_in)
-    else:
-        xp = x.data
-    span = batch * stride - k + 1
-    keep = None if batch == 1 else (np.arange(batch)[:, None] * stride + np.arange(out_len)).ravel()
-    y = xp[:span] @ kernel.data[0]
-    for j in range(1, k):
-        y += xp[j:j + span] @ kernel.data[j]
-    if keep is not None:
-        y = y[keep]
+    y = _conv(x.data, kernel.data, batch, 0)
     if bias is not None:
         y += bias.data
     out = Tensor(y)
@@ -562,25 +663,61 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, pad: str = "sa
     tracked_inputs = (x, kernel) if bias is None else (x, kernel, bias)
     if _tracked(*tracked_inputs):
         def bwd(g):
-            g_all = g
-            if keep is not None:
-                g_all = np.zeros((span, d_out))
-                g_all[keep] = g
-            if kernel.requires_grad:
-                if kernel.grad is None:
-                    kernel.grad = np.zeros_like(kernel.data)
-                for j in range(k):
-                    kernel.grad[j] += xp[j:j + span].T @ g_all
-            if x.requires_grad:
-                dxp = np.zeros_like(xp)
-                for j in range(k):
-                    dxp[j:j + span] += g_all @ kernel.data[j].T
-                if p:
-                    dxp = dxp.reshape(batch, stride, d_in)[:, p:p + n].reshape(batch * n, d_in)
-                _accum(x, dxp)
+            _conv_backward(x, kernel, g, batch, 0)
             if bias is not None and bias.requires_grad:
                 _accum(bias, g.sum(axis=0))
         _record(out, tracked_inputs, bwd)
+    return out
+
+
+def gated_conv(x: Tensor, kernel: Tensor, bias: Tensor, batch: int = 1,
+               residual: bool = True) -> Tensor:
+    """The gated convolution block, x + a * sigmoid(b), as one tape node.
+
+    [a | b] is the same-padded convolution of ``x`` plus ``bias``: ``x`` is
+    (B*N, w), ``batch`` = B sequences of N rows stacked instance-major,
+    ``kernel`` is (k, w, 2w) with k odd and ``bias`` is (2w,).  Each
+    sequence is zero-padded by (k - 1)/2 rows at both ends on its own, so
+    the output has the shape of ``x``; without ``residual`` it is the gated
+    linear unit a * sigmoid(b) alone.  The node keeps one (B*N, 2w) buffer
+    holding [a | sigmoid(b)] besides its output; the backward pass builds
+    the padded copy of ``x`` again.
+    """
+    if x.data.ndim != 2 or kernel.data.ndim != 3:
+        raise ShapeError(f"gated_conv: x must be 2-D and kernel 3-D, got {x.shape}, "
+                         f"{kernel.shape}")
+    k, w, d_out = kernel.shape
+    if x.shape[1] != w or d_out != 2 * w:
+        raise ShapeError(f"gated_conv: kernel {kernel.shape} does not map input width "
+                         f"{x.shape[1]} to twice itself")
+    if k % 2 == 0:
+        raise ShapeError(f"gated_conv: same-padding requires an odd kernel size, got {k}")
+    if bias.shape != (d_out,):
+        raise ShapeError(f"gated_conv: bias {bias.shape} does not match d_out {d_out}")
+    _sequence_length(x, batch, "gated_conv")
+    pad = (k - 1) // 2
+    buf = _conv(x.data, kernel.data, batch, pad)
+    buf += bias.data
+    a, s = buf[:, :w], buf[:, w:]
+    _sigmoid(s, out=s)
+    y = a * s
+    if residual:
+        y += x.data
+    out = Tensor(y)
+
+    if _tracked(x, kernel, bias):
+        def bwd(g):
+            if residual:
+                _accum(x, g)
+            # the GLU's gradient as the composed block computed it, added
+            # into zeros in this order, so every gradient stays bitwise equal
+            d_buf = np.zeros_like(buf)
+            d_buf[:, :w] += g * s
+            d_buf[:, w:] += g * a * s * (1.0 - s)
+            _conv_backward(x, kernel, d_buf, batch, pad)
+            if bias.requires_grad:
+                _accum(bias, d_buf.sum(axis=0))
+        _record(out, (x, kernel, bias), bwd)
     return out
 
 
@@ -934,11 +1071,11 @@ def dropout(t: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     if rng is None or rate == 0.0:
         return t
     keep = 1.0 - rate
-    mask = (rng.random(t.shape) >= rate) / keep
-    out = Tensor(t.data * mask)
+    mask = rng.random(t.shape) >= rate
+    out = Tensor(t.data * (mask / keep))
     if _tracked(t):
         def bwd(g):
-            _accum(t, g * mask)
+            _accum(t, g * (mask / keep))
         _record(out, (t,), bwd)
     return out
 

@@ -118,12 +118,9 @@ def operation_cases():
     sm, wsm = var(3, 6), const(3, 6)
     case("softmax_rows", lambda: T.sum_all(T.mul(T.softmax_rows(sm), wsm)), sm)
 
-    x, kern, cb, wk = var(7, 3), var(3, 3, 4), var(4), const(7, 4)
-    case("conv1d_same",
-         lambda: T.sum_all(T.mul(T.conv1d(x, kern, cb, pad="same"), wk)), x, kern, cb)
+    x = var(7, 3)
     kern2, wv = var(3, 3, 2), const(5, 2)
-    case("conv1d_valid",
-         lambda: T.sum_all(T.mul(T.conv1d(x, kern2, None, pad="valid"), wv)), x, kern2)
+    case("conv1d_valid", lambda: T.sum_all(T.mul(T.conv1d(x, kern2, None), wv)), x, kern2)
 
     xp, wp = var(6, 4), const(8)
     case("topk_pool", lambda: T.sum_all(T.mul(T.topk_pool(xp, 2), wp)), xp)
@@ -135,9 +132,6 @@ def operation_cases():
     case("dropout",
          lambda: T.sum_all(T.mul(
              T.dropout(xd, 0.4, np.random.default_rng(11)), wdrop)), xd)
-
-    xg, wgl = var(5, 6), const(5, 3)
-    case("glu", lambda: T.sum_all(T.mul(T.glu(xg), wgl)), xg)
 
     xm, wm = var(8, 3), const(2, 3)
     case("segment_max", lambda: T.sum_all(T.mul(T.segment_max(xm, 2, [3, 4]), wm)), xm)
@@ -160,6 +154,22 @@ def operation_cases():
         return T.sum_all(T.mul(out1, w1)) + T.sum_all(T.mul(out2, w2))
 
     case("bigru_scan over two inputs", two_inputs, x1, x2, *forward, *backward, *backward2)
+
+    xb, kb, bb, wb = var(2 * 4, 3), var(3, 3, 6), var(6), const(2 * 4, 3)
+    case("gated_conv",
+         lambda: T.sum_all(T.mul(T.gated_conv(xb, kb, bb, batch=2), wb)), xb, kb, bb)
+    case("gated_conv without the residual",
+         lambda: T.sum_all(T.mul(T.gated_conv(xb, kb, bb, batch=2, residual=False), wb)),
+         xb, kb, bb)
+
+    u1, u2, fw, fb = var(5, 3), var(5, 3), var(3, 3), var(3)
+    wu1, wu2 = const(5, 3), const(5, 3)
+
+    def attended():
+        o1, o2 = T.bi_attention(u1, u2, fw, fb)
+        return T.sum_all(T.mul(o1, wu1)) + T.sum_all(T.mul(o2, wu2))
+
+    case("bi_attention", attended, u1, u2, fw, fb)
 
     return cases
 

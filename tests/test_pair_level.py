@@ -10,6 +10,7 @@ from discrel.pair_level import (
     build_pair_representation,
     pool_layer,
 )
+from block_oracles import composed_bi_attend
 from gradcheck import assert_grads_match
 
 
@@ -90,6 +91,42 @@ class TestBiAttend:
             probs = attention_map(T.constant(v1), T.constant(v2), att)
             assert np.all(probs >= 0.0)
             assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-12
+
+    @pytest.mark.parametrize("graded", ["both", "first", "second"])
+    def test_matches_the_composition(self, graded):
+        # Outputs are bitwise those of the composed ops; gradients agree to
+        # rounding, with one output left without a gradient in two cases.
+        rng = np.random.default_rng(7)
+        n, d = 9, 4
+        data1, data2 = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+        w_data, b_data = rng.normal(size=(d, d)), rng.normal(size=d)
+        g1, g2 = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+
+        def run(attend):
+            v1 = T.Tensor(data1.copy(), requires_grad=True)
+            v2 = T.Tensor(data2.copy(), requires_grad=True)
+            w, b = T.Parameter(w_data.copy()), T.Parameter(b_data.copy())
+            w1, w2 = attend(v1, v2, w, b)
+            terms = []
+            if graded != "second":
+                terms.append(T.sum_all(T.mul(w1, T.constant(g1))))
+            if graded != "first":
+                terms.append(T.sum_all(T.mul(w2, T.constant(g2))))
+            T.backward(terms[0] if len(terms) == 1 else terms[0] + terms[1])
+            return (w1.numpy(), w2.numpy()), (v1.grad, v2.grad, w.grad, b.grad)
+
+        (outs, grads), (want_outs, want_grads) = run(T.bi_attention), run(composed_bi_attend)
+        for got, want in zip(outs, want_outs):
+            assert got.tobytes() == want.tobytes()
+        for got, want in zip(grads, want_grads):
+            assert np.max(np.abs(got - want)) <= 1e-10
+
+    def test_records_one_tape_node(self):
+        att = make_attention(3)
+        v1 = T.Tensor(np.zeros((4, 3)), requires_grad=True)
+        bi_attend(v1, T.constant(np.ones((4, 3))), att)
+        assert len(T.active_tape()) == 1
+        T.active_tape().clear()
 
     def test_length_mismatch_rejected(self):
         att = make_attention(3)

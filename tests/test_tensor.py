@@ -1,5 +1,7 @@
 """Tests for the autodiff core: op semantics, gradients, optimizer, checkpoints."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,6 +17,7 @@ from discrel.errors import (
     WindowError,
 )
 
+from block_oracles import composed_gated_conv
 from gradcheck import assert_grads_match
 
 
@@ -48,6 +51,9 @@ class TestMatmul:
 
 
 class TestConv1d:
+    """``conv1d`` is the valid convolution; the same-padded one is the
+    gated conv block's, ``gated_conv``."""
+
     def test_pointwise_scaling(self):
         x = T.constant([[1.0], [2.0], [3.0]])
         kernel = T.constant(np.array([[[2.0]]]))  # k=1, d_in=1, d_out=1
@@ -55,23 +61,26 @@ class TestConv1d:
         assert np.array_equal(out.data, [[2.0], [4.0], [6.0]])
 
     def test_window_sums_with_zero_edges(self):
+        # an all-ones value half and a gate saturated at exactly 1 leave
+        # the plain same-padded window sums
         x = T.constant([[1.0], [1.0], [1.0]])
-        kernel = T.constant(np.ones((3, 1, 1)))
-        out = T.conv1d(x, kernel, pad="same")
+        kernel = T.constant(np.stack([np.array([[1.0, 0.0]])] * 3))
+        out = T.gated_conv(x, kernel, T.constant([0.0, 800.0]), residual=False)
         assert np.array_equal(out.data, [[2.0], [3.0], [2.0]])
 
     def test_length_preserved(self):
         x = T.constant(np.random.default_rng(2).uniform(-1, 1, (7, 4)))
-        kernel = T.constant(np.zeros((5, 4, 6)))
-        assert T.conv1d(x, kernel).shape == (7, 6)
+        kernel = T.constant(np.zeros((5, 4, 8)))
+        assert T.gated_conv(x, kernel, T.constant(np.zeros(8))).shape == (7, 4)
 
     def test_even_kernel_rejected_for_same(self):
         with pytest.raises(ShapeError, match="odd"):
-            T.conv1d(T.constant(np.zeros((4, 2))), T.constant(np.zeros((2, 2, 3))))
+            T.gated_conv(T.constant(np.zeros((4, 2))), T.constant(np.zeros((2, 2, 4))),
+                         T.constant(np.zeros(4)))
 
     def test_valid_mode_window_error(self):
         with pytest.raises(WindowError):
-            T.conv1d(T.constant(np.zeros((2, 1))), T.constant(np.zeros((3, 1, 1))), pad="valid")
+            T.conv1d(T.constant(np.zeros((2, 1))), T.constant(np.zeros((3, 1, 1))))
 
     def test_grad_vs_finite_differences(self):
         rng = np.random.default_rng(3)
@@ -87,8 +96,15 @@ class TestConv1d:
         x = T.Tensor(rng.uniform(-1, 1, (5, 3)), requires_grad=True)
         kernel = T.Tensor(rng.uniform(-1, 1, (2, 3, 4)), requires_grad=True)
         assert_grads_match(
-            lambda: T.sum_all(T.sigmoid(T.conv1d(x, kernel, pad="valid"))), [x, kernel]
+            lambda: T.sum_all(T.sigmoid(T.conv1d(x, kernel))), [x, kernel]
         )
+
+
+def convolve(pad, x, kernel, bias, batch=1):
+    """The same-padded convolution (the gated conv block) or the valid one."""
+    if pad == "same":
+        return T.gated_conv(x, kernel, bias, batch)
+    return T.conv1d(x, kernel, bias, batch)
 
 
 class TestBatchedConv1d:
@@ -98,10 +114,10 @@ class TestBatchedConv1d:
     def test_each_sequence_is_padded_on_its_own(self, pad):
         rng = np.random.default_rng(30)
         xs = [rng.uniform(-1, 1, (6, 3)) for _ in range(3)]
-        kernel = T.constant(rng.uniform(-1, 1, (3, 3, 4)))
-        bias = T.constant(rng.uniform(-1, 1, 4))
-        batched = T.conv1d(T.constant(np.vstack(xs)), kernel, bias, pad=pad, batch=3).numpy()
-        alone = np.vstack([T.conv1d(T.constant(x), kernel, bias, pad=pad).numpy() for x in xs])
+        kernel = T.constant(rng.uniform(-1, 1, (3, 3, 6)))
+        bias = T.constant(rng.uniform(-1, 1, 6))
+        batched = convolve(pad, T.constant(np.vstack(xs)), kernel, bias, batch=3).numpy()
+        alone = np.vstack([convolve(pad, T.constant(x), kernel, bias).numpy() for x in xs])
         assert batched.shape == alone.shape
         assert np.max(np.abs(batched - alone)) <= 1e-12
 
@@ -109,15 +125,63 @@ class TestBatchedConv1d:
     def test_grad_vs_finite_differences(self, pad):
         rng = np.random.default_rng(31)
         x = T.Tensor(rng.uniform(-1, 1, (3 * 5, 4)), requires_grad=True)
-        kernel = T.Tensor(rng.uniform(-1, 1, (3, 4, 2)), requires_grad=True)
-        bias = T.Tensor(rng.uniform(-1, 1, 2), requires_grad=True)
+        kernel = T.Tensor(rng.uniform(-1, 1, (3, 4, 8)), requires_grad=True)
+        bias = T.Tensor(rng.uniform(-1, 1, 8), requires_grad=True)
         assert_grads_match(
-            lambda: T.sum_all(T.tanh(T.conv1d(x, kernel, bias, pad=pad, batch=3))),
+            lambda: T.sum_all(T.tanh(convolve(pad, x, kernel, bias, batch=3))),
             [x, kernel, bias])
 
     def test_rows_must_split_into_the_batch(self):
         with pytest.raises(ShapeError, match="batch|sequences"):
             T.conv1d(T.constant(np.zeros((7, 2))), T.constant(np.zeros((3, 2, 2))), batch=2)
+
+
+class TestGatedConv:
+    """The conv block op against its composition of ``conv1d``, the gated
+    linear unit and the residual ``add``: every output and gradient bitwise
+    equal."""
+
+    @pytest.mark.parametrize("residual", [True, False])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("n", [1, 5, 40])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_matches_the_composition_bitwise(self, batch, n, k, residual):
+        rng = np.random.default_rng(batch * 1000 + n * 10 + k)
+        w = 4
+        data = rng.normal(size=(batch * n, w))
+        kernel_data = rng.normal(size=(k, w, 2 * w))
+        bias_data = rng.normal(size=2 * w)
+        g, h = rng.normal(size=(batch * n, w)), rng.normal(size=(batch * n, w))
+
+        def run(block):
+            x = T.Tensor(data.copy(), requires_grad=True)
+            kernel, bias = T.Parameter(kernel_data.copy()), T.Parameter(bias_data.copy())
+            out = block(x, kernel, bias, batch, residual)
+            # x is read again after the block, so its gradient has a value
+            # before the block's backward adds to it
+            T.backward(T.sum_all(T.mul(out, T.constant(g))) + T.sum_all(T.mul(x, T.constant(h))))
+            return out.numpy(), x.grad, kernel.grad, bias.grad
+
+        for got, want in zip(run(T.gated_conv), run(composed_gated_conv)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_records_one_tape_node(self):
+        x = T.Tensor(np.zeros((2 * 3, 2)), requires_grad=True)
+        T.gated_conv(x, T.Parameter(np.zeros((3, 2, 4))), T.Parameter(np.zeros(4)), batch=2)
+        assert len(T.active_tape()) == 1
+        T.active_tape().clear()
+
+    @pytest.mark.parametrize("x_shape,kernel_shape,bias_shape,batch", [
+        ((4, 2), (3, 2, 3), (3,), 1),    # output not twice the input width
+        ((4, 3), (3, 2, 4), (4,), 1),    # input width
+        ((4, 2), (3, 2, 4), (3,), 1),    # bias width
+        ((7, 2), (3, 2, 4), (4,), 2),    # rows do not split into the batch
+        ((4, 2), (2, 4), (4,), 1),       # kernel not 3-D
+    ])
+    def test_shapes_are_checked(self, x_shape, kernel_shape, bias_shape, batch):
+        with pytest.raises(ShapeError):
+            T.gated_conv(T.constant(np.zeros(x_shape)), T.constant(np.zeros(kernel_shape)),
+                         T.constant(np.zeros(bias_shape)), batch)
 
 
 class TestSoftmaxRows:
@@ -303,56 +367,23 @@ class TestElementwise:
         assert_grads_match(lambda: T.sum_all(T.sigmoid(T.add_bias(m, b))), [m, b])
 
 
-class TestGlu:
-    def test_matches_the_sliced_composition(self):
-        rng = np.random.default_rng(41)
-        data = rng.normal(scale=3.0, size=(7, 10))
-        w = rng.normal(size=(7, 5))
-
-        def run(gate):
-            x = T.Tensor(data.copy(), requires_grad=True)
-            out = gate(x)
-            T.backward(T.sum_all(T.mul(out, T.constant(w))))
-            return out.numpy(), x.grad
-
-        fused, fused_grad = run(T.glu)
-        composed, composed_grad = run(
-            lambda x: T.slice_cols(x, 0, 5) * T.sigmoid(T.slice_cols(x, 5, 10)))
-        assert np.max(np.abs(fused - composed)) <= 1e-12
-        assert np.max(np.abs(fused_grad - composed_grad)) <= 1e-12
-
-    def test_records_one_tape_node(self):
-        x = T.Tensor(np.zeros((2, 4)), requires_grad=True)
-        T.glu(x)
-        assert len(T.active_tape()) == 1
-        T.active_tape().clear()
-
-    def test_odd_width_rejected(self):
-        with pytest.raises(ShapeError, match="even"):
-            T.glu(T.constant(np.zeros((2, 3))))
-
-    def test_grad_vs_finite_differences(self):
-        rng = np.random.default_rng(42)
-        x = T.Tensor(rng.uniform(-2, 2, (5, 6)), requires_grad=True)
-        w = T.constant(rng.uniform(-1, 1, (5, 3)))
-        assert_grads_match(lambda: T.sum_all(T.mul(T.glu(x), w)), [x])
-
-
 class TestUnreadGradients:
     """An untracked input gets no gradient, and the tracked ones are unchanged."""
 
     @pytest.mark.parametrize("pad,batch", [("same", 1), ("same", 2), ("valid", 2)])
     def test_conv1d_with_an_untracked_input(self, pad, batch):
+        # "same" is the gated conv block, whose input is untracked when it
+        # is the first block over frozen word vectors
         rng = np.random.default_rng(43)
         data = rng.normal(size=(2 * 6, 4))
-        kernel_data = rng.normal(size=(3, 4, 5))
-        bias_data = rng.normal(size=5)
-        g = rng.normal(size=(2 * 6 if pad == "same" else 2 * 4, 5))
+        kernel_data = rng.normal(size=(3, 4, 8))
+        bias_data = rng.normal(size=8)
+        g = rng.normal(size=(2 * 6, 4) if pad == "same" else (2 * 4, 8))
 
         def run(x):
             kernel = T.Parameter(kernel_data.copy())
             bias = T.Parameter(bias_data.copy())
-            out = T.conv1d(x, kernel, bias, pad=pad, batch=batch)
+            out = convolve(pad, x, kernel, bias, batch)
             T.backward(T.sum_all(T.mul(out, T.constant(g))))
             return kernel.grad, bias.grad
 
@@ -498,6 +529,41 @@ class TestBackward:
         assert hidden.grad is None
         np.testing.assert_allclose(x.grad, 2 * np.tanh(x.data) * (1 - np.tanh(x.data) ** 2))
 
+    def test_a_raising_backward_leaves_the_tape_empty(self):
+        x = T.Tensor([1.0, 2.0], requires_grad=True)
+        failing = T.Tensor(np.tanh(x.data))
+
+        def fail(g):
+            raise RuntimeError("backward step failed")
+
+        T._record(failing, (T.tanh(x),), fail)
+        with pytest.raises(RuntimeError, match="step failed"):
+            T.backward(T.sum_all(failing))
+        assert len(T.active_tape()) == 0
+        T.backward(T.sum_all(T.mul(x, x)))
+        np.testing.assert_allclose(x.grad, 2 * x.data)
+
+    def test_a_node_is_freed_once_replayed(self):
+        # The tanh node keeps its output for its backward.  Once backward
+        # has replayed that node, nothing holds the array any more, before
+        # the earlier node's backward runs.
+        x = T.Tensor([0.5, -1.0], requires_grad=True)
+        first = T.Tensor(2.0 * x.data)
+        freed = []
+
+        def first_bwd(g):
+            freed.append(kept() is None)
+            T._accum(x, 2.0 * g)
+
+        T._record(first, (x,), first_bwd)
+        hidden = T.tanh(first)
+        kept = weakref.ref(hidden.data)
+        loss = T.sum_all(hidden)
+        del first, hidden
+        T.backward(loss)
+        assert freed == [True]
+        np.testing.assert_allclose(x.grad, 2.0 * (1.0 - np.tanh(2.0 * x.data) ** 2))
+
     def test_no_grad_records_nothing(self):
         x = T.Tensor([1.0], requires_grad=True)
         with T.no_grad():
@@ -512,6 +578,16 @@ class TestDropout:
         assert T.dropout(x, 0.5, None) is x
         with pytest.raises(ShapeError):
             T.dropout(x, 1.0, None)
+
+    def test_input_and_gradient_are_scaled_by_the_drawn_mask(self):
+        rng = np.random.default_rng(5)
+        x = T.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        g = rng.normal(size=(4, 5))
+        out = T.dropout(x, 0.4, np.random.default_rng(6))
+        T.backward(T.sum_all(T.mul(out, T.constant(g))))
+        scale = (np.random.default_rng(6).random((4, 5)) >= 0.4) / (1.0 - 0.4)
+        assert out.numpy().tobytes() == (x.data * scale).tobytes()
+        assert x.grad.tobytes() == (g * scale).tobytes()
 
     def test_rate_zero_draws_nothing(self):
         rng = np.random.default_rng(4)
