@@ -36,14 +36,10 @@ from .pipeline import (
     resolve_output_dir,
     restore_run,
     run_training,
+    write_contextual_model,
     write_run,
 )
-from .word_level import (
-    build_toy_embedder,
-    check_toy_settings,
-    save_contextual_vectors,
-    save_word_vectors,
-)
+from .word_level import build_toy_embedder, check_toy_settings, save_word_vectors
 
 _FAILURES = (ConfigError, DataError, ParseError, LabelError, ShapeError,
              WindowError, DivergenceError, InstanceKeyError,
@@ -83,24 +79,16 @@ def cmd_learn_bpe(args) -> int:
 
 
 def cmd_prep_contextual(args) -> int:
-    if args.max_tokens < 1:
-        raise ConfigError(f"--max-tokens: must be at least 1, got {args.max_tokens}")
     check_toy_settings(args.width, args.char_width, args.epochs, args.lr,
                        ("--width", "--char-width", "--epochs", "--lr"))
-    records = load_corpus(args.corpus)
-    sentences = corpus_sentences(records)
+    sentences = corpus_sentences(load_corpus(args.corpus))
     embedder, history = build_toy_embedder(
         sentences, dim=args.width, char_dim=args.char_width,
         epochs=args.epochs, lr=args.lr, seed=args.seed)
-    truncated: dict[str, list[str]] = {}
-    for sentence in sentences:
-        cut = sentence[:args.max_tokens]
-        truncated.setdefault(" ".join(cut), cut)
-    entries = [(tokens,) + embedder.embed(tokens) for tokens in truncated.values()]
-    save_contextual_vectors(args.out, entries, dim=args.width)
+    write_contextual_model(args.out, embedder)
     if history:
         print("perplexity " + " ".join(f"{p:.4f}" for p in history))
-    return _ok(sentences=len(sentences), instances=len(entries),
+    return _ok(sentences=len(sentences), words=len(embedder.words),
                dim=args.width, out=args.out)
 
 
@@ -231,16 +219,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_learn_bpe)
 
     p = sub.add_parser("prep-contextual",
-                       help="train the stand-in contextual embedder and export per-instance vectors")
+                       help="pretrain the stand-in contextual language model on a corpus "
+                            "and write it for model.contextual_source = pretrained")
     p.add_argument("corpus", help="instance corpus (JSONL)")
-    p.add_argument("out", help="contextual-vector file to write")
+    p.add_argument("out", help="directory to write the language model to")
     p.add_argument("--width", type=int, default=64, help="layer width (even, default 64)")
     p.add_argument("--char-width", type=int, default=16, help="character embedding width")
     p.add_argument("--epochs", type=int, default=5, help="language-model epochs")
     p.add_argument("--lr", type=float, default=0.1, help="language-model learning rate")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-tokens", type=int, default=100,
-                   help="store vectors for each argument truncated to this length")
     p.set_defaults(handler=cmd_prep_contextual)
 
     p = sub.add_parser("gen-synthetic", help="generate a synthetic cue-word corpus")

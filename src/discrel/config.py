@@ -20,7 +20,7 @@ from .sentence_level import BLOCK_TYPES
 from .training import TrainConfig
 from .word_level import check_toy_settings
 
-CONTEXTUAL_SOURCES = ("fresh", "vectors")
+CONTEXTUAL_SOURCES = ("fresh", "pretrained")
 OUTPUT_ROOT_ENV = "DISCREL_OUTPUT_ROOT"
 
 
@@ -64,7 +64,7 @@ class RunConfig:
     corpus: str = ""
     word_vectors: str = ""
     merge_table: str = ""
-    contextual_vectors: str = ""
+    contextual_model: str = ""
     output_dir: str = ""
 
 
@@ -104,7 +104,7 @@ _SCHEMA = [
     ("paths", "corpus", "corpus", "str"),
     ("paths", "word_vectors", "word_vectors", "str"),
     ("paths", "merge_table", "merge_table", "str"),
-    ("paths", "contextual_vectors", "contextual_vectors", "str"),
+    ("paths", "contextual_model", "contextual_model", "str"),
     ("paths", "output_dir", "output_dir", "str"),
 ]
 
@@ -221,15 +221,14 @@ def validate(config: RunConfig) -> None:
         if not config.subword_kernel_sizes or any(k < 1 for k in config.subword_kernel_sizes):
             raise ConfigError(f"model.subword_kernel_sizes: need positive widths, "
                               f"got {config.subword_kernel_sizes}")
+    if config.contextual_source not in CONTEXTUAL_SOURCES:
+        raise ConfigError(f"model.contextual_source: expected one of "
+                          f"{CONTEXTUAL_SOURCES}, got {config.contextual_source!r}")
     if config.use_contextual:
-        if config.contextual_source not in CONTEXTUAL_SOURCES:
-            raise ConfigError(f"model.contextual_source: expected one of "
-                              f"{CONTEXTUAL_SOURCES}, got {config.contextual_source!r}")
-        if config.contextual_source == "fresh":
-            check_toy_settings(config.contextual_dim, config.contextual_char_dim,
-                               config.contextual_epochs, config.contextual_lr,
-                               ("model.contextual_dim", "model.contextual_char_dim",
-                                "model.contextual_epochs", "model.contextual_lr"))
+        check_toy_settings(config.contextual_dim, config.contextual_char_dim,
+                           config.contextual_epochs, config.contextual_lr,
+                           ("model.contextual_dim", "model.contextual_char_dim",
+                            "model.contextual_epochs", "model.contextual_lr"))
         if config.contextual_out_dim < 1:
             raise ConfigError(f"model.contextual_out_dim: must be positive, "
                               f"got {config.contextual_out_dim}")

@@ -60,9 +60,7 @@ from .init import uniform_param, zeros_param
 from .pair_level import BiAttention, attention_map, build_pair_representation
 from .sentence_level import EncoderStack, argument_stacks
 from .tensor import Parameter, Tensor
-from .word_level import TokenEmbedder, ToyContextualEmbedder
-
-CONTEXTUAL_STATE_PREFIX = "toy."
+from .word_level import TokenEmbedder
 
 
 class ClassifierHead:
@@ -162,15 +160,14 @@ class RelationModel:
         ``config.ini`` instead of being copied around.
         """
         out = {p.name: p.data.copy() for p in self.parameters()}
-        if isinstance(self.embedder.contextual, ToyContextualEmbedder):
+        if self.embedder.contextual is not None:
             out.update(self.embedder.contextual.state_arrays())
         return out
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         T.load_parameters(self.parameters(), arrays, "checkpoint")
-        if isinstance(self.embedder.contextual, ToyContextualEmbedder):
-            self.embedder.contextual.load_state_arrays(
-                {k: v for k, v in arrays.items() if k.startswith(CONTEXTUAL_STATE_PREFIX)})
+        if self.embedder.contextual is not None:
+            self.embedder.contextual.load_state_arrays(arrays, "checkpoint")
 
     # -- forward -------------------------------------------------------------
 

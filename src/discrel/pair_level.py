@@ -40,12 +40,6 @@ class BiAttention:
     def parameters(self) -> list[Parameter]:
         return [self.ffn_w, self.ffn_b]
 
-    def scores(self, v1: Tensor, v2: Tensor) -> Tensor:
-        if v1.shape != v2.shape or v1.shape[1] != self.width:
-            raise ShapeError(f"bi-attention: arguments {v1.shape} and {v2.shape} "
-                             f"must both be (N, {self.width})")
-        return T.add_bias(v1 @ self.ffn_w, self.ffn_b) @ T.transpose(v2)
-
 
 def bi_attend(v1: Tensor, v2: Tensor, attention: BiAttention) -> tuple[Tensor, Tensor]:
     """Cross-attended versions of both arguments, shapes preserved, as one
@@ -81,10 +75,9 @@ def build_pair_representation(layers1, layers2, attention: BiAttention | None) -
     return T.concat(slices, axis=0)
 
 
-def attention_map(v1, v2, attention: BiAttention) -> np.ndarray:
+def attention_map(v1: Tensor, v2: Tensor, attention: BiAttention) -> np.ndarray:
     """Softmaxed score matrix (first argument attending over the second),
-    for inspection and export; computed off the gradient tape."""
-    with T.no_grad():
-        scores = attention.scores(T.constant(np.asarray(v1.numpy() if isinstance(v1, Tensor) else v1)),
-                                  T.constant(np.asarray(v2.numpy() if isinstance(v2, Tensor) else v2)))
-        return T.softmax_rows(scores).numpy().copy()
+    for inspection and export: the one ``bi_attend`` mixes the second
+    argument's rows with, computed off the gradient tape."""
+    _, p2, _ = T.attention_weights(v1.data, v2.data, attention.ffn_w.data, attention.ffn_b.data)
+    return p2

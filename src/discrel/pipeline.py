@@ -10,10 +10,16 @@ A finished training run is a directory holding four files:
 - ``model.ckpt``    trainable weights plus the frozen contextual embedder
 - ``trace.csv``     per-epoch training loss and dev accuracy
 
-The input files (word vectors, merge table, precomputed contextual vectors)
-are deliberately not copied into the run: ``config.ini`` names them, and the
-manifest pins the word vectors' SHA-256 so a drifted file fails loudly
-instead of silently changing predictions.
+The word vectors and the merge table are deliberately not copied into the
+run: ``config.ini`` names them, and the manifest pins the word vectors'
+SHA-256 so a drifted file fails loudly instead of silently changing
+predictions.  The contextual language model, trained fresh or loaded from a
+pretrained one, is part of the run, so a run restores without its source.
+
+A pretrained language model, as ``discrel prep-contextual`` writes it, is a
+directory laid out like a run: its ``toy.*`` weights in ``model.ckpt`` and
+its word and character lists in ``manifest.json``, under the same
+``contextual`` entry.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from .data import (
     make_splits,
     pad_truncate,
 )
-from .errors import ConfigError, DataError, InstanceKeyError, ParseError
+from .errors import ConfigError, DataError, InstanceKeyError, ParseError, utf8_text
 from .model import RelationModel
 from .training import (
     TrainResult,
@@ -52,7 +58,6 @@ from .training import (
 )
 from .word_level import (
     ContextualMixer,
-    PrecomputedContextualEmbedder,
     SubwordEncoder,
     TokenEmbedder,
     ToyContextualEmbedder,
@@ -65,6 +70,7 @@ CHECKPOINT_NAME = "model.ckpt"
 TRACE_NAME = "trace.csv"
 CONFIG_NAME = "config.ini"
 _MANIFEST_FORMAT = "discrel-run 1"
+_LM_FORMAT = "discrel-lm 1"
 
 
 def task_label_space(task: str) -> LabelSpace:
@@ -86,11 +92,12 @@ def resolve_output_dir(config: RunConfig) -> Path:
     raise ConfigError(f"paths.output_dir: set it in the config or export {OUTPUT_ROOT_ENV}")
 
 
-def _require_file(path: str, key: str, reason: str) -> str:
+def _require_file(path: str, key: str, reason: str, name: str = "") -> str:
+    """``path``, which must hold a file (the file ``name`` inside it, if given)."""
     if not path:
         raise ConfigError(f"paths.{key}: required {reason}")
-    if not Path(path).is_file():
-        raise ConfigError(f"paths.{key}: no file at {path!r}")
+    if not (Path(path) / name).is_file():
+        raise ConfigError(f"paths.{key}: no {name or 'file'} at {path!r}")
     return path
 
 
@@ -116,10 +123,10 @@ class TrainingSetup:
 
 
 def _load_inputs(config: RunConfig, why: str, word_sha: str | None = None):
-    """The input files ``config`` names, loaded: (word table, merge table,
-    precomputed contextual embedder), each None when unused.  With
-    ``word_sha``, the word-vector file must still have that SHA-256."""
-    word_table = merges = contextual = None
+    """The input files ``config`` names, loaded: (word table, merge table),
+    each None when unused.  With ``word_sha``, the word-vector file must
+    still have that SHA-256."""
+    word_table = merges = None
     if config.use_word:
         path = _require_file(config.word_vectors, "word_vectors",
                              f"{why} when model.use_word is true")
@@ -130,11 +137,7 @@ def _load_inputs(config: RunConfig, why: str, word_sha: str | None = None):
     if config.use_subword:
         merges = load_merge_table(_require_file(
             config.merge_table, "merge_table", f"{why} when model.use_subword is true"))
-    if config.use_contextual and config.contextual_source == "vectors":
-        contextual = PrecomputedContextualEmbedder.load(_require_file(
-            config.contextual_vectors, "contextual_vectors",
-            f"{why} when model.contextual_source is 'vectors'"))
-    return word_table, merges, contextual
+    return word_table, merges
 
 
 def build_model(config: RunConfig, n_classes: int, connectives, word_table,
@@ -173,14 +176,19 @@ def prepare_training(config: RunConfig) -> TrainingSetup:
     if not splits.train or not splits.dev:
         raise DataError(f"corpus {corpus_path}: split {config.split!r} left "
                         f"{len(splits.train)} train / {len(splits.dev)} dev instances")
-    word_table, merges, contextual = _load_inputs(config, "to train")
+    word_table, merges = _load_inputs(config, "to train")
 
     pieces = None
     if config.use_subword:
         train_words = {tok for inst in splits.train
                        for tok in inst.record.arg1 + inst.record.arg2}
         pieces = subword_vocabulary(sorted(train_words), merges)
-    if config.use_contextual and contextual is None:
+    contextual = None
+    if config.use_contextual and config.contextual_source == "pretrained":
+        contextual = load_contextual_model(_require_file(
+            config.contextual_model, "contextual_model",
+            "to train when model.contextual_source is 'pretrained'", MANIFEST_NAME), config)
+    elif config.use_contextual:
         sentences = corpus_sentences(inst.record for inst in splits.train)
         contextual, _ = build_toy_embedder(
             sentences, dim=config.contextual_dim,
@@ -209,6 +217,19 @@ def _fresh(run_dir: Path, name: str) -> Path:
     return path
 
 
+def _write_manifest(path: Path, manifest: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _contextual_entry(contextual: ToyContextualEmbedder | None) -> dict | None:
+    """What a manifest records of a contextual LM: its word and character lists."""
+    if contextual is None:
+        return None
+    return {"words": contextual.words, "chars": contextual.chars}
+
+
 def write_run(run_dir, setup: TrainingSetup, result: TrainResult) -> Path:
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -219,25 +240,32 @@ def write_run(run_dir, setup: TrainingSetup, result: TrainResult) -> Path:
     T.save_checkpoint(_fresh(run_dir, CHECKPOINT_NAME), result.state)
     save_trace(_fresh(run_dir, TRACE_NAME), result.trace)
     embedder = setup.model.embedder
-    manifest = {
+    _write_manifest(manifest_path, {
         "format": _MANIFEST_FORMAT,
         "connectives": setup.model.connectives,
         "subword_pieces": (list(embedder.subword.index)
                            if embedder.subword is not None else None),
-        "contextual": ({"words": embedder.contextual.words,
-                        "chars": embedder.contextual.chars}
-                       if isinstance(embedder.contextual, ToyContextualEmbedder) else None),
+        "contextual": _contextual_entry(embedder.contextual),
         "word_vectors": ({"sha256": embedder.word_table.sha256}
                          if embedder.word_table is not None else None),
         "counts": {"train": len(setup.splits.train), "dev": len(setup.splits.dev),
                    "test": len(setup.splits.test)},
         "best_epoch": result.best_epoch,
         "best_dev_accuracy": result.best_dev_accuracy,
-    }
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     return run_dir
+
+
+def write_contextual_model(out_dir, contextual: ToyContextualEmbedder) -> Path:
+    """Write a trained language model as ``load_contextual_model`` reads it,
+    the manifest last, as ``write_run`` does."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    manifest_path = _fresh(out_dir, MANIFEST_NAME)
+    T.save_checkpoint(_fresh(out_dir, CHECKPOINT_NAME), contextual.state_arrays())
+    _write_manifest(manifest_path, {"format": _LM_FORMAT,
+                                    "contextual": _contextual_entry(contextual)})
+    return out_dir
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +279,14 @@ class RestoredRun:
     model: RelationModel
 
 
-def _read_manifest(path: Path) -> dict:
+def _read_manifest(path: Path, kind: str = _MANIFEST_FORMAT) -> dict:
+    """The JSON manifest at ``path``, whose format must be ``kind``."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with utf8_text(path), open(path, encoding="utf-8") as fh:
             manifest = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: not a JSON manifest ({exc})") from None
-    if not isinstance(manifest, dict) or manifest.get("format") != _MANIFEST_FORMAT:
+    if not isinstance(manifest, dict) or manifest.get("format") != kind:
         found = manifest.get("format") if isinstance(manifest, dict) else manifest
         raise ParseError(f"{path}: unsupported manifest format {found!r}")
     return manifest
@@ -269,10 +298,48 @@ _STRINGS = (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v)
 _STRING = (lambda v: isinstance(v, str), "a string")
 
 
+def _entry(manifest_path: Path, mapping, key: str, within: str = "", kind=None):
+    """``mapping[key]`` of the manifest at ``manifest_path``, where ``within``
+    names the entry that holds ``mapping``; ``kind`` is a typed entry's test."""
+    if not isinstance(mapping, dict) or key not in mapping:
+        raise ParseError(f"{manifest_path}: missing manifest entry {within}{key!r}")
+    value = mapping[key]
+    if kind is not None and not kind[0](value):
+        raise ParseError(f"{manifest_path}: manifest entry {within}{key!r} must be "
+                         f"{kind[1]}, got {value!r:.40}")
+    return value
+
+
+def _contextual_model(directory: Path, manifest: dict, arrays: dict,
+                      config: RunConfig) -> ToyContextualEmbedder:
+    """The frozen language model that a run or a pretrained-model directory
+    holds: its vocabulary from the manifest's ``contextual`` entry, its
+    widths from ``config`` and its weights from the checkpoint ``arrays``."""
+    manifest_path = directory / MANIFEST_NAME
+    info = _entry(manifest_path, manifest, "contextual")
+    contextual = ToyContextualEmbedder(
+        _entry(manifest_path, info, "words", "contextual.", _STRINGS),
+        _entry(manifest_path, info, "chars", "contextual.", _STRINGS),
+        np.random.default_rng(0), dim=config.contextual_dim,
+        char_dim=config.contextual_char_dim)
+    contextual.load_state_arrays(arrays, str(directory / CHECKPOINT_NAME))
+    contextual.freeze()
+    return contextual
+
+
+def load_contextual_model(directory, config: RunConfig) -> ToyContextualEmbedder:
+    """The pretrained language model ``write_contextual_model`` wrote in
+    ``directory``, at the widths ``config`` gives, frozen."""
+    directory = Path(directory)
+    manifest = _read_manifest(directory / MANIFEST_NAME, _LM_FORMAT)
+    return _contextual_model(directory, manifest,
+                             T.load_checkpoint(directory / CHECKPOINT_NAME), config)
+
+
 def restore_run(run_dir) -> RestoredRun:
     """Rebuild a finished run: ``config.ini`` says what the model is made of,
     the manifest supplies what the config cannot rebuild, and the checkpoint
-    supplies the weights."""
+    supplies the weights, the contextual language model's included."""
     run_dir = Path(run_dir)
     manifest_path = run_dir / MANIFEST_NAME
     if not manifest_path.is_file():
@@ -280,32 +347,23 @@ def restore_run(run_dir) -> RestoredRun:
     manifest = _read_manifest(manifest_path)
     config = parse_config(run_dir / CONFIG_NAME)
 
-    def entry(mapping, key: str, within: str = "", kind=None):
-        if not isinstance(mapping, dict) or key not in mapping:
-            raise ParseError(f"{manifest_path}: missing manifest entry {within}{key!r}")
-        value = mapping[key]
-        if kind is not None and not kind[0](value):
-            raise ParseError(f"{manifest_path}: manifest entry {within}{key!r} must be "
-                             f"{kind[1]}, got {value!r:.40}")
-        return value
-
-    connectives = entry(manifest, "connectives", kind=_STRINGS)
-    pieces = entry(manifest, "subword_pieces", kind=_STRINGS) if config.use_subword else None
+    connectives = _entry(manifest_path, manifest, "connectives", kind=_STRINGS)
+    pieces = None
+    if config.use_subword:
+        pieces = _entry(manifest_path, manifest, "subword_pieces", kind=_STRINGS)
     word_sha = None
     if config.use_word:
-        word_sha = entry(entry(manifest, "word_vectors"), "sha256", "word_vectors.", _STRING)
-    word_table, merges, contextual = _load_inputs(config, "to restore the run", word_sha)
-    if config.use_contextual and contextual is None:
-        info = entry(manifest, "contextual")
-        contextual = ToyContextualEmbedder(
-            entry(info, "words", "contextual.", _STRINGS),
-            entry(info, "chars", "contextual.", _STRINGS), np.random.default_rng(0),
-            dim=config.contextual_dim, char_dim=config.contextual_char_dim)
-        contextual.freeze()
+        word_sha = _entry(manifest_path, _entry(manifest_path, manifest, "word_vectors"),
+                          "sha256", "word_vectors.", _STRING)
+    word_table, merges = _load_inputs(config, "to restore the run", word_sha)
+    arrays = T.load_checkpoint(run_dir / CHECKPOINT_NAME)
+    contextual = None
+    if config.use_contextual:
+        contextual = _contextual_model(run_dir, manifest, arrays, config)
     labels = task_label_space(config.task)
     model = build_model(config, labels.n_classes, connectives, word_table, pieces, merges,
                         contextual)
-    model.load_state_arrays(T.load_checkpoint(run_dir / CHECKPOINT_NAME))
+    model.load_state_arrays(arrays)
     return RestoredRun(config, labels, model)
 
 

@@ -57,6 +57,7 @@ __all__ = [
     "conv1d",
     "gated_conv",
     "bi_attention",
+    "attention_weights",
     "bigru_scan",
     "topk_pool",
     "segment_max",
@@ -510,28 +511,34 @@ def softmax_rows(m: Tensor) -> Tensor:
     return out
 
 
-def bi_attention(v1: Tensor, v2: Tensor, w: Tensor, b: Tensor) -> tuple[Tensor, Tensor]:
-    """Each of two (N, d) row sets re-expressed over the other, one tape node.
-
-    With M = (v1 w + b) v2^T the (N, N) bilinear scores of v1's rows against
-    v2's, the outputs are (softmax_rows(M^T) v1, softmax_rows(M) v2): one
-    mixture of v1 rows per v2 row, then one of v2 rows per v1 row.  ``w`` is
-    (d, d) and ``b`` is (d,).  The node keeps the affine map v1 w + b and
-    the two softmax matrices; its backward is written out by hand, and
-    either output may go without a gradient.
-    """
-    if (v1.data.ndim != 2 or v2.shape != v1.shape or w.shape != (v1.shape[1],) * 2
+def attention_weights(v1: np.ndarray, v2: np.ndarray, w: np.ndarray,
+                      b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(v1 w + b, softmax_rows(M), softmax_rows(M^T)) for two (N, d) row
+    sets, ``w`` (d, d) and ``b`` (d,), where M = (v1 w + b) v2^T holds the
+    (N, N) bilinear scores of v1's rows against v2's.  Plain arrays: this
+    is the arithmetic of ``bi_attention`` and of exported attention maps."""
+    if (v1.ndim != 2 or v2.shape != v1.shape or w.shape != (v1.shape[1],) * 2
             or b.shape != (v1.shape[1],)):
         raise ShapeError(f"bi_attention: arguments {v1.shape} and {v2.shape} must both be "
                          f"(N, d) for weights (d, d) and (d,), got {w.shape} and {b.shape}")
-    affine = v1.data @ w.data
-    affine += b.data
+    affine = v1 @ w
+    affine += b
     # v2^T as a contiguous copy, as the scores have always been computed:
     # a transposed view takes another BLAS path and moves the last bits.
-    scores = affine @ v2.data.T.copy()
-    p2 = _softmax_rows(scores)
-    p1 = _softmax_rows(scores.T.copy())
-    del scores
+    scores = affine @ v2.T.copy()
+    return affine, _softmax_rows(scores), _softmax_rows(scores.T.copy())
+
+
+def bi_attention(v1: Tensor, v2: Tensor, w: Tensor, b: Tensor) -> tuple[Tensor, Tensor]:
+    """Each of two (N, d) row sets re-expressed over the other, one tape node.
+
+    With p2, p1 the row softmaxes of the scores M and of M^T (see
+    ``attention_weights``), the outputs are (p1 v1, p2 v2): one mixture of
+    v1 rows per v2 row, then one of v2 rows per v1 row.  The node keeps the
+    affine map v1 w + b and the two softmax matrices; its backward is
+    written out by hand, and either output may go without a gradient.
+    """
+    affine, p2, p1 = attention_weights(v1.data, v2.data, w.data, b.data)
     outs = (Tensor(p1 @ v1.data), Tensor(p2 @ v2.data))
     if not _tracked(v1, v2, w, b):
         return outs

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import accuracy_multigold
-from .errors import ConfigError, DataError, DivergenceError, utf8_text
+from .errors import ConfigError, DataError, DivergenceError, ParseError, utf8_text
 from .model import RelationModel
 from .tensor import Tensor
 
@@ -179,21 +179,30 @@ def train(model: RelationModel, train_instances, dev_instances,
     return TrainResult(trace, best_epoch, best_dev, best_state)
 
 
+_TRACE_HEADER = "epoch,train_loss,dev_accuracy"
+
+
 def save_trace(path, trace: list[EpochStats]) -> None:
     """Write the per-epoch log as CSV with round-trip-exact floats."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,train_loss,dev_accuracy\n")
+        fh.write(_TRACE_HEADER + "\n")
         for row in trace:
             fh.write(f"{row.epoch},{row.train_loss!r},{row.dev_accuracy!r}\n")
 
 
 def load_trace(path) -> list[EpochStats]:
+    """The rows ``save_trace`` wrote; a malformed row is a ParseError naming
+    its line."""
     with utf8_text(path), open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    if not lines or lines[0] != "epoch,train_loss,dev_accuracy":
+    if not lines or lines[0] != _TRACE_HEADER:
         raise DataError(f"{path}: not a training trace")
     out = []
-    for line in lines[1:]:
-        epoch, loss, acc = line.split(",")
-        out.append(EpochStats(int(epoch), float(loss), float(acc)))
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:  # a wrong field count fails the unpacking
+            epoch, loss, acc = line.split(",")
+            out.append(EpochStats(int(epoch), float(loss), float(acc)))
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: expected '{_TRACE_HEADER}' numbers, "
+                             f"got {line!r}") from None
     return out

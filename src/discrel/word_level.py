@@ -12,14 +12,13 @@ Each token's representation is the concatenation, always in this order, of
    yields two aligned vectors per token, which are blended with trained
    softmax weights and a scale, then projected down.
 
-The contextual embedder behind (3) is pluggable: a small character-level
-bidirectional language model trained here, or a file of precomputed vectors
-exported from a larger model.
+The contextual embedder behind (3) is a small character-level bidirectional
+language model, a stand-in for a large pretrained one: trained once, frozen,
+then run over each sentence.
 """
 
 from __future__ import annotations
 
-import abc
 import hashlib
 import math
 
@@ -28,7 +27,7 @@ import numpy as np
 from . import tensor as T
 from .bpe import MergeTable, apply_bpe
 from .data import PAD_TOKEN
-from .errors import ConfigError, DataError, InstanceKeyError, ParseError, ShapeError, utf8_text
+from .errors import ConfigError, DataError, ParseError, ShapeError, utf8_text
 from .init import uniform_param, zeros_param
 from .recurrent import BiGRU
 from .tensor import Parameter, Tensor
@@ -298,19 +297,6 @@ class SubwordEncoder:
 # Contextual feature
 
 
-class ContextualEmbedder(abc.ABC):
-    """Two aligned frozen vectors per token of a sentence."""
-
-    @property
-    @abc.abstractmethod
-    def dim(self) -> int:
-        """Width of each per-token layer output."""
-
-    @abc.abstractmethod
-    def embed(self, tokens) -> tuple[np.ndarray, np.ndarray]:
-        """(lower, upper) arrays, each (len(tokens), dim)."""
-
-
 class ContextualMixer:
     """Trained softmax blend of the two layers, scaled and projected down."""
 
@@ -340,7 +326,7 @@ class ContextualMixer:
         return T.add_bias(T.scalar_mul(self.scale, mixed) @ self.proj_w, self.proj_b)
 
 
-class ToyContextualEmbedder(ContextualEmbedder):
+class ToyContextualEmbedder:
     """Small character-level bidirectional language model used as a stand-in.
 
     Words are encoded by a character convolution with max pooling (each
@@ -361,7 +347,7 @@ class ToyContextualEmbedder(ContextualEmbedder):
             raise ConfigError(f"contextual dim must be even (two directions), got {dim}")
         self.words = list(dict.fromkeys(words))
         self.chars = list(dict.fromkeys(chars))
-        self._dim = dim
+        self.dim = dim  # width of each per-token layer output
         self.char_dim = char_dim
         self.word_ids = {w: i + 1 for i, w in enumerate(self.words)}
         self.char_ids = {c: i + 2 for i, c in enumerate(self.chars)}
@@ -391,10 +377,6 @@ class ToyContextualEmbedder(ContextualEmbedder):
             raise DataError("toy embedder: corpus too small to build a vocabulary")
         return cls(words, chars, rng, dim=dim, char_dim=char_dim)
 
-    @property
-    def dim(self) -> int:
-        return self._dim
-
     def parameters(self) -> list[Parameter]:
         return ([self.char_table, self.char_kernel, self.char_bias]
                 + self.rnn1.parameters() + self.rnn2.parameters()
@@ -412,6 +394,8 @@ class ToyContextualEmbedder(ContextualEmbedder):
         return lower, upper
 
     def embed(self, tokens) -> tuple[np.ndarray, np.ndarray]:
+        """(lower, upper) arrays, each (len(tokens), dim); once frozen, each
+        sentence is computed once."""
         tokens = list(tokens)
         key = " ".join(tokens)
         if self.frozen and key in self._cache:
@@ -434,7 +418,7 @@ class ToyContextualEmbedder(ContextualEmbedder):
         sentences = [list(s) for s in sentences if len(s) >= 1]
         if not sentences:
             raise DataError("toy embedder: nothing to train on")
-        half = self._dim // 2
+        half = self.dim // 2
         rng = np.random.default_rng(seed)
         perplexities = []
         for _ in range(epochs):
@@ -446,7 +430,7 @@ class ToyContextualEmbedder(ContextualEmbedder):
                 n = len(sent)
                 _, upper = self._layers(sent)
                 fwd = T.slice_cols(upper, 0, half)
-                bwd = T.slice_cols(upper, half, self._dim)
+                bwd = T.slice_cols(upper, half, self.dim)
                 next_ids = [self.word_ids.get(w, self.EDGE_CLASS) for w in sent[1:]] + [self.EDGE_CLASS]
                 prev_ids = [self.EDGE_CLASS] + [self.word_ids.get(w, self.EDGE_CLASS) for w in sent[:-1]]
                 loss = (T.cross_entropy(T.add_bias(fwd @ self.head_next_w, self.head_next_b), next_ids)
@@ -461,8 +445,11 @@ class ToyContextualEmbedder(ContextualEmbedder):
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {p.name: p.data.copy() for p in self.parameters()}
 
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        T.load_parameters(self.parameters(), arrays, "toy embedder state")
+    def load_state_arrays(self, arrays: dict[str, np.ndarray],
+                          source: str = "toy embedder state") -> None:
+        """Each weight from the ``toy.*`` array of its name; other arrays
+        are ignored.  ``source`` names where ``arrays`` came from in errors."""
+        T.load_parameters(self.parameters(), arrays, source)
         self._cache.clear()
 
 
@@ -493,117 +480,6 @@ def build_toy_embedder(sentences, dim: int = 64, char_dim: int = 16,
 
 
 # ---------------------------------------------------------------------------
-# Precomputed contextual vectors
-#
-# Text format, one file per corpus:
-#   line 1:                "ctxvec 1 <dim>"
-#   per instance:          "@ <ntokens> <space-joined tokens>"
-#                          ntokens lines of lower-layer vectors
-#                          ntokens lines of upper-layer vectors
-# Floats are written with repr() so a round trip is bit-exact.
-
-_CTX_MAGIC = "ctxvec"
-_CTX_VERSION = 1
-
-
-def _int_at_least(field: str, least: int) -> int | None:
-    """``field`` read as an integer no smaller than ``least``, else None."""
-    try:
-        value = int(field)
-    except ValueError:
-        return None
-    return value if value >= least else None
-
-
-def save_contextual_vectors(path, entries, dim: int) -> None:
-    """``entries`` iterates (tokens, lower, upper) with arrays (N, dim)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{_CTX_MAGIC} {_CTX_VERSION} {dim}\n")
-        for tokens, lower, upper in entries:
-            tokens = list(tokens)
-            lower = np.asarray(lower, dtype=np.float64)
-            upper = np.asarray(upper, dtype=np.float64)
-            n = len(tokens)
-            if lower.shape != (n, dim) or upper.shape != (n, dim):
-                raise ShapeError(f"contextual export: arrays {lower.shape}/{upper.shape} "
-                                 f"do not match {n} tokens x {dim}")
-            fh.write(f"@ {n} {' '.join(tokens)}\n")
-            for arr in (lower, upper):
-                for row in arr:
-                    fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
-class PrecomputedContextualEmbedder(ContextualEmbedder):
-    """Replays per-instance vectors exported by a larger model."""
-
-    def __init__(self, store: dict[str, tuple[np.ndarray, np.ndarray]], dim: int):
-        self._store = store
-        self._dim = dim
-
-    @classmethod
-    def load(cls, path) -> "PrecomputedContextualEmbedder":
-        with utf8_text(path), open(path, encoding="utf-8") as fh:
-            header = fh.readline().split()
-            if len(header) != 3 or header[0] != _CTX_MAGIC:
-                raise ParseError(f"{path}: not a contextual-vector file")
-            if header[1] != str(_CTX_VERSION):
-                raise ParseError(f"{path}: unsupported version {header[1]}")
-            dim = _int_at_least(header[2], 1)
-            if dim is None:
-                raise ParseError(f"{path}:1: width {header[2]!r} is not a positive integer")
-            store: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-            lineno = 1
-            while True:
-                record = fh.readline()
-                lineno += 1
-                if not record:
-                    break
-                fields = record.rstrip("\n").split(" ")
-                if fields[0] != "@" or len(fields) < 3:
-                    raise ParseError(f"{path}:{lineno}: expected '@ <n> <tokens>' record")
-                n = _int_at_least(fields[1], 0)
-                if n is None:
-                    raise ParseError(f"{path}:{lineno}: bad token count {fields[1]!r}")
-                key = " ".join(fields[2:])
-                layers = []
-                for _ in range(2):
-                    rows = []
-                    for _ in range(n):
-                        line = fh.readline()
-                        lineno += 1
-                        if not line:
-                            raise ParseError(f"{path}:{lineno}: truncated record for {key!r}")
-                        vals = line.split()
-                        if len(vals) != dim:
-                            raise ParseError(f"{path}:{lineno}: row has {len(vals)} values, expected {dim}")
-                        try:
-                            row = [float(v) for v in vals]
-                        except ValueError:
-                            raise ParseError(f"{path}:{lineno}: non-numeric vector component") from None
-                        if not all(math.isfinite(v) for v in row):
-                            raise ParseError(f"{path}:{lineno}: non-finite vector component")
-                        rows.append(row)
-                    layers.append(np.array(rows, dtype=np.float64).reshape(n, dim))
-                store[key] = (layers[0], layers[1])
-        return cls(store, dim)
-
-    @property
-    def dim(self) -> int:
-        return self._dim
-
-    def embed(self, tokens) -> tuple[np.ndarray, np.ndarray]:
-        tokens = list(tokens)
-        key = " ".join(tokens)
-        found = self._store.get(key)
-        if found is None:
-            raise InstanceKeyError(f"no stored contextual vectors for instance {key!r}")
-        if found[0].shape[0] != len(tokens):
-            raise InstanceKeyError(
-                f"instance {key!r}: stored {found[0].shape[0]} token vectors, got {len(tokens)} tokens")
-        return found
-
-
-# ---------------------------------------------------------------------------
 # Full token embedding
 
 
@@ -614,7 +490,7 @@ class TokenEmbedder:
                  subword: SubwordEncoder | None = None,
                  merges: MergeTable | None = None,
                  mixer: ContextualMixer | None = None,
-                 contextual: ContextualEmbedder | None = None):
+                 contextual: ToyContextualEmbedder | None = None):
         if word_table is None and subword is None and mixer is None:
             raise ConfigError("TokenEmbedder: no parts enabled")
         if (subword is None) != (merges is None):

@@ -359,10 +359,8 @@ def test_attention_rows_normalize_and_pooling_ignores_token_order():
     u1 = T.constant(rng.normal(size=(9, 7)))
     u2 = T.constant(rng.normal(size=(9, 7)))
 
-    with T.no_grad():
-        scores = attention.scores(v1, v2)
-        forward_rows = T.softmax_rows(scores).numpy()
-        backward_rows = T.softmax_rows(T.transpose(scores)).numpy()
+    _, forward_rows, backward_rows = T.attention_weights(
+        v1.numpy(), v2.numpy(), attention.ffn_w.numpy(), attention.ffn_b.numpy())
     for rows in (forward_rows, backward_rows):
         assert np.abs(rows.sum(axis=1) - 1.0).max() <= 1e-12
     exported = attention_map(v1, v2, attention)

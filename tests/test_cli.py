@@ -107,17 +107,6 @@ def test_gen_synthetic_rejects_sizes_that_make_a_bad_file(tmp_path, capsys, flag
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("max_tokens", [0, -1])
-def test_prep_contextual_rejects_a_non_positive_token_limit(workspace, tmp_path, capsys,
-                                                           max_tokens):
-    out_path = tmp_path / "ctx.txt"
-    code, out, err = run_cli(capsys, "prep-contextual", workspace / "corpus.jsonl",
-                             out_path, "--max-tokens", max_tokens)
-    assert code == 1
-    assert err.startswith("error ConfigError: --max-tokens")
-    assert not out_path.exists()
-
-
 @pytest.mark.parametrize("flags", [["--width", 0], ["--width", 5], ["--char-width", 0],
                                    ["--epochs", -1], ["--lr", 0]])
 def test_prep_contextual_rejects_bad_model_arguments_before_reading(tmp_path, capsys, flags):
@@ -175,17 +164,20 @@ def test_learn_bpe_frequency_file_matches_corpus_route(workspace, tmp_path, caps
     assert load_merge_table(from_freq).merges == learn_bpe(freqs, 8).merges
 
 
-def test_prep_contextual_writes_vectors(workspace, tmp_path, capsys):
-    out_path = tmp_path / "ctx.txt"
+def test_prep_contextual_writes_the_language_model(workspace, tmp_path, capsys):
+    out_path = tmp_path / "lm"
     code, out, _ = run_cli(capsys, "prep-contextual", workspace / "corpus.jsonl",
-                           out_path, "--width", 8, "--char-width", 4,
-                           "--epochs", 1, "--max-tokens", 6)
+                           out_path, "--width", 8, "--char-width", 4, "--epochs", 1)
     assert code == 0
     fields = ok_fields(out)
     assert fields["dim"] == "8"
-    assert int(fields["instances"]) > 0
+    assert int(fields["sentences"]) > 0
     assert "perplexity" in out
-    assert out_path.is_file()
+    manifest = json.loads((out_path / "manifest.json").read_text(encoding="utf-8"))
+    assert len(manifest["contextual"]["words"]) == int(fields["words"])
+    arrays = T.load_checkpoint(out_path / "model.ckpt")
+    assert arrays and all(name.startswith("toy.") for name in arrays)
+    assert arrays["toy.char_kernel"].shape == (3, 4, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -555,18 +547,82 @@ def test_export_attention_rejects_malformed_ids(workspace, tmp_path, capsys):
 # contextual embedding routes end-to-end
 
 
-def test_precomputed_contextual_route_trains_and_evaluates(workspace, tmp_path, capsys):
-    ctx = tmp_path / "ctx.txt"
-    assert run_cli(capsys, "prep-contextual", workspace / "corpus.jsonl", ctx,
-                   "--width", 8, "--char-width", 4, "--epochs", 1,
-                   "--max-tokens", 6)[0] == 0
+def test_pretrained_contextual_route_trains_and_evaluates(workspace, tmp_path, capsys):
+    # The language model sees only the first ten records, so training and
+    # evaluation embed sentences, and words, it never saw.
+    records = load_corpus(workspace / "corpus.jsonl")
+    lm_corpus = tmp_path / "lm_corpus.jsonl"
+    save_corpus(lm_corpus, records[:10])
+    lm = tmp_path / "lm"
+    assert run_cli(capsys, "prep-contextual", lm_corpus, lm,
+                   "--width", 8, "--char-width", 4, "--epochs", 1)[0] == 0
     config = spawn_config(workspace, tmp_path, use_contextual=True,
-                          contextual_source="vectors", contextual_vectors=str(ctx),
+                          contextual_source="pretrained", contextual_model=str(lm),
+                          contextual_dim=8, contextual_char_dim=4,
                           contextual_out_dim=8, epochs=2)
     assert run_cli(capsys, "train", config)[0] == 0
+    shutil.rmtree(lm)
     code, out, err = run_cli(capsys, "eval", tmp_path / "run", "--part", "dev")
     assert code == 0 and err == ""
     assert "accuracy" in ok_fields(out)
+
+
+@pytest.mark.parametrize("key, width", [("contextual_dim", 6), ("contextual_char_dim", 2)])
+def test_a_pretrained_model_of_another_width_is_refused(workspace, tmp_path, capsys,
+                                                        key, width):
+    lm = tmp_path / "lm"
+    assert run_cli(capsys, "prep-contextual", workspace / "corpus.jsonl", lm,
+                   "--width", 8, "--char-width", 4, "--epochs", 0)[0] == 0
+    widths = {"contextual_dim": 8, "contextual_char_dim": 4, key: width}
+    config = spawn_config(workspace, tmp_path, use_contextual=True,
+                          contextual_source="pretrained", contextual_model=str(lm),
+                          contextual_out_dim=8, epochs=1, **widths)
+    code, out, err = run_cli(capsys, "train", config)
+    assert code == 1
+    assert err.startswith("error ShapeError: ")
+    assert f"{lm / 'model.ckpt'} array 'toy.char_" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("where, message", [("absent", "no manifest.json at"),
+                                             ("", "required to train")])
+def test_a_pretrained_model_must_exist(workspace, tmp_path, capsys, where, message):
+    config = spawn_config(workspace, tmp_path, use_contextual=True,
+                          contextual_source="pretrained",
+                          contextual_model=str(tmp_path / where) if where else "", epochs=1)
+    code, out, err = run_cli(capsys, "train", config)
+    assert code == 1
+    assert err.startswith(f"error ConfigError: paths.contextual_model: {message}")
+
+
+def test_prep_contextual_is_deterministic(workspace, tmp_path, capsys):
+    dirs = [tmp_path / "a", tmp_path / "b"]
+    for lm in dirs:
+        assert run_cli(capsys, "prep-contextual", workspace / "corpus.jsonl", lm,
+                       "--width", 4, "--char-width", 2, "--epochs", 1, "--seed", 3)[0] == 0
+    for name in ("manifest.json", "model.ckpt"):
+        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("contextual_source = fresh", "contextual_source = vectors", "model.contextual_source"),
+    ("contextual_model = ", "contextual_vectors = ", "paths.contextual_vectors"),
+])
+def test_a_run_trained_on_retired_contextual_vectors_is_refused(workspace, tmp_path, capsys,
+                                                                old, new, key):
+    config = spawn_config(workspace, tmp_path, use_contextual=True,
+                          contextual_source="fresh", contextual_dim=4,
+                          contextual_char_dim=2, contextual_epochs=0,
+                          contextual_out_dim=4, epochs=1)
+    assert run_cli(capsys, "train", config)[0] == 0
+    path = tmp_path / "run" / "config.ini"
+    text = path.read_text(encoding="utf-8")
+    assert old in text
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    code, out, err = run_cli(capsys, "eval", tmp_path / "run")
+    assert code == 1 and out == ""
+    assert err.startswith("error ConfigError: ") and key in err
+    assert "Traceback" not in err
 
 
 def test_fresh_contextual_route_survives_a_restore(workspace, tmp_path, capsys):

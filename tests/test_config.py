@@ -2,6 +2,7 @@
 
 import re
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -114,11 +115,25 @@ def test_bad_bool_names_the_key(tmp_path):
     ({"embedding_dropout": 1.0}, "train.embedding_dropout"),
     ({"encoder_dropout": -0.1}, "train.encoder_dropout"),
     ({"classifier_dropout": 1.5}, "train.classifier_dropout"),
+    # the retired source, which is refused even with the contextual part off
+    ({"contextual_source": "vectors"}, "model.contextual_source"),
+    ({"use_contextual": True, "contextual_source": "pretrained", "contextual_char_dim": 0},
+     "model.contextual_char_dim"),
 ])
 def test_validation_names_the_offending_key(changes, needle):
     config = replace(RunConfig(), **changes)
     with pytest.raises(ConfigError, match=needle.replace(".", r"\.")):
         validate(config)
+
+
+def test_the_readme_configuration_example_parses(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.DOTALL)
+    path = tmp_path / "run.ini"
+    path.write_text(example, encoding="utf-8")
+    config = parse_config(path)
+    assert (config.contextual_source, config.contextual_model) == ("fresh", "lm")
+    assert config.kernel_size == 5
 
 
 def test_even_kernel_is_fine_for_recurrent_blocks():
@@ -172,7 +187,7 @@ def run_configs(draw):
         classifier_dropout=draw(_RATE), epochs=draw(_COUNT),
         patience=draw(st.integers(0, 2**40)), seed=draw(st.integers(0, 2**32 - 1)),
         corpus=draw(_LINE), word_vectors=draw(_LINE), merge_table=draw(_LINE),
-        contextual_vectors=draw(_LINE), output_dir=draw(_LINE))
+        contextual_model=draw(_LINE), output_dir=draw(_LINE))
 
 
 @given(run_configs())

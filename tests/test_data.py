@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from discrel.bpe import load_merge_table, load_word_frequencies
-from discrel.config import parse_config
+from discrel.config import RunConfig, parse_config
 from discrel.data import (
     ELEVEN_WAY_SENSES,
     PDTB_JI,
@@ -22,8 +24,9 @@ from discrel.data import (
     synthetic_word_vectors,
 )
 from discrel.errors import ConfigError, DataError, LabelError, ParseError
+from discrel.pipeline import MANIFEST_NAME, load_contextual_model
 from discrel.training import load_trace
-from discrel.word_level import PrecomputedContextualEmbedder, load_word_vectors
+from discrel.word_level import load_word_vectors
 
 
 def make_record(senses, section=2, connective="because"):
@@ -354,18 +357,27 @@ class TestSyntheticCorpus:
 _VALID_RECORD = b'{"arg1": ["a"], "arg2": ["b"], "senses": ["Expansion.List"]}\n'
 
 
-@pytest.mark.parametrize("load,data", [
-    pytest.param(load_merge_table, b"a b\n\xff c\n", id="merges"),
-    pytest.param(load_word_frequencies, b"a 3\n\xff 2\n", id="frequencies"),
-    pytest.param(load_word_vectors, b"a 0.5 1.0\n\xff 0.5 1.0\n", id="word_vectors"),
-    pytest.param(load_corpus, _VALID_RECORD + b'{"arg1": ["\xff"]}\n', id="corpus"),
-    pytest.param(PrecomputedContextualEmbedder.load, b"ctxvec 1 1\n@ 1 \xff\n0.0\n0.0\n",
+def load_lm_manifest(path):
+    """Load the pretrained language model whose manifest is ``path``."""
+    return load_contextual_model(path.parent, RunConfig())
+
+
+@pytest.mark.parametrize("load,name,data", [
+    pytest.param(load_merge_table, "input.txt", b"a b\n\xff c\n", id="merges"),
+    pytest.param(load_word_frequencies, "input.txt", b"a 3\n\xff 2\n", id="frequencies"),
+    pytest.param(load_word_vectors, "input.txt", b"a 0.5 1.0\n\xff 0.5 1.0\n",
+                 id="word_vectors"),
+    pytest.param(load_corpus, "input.txt", _VALID_RECORD + b'{"arg1": ["\xff"]}\n',
+                 id="corpus"),
+    pytest.param(load_lm_manifest, MANIFEST_NAME,
+                 b'{"format": "discrel-lm 1", "contextual": {"words": ["\xff"]}}\n',
                  id="contextual"),
-    pytest.param(load_trace, b"epoch,train_loss,dev_accuracy\n1,0.5,\xff\n", id="trace"),
-    pytest.param(parse_config, b"[model]\nlayers = \xff\n", id="config"),
+    pytest.param(load_trace, "input.txt", b"epoch,train_loss,dev_accuracy\n1,0.5,\xff\n",
+                 id="trace"),
+    pytest.param(parse_config, "input.txt", b"[model]\nlayers = \xff\n", id="config"),
 ])
-def test_text_loaders_report_non_utf8_bytes(tmp_path, load, data):
-    path = tmp_path / "input.txt"
+def test_text_loaders_report_non_utf8_bytes(tmp_path, load, name, data):
+    path = tmp_path / name
     path.write_bytes(data)
-    with pytest.raises(ParseError, match=r"input\.txt: not UTF-8 text"):
+    with pytest.raises(ParseError, match=re.escape(f"{name}: not UTF-8 text")):
         load(path)

@@ -92,6 +92,20 @@ class TestBiAttend:
             assert np.all(probs >= 0.0)
             assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-12
 
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_the_exported_map_is_the_row_softmax_the_op_mixes_with(self, n):
+        # With v2 the identity, the op's second output p2 v2 is its row
+        # softmax p2 itself, bitwise: every product is by 1 or 0.
+        rng = np.random.default_rng(n)
+        att = make_attention(n, seed=n + 1)
+        v1 = T.constant(rng.normal(scale=2.0, size=(n, n)))
+        v2 = T.constant(np.eye(n))
+        _, mixed = T.bi_attention(v1, v2, att.ffn_w, att.ffn_b)
+        exported = attention_map(v1, v2, att)
+        assert exported.tobytes() == mixed.numpy().tobytes()
+        assert np.max(np.abs(exported - softmax_rows_np(
+            (v1.numpy() @ att.ffn_w.numpy() + att.ffn_b.numpy()) @ v2.numpy().T))) < 1e-12
+
     @pytest.mark.parametrize("graded", ["both", "first", "second"])
     def test_matches_the_composition(self, graded):
         # Outputs are bitwise those of the composed ops; gradients agree to

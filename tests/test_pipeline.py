@@ -6,13 +6,17 @@ import hashlib
 import inspect
 import json
 import os
+import shutil
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from discrel import tensor as T
 from discrel.bpe import learn_bpe, save_merge_table, word_frequencies
+from discrel.cli import _FAILURES
 from discrel.config import RunConfig, save_config, to_train_config
 from discrel.data import load_corpus, save_corpus, synthetic_corpus, synthetic_word_vectors
 from discrel.errors import ConfigError, DataError, InstanceKeyError, ParseError
@@ -22,6 +26,7 @@ from discrel.pipeline import (
     corpus_sentences,
     evaluate_model,
     export_attention,
+    load_contextual_model,
     prepare_training,
     quantize_attention_row,
     resolve_output_dir,
@@ -29,6 +34,7 @@ from discrel.pipeline import (
     run_training,
     task_label_space,
     write_matrix_csv,
+    write_contextual_model,
     write_pgm,
     write_run,
 )
@@ -36,9 +42,9 @@ from discrel.training import TrainConfig, predict
 from discrel.word_level import (
     WordEmbeddingTable,
     build_toy_embedder,
-    save_contextual_vectors,
     save_word_vectors,
 )
+from byte_mutations import mutations
 
 SENSES = ["Expansion.Conjunction", "Temporal.Asynchronous"]
 
@@ -274,28 +280,28 @@ def test_restore_reads_the_configuration_from_config_ini(tmp_path):
         restore_run(run_dir)
 
 
-@pytest.mark.parametrize("source", ["fresh", "vectors"])
+@pytest.mark.parametrize("source", ["fresh", "pretrained"])
 def test_a_run_written_in_the_older_layout_restores(tmp_path, source):
     """Run directories once also carried the configuration, the label space,
     the input paths and the embedder widths in the manifest; the reader
-    ignores those entries and rebuilds the same model."""
+    ignores those entries and rebuilds the same model, without the
+    pretrained language model's directory."""
     merges = tmp_path / "merges.txt"
-    contextual_vectors = tmp_path / "ctx.txt"
+    lm_dir = tmp_path / "lm"
     config = small_config(tmp_path, task="binary:Expansion", epochs=2, use_subword=True,
                           merge_table=str(merges), use_contextual=True,
                           contextual_source=source, contextual_dim=4,
                           contextual_char_dim=2, contextual_epochs=1,
                           contextual_out_dim=3, subword_vector_dim=4, subword_channels=3,
-                          contextual_vectors=str(contextual_vectors))
+                          contextual_model=str(lm_dir))
     records = load_corpus(config.corpus)
     save_merge_table(merges, learn_bpe(word_frequencies(
         [rec.arg1 for rec in records] + [rec.arg2 for rec in records]), 10))
-    sentences = corpus_sentences(records)
-    toy, _ = build_toy_embedder(sentences, dim=4, char_dim=2, epochs=0)
-    save_contextual_vectors(contextual_vectors,
-                            [(s,) + toy.embed(s) for s in sentences], dim=4)
+    toy, _ = build_toy_embedder(corpus_sentences(records), dim=4, char_dim=2, epochs=0)
+    write_contextual_model(lm_dir, toy)
     setup = prepare_training(config)
     run_dir = write_run(tmp_path / "run", setup, run_training(setup))
+    shutil.rmtree(lm_dir)
 
     path = run_dir / "manifest.json"
     manifest = json.loads(path.read_text(encoding="utf-8"))
@@ -307,11 +313,7 @@ def test_a_run_written_in_the_older_layout_restores(tmp_path, source):
     manifest["task"] = {"mode": setup.labels.mode, "classes": setup.labels.classes,
                         "target": setup.labels.target}
     manifest["word_vectors"]["path"] = config.word_vectors
-    if source == "fresh":
-        manifest["contextual"].update(source="fresh", dim=4, char_dim=2)
-    else:
-        manifest["contextual"] = {"source": "vectors", "path": str(contextual_vectors),
-                                  "dim": 4}
+    manifest["contextual"].update(source=source, dim=4, char_dim=2)
     path.write_text(json.dumps(manifest), encoding="utf-8")
 
     restored = restore_run(run_dir)
@@ -321,6 +323,87 @@ def test_a_run_written_in_the_older_layout_restores(tmp_path, source):
         after = predict(restored.model, rec.arg1, rec.arg2)
         assert before[0] == after[0]
         assert np.array_equal(before[1], after[1])
+
+
+# ---------------------------------------------------------------------------
+# A pretrained contextual language model
+
+
+def test_a_pretrained_run_equals_a_fresh_run_with_the_same_language_model(tmp_path):
+    """A run whose language model is loaded from a copy of a fresh run's
+    writes the same checkpoint, trace and manifest, dropout on, and both
+    restore, without the copy, to the same predictions."""
+    config = small_config(tmp_path, epochs=3, use_contextual=True, contextual_dim=4,
+                          contextual_char_dim=2, contextual_epochs=1, contextual_out_dim=3,
+                          embedding_dropout=0.4, encoder_dropout=0.4, classifier_dropout=0.3)
+    fresh = prepare_training(config)
+    fresh_dir = write_run(tmp_path / "fresh", fresh, run_training(fresh))
+    lm_dir = write_contextual_model(tmp_path / "lm", fresh.model.embedder.contextual)
+    pretrained = prepare_training(replace(config, contextual_source="pretrained",
+                                          contextual_model=str(lm_dir)))
+    pretrained_dir = write_run(tmp_path / "pretrained", pretrained, run_training(pretrained))
+    for name in ("model.ckpt", "trace.csv", "manifest.json"):
+        assert (fresh_dir / name).read_bytes() == (pretrained_dir / name).read_bytes(), name
+
+    shutil.rmtree(lm_dir)
+    restored = [restore_run(fresh_dir).model, restore_run(pretrained_dir).model]
+    # the last pair holds sentences, and words, that no language model saw
+    pairs = [(rec.arg1, rec.arg2) for rec in load_corpus(config.corpus)[:8]]
+    pairs.append((["novel", "words", "here"], ["and", "unseen"]))
+    for arg1, arg2 in pairs:
+        (label, probs), (again, again_probs) = (predict(m, arg1, arg2) for m in restored)
+        assert label == again
+        assert probs.tobytes() == again_probs.tobytes()
+
+
+def test_a_language_model_round_trips_bitwise(tmp_path):
+    toy, _ = build_toy_embedder([["ab", "c"], ["c", "ab", "d"]], dim=4, char_dim=2,
+                                epochs=1)
+    config = RunConfig(use_contextual=True, contextual_dim=4, contextual_char_dim=2)
+    loaded = load_contextual_model(write_contextual_model(tmp_path / "lm", toy), config)
+    assert (loaded.words, loaded.chars) == (toy.words, toy.chars)
+    assert loaded.frozen
+    for name, array in toy.state_arrays().items():
+        assert loaded.state_arrays()[name].tobytes() == array.tobytes(), name
+    for tokens in (["ab", "c"], ["zz", "ab", "q"]):
+        for got, want in zip(loaded.embed(tokens), toy.embed(tokens)):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_a_language_model_of_another_format_is_refused(tmp_path):
+    config = small_config(tmp_path, epochs=1)
+    setup = prepare_training(config)
+    run_dir = write_run(tmp_path / "run", setup, run_training(setup))
+    with pytest.raises(ParseError, match="unsupported manifest format 'discrel-run 1'"):
+        load_contextual_model(run_dir, replace(config, use_contextual=True))
+
+
+_LM_CONFIG = RunConfig(use_contextual=True, contextual_dim=2, contextual_char_dim=1)
+
+
+@pytest.fixture(scope="module")
+def lm_files(tmp_path_factory):
+    """The file names and bytes of a small pretrained language model."""
+    toy, _ = build_toy_embedder([["ab", "c"], ["c", "ab", "d"]], dim=2, char_dim=1,
+                                epochs=0)
+    lm_dir = write_contextual_model(tmp_path_factory.mktemp("lm"), toy)
+    return {path.name: path.read_bytes() for path in lm_dir.iterdir()}
+
+
+@given(st.data())
+def test_any_mutation_of_a_language_model_loads_or_raises_a_reported_failure(
+        tmp_path_factory, lm_files, data):
+    lm_dir = tmp_path_factory.getbasetemp() / "mutated_lm"
+    lm_dir.mkdir(exist_ok=True)
+    mutated = data.draw(st.sampled_from(sorted(lm_files)))
+    for name, raw in lm_files.items():
+        (lm_dir / name).write_bytes(data.draw(mutations(raw)) if name == mutated else raw)
+    try:
+        contextual = load_contextual_model(lm_dir, _LM_CONFIG)
+    except _FAILURES:
+        return
+    lower, upper = contextual.embed(["ab", "unseen"])
+    assert lower.shape == upper.shape == (2, 2)
 
 
 def test_restore_rejects_a_truncated_manifest(tmp_path):

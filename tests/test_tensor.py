@@ -18,6 +18,7 @@ from discrel.errors import (
 )
 
 from block_oracles import composed_gated_conv
+from byte_mutations import mutations
 from gradcheck import assert_grads_match
 
 
@@ -737,6 +738,21 @@ def checkpoint_bytes(draw):
 def test_any_bytes_load_or_raise_a_reported_failure(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "fuzz.tckpt"
     path.write_bytes(data)
+    try:
+        arrays = T.load_checkpoint(path)
+    except _FAILURES:
+        return
+    assert all(np.isfinite(a).all() for a in arrays.values())
+
+
+@given(st.data())
+def test_any_mutation_of_a_checkpoint_loads_or_raises_a_reported_failure(tmp_path_factory,
+                                                                        data):
+    path = tmp_path_factory.getbasetemp() / "mutated.tckpt"
+    rng = np.random.default_rng(3)
+    T.save_checkpoint(path, {"w": rng.normal(size=(2, 3)), "b": rng.normal(size=3),
+                             "s": np.array(0.5)})
+    path.write_bytes(data.draw(mutations(path.read_bytes())))
     try:
         arrays = T.load_checkpoint(path)
     except _FAILURES:

@@ -15,7 +15,7 @@ from discrel.data import (
     synthetic_corpus,
     synthetic_word_vectors,
 )
-from discrel.errors import ConfigError, DataError, DivergenceError
+from discrel.errors import ConfigError, DataError, DivergenceError, ParseError
 from discrel.model import RelationModel
 from discrel.training import (
     EpochStats,
@@ -298,6 +298,20 @@ def test_trace_loader_rejects_other_files(tmp_path):
     path = tmp_path / "junk.csv"
     path.write_text("a,b\n1,2\n")
     with pytest.raises(DataError):
+        load_trace(path)
+
+
+def test_trace_loader_names_a_row_with_the_wrong_field_count(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("epoch,train_loss,dev_accuracy\n1,0.5,0.25\n2,0.5\n")
+    with pytest.raises(ParseError, match=r"trace\.csv:3: .* got '2,0\.5'"):
+        load_trace(path)
+
+
+def test_trace_loader_names_a_row_with_a_non_numeric_field(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("epoch,train_loss,dev_accuracy\n1,half,0.25\n")
+    with pytest.raises(ParseError, match=r"trace\.csv:2: .* got '1,half,0\.25'"):
         load_trace(path)
 
 

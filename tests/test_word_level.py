@@ -11,22 +11,18 @@ from discrel.bpe import MergeTable, apply_bpe, learn_bpe
 from discrel.errors import (
     ConfigError,
     DataError,
-    InstanceKeyError,
     ParseError,
     ShapeError,
 )
 from discrel.recurrent import BiGRU
 from discrel.word_level import (
-    ContextualEmbedder,
     ContextualMixer,
-    PrecomputedContextualEmbedder,
     SubwordEncoder,
     TokenEmbedder,
     ToyContextualEmbedder,
     WordEmbeddingTable,
     build_toy_embedder,
     load_word_vectors,
-    save_contextual_vectors,
     save_word_vectors,
 )
 import vectors_oracle
@@ -585,101 +581,17 @@ class TestToyContextualEmbedder:
                 assert np.max(np.abs(got - want)) < 1e-12, p.name
 
 
-class TestPrecomputedEmbedder:
-    def entries(self, rng, dim=3):
-        out = []
-        for tokens in (["the", "cat"], ["a", "b", "c"], ["one"]):
-            out.append((tokens, rng.normal(size=(len(tokens), dim)),
-                        rng.normal(size=(len(tokens), dim))))
-        return out
-
-    def test_round_trip_is_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(0)
-        entries = self.entries(rng)
-        path = tmp_path / "ctx.txt"
-        save_contextual_vectors(path, entries, dim=3)
-        emb = PrecomputedContextualEmbedder.load(path)
-        assert emb.dim == 3
-        for tokens, lower, upper in entries:
-            got_lower, got_upper = emb.embed(tokens)
-            assert np.array_equal(got_lower, lower)
-            assert np.array_equal(got_upper, upper)
-
-    def test_missing_instance_named_in_error(self, tmp_path):
-        rng = np.random.default_rng(1)
-        path = tmp_path / "ctx.txt"
-        save_contextual_vectors(path, self.entries(rng), dim=3)
-        emb = PrecomputedContextualEmbedder.load(path)
-        with pytest.raises(InstanceKeyError, match="the dog"):
-            emb.embed(["the", "dog"])
-
-    def test_token_count_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "ctx.txt"
-        rows = "\n".join("0.0 0.0" for _ in range(6))
-        path.write_text(f"ctxvec 1 2\n@ 3 a b\n{rows}\n", encoding="utf-8")
-        emb = PrecomputedContextualEmbedder.load(path)
-        with pytest.raises(InstanceKeyError, match="stored 3"):
-            emb.embed(["a", "b"])
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "ctx.txt"
-        path.write_text("vectors go here\n", encoding="utf-8")
-        with pytest.raises(ParseError):
-            PrecomputedContextualEmbedder.load(path)
-
-    def test_truncated_record_rejected(self, tmp_path):
-        path = tmp_path / "ctx.txt"
-        path.write_text("ctxvec 1 2\n@ 2 a b\n0.0 0.0\n", encoding="utf-8")
-        with pytest.raises(ParseError):
-            PrecomputedContextualEmbedder.load(path)
-
-    @pytest.mark.parametrize("width", ["x", "0", "-2", "1.5"])
-    def test_bad_header_width_names_line_one(self, tmp_path, width):
-        path = tmp_path / "ctx.txt"
-        path.write_text(f"ctxvec 1 {width}\n@ 1 a\n0.0\n0.0\n", encoding="utf-8")
-        with pytest.raises(ParseError, match=r"ctx\.txt:1: width"):
-            PrecomputedContextualEmbedder.load(path)
-
-    def test_negative_record_count_names_its_line(self, tmp_path):
-        path = tmp_path / "ctx.txt"
-        path.write_text("ctxvec 1 2\n@ 1 a\n0.0 0.0\n0.0 0.0\n@ -1 b\n", encoding="utf-8")
-        with pytest.raises(ParseError, match=r"ctx\.txt:5: bad token count '-1'"):
-            PrecomputedContextualEmbedder.load(path)
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
-    def test_non_finite_values_name_their_line(self, tmp_path, value):
-        path = tmp_path / "ctx.txt"
-        path.write_text(f"ctxvec 1 2\n@ 2 a b\n0.0 0.0\n0.0 0.0\n0.0 0.0\n0.0 {value}\n",
-                        encoding="utf-8")
-        with pytest.raises(ParseError, match=r"ctx\.txt:6: non-finite"):
-            PrecomputedContextualEmbedder.load(path)
-
-    def test_non_numeric_values_name_their_line(self, tmp_path):
-        path = tmp_path / "ctx.txt"
-        path.write_text("ctxvec 1 2\n@ 1 a\n0.0 zero\n0.0 0.0\n", encoding="utf-8")
-        with pytest.raises(ParseError, match=r"ctx\.txt:3: non-numeric"):
-            PrecomputedContextualEmbedder.load(path)
-
-    def test_shape_validation_on_save(self, tmp_path):
-        with pytest.raises(ShapeError):
-            save_contextual_vectors(tmp_path / "ctx.txt",
-                                    [(["a", "b"], np.zeros((2, 3)), np.zeros((1, 3)))], dim=3)
-
-
-class FixedContextualEmbedder(ContextualEmbedder):
-    """Deterministic per-token vectors for tests, derived from a seed."""
+class FixedContextualEmbedder:
+    """Deterministic per-token vectors for tests, derived from a seed; it
+    has what ``TokenEmbedder`` reads of a contextual embedder."""
 
     def __init__(self, dim):
-        self._dim = dim
-
-    @property
-    def dim(self):
-        return self._dim
+        self.dim = dim
 
     def embed(self, tokens):
         def vec(tok, layer):
             rng = np.random.default_rng(abs(hash((tok, layer))) % (2 ** 32))
-            return rng.normal(size=self._dim)
+            return rng.normal(size=self.dim)
         lower = np.array([vec(t, 0) for t in tokens])
         upper = np.array([vec(t, 1) for t in tokens])
         return lower, upper
