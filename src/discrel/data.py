@@ -6,12 +6,14 @@ The corpus format is line-delimited JSON, one object per line:
      "senses": ["Contingency.Cause", ...], "connective": "because",
      "section": 12}
 
-``connective`` may be null or omitted (it is unknown at test time for
-genuinely implicit data).  ``senses`` carries every annotated sense; the
-split logic turns multi-sense records into multiple training instances and
-into multi-gold evaluation targets.  The license-encumbered source treebank
-cannot ship here, so a tiny generator for structured synthetic corpora in
-the same shape is included for experiments and tests.
+Tokens are non-empty and hold no whitespace, since the BPE merge table and
+the word-vector file are space-delimited.  ``connective`` may be null or
+omitted (it is unknown at test time for genuinely implicit data).
+``senses`` carries every annotated sense; the split logic turns multi-sense
+records into multiple training instances and into multi-gold evaluation
+targets.  The license-encumbered source treebank cannot ship here, so a tiny
+generator for structured synthetic corpora in the same shape is included for
+experiments and tests.
 """
 
 from __future__ import annotations
@@ -61,6 +63,9 @@ class InstanceRecord:
         for name, arg in (("arg1", self.arg1), ("arg2", self.arg2)):
             if not isinstance(arg, list) or not arg or not all(isinstance(t, str) for t in arg):
                 raise DataError(f"{name} must be a non-empty list of tokens")
+            for tok in arg:
+                if tok.split() != [tok]:
+                    raise DataError(f"{name} token {tok!r} is empty or holds whitespace")
         if (not isinstance(self.senses, list) or not self.senses
                 or not all(isinstance(s, str) for s in self.senses)):
             raise DataError("senses must be a non-empty list of strings")

@@ -1,15 +1,15 @@
 """The assembled pair classifier.
 
-The forward pass is batch-first.  Every argument is padded to a fixed
-length and embedded token by token; a batch's B first arguments are stacked
-into one (B*N, dim) matrix, and likewise the second arguments.  The two
-argument stacks advance together, one layer of both at a time, so each
-recurrent layer is one scan of all four recurrences (both arguments, both
-directions).  Each instance's rows are then cross-attended layer by layer
-and 2-max pooled into its pair representation, and two heads score all B
-pair vectors at once — one over relation classes and one over implicit
-connectives.  The connective head exists purely as a training-time
-auxiliary signal; prediction reads the relation head alone.
+The forward pass is batch-first.  A batch's B first arguments are padded to
+a common length N and embedded in one call into one (B*N, dim) matrix, and
+likewise the second arguments.  The two argument stacks advance together,
+one layer of both at a time, so each recurrent layer is one scan of all four
+recurrences (both arguments, both directions).  Each instance's rows are
+then cross-attended layer by layer and 2-max pooled into its pair
+representation, and two heads score all B pair vectors at once — one over
+relation classes and one over implicit connectives.  The connective head
+exists purely as a training-time auxiliary signal; prediction reads the
+relation head alone.
 
 On a training step's tape, each conv block, each attention call and the
 recurrences of each recurrent layer are one node apiece, keeping only what
@@ -54,7 +54,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .data import pad_truncate
 from .errors import ConfigError
 from .init import uniform_param, zeros_param
 from .pair_level import BiAttention, attention_map, build_pair_representation
@@ -181,11 +180,7 @@ class RelationModel:
 
     def _embed(self, arguments, rows: int, rng) -> Tensor:
         """One argument of every instance, padded to ``rows`` and stacked."""
-        embedded = [self.embedder.embed_sentence(pad_truncate(tokens, rows),
-                                                 min(len(tokens), self.max_tokens))
-                    for tokens in arguments]
-        stacked = embedded[0] if len(embedded) == 1 else T.concat(embedded, axis=0)
-        return T.dropout(stacked, self.embedding_dropout, rng)
+        return T.dropout(self.embedder.embed(arguments, rows), self.embedding_dropout, rng)
 
     def _expand(self, layers: list[Tensor], real: int, rows: int,
                 batch: int) -> list[Tensor]:

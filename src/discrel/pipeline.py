@@ -103,10 +103,10 @@ def _require_file(path: str, key: str, reason: str, name: str = "") -> str:
 
 def corpus_sentences(records) -> list[list[str]]:
     """Each distinct argument token sequence, in first-appearance order."""
-    seen: dict[str, list[str]] = {}
+    seen: dict[tuple[str, ...], list[str]] = {}
     for rec in records:
         for arg in (rec.arg1, rec.arg2):
-            seen.setdefault(" ".join(arg), arg)
+            seen.setdefault(tuple(arg), arg)
     return list(seen.values())
 
 

@@ -14,7 +14,8 @@ Each token's representation is the concatenation, always in this order, of
 
 The contextual embedder behind (3) is a small character-level bidirectional
 language model, a stand-in for a large pretrained one: trained once, frozen,
-then run over each sentence.
+then run over each argument's real tokens.  ``TokenEmbedder.embed`` embeds one
+argument of every instance in a batch in one call.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import tensor as T
 from .bpe import MergeTable, apply_bpe
-from .data import PAD_TOKEN
+from .data import PAD_TOKEN, pad_truncate
 from .errors import ConfigError, DataError, ParseError, ShapeError, utf8_text
 from .init import uniform_param, zeros_param
 from .recurrent import BiGRU
@@ -193,16 +194,15 @@ class WordEmbeddingTable:
         vocab, matrix, digest = load_word_vectors(path, sha256)
         return cls(vocab, matrix, digest)
 
-    def lookup(self, word: str) -> np.ndarray:
-        if word == PAD_TOKEN:
-            return np.zeros(self.dim)
-        row = self.vocab.get(word)
-        if row is None:
-            return np.zeros(self.dim)
-        return self.matrix[row]
-
     def embed(self, tokens) -> np.ndarray:
-        return np.array([self.lookup(tok) for tok in tokens])
+        """(len(tokens), dim) rows in one gather; an out-of-vocabulary token
+        and ``<pad>``, even when the file holds a vector for it, get zeros."""
+        index = np.array([-1 if tok == PAD_TOKEN else self.vocab.get(tok, -1) for tok in tokens],
+                         dtype=np.int64)
+        out = np.zeros((len(index), self.dim))
+        known = index >= 0
+        out[known] = self.matrix[index[known]]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +352,6 @@ class ToyContextualEmbedder:
         self.word_ids = {w: i + 1 for i, w in enumerate(self.words)}
         self.char_ids = {c: i + 2 for i, c in enumerate(self.chars)}
         self.frozen = False
-        self._cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
         half = dim // 2
         n_classes = len(self.words) + 1
@@ -394,18 +393,11 @@ class ToyContextualEmbedder:
         return lower, upper
 
     def embed(self, tokens) -> tuple[np.ndarray, np.ndarray]:
-        """(lower, upper) arrays, each (len(tokens), dim); once frozen, each
-        sentence is computed once."""
-        tokens = list(tokens)
-        key = " ".join(tokens)
-        if self.frozen and key in self._cache:
-            return self._cache[key]
+        """(lower, upper) arrays, each (len(tokens), dim), computed without a
+        tape on every call; nothing is kept between calls."""
         with T.no_grad():
-            lower, upper = self._layers(tokens)
-        result = (lower.numpy().copy(), upper.numpy().copy())
-        if self.frozen:
-            self._cache[key] = result
-        return result
+            lower, upper = self._layers(list(tokens))
+        return lower.numpy(), upper.numpy()
 
     def freeze(self) -> None:
         self.frozen = True
@@ -450,7 +442,6 @@ class ToyContextualEmbedder:
         """Each weight from the ``toy.*`` array of its name; other arrays
         are ignored.  ``source`` names where ``arrays`` came from in errors."""
         T.load_parameters(self.parameters(), arrays, source)
-        self._cache.clear()
 
 
 def check_toy_settings(dim: int, char_dim: int, epochs: int, lr: float,
@@ -529,41 +520,33 @@ class TokenEmbedder:
             self._piece_indices[tok] = idxs
         return idxs
 
-    def _subword_rows(self, tokens) -> Tensor:
-        """Each distinct token encoded once, all in one batch, then placed."""
-        distinct, positions = _distinct(tokens)
-        features = self.subword.encode_indices(
-            [self._token_piece_indices(tok) for tok in distinct])
-        return T.gather_rows(features, positions)
+    def embed(self, arguments, rows: int) -> Tensor:
+        """(B*rows, dim) embedding of B arguments, each cut or padded with
+        ``<pad>`` to ``rows`` tokens, stacked in order.
 
-    def embed_sentence(self, tokens, n_real: int | None = None) -> Tensor:
-        """(N, dim) embedding matrix for one argument's token row.
-
-        ``n_real`` marks how many leading tokens are genuine; trailing
-        padding gets zero vectors as contextual-embedder input.
+        The batch shares one word-vector gather, one subword batch over its
+        distinct tokens and one mixer pass.  The contextual embedder runs over
+        each argument's real tokens; its padding rows are zero mixer input.
         """
-        tokens = list(tokens)
-        if not tokens:
-            raise DataError("embed_sentence: empty token sequence")
-        n = len(tokens)
-        if n_real is None:
-            n_real = n
-        if not (1 <= n_real <= n):
-            raise ShapeError(f"embed_sentence: n_real={n_real} outside [1, {n}]")
+        arguments = [list(argument) for argument in arguments]
+        if not arguments or not all(arguments):
+            raise DataError("TokenEmbedder.embed: every argument needs a token")
+        tokens = [tok for argument in arguments for tok in pad_truncate(argument, rows)]
         parts = []
         if self.word_table is not None:
             parts.append(T.constant(self.word_table.embed(tokens)))
         if self.subword is not None:
-            parts.append(self._subword_rows(tokens))
+            distinct, positions = _distinct(tokens)
+            features = self.subword.encode_indices(
+                [self._token_piece_indices(tok) for tok in distinct])
+            parts.append(T.gather_rows(features, positions))
         if self.mixer is not None:
-            lower, upper = self.contextual.embed(tokens[:n_real])
-            if lower.shape != (n_real, self.mixer.d_in):
-                raise ShapeError(f"embed_sentence: contextual output {lower.shape} "
-                                 f"!= ({n_real}, {self.mixer.d_in})")
-            if n_real < n:
-                fill = np.zeros((n - n_real, self.mixer.d_in))
-                lower = np.vstack([lower, fill])
-                upper = np.vstack([upper, fill])
+            lower = np.zeros((len(tokens), self.mixer.d_in))
+            upper = np.zeros((len(tokens), self.mixer.d_in))
+            for start, argument in zip(range(0, len(tokens), rows), arguments):
+                lo, up = self.contextual.embed(argument[:rows])
+                lower[start:start + len(lo)] = lo
+                upper[start:start + len(up)] = up
             parts.append(self.mixer.forward(T.constant(lower), T.constant(upper)))
         if len(parts) == 1:
             return parts[0]

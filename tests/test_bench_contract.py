@@ -12,9 +12,10 @@ from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
-# Traced by the benchmark, no longer in discrel: the single-direction cell
-# was folded into the bidirectional layer's one op.
-RETIRED_TARGETS = ["recurrent.GRUCell.forward"]
+# Traced by the benchmark, no longer in discrel: the per-sentence embedding
+# gave way to one call per batch (``TokenEmbedder.embed``), and the
+# single-direction cell was folded into the bidirectional layer's one op.
+RETIRED_TARGETS = ["word_level.TokenEmbedder.embed_sentence", "recurrent.GRUCell.forward"]
 
 
 def test_every_traced_function_exists_except_the_retired_ones(monkeypatch):

@@ -270,6 +270,24 @@ def test_train_reports_a_non_utf8_corpus(workspace, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_learn_bpe_reports_a_token_with_whitespace(workspace, tmp_path, capsys):
+    # such a token would give a merge with a space, which the merge-table
+    # file cannot hold
+    corpus = tmp_path / "corpus.jsonl"
+    lines = (workspace / "corpus.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    record = json.loads(lines[1])
+    record["arg1"][0] = "a b"
+    lines[1] = json.dumps(record) + "\n"
+    corpus.write_text("".join(lines), encoding="utf-8")
+    out_path = tmp_path / "merges.txt"
+    code, out, err = run_cli(capsys, "learn-bpe", corpus, out_path, "--merges", 10)
+    assert code == 1
+    assert err.startswith(f"error ParseError: {corpus}:2: arg1 token 'a b' is empty "
+                          "or holds whitespace")
+    assert "Traceback" not in err
+    assert not out_path.exists()
+
+
 def test_train_reports_a_malformed_word_vector_file(workspace, tmp_path, capsys):
     vectors = tmp_path / "vectors.txt"
     lines = (workspace / "vectors.txt").read_text(encoding="utf-8").splitlines(keepends=True)

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -47,6 +48,16 @@ class TestInstanceRecord:
         with pytest.raises(DataError, match="section"):
             InstanceRecord(arg1=["x"], arg2=["y"], senses=["Expansion.List"], section=True)
 
+    def test_empty_token_rejected(self):
+        with pytest.raises(DataError, match="arg2 token '' is empty or holds whitespace"):
+            InstanceRecord(arg1=["x"], arg2=["y", ""], senses=["Expansion.List"])
+
+    @pytest.mark.parametrize("token", ["a b", " a", "b\t", "\n", "a\u00a0b", "\u3000"])
+    def test_token_with_whitespace_rejected(self, token):
+        # the merge table and the vector file separate fields with spaces
+        with pytest.raises(DataError, match=re.escape(f"arg1 token {token!r} is empty")):
+            InstanceRecord(arg1=["x", token], arg2=["y"], senses=["Expansion.List"])
+
     def test_connective_may_be_absent(self):
         rec = make_record(["Expansion.List"], connective=None)
         assert rec.connective is None
@@ -90,6 +101,17 @@ class TestCorpusIO:
         path.write_text('{"arg1": ["a"], "arg2": ["b"], "senses": ["Expansion.List"], '
                         '"section": true}\n', encoding="utf-8")
         with pytest.raises(ParseError, match=r":1: section must be an integer"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("token", ["", "a b"])
+    def test_bad_token_reports_line(self, tmp_path, token):
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(path, [make_record(["Expansion.List"])])
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"arg1": ["a", token], "arg2": ["b"],
+                                 "senses": ["Expansion.List"]}) + "\n")
+        with pytest.raises(ParseError, match=re.escape(
+                f"{path}:2: arg1 token {token!r} is empty or holds whitespace")):
             load_corpus(path)
 
     def test_invalid_record_reports_line(self, tmp_path):

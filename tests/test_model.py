@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from discrel import tensor as T
-from discrel.data import pad_truncate
 from discrel.errors import ConfigError, ParseError, ShapeError
 from discrel.model import ClassifierHead, RelationModel
 from discrel.pair_level import pool_layer
@@ -102,10 +101,8 @@ def test_baseline_without_attention_pools_encoder_outputs_directly():
     model = tiny_model(bi_attention=False, res_pair=False, res_block=False)
     got = model.pair_representation(ARG1, ARG2).numpy()
 
-    tokens1, n1 = pad_truncate(ARG1, model.max_tokens), len(ARG1)
-    tokens2, n2 = pad_truncate(ARG2, model.max_tokens), len(ARG2)
-    e1 = model.embedder.embed_sentence(tokens1, n1)
-    e2 = model.embedder.embed_sentence(tokens2, n2)
+    e1 = model.embedder.embed([ARG1], model.max_tokens)
+    e2 = model.embedder.embed([ARG2], model.max_tokens)
     layers1, layers2 = EncoderStack.forward([model.stack1, model.stack2], [e1, e2])
     v1, v2 = layers1[-1], layers2[-1]
     want = pool_layer(v1, v2).numpy()

@@ -15,7 +15,6 @@ import pytest
 
 from discrel import tensor as T
 from discrel.bpe import learn_bpe, subword_vocabulary, word_frequencies
-from discrel.data import pad_truncate
 from discrel.model import RelationModel
 from discrel.pair_level import attention_map, build_pair_representation
 from discrel.sentence_level import EncoderStack
@@ -77,17 +76,15 @@ def test_every_pad_row_embeds_identically(part):
     else:
         embedder = TokenEmbedder(mixer=ContextualMixer(8, 4, np.random.default_rng(6)),
                                  contextual=toy_embedder())
-    pad_row = None
     with T.no_grad():
-        for tokens in rows:
-            full = embedder.embed_sentence(pad_truncate(tokens, 40), len(tokens)).numpy()
-            short = embedder.embed_sentence(pad_truncate(tokens, 12), len(tokens)).numpy()
-            # padded to fewer rows, the embedding is a bitwise prefix of the full one
-            assert short.tobytes() == full[:12].tobytes()
-            if pad_row is None:
-                pad_row = full[-1]
-            for row in full[len(tokens):]:
-                assert row.tobytes() == pad_row.tobytes()
+        full = embedder.embed(rows, 40).numpy().reshape(len(rows), 40, -1)
+        short = embedder.embed(rows, 12).numpy().reshape(len(rows), 12, -1)
+    pad_row = full[0, -1]
+    for tokens, long_rows, short_rows in zip(rows, full, short):
+        # padded to fewer rows, the embedding is a bitwise prefix of the full one
+        assert short_rows.tobytes() == long_rows[:12].tobytes()
+        for row in long_rows[len(tokens):]:
+            assert row.tobytes() == pad_row.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -98,16 +95,12 @@ def full_length_scores(model, pairs, rng=None):
     """The unshortened oracle: both stacks run at ``max_tokens`` rows."""
     n = model.max_tokens
 
-    def embed(arguments):
-        return T.concat([model.embedder.embed_sentence(pad_truncate(tokens, n),
-                                                       min(len(tokens), n))
-                         for tokens in arguments], axis=0)
-
     layers1, layers2 = (
         layers if model.res_pair else layers[-1:]
         for layers in EncoderStack.forward(
             [model.stack1, model.stack2],
-            [embed([arg1 for arg1, _ in pairs]), embed([arg2 for _, arg2 in pairs])],
+            [model.embedder.embed([arg1 for arg1, _ in pairs], n),
+             model.embedder.embed([arg2 for _, arg2 in pairs], n)],
             len(pairs)))
     rows = []
     for i in range(len(pairs)):

@@ -8,6 +8,7 @@ import json
 import os
 import shutil
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -85,6 +86,12 @@ def test_corpus_sentences_deduplicates_in_order():
     keys = [" ".join(s) for s in sentences]
     assert keys == list(dict.fromkeys(keys))
     assert keys[0] == " ".join(records[0].arg1)
+
+
+def test_corpus_sentences_keeps_token_sequences_that_join_alike():
+    # token lists are compared as lists: joined with spaces these two match
+    record = SimpleNamespace(arg1=["a b", "c"], arg2=["a", "b c"])
+    assert corpus_sentences([record]) == [["a b", "c"], ["a", "b c"]]
 
 
 def test_resolve_output_dir_prefers_the_config(monkeypatch):

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from discrel.word_level import (
     load_word_vectors,
     save_word_vectors,
 )
+import embed_oracle
 import vectors_oracle
 from gradcheck import assert_grads_match
 
@@ -37,14 +39,13 @@ class TestWordEmbeddingTable:
     def test_lookup_returns_stored_row(self):
         rng = np.random.default_rng(0)
         table = self.make(rng, ["cat", "dog"])
-        assert np.array_equal(table.lookup("dog"), table.matrix[1])
+        assert np.array_equal(table.embed(["dog"])[0], table.matrix[1])
 
     def test_oov_and_pad_are_zero(self):
         rng = np.random.default_rng(1)
         table = self.make(rng, ["cat", "<pad>"])
-        assert np.array_equal(table.lookup("zebra"), np.zeros(4))
         # Padding wins even over a stored row of the same spelling.
-        assert np.array_equal(table.lookup("<pad>"), np.zeros(4))
+        assert np.array_equal(table.embed(["zebra", "<pad>"]), np.zeros((2, 4)))
 
     def test_embed_stacks_rows(self):
         rng = np.random.default_rng(2)
@@ -52,7 +53,10 @@ class TestWordEmbeddingTable:
         out = table.embed(["b", "a", "b", "zzz"])
         assert out.shape == (4, 4)
         assert np.array_equal(out[0], table.matrix[1])
+        assert np.array_equal(out[1], table.matrix[0])
+        assert np.array_equal(out[2], table.matrix[1])
         assert np.array_equal(out[3], np.zeros(4))
+        assert table.embed([]).shape == (0, 4)
 
     def test_file_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -69,7 +73,7 @@ class TestWordEmbeddingTable:
         path.write_text("a 1.0 2.0 3.0\nb 4.0 5.0 6.0\n", encoding="utf-8")
         table = WordEmbeddingTable.load(path)
         assert table.dim == 3
-        assert np.array_equal(table.lookup("b"), [4.0, 5.0, 6.0])
+        assert np.array_equal(table.embed(["b"]), [[4.0, 5.0, 6.0]])
 
     def test_ragged_file_rejected(self, tmp_path):
         path = tmp_path / "vectors.txt"
@@ -492,7 +496,7 @@ class TestToyContextualEmbedder:
         assert len(history) == 3
         assert history[-1] < history[0]
 
-    def test_freeze_locks_training_and_caches(self):
+    def test_freeze_locks_training(self):
         rng = np.random.default_rng(3)
         emb = ToyContextualEmbedder.from_corpus([["a", "b"], ["b", "a"]], rng, dim=6, char_dim=4)
         emb.freeze()
@@ -500,7 +504,45 @@ class TestToyContextualEmbedder:
             emb.train_lm([["a", "b"]], epochs=1)
         first = emb.embed(["a", "b"])
         again = emb.embed(["a", "b"])
-        assert first[0] is again[0]  # served from the cache
+        assert first[0] is not again[0]  # computed afresh, nothing kept
+        assert first[0].tobytes() == again[0].tobytes()
+        assert first[1].tobytes() == again[1].tobytes()
+
+    def test_sentences_that_join_alike_embed_apart(self):
+        # "a b" + "c" and "a" + "b c" join to the same string; a frozen
+        # embedder must still give each its own vectors
+        words = [["a b", "c", "a", "b c"], ["c", "a"]]
+        first = ToyContextualEmbedder.from_corpus(words, np.random.default_rng(7), dim=6, char_dim=4)
+        second = ToyContextualEmbedder.from_corpus(words, np.random.default_rng(7), dim=6, char_dim=4)
+        first.freeze()
+        second.freeze()
+        first.embed(["a b", "c"])
+        got = first.embed(["a", "b c"])
+        want = second.embed(["a", "b c"])
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        assert not np.array_equal(got[0], first.embed(["a b", "c"])[0])
+
+    def test_serving_distinct_sentences_keeps_no_memory(self):
+        # a frozen embedder at the served width embeds 500 distinct 20-token
+        # sentences; what it keeps must not grow with them (a per-sentence
+        # store keeps about 20 KB each)
+        rng = np.random.default_rng(8)
+        words = [f"w{i}" for i in range(50)]
+        emb = ToyContextualEmbedder.from_corpus([words], rng, dim=64, char_dim=16)
+        emb.freeze()
+        sentences = [[words[j] for j in rng.integers(0, len(words), 20)] for _ in range(500)]
+        assert len({tuple(s) for s in sentences}) == 500
+        emb.embed(sentences[0])  # first-call allocations are not growth
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for tokens in sentences:
+                emb.embed(tokens)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 1_000_000, f"traced memory grew by {grown} bytes"
 
     def test_state_round_trip(self):
         rng = np.random.default_rng(4)
@@ -597,7 +639,9 @@ class FixedContextualEmbedder:
         return lower, upper
 
 
-def full_embedder(seed=0, dim_w=4, ctx_dim=6, ctx_out=4):
+def full_embedder(seed=0, dim_w=4, ctx_dim=6, ctx_out=4, toy=False):
+    """Word + subword + contextual; the contextual part is a fixed table, or
+    an untrained toy language model with ``toy``."""
     rng = np.random.default_rng(seed)
     vocab = {"aa": 0, "bb": 1, "cc": 2}
     table = WordEmbeddingTable(vocab, rng.normal(size=(3, dim_w)))
@@ -605,7 +649,12 @@ def full_embedder(seed=0, dim_w=4, ctx_dim=6, ctx_out=4):
     enc = SubwordEncoder(["aa", "bb", "cc", "a", "b", "c"], rng,
                          emb_dim=3, kernel_sizes=(2, 3), channels=2)
     mixer = ContextualMixer(ctx_dim, ctx_out, rng)
-    ctx = FixedContextualEmbedder(ctx_dim)
+    if toy:
+        ctx = ToyContextualEmbedder.from_corpus([["aa", "bb", "cc"], ["cc", "aa"]], rng,
+                                                dim=ctx_dim, char_dim=3)
+        ctx.freeze()
+    else:
+        ctx = FixedContextualEmbedder(ctx_dim)
     return TokenEmbedder(table, enc, merges, mixer, ctx)
 
 
@@ -614,7 +663,7 @@ class TestTokenEmbedder:
         emb = full_embedder()
         tokens = ["aa", "bb", "zz"]
         with T.no_grad():
-            out = emb.embed_sentence(tokens).numpy()
+            out = emb.embed([tokens], 3).numpy()
             sub = T.concat([emb.subword.encode(["aa"]), emb.subword.encode(["bb"]),
                             emb.subword.encode(["z", "z"])], axis=0).numpy()
             lower, upper = emb.contextual.embed(tokens)
@@ -631,28 +680,38 @@ class TestTokenEmbedder:
         emb.mixer.scale.data[...] = 0.0
         emb.mixer.proj_b.data[...] = 0.0
         with T.no_grad():
-            out = emb.embed_sentence(["zz"]).numpy()  # out-of-vocabulary word
+            out = emb.embed([["zz"]], 1).numpy()  # out-of-vocabulary word
         assert np.array_equal(out, np.zeros((1, 12)))
 
     def test_padding_rows_get_bias_only_context(self):
         emb = full_embedder(seed=2)
-        tokens = ["aa", "bb", "<pad>", "<pad>"]
         with T.no_grad():
-            out = emb.embed_sentence(tokens, n_real=2).numpy()
+            out = emb.embed([["aa", "bb"]], 4).numpy()
         assert np.array_equal(out[2, 0:4], np.zeros(4))  # pad word vector
         assert np.array_equal(out[2, 8:12], emb.mixer.proj_b.numpy())
         assert np.array_equal(out[3, 8:12], emb.mixer.proj_b.numpy())
 
+    def test_pad_in_the_vector_vocabulary_still_embeds_to_zeros(self):
+        rng = np.random.default_rng(9)
+        table = WordEmbeddingTable({"<pad>": 0, "x": 1}, rng.normal(size=(2, 4)))
+        emb = TokenEmbedder(word_table=table)
+        with T.no_grad():
+            out = emb.embed([["x", "<pad>"], ["<pad>"]], 3).numpy()
+        assert np.array_equal(out[0], table.matrix[1])
+        assert np.array_equal(np.delete(out, 0, axis=0), np.zeros((5, 4)))
+
     def test_repeated_tokens_share_one_subword_encoding(self):
         emb = full_embedder(seed=3)
         with T.no_grad():
-            out = emb.embed_sentence(["aa", "bb", "aa"]).numpy()
+            out = emb.embed([["aa", "bb", "aa"], ["bb", "aa"]], 3).numpy()
         assert np.array_equal(out[0, 4:8], out[2, 4:8])
+        assert np.array_equal(out[0, 4:8], out[4, 4:8])
+        assert np.array_equal(out[1, 4:8], out[3, 4:8])
 
     def test_each_token_is_segmented_once_across_sentences(self, monkeypatch):
         sentences = [["aa", "bb", "zz"], ["bb", "cc", "aa"], ["zz", "<pad>", "cc"]]
         with T.no_grad():
-            unmemoised = [full_embedder(seed=5).embed_sentence(s).numpy() for s in sentences]
+            unmemoised = [full_embedder(seed=5).embed([s], 3).numpy() for s in sentences]
         calls = []
 
         def counting_apply_bpe(word, table):
@@ -662,31 +721,32 @@ class TestTokenEmbedder:
         monkeypatch.setattr(word_level, "apply_bpe", counting_apply_bpe)
         emb = full_embedder(seed=5)
         with T.no_grad():
-            memoised = [emb.embed_sentence(s).numpy() for s in sentences]
+            memoised = [emb.embed([s], 3).numpy() for s in sentences]
         assert sorted(calls) == ["aa", "bb", "cc", "zz"]
         for got, want in zip(memoised, unmemoised):
             assert np.array_equal(got, want)
 
-    def test_each_sentence_is_one_subword_batch(self, monkeypatch):
+    def test_one_call_is_one_subword_batch_over_its_distinct_tokens(self, monkeypatch):
         emb = full_embedder(seed=6)
         batches = []
         encode = emb.subword.encode_indices
 
         def recording_encode(rows):
-            batches.append(len(rows))
+            batches.append(rows)
             return encode(rows)
 
         monkeypatch.setattr(emb.subword, "encode_indices", recording_encode)
         with T.no_grad():
-            emb.embed_sentence(["aa", "bb", "aa", "<pad>", "zz", "bb"], n_real=3)
-        assert batches == [4]  # aa, bb, <pad>, zz
+            emb.embed([["aa", "bb", "aa"], ["zz", "bb"], ["cc", "aa", "bb", "zz", "cc"]], 4)
+        # aa, bb, <pad>, zz, cc: each once, in first-appearance order
+        assert batches == [[emb._token_piece_indices(tok)
+                            for tok in ["aa", "bb", "<pad>", "zz", "cc"]]]
 
     def test_gradients_with_repeated_tokens(self):
         emb = full_embedder(seed=4)
-        tokens = ["aa", "aa", "bb"]
 
         def loss():
-            return T.sum_all(emb.embed_sentence(tokens))
+            return T.sum_all(emb.embed([["aa", "aa", "bb"], ["bb", "zz"]], 3))
 
         assert_grads_match(loss, emb.parameters(), entries_per_array=5, tol=1e-6)
 
@@ -697,7 +757,7 @@ class TestTokenEmbedder:
         assert emb.dim == 4
         assert emb.parameters() == []
         with T.no_grad():
-            out = emb.embed_sentence(["x", "y"]).numpy()
+            out = emb.embed([["x", "y"]], 2).numpy()
         assert np.array_equal(out[0], table.matrix[0])
 
     def test_invalid_configurations_rejected(self):
@@ -713,9 +773,77 @@ class TestTokenEmbedder:
         with pytest.raises(ShapeError):
             TokenEmbedder(mixer=mixer, contextual=FixedContextualEmbedder(5))
 
-    def test_n_real_bounds_checked(self):
+    def test_empty_batches_arguments_and_rows_rejected(self):
         emb = full_embedder(seed=7)
-        with pytest.raises(ShapeError):
-            emb.embed_sentence(["aa", "bb"], n_real=3)
         with pytest.raises(DataError):
-            emb.embed_sentence([])
+            emb.embed([], 3)
+        with pytest.raises(DataError):
+            emb.embed([["aa"], []], 3)
+        with pytest.raises(ConfigError):
+            emb.embed([["aa"]], 0)
+
+
+def embedder_config(config):
+    """A token embedder with the parts ``config`` names, off its zero init."""
+    if config == "word":
+        emb = TokenEmbedder(word_table=full_embedder(seed=11).word_table)
+    elif config == "subword":
+        full = full_embedder(seed=11)
+        emb = TokenEmbedder(subword=full.subword, merges=full.merges)
+    else:
+        emb = full_embedder(seed=11, toy=config == "full-toy")
+    noise = np.random.default_rng(12)
+    for p in emb.parameters():
+        p.data += noise.normal(scale=0.3, size=p.shape)
+    return emb
+
+
+# repeated tokens, a literal <pad>, unknown words, and arguments longer than
+# ``rows`` (7 and 6 tokens at rows 3 and 5)
+EQ_ARGUMENTS = [["aa", "bb", "aa", "zz"], ["cc", "<pad>", "aa", "bb", "cc", "aa", "bb"],
+                ["zz"], ["bb", "bb", "qq", "aa", "cc", "zz"]]
+
+
+def embed_both_ways(emb, arguments, rows):
+    """(output, parameter gradients) of ``embed`` and of the per-sentence
+    oracle, each under the same random linear loss."""
+    w = np.random.default_rng(13).normal(size=(len(arguments) * rows, emb.dim))
+    results = []
+    for embed in (emb.embed, lambda args, n: embed_oracle.per_sentence_embed(emb, args, n)):
+        out = embed(arguments, rows)
+        T.backward(T.sum_all(T.mul(out, T.constant(w))))
+        grads = []
+        for p in emb.parameters():
+            grads.append(p.grad)
+            p.grad = None
+        results.append((out.numpy(), grads))
+    return results
+
+
+def assert_grads_close(emb, grads, want_grads):
+    for p, g, ref in zip(emb.parameters(), grads, want_grads):
+        assert (g is None) == (ref is None), p.name
+        if g is not None:
+            assert np.max(np.abs(g - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref))), p.name
+
+
+class TestEmbedEqualsThePerSentencePath:
+    @pytest.mark.parametrize("config", ["word", "subword", "full", "full-toy"])
+    @pytest.mark.parametrize("rows", [3, 5, 9])
+    @pytest.mark.parametrize("count", [1, 4])
+    def test_outputs_bitwise_and_gradients_to_rounding(self, config, rows, count):
+        emb = embedder_config(config)
+        (got, grads), (want, want_grads) = embed_both_ways(emb, EQ_ARGUMENTS[:count], rows)
+        assert got.shape == (count * rows, emb.dim)
+        assert got.tobytes() == want.tobytes()
+        assert_grads_close(emb, grads, want_grads)
+
+    @pytest.mark.parametrize("config", ["subword", "full-toy"])
+    def test_one_row_sentences_agree_to_rounding(self, config):
+        # with one distinct token per sentence, the per-sentence path
+        # multiplies one-row matrices, which numpy hands to a matrix-vector
+        # product; its rounding may differ from the batch's matrix product
+        emb = embedder_config(config)
+        (got, grads), (want, want_grads) = embed_both_ways(emb, EQ_ARGUMENTS, 1)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+        assert_grads_close(emb, grads, want_grads)
