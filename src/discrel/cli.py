@@ -220,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prep-contextual",
                        help="pretrain the stand-in contextual language model on a corpus "
-                            "and write it for model.contextual_source = pretrained")
+                            "and write it as a paths.contextual_model directory, which "
+                            "fixes its widths")
     p.add_argument("corpus", help="instance corpus (JSONL)")
     p.add_argument("out", help="directory to write the language model to")
     p.add_argument("--width", type=int, default=64, help="layer width (even, default 64)")

@@ -20,7 +20,6 @@ from .sentence_level import BLOCK_TYPES
 from .training import TrainConfig
 from .word_level import check_toy_settings
 
-CONTEXTUAL_SOURCES = ("fresh", "pretrained")
 OUTPUT_ROOT_ENV = "DISCREL_OUTPUT_ROOT"
 
 
@@ -45,7 +44,6 @@ class RunConfig:
     subword_vector_dim: int = 50
     subword_channels: int = 50
     subword_kernel_sizes: tuple = (2, 3)
-    contextual_source: str = "fresh"
     contextual_dim: int = 64
     contextual_char_dim: int = 16
     contextual_out_dim: int = 64
@@ -87,7 +85,6 @@ _SCHEMA = [
     ("model", "subword_vector_dim", "subword_vector_dim", "int"),
     ("model", "subword_channels", "subword_channels", "int"),
     ("model", "subword_kernel_sizes", "subword_kernel_sizes", "ints"),
-    ("model", "contextual_source", "contextual_source", "str"),
     ("model", "contextual_dim", "contextual_dim", "int"),
     ("model", "contextual_char_dim", "contextual_char_dim", "int"),
     ("model", "contextual_out_dim", "contextual_out_dim", "int"),
@@ -150,15 +147,30 @@ def parse_config(path) -> RunConfig:
     if not read:
         raise ConfigError(f"config file not found: {path}")
     config = RunConfig()
+    source = None
     for section in parser.sections():
         if section not in {s for s, _, _, _ in _SCHEMA}:
             raise ConfigError(f"{path}: unknown section [{section}]")
         for key, raw in parser.items(section):
+            if (section, key) == ("model", "contextual_source"):
+                source = raw.strip()
+                continue
             found = _BY_LOCATION.get((section, key))
             if found is None:
                 raise ConfigError(f"{path}: unknown key {section}.{key}")
             attr, kind = found
             setattr(config, attr, _parse_value(f"{path}: {section}.{key}", raw, kind))
+    # model.contextual_source is retired: paths.contextual_model alone now
+    # says whether a language model is loaded or trained.  Older files hold
+    # it, and with "fresh" they trained one whatever path they named.
+    if source == "fresh":
+        config.contextual_model = ""
+    elif source not in (None, "pretrained"):
+        raise ConfigError(f"{path}: model.contextual_source: expected fresh or pretrained, "
+                          f"got {source!r}")
+    elif source == "pretrained" and config.use_contextual and not config.contextual_model:
+        raise ConfigError(f"{path}: paths.contextual_model: required when "
+                          f"model.contextual_source is 'pretrained'")
     try:
         validate(config)
     except ConfigError as exc:
@@ -221,14 +233,12 @@ def validate(config: RunConfig) -> None:
         if not config.subword_kernel_sizes or any(k < 1 for k in config.subword_kernel_sizes):
             raise ConfigError(f"model.subword_kernel_sizes: need positive widths, "
                               f"got {config.subword_kernel_sizes}")
-    if config.contextual_source not in CONTEXTUAL_SOURCES:
-        raise ConfigError(f"model.contextual_source: expected one of "
-                          f"{CONTEXTUAL_SOURCES}, got {config.contextual_source!r}")
     if config.use_contextual:
-        check_toy_settings(config.contextual_dim, config.contextual_char_dim,
-                           config.contextual_epochs, config.contextual_lr,
-                           ("model.contextual_dim", "model.contextual_char_dim",
-                            "model.contextual_epochs", "model.contextual_lr"))
+        if not config.contextual_model:  # the language model training builds
+            check_toy_settings(config.contextual_dim, config.contextual_char_dim,
+                               config.contextual_epochs, config.contextual_lr,
+                               ("model.contextual_dim", "model.contextual_char_dim",
+                                "model.contextual_epochs", "model.contextual_lr"))
         if config.contextual_out_dim < 1:
             raise ConfigError(f"model.contextual_out_dim: must be positive, "
                               f"got {config.contextual_out_dim}")

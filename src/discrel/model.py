@@ -152,21 +152,13 @@ class RelationModel:
         return out
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        """Everything a checkpoint must hold to reproduce inference.
-
-        Includes the frozen contextual embedder's weights (it has no other
-        persistent home); the word-vector table is named by path in the run's
-        ``config.ini`` instead of being copied around.
-        """
-        out = {p.name: p.data.copy() for p in self.parameters()}
-        if self.embedder.contextual is not None:
-            out.update(self.embedder.contextual.state_arrays())
-        return out
+        """A copy of every trainable weight, by name.  The frozen parts are
+        not here: the word vectors are named by path in a run's
+        ``config.ini``, and ``pipeline.write_run`` saves the language model."""
+        return {p.name: p.data.copy() for p in self.parameters()}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         T.load_parameters(self.parameters(), arrays, "checkpoint")
-        if self.embedder.contextual is not None:
-            self.embedder.contextual.load_state_arrays(arrays, "checkpoint")
 
     # -- forward -------------------------------------------------------------
 
@@ -239,11 +231,6 @@ class RelationModel:
         """(relation logits, connective logits) of one instance without
         dropout, each a (1, C) row."""
         return self.batch_scores([(arg1_tokens, arg2_tokens)])
-
-    def pair_representation(self, arg1_tokens, arg2_tokens) -> Tensor:
-        """The flat pair vector of one instance without dropout, length
-        ``pair_dim``."""
-        return T.reshape(self._pair_rows([(arg1_tokens, arg2_tokens)]), (self.pair_dim,))
 
     def attention_maps(self, arg1_tokens, arg2_tokens) -> list[np.ndarray]:
         """Per layer, the softmaxed score matrix of argument 1 over argument 2."""

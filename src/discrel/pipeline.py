@@ -7,19 +7,22 @@ A finished training run is a directory holding four files:
 - ``manifest.json`` what the configuration cannot rebuild: the connective
                     vocabulary, subword pieces, contextual-embedder
                     vocabulary, word-vector checksum, data counts, best epoch
-- ``model.ckpt``    trainable weights plus the frozen contextual embedder
+- ``model.ckpt``    trainable weights, then the frozen language model's
 - ``trace.csv``     per-epoch training loss and dev accuracy
 
 The word vectors and the merge table are deliberately not copied into the
 run: ``config.ini`` names them, and the manifest pins the word vectors'
 SHA-256 so a drifted file fails loudly instead of silently changing
-predictions.  The contextual language model, trained fresh or loaded from a
-pretrained one, is part of the run, so a run restores without its source.
+predictions.  The contextual language model is part of the run, so a run
+restores without its source.
 
-A pretrained language model, as ``discrel prep-contextual`` writes it, is a
-directory laid out like a run: its ``toy.*`` weights in ``model.ckpt`` and
-its word and character lists in ``manifest.json``, under the same
-``contextual`` entry.
+With ``model.use_contextual`` on, a ``paths.contextual_model`` directory is
+loaded as the language model; without one, training builds it on the
+training split, at the widths ``model.contextual_dim`` and
+``model.contextual_char_dim`` give.  That directory, as ``discrel
+prep-contextual`` writes it, is laid out like a run: its ``toy.*`` weights
+in ``model.ckpt``, which also fix its widths, and its word and character
+lists in ``manifest.json``, under the same ``contextual`` entry.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .data import (
     make_splits,
     pad_truncate,
 )
-from .errors import ConfigError, DataError, InstanceKeyError, ParseError, utf8_text
+from .errors import ConfigError, DataError, InstanceKeyError, ParseError, ShapeError, utf8_text
 from .model import RelationModel
 from .training import (
     TrainResult,
@@ -184,10 +187,9 @@ def prepare_training(config: RunConfig) -> TrainingSetup:
                        for tok in inst.record.arg1 + inst.record.arg2}
         pieces = subword_vocabulary(sorted(train_words), merges)
     contextual = None
-    if config.use_contextual and config.contextual_source == "pretrained":
+    if config.use_contextual and config.contextual_model:
         contextual = load_contextual_model(_require_file(
-            config.contextual_model, "contextual_model",
-            "to train when model.contextual_source is 'pretrained'", MANIFEST_NAME), config)
+            config.contextual_model, "contextual_model", "to train", MANIFEST_NAME))
     elif config.use_contextual:
         sentences = corpus_sentences(inst.record for inst in splits.train)
         contextual, _ = build_toy_embedder(
@@ -237,9 +239,12 @@ def write_run(run_dir, setup: TrainingSetup, result: TrainResult) -> Path:
     # back last, so a save cut short leaves no run that restores.
     manifest_path = _fresh(run_dir, MANIFEST_NAME)
     save_config(_fresh(run_dir, CONFIG_NAME), setup.config)
-    T.save_checkpoint(_fresh(run_dir, CHECKPOINT_NAME), result.state)
-    save_trace(_fresh(run_dir, TRACE_NAME), result.trace)
     embedder = setup.model.embedder
+    state = result.state
+    if embedder.contextual is not None:
+        state = {**state, **embedder.contextual.state_arrays()}
+    T.save_checkpoint(_fresh(run_dir, CHECKPOINT_NAME), state)
+    save_trace(_fresh(run_dir, TRACE_NAME), result.trace)
     _write_manifest(manifest_path, {
         "format": _MANIFEST_FORMAT,
         "connectives": setup.model.connectives,
@@ -310,30 +315,35 @@ def _entry(manifest_path: Path, mapping, key: str, within: str = "", kind=None):
     return value
 
 
-def _contextual_model(directory: Path, manifest: dict, arrays: dict,
-                      config: RunConfig) -> ToyContextualEmbedder:
+def _contextual_model(directory: Path, manifest: dict, arrays: dict) -> ToyContextualEmbedder:
     """The frozen language model that a run or a pretrained-model directory
-    holds: its vocabulary from the manifest's ``contextual`` entry, its
-    widths from ``config`` and its weights from the checkpoint ``arrays``."""
+    holds: its vocabulary from the manifest's ``contextual`` entry, and its
+    weights, and with them its widths, from the checkpoint ``arrays``."""
     manifest_path = directory / MANIFEST_NAME
+    checkpoint = str(directory / CHECKPOINT_NAME)
     info = _entry(manifest_path, manifest, "contextual")
-    contextual = ToyContextualEmbedder(
-        _entry(manifest_path, info, "words", "contextual.", _STRINGS),
-        _entry(manifest_path, info, "chars", "contextual.", _STRINGS),
-        np.random.default_rng(0), dim=config.contextual_dim,
-        char_dim=config.contextual_char_dim)
-    contextual.load_state_arrays(arrays, str(directory / CHECKPOINT_NAME))
+    words = _entry(manifest_path, info, "words", "contextual.", _STRINGS)
+    chars = _entry(manifest_path, info, "chars", "contextual.", _STRINGS)
+    if "toy.char_kernel" not in arrays:
+        raise ParseError(f"{checkpoint} is missing array 'toy.char_kernel'")
+    shape = arrays["toy.char_kernel"].shape
+    if len(shape) != 3 or min(shape) < 1 or shape[2] % 2:
+        raise ShapeError(f"{checkpoint} array 'toy.char_kernel' has shape {shape}, "
+                         f"expected (3, char_dim, dim) with dim even")
+    contextual = ToyContextualEmbedder(words, chars, np.random.default_rng(0),
+                                       dim=shape[2], char_dim=shape[1])
+    T.load_parameters(contextual.parameters(), arrays, checkpoint)
     contextual.freeze()
     return contextual
 
 
-def load_contextual_model(directory, config: RunConfig) -> ToyContextualEmbedder:
+def load_contextual_model(directory) -> ToyContextualEmbedder:
     """The pretrained language model ``write_contextual_model`` wrote in
-    ``directory``, at the widths ``config`` gives, frozen."""
+    ``directory``, frozen."""
     directory = Path(directory)
     manifest = _read_manifest(directory / MANIFEST_NAME, _LM_FORMAT)
     return _contextual_model(directory, manifest,
-                             T.load_checkpoint(directory / CHECKPOINT_NAME), config)
+                             T.load_checkpoint(directory / CHECKPOINT_NAME))
 
 
 def restore_run(run_dir) -> RestoredRun:
@@ -359,7 +369,7 @@ def restore_run(run_dir) -> RestoredRun:
     arrays = T.load_checkpoint(run_dir / CHECKPOINT_NAME)
     contextual = None
     if config.use_contextual:
-        contextual = _contextual_model(run_dir, manifest, arrays, config)
+        contextual = _contextual_model(run_dir, manifest, arrays)
     labels = task_label_space(config.task)
     model = build_model(config, labels.n_classes, connectives, word_table, pieces, merges,
                         contextual)

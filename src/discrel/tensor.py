@@ -47,7 +47,6 @@ __all__ = [
     "tanh",
     "relu",
     "matmul",
-    "transpose",
     "reshape",
     "concat",
     "gather_rows",
@@ -62,7 +61,6 @@ __all__ = [
     "topk_pool",
     "segment_max",
     "cross_entropy",
-    "sum_all",
     "dropout",
     "adagrad_step",
     "save_checkpoint",
@@ -391,17 +389,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def transpose(t: Tensor) -> Tensor:
-    if t.data.ndim != 2:
-        raise ShapeError(f"transpose needs a 2-D tensor, got {t.shape}")
-    out = Tensor(t.data.T.copy())
-    if _tracked(t):
-        def bwd(g):
-            _accum(t, g.T)
-        _record(out, (t,), bwd)
-    return out
-
-
 def reshape(t: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
     if int(np.prod(shape, dtype=np.int64)) != t.size:
@@ -644,13 +631,13 @@ def _conv_backward(x: Tensor, kernel: Tensor, g: np.ndarray, batch: int, pad: in
     _accum(x, dxp)
 
 
-def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, batch: int = 1) -> Tensor:
-    """Valid 1-D convolution along the row axis.
+def conv1d(x: Tensor, kernel: Tensor, bias: Tensor, batch: int = 1) -> Tensor:
+    """Valid 1-D convolution along the row axis, plus ``bias``.
 
     ``x`` is (B*N, d_in): ``batch`` = B sequences of N rows each, stacked
-    instance-major; ``kernel`` is (k, d_in, d_out).  No window reaches
-    across two sequences, and the output stacks the B results of N - k + 1
-    rows the same way.
+    instance-major; ``kernel`` is (k, d_in, d_out) and ``bias`` (d_out,).
+    No window reaches across two sequences, and the output stacks the B
+    results of N - k + 1 rows the same way.
     """
     if x.data.ndim != 2 or kernel.data.ndim != 3:
         raise ShapeError(f"conv1d: x must be 2-D and kernel 3-D, got {x.shape}, {kernel.shape}")
@@ -660,20 +647,18 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, batch: int = 1
     n = _sequence_length(x, batch, "conv1d")
     if n < k:
         raise WindowError(f"conv1d: kernel size {k} exceeds sequence length {n}")
-    if bias is not None and bias.shape != (d_out,):
+    if bias.shape != (d_out,):
         raise ShapeError(f"conv1d: bias {bias.shape} does not match d_out {d_out}")
     y = _conv(x.data, kernel.data, batch, 0)
-    if bias is not None:
-        y += bias.data
+    y += bias.data
     out = Tensor(y)
 
-    tracked_inputs = (x, kernel) if bias is None else (x, kernel, bias)
-    if _tracked(*tracked_inputs):
+    if _tracked(x, kernel, bias):
         def bwd(g):
             _conv_backward(x, kernel, g, batch, 0)
-            if bias is not None and bias.requires_grad:
+            if bias.requires_grad:
                 _accum(bias, g.sum(axis=0))
-        _record(out, tracked_inputs, bwd)
+        _record(out, (x, kernel, bias), bwd)
     return out
 
 
@@ -1059,15 +1044,6 @@ def cross_entropy(logits: Tensor, gold) -> Tensor:
             d[np.arange(b), idx] -= 1.0
             _accum(logits, d * (g.ravel()[0] / b))
         _record(out, (logits,), bwd)
-    return out
-
-
-def sum_all(t: Tensor) -> Tensor:
-    out = Tensor(np.array([t.data.sum()]))
-    if _tracked(t):
-        def bwd(g):
-            _accum(t, np.full_like(t.data, g.ravel()[0]))
-        _record(out, (t,), bwd)
     return out
 
 

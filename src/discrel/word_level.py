@@ -289,9 +289,6 @@ class SubwordEncoder:
         ones = T.constant(np.ones((len(rows), self.out_dim)))
         return gate * transformed + (ones - gate) * u
 
-    def encode(self, pieces) -> Tensor:
-        return self.encode_indices([self.indices(pieces)])
-
 
 # ---------------------------------------------------------------------------
 # Contextual feature
@@ -310,11 +307,6 @@ class ContextualMixer:
 
     def parameters(self) -> list[Parameter]:
         return [self.layer_logits, self.scale, self.proj_w, self.proj_b]
-
-    def weights(self) -> np.ndarray:
-        """Current blend weights; always on the 2-simplex."""
-        with T.no_grad():
-            return T.softmax_rows(self.layer_logits).numpy().ravel().copy()
 
     def forward(self, h0: Tensor, h1: Tensor) -> Tensor:
         if h0.shape != h1.shape or h0.shape[1] != self.d_in:
@@ -436,12 +428,6 @@ class ToyContextualEmbedder:
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {p.name: p.data.copy() for p in self.parameters()}
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray],
-                          source: str = "toy embedder state") -> None:
-        """Each weight from the ``toy.*`` array of its name; other arrays
-        are ignored.  ``source`` names where ``arrays`` came from in errors."""
-        T.load_parameters(self.parameters(), arrays, source)
 
 
 def check_toy_settings(dim: int, char_dim: int, epochs: int, lr: float,

@@ -13,6 +13,7 @@ bilinear scores, the two row softmaxes and the two mixing matmuls.
 import numpy as np
 
 from discrel import tensor as T
+from extra_ops import transpose
 
 
 def same_padded(x, batch, pad):
@@ -38,7 +39,7 @@ def composed_gated_conv(x, kernel, bias, batch=1, residual=True):
 
 def composed_bi_attend(v1, v2, w, b):
     """(softmax_rows(M^T) v1, softmax_rows(M) v2) for M = (v1 w + b) v2^T."""
-    scores = T.add_bias(v1 @ w, b) @ T.transpose(v2)
+    scores = T.add_bias(v1 @ w, b) @ transpose(v2)
     w2 = T.softmax_rows(scores) @ v2
-    w1 = T.softmax_rows(T.transpose(scores)) @ v1
+    w1 = T.softmax_rows(transpose(scores)) @ v1
     return w1, w2

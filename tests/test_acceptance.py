@@ -20,6 +20,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from extra_ops import sum_all, transpose
 from gradcheck import assert_grads_match
 
 from discrel import tensor as T
@@ -85,62 +86,62 @@ def operation_cases():
         cases[name] = (f, list(tensors))
 
     a, b, w = var(3, 4), var(3, 4), const(3, 4)
-    case("add", lambda: T.sum_all(T.mul(T.add(a, b), w)), a, b)
-    case("sub", lambda: T.sum_all(T.mul(T.sub(a, b), w)), a, b)
-    case("mul", lambda: T.sum_all(T.mul(T.mul(a, b), w)), a, b)
-    case("sigmoid", lambda: T.sum_all(T.mul(T.sigmoid(a), w)), a)
-    case("tanh", lambda: T.sum_all(T.mul(T.tanh(a), w)), a)
-    case("relu", lambda: T.sum_all(T.mul(T.relu(a), w)), a)
-    case("sum_all", lambda: T.sum_all(T.mul(a, w)), a)
+    case("add", lambda: sum_all(T.mul(T.add(a, b), w)), a, b)
+    case("sub", lambda: sum_all(T.mul(T.sub(a, b), w)), a, b)
+    case("mul", lambda: sum_all(T.mul(T.mul(a, b), w)), a, b)
+    case("sigmoid", lambda: sum_all(T.mul(T.sigmoid(a), w)), a)
+    case("tanh", lambda: sum_all(T.mul(T.tanh(a), w)), a)
+    case("relu", lambda: sum_all(T.mul(T.relu(a), w)), a)
+    case("sum_all", lambda: sum_all(T.mul(a, w)), a)
 
     bias = var(4)
-    case("add_bias", lambda: T.sum_all(T.mul(T.add_bias(a, bias), w)), a, bias)
+    case("add_bias", lambda: sum_all(T.mul(T.add_bias(a, bias), w)), a, bias)
     s = var(1)
-    case("scalar_mul", lambda: T.sum_all(T.mul(T.scalar_mul(s, a), w)), s, a)
+    case("scalar_mul", lambda: sum_all(T.mul(T.scalar_mul(s, a), w)), s, a)
 
     m1, m2 = var(3, 5), var(5, 2)
-    case("matmul", lambda: T.sum_all(T.tanh(T.matmul(m1, m2))), m1, m2)
+    case("matmul", lambda: sum_all(T.tanh(T.matmul(m1, m2))), m1, m2)
     wt = const(4, 3)
-    case("transpose", lambda: T.sum_all(T.mul(T.transpose(a), wt)), a)
+    case("transpose", lambda: sum_all(T.mul(transpose(a), wt)), a)
     w26 = const(2, 6)
-    case("reshape", lambda: T.sum_all(T.mul(T.reshape(a, (2, 6)), w26)), a)
+    case("reshape", lambda: sum_all(T.mul(T.reshape(a, (2, 6)), w26)), a)
 
     c1, c2, wc = var(2, 4), var(3, 4), const(5, 4)
-    case("concat_rows", lambda: T.sum_all(T.mul(T.concat([c1, c2], axis=0), wc)), c1, c2)
+    case("concat_rows", lambda: sum_all(T.mul(T.concat([c1, c2], axis=0), wc)), c1, c2)
     d1, d2, wd = var(3, 2), var(3, 3), const(3, 5)
-    case("concat_cols", lambda: T.sum_all(T.mul(T.concat([d1, d2], axis=1), wd)), d1, d2)
+    case("concat_cols", lambda: sum_all(T.mul(T.concat([d1, d2], axis=1), wd)), d1, d2)
 
     table, wg = var(4, 3), const(5, 3)
     case("gather_rows",
-         lambda: T.sum_all(T.mul(T.gather_rows(table, [0, 2, 2, 1, 3]), wg)), table)
+         lambda: sum_all(T.mul(T.gather_rows(table, [0, 2, 2, 1, 3]), wg)), table)
     ws = const(3, 2)
-    case("slice_cols", lambda: T.sum_all(T.mul(T.slice_cols(a, 1, 3), ws)), a)
+    case("slice_cols", lambda: sum_all(T.mul(T.slice_cols(a, 1, 3), ws)), a)
     sm, wsm = var(3, 6), const(3, 6)
-    case("softmax_rows", lambda: T.sum_all(T.mul(T.softmax_rows(sm), wsm)), sm)
+    case("softmax_rows", lambda: sum_all(T.mul(T.softmax_rows(sm), wsm)), sm)
 
     x = var(7, 3)
-    kern2, wv = var(3, 3, 2), const(5, 2)
-    case("conv1d_valid", lambda: T.sum_all(T.mul(T.conv1d(x, kern2, None), wv)), x, kern2)
+    kern2, bias2, wv = var(3, 3, 2), var(2), const(5, 2)
+    case("conv1d_valid", lambda: sum_all(T.mul(T.conv1d(x, kern2, bias2), wv)), x, kern2, bias2)
 
     xp, wp = var(6, 4), const(8)
-    case("topk_pool", lambda: T.sum_all(T.mul(T.topk_pool(xp, 2), wp)), xp)
+    case("topk_pool", lambda: sum_all(T.mul(T.topk_pool(xp, 2), wp)), xp)
 
     logits = var(4, 5)
     case("cross_entropy", lambda: T.cross_entropy(logits, [0, 3, 2, 4]), logits)
 
     xd, wdrop = var(5, 4), const(5, 4)
     case("dropout",
-         lambda: T.sum_all(T.mul(
+         lambda: sum_all(T.mul(
              T.dropout(xd, 0.4, np.random.default_rng(11)), wdrop)), xd)
 
     xm, wm = var(8, 3), const(2, 3)
-    case("segment_max", lambda: T.sum_all(T.mul(T.segment_max(xm, 2, [3, 4]), wm)), xm)
+    case("segment_max", lambda: sum_all(T.mul(T.segment_max(xm, 2, [3, 4]), wm)), xm)
 
     xr, wr = var(2 * 3, 2), const(2 * 3, 4)
     forward = [var(2, 6), var(2, 4), var(2, 2), var(6)]
     backward = [var(2, 6), var(2, 4), var(2, 2), var(6)]
     case("bigru_scan",
-         lambda: T.sum_all(T.mul(T.bigru_scan([xr], [(forward, backward)], batch=2)[0], wr)),
+         lambda: sum_all(T.mul(T.bigru_scan([xr], [(forward, backward)], batch=2)[0], wr)),
          xr, *forward, *backward)
 
     # Two inputs: the second reuses the first's forward weights, as shared
@@ -151,15 +152,15 @@ def operation_cases():
     def two_inputs():
         out1, out2 = T.bigru_scan([x1, x2], [(forward, backward), (forward, backward2)],
                                   batch=2)
-        return T.sum_all(T.mul(out1, w1)) + T.sum_all(T.mul(out2, w2))
+        return sum_all(T.mul(out1, w1)) + sum_all(T.mul(out2, w2))
 
     case("bigru_scan over two inputs", two_inputs, x1, x2, *forward, *backward, *backward2)
 
     xb, kb, bb, wb = var(2 * 4, 3), var(3, 3, 6), var(6), const(2 * 4, 3)
     case("gated_conv",
-         lambda: T.sum_all(T.mul(T.gated_conv(xb, kb, bb, batch=2), wb)), xb, kb, bb)
+         lambda: sum_all(T.mul(T.gated_conv(xb, kb, bb, batch=2), wb)), xb, kb, bb)
     case("gated_conv without the residual",
-         lambda: T.sum_all(T.mul(T.gated_conv(xb, kb, bb, batch=2, residual=False), wb)),
+         lambda: sum_all(T.mul(T.gated_conv(xb, kb, bb, batch=2, residual=False), wb)),
          xb, kb, bb)
 
     u1, u2, fw, fb = var(5, 3), var(5, 3), var(3, 3), var(3)
@@ -167,7 +168,7 @@ def operation_cases():
 
     def attended():
         o1, o2 = T.bi_attention(u1, u2, fw, fb)
-        return T.sum_all(T.mul(o1, wu1)) + T.sum_all(T.mul(o2, wu2))
+        return sum_all(T.mul(o1, wu1)) + sum_all(T.mul(o2, wu2))
 
     case("bi_attention", attended, u1, u2, fw, fb)
 
@@ -336,8 +337,8 @@ def test_full_scale_pair_representation_has_the_contracted_length():
                           max_tokens=100)
     arg1, arg2 = words[:9], words[9:21]
     with T.no_grad():
-        pair = model.pair_representation(arg1, arg2)
-    assert pair.shape == (11200,)
+        pair = model._pair_rows([(arg1, arg2)])
+    assert pair.shape == (1, 11200)
     assert 11200 == 4 * 4 * 700
     with T.no_grad():
         relation_logits, connective_logits = model.scores(arg1, arg2)
@@ -578,8 +579,7 @@ def test_frozen_embedding_components_survive_fifty_training_steps(tmp_path):
 
     word_before = _digest(setup.model.embedder.word_table.matrix)
     toy_before = {name: _digest(array)
-                  for name, array in setup.model.state_arrays().items()
-                  if name.startswith("toy.")}
+                  for name, array in setup.model.embedder.contextual.state_arrays().items()}
     assert toy_before, "the contextual embedder must contribute frozen state"
 
     result = run_training(setup)
@@ -588,6 +588,7 @@ def test_frozen_embedding_components_survive_fifty_training_steps(tmp_path):
 
     assert _digest(setup.model.embedder.word_table.matrix) == word_before
     toy_after = {name: _digest(array)
-                 for name, array in setup.model.state_arrays().items()
-                 if name.startswith("toy.")}
+                 for name, array in setup.model.embedder.contextual.state_arrays().items()}
     assert toy_after == toy_before
+    saved = T.load_checkpoint(write_run(tmp_path / "run", setup, result) / "model.ckpt")
+    assert {name: _digest(saved[name]) for name in toy_before} == toy_before

@@ -13,6 +13,7 @@ from discrel.bpe import learn_bpe, load_merge_table, word_frequencies
 from discrel.cli import main
 from discrel.config import RunConfig, save_config
 from discrel.data import load_corpus, save_corpus, synthetic_corpus, synthetic_word_vectors
+from discrel.pipeline import restore_run
 from discrel.word_level import save_word_vectors
 
 
@@ -575,9 +576,7 @@ def test_pretrained_contextual_route_trains_and_evaluates(workspace, tmp_path, c
     assert run_cli(capsys, "prep-contextual", lm_corpus, lm,
                    "--width", 8, "--char-width", 4, "--epochs", 1)[0] == 0
     config = spawn_config(workspace, tmp_path, use_contextual=True,
-                          contextual_source="pretrained", contextual_model=str(lm),
-                          contextual_dim=8, contextual_char_dim=4,
-                          contextual_out_dim=8, epochs=2)
+                          contextual_model=str(lm), contextual_out_dim=8, epochs=2)
     assert run_cli(capsys, "train", config)[0] == 0
     shutil.rmtree(lm)
     code, out, err = run_cli(capsys, "eval", tmp_path / "run", "--part", "dev")
@@ -586,31 +585,65 @@ def test_pretrained_contextual_route_trains_and_evaluates(workspace, tmp_path, c
 
 
 @pytest.mark.parametrize("key, width", [("contextual_dim", 6), ("contextual_char_dim", 2)])
-def test_a_pretrained_model_of_another_width_is_refused(workspace, tmp_path, capsys,
-                                                        key, width):
+def test_a_pretrained_model_of_another_width_loads_at_its_own_and_trains(
+        workspace, tmp_path, capsys, key, width):
     lm = tmp_path / "lm"
     assert run_cli(capsys, "prep-contextual", workspace / "corpus.jsonl", lm,
                    "--width", 8, "--char-width", 4, "--epochs", 0)[0] == 0
     widths = {"contextual_dim": 8, "contextual_char_dim": 4, key: width}
     config = spawn_config(workspace, tmp_path, use_contextual=True,
-                          contextual_source="pretrained", contextual_model=str(lm),
-                          contextual_out_dim=8, epochs=1, **widths)
+                          contextual_model=str(lm), contextual_out_dim=8, epochs=1,
+                          **widths)
+    assert run_cli(capsys, "train", config)[0] == 0
+    contextual = restore_run(tmp_path / "run").model.embedder.contextual
+    assert (contextual.dim, contextual.char_dim) == (8, 4)
+    code, out, err = run_cli(capsys, "eval", tmp_path / "run", "--part", "dev")
+    assert code == 0 and err == ""
+
+
+def test_a_pretrained_model_must_exist(workspace, tmp_path, capsys):
+    config = spawn_config(workspace, tmp_path, use_contextual=True,
+                          contextual_model=str(tmp_path / "absent"), epochs=1)
     code, out, err = run_cli(capsys, "train", config)
     assert code == 1
-    assert err.startswith("error ShapeError: ")
-    assert f"{lm / 'model.ckpt'} array 'toy.char_" in err
+    assert err.startswith("error ConfigError: paths.contextual_model: no manifest.json at")
+
+
+def test_a_config_of_the_retired_pretrained_source_must_name_a_model(workspace, tmp_path,
+                                                                     capsys):
+    config = spawn_config(workspace, tmp_path, use_contextual=True, epochs=1)
+    text = config.read_text(encoding="utf-8")
+    config.write_text(text.replace("[model]\n", "[model]\ncontextual_source = pretrained\n"),
+                      encoding="utf-8")
+    code, out, err = run_cli(capsys, "train", config)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error ConfigError: {config}: paths.contextual_model: required")
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("where, message", [("absent", "no manifest.json at"),
-                                             ("", "required to train")])
-def test_a_pretrained_model_must_exist(workspace, tmp_path, capsys, where, message):
+@pytest.mark.parametrize("fault, kind, needle", [
+    (lambda a: a.pop("toy.char_kernel"), "ParseError", "missing array 'toy.char_kernel'"),
+    (lambda a: a.update({"toy.char_kernel": a["toy.char_kernel"][0]}),
+     "ShapeError", "'toy.char_kernel' has shape (4, 8)"),
+    (lambda a: a.update({"toy.char_kernel": a["toy.char_kernel"][:, :, :7]}),
+     "ShapeError", "'toy.char_kernel' has shape (3, 4, 7)"),
+], ids=["no-kernel", "2-d-kernel", "odd-dim"])
+def test_a_malformed_pretrained_model_is_refused_by_name(workspace, tmp_path, capsys,
+                                                         fault, kind, needle):
+    lm = tmp_path / "lm"
+    assert run_cli(capsys, "prep-contextual", workspace / "corpus.jsonl", lm,
+                   "--width", 8, "--char-width", 4, "--epochs", 0)[0] == 0
+    arrays = T.load_checkpoint(lm / "model.ckpt")
+    fault(arrays)
+    T.save_checkpoint(lm / "model.ckpt", arrays)
     config = spawn_config(workspace, tmp_path, use_contextual=True,
-                          contextual_source="pretrained",
-                          contextual_model=str(tmp_path / where) if where else "", epochs=1)
+                          contextual_model=str(lm), epochs=1)
     code, out, err = run_cli(capsys, "train", config)
-    assert code == 1
-    assert err.startswith(f"error ConfigError: paths.contextual_model: {message}")
+    assert code == 1 and out == ""
+    assert err.startswith(f"error {kind}: {lm / 'model.ckpt'}")
+    assert needle in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_prep_contextual_is_deterministic(workspace, tmp_path, capsys):
@@ -623,13 +656,13 @@ def test_prep_contextual_is_deterministic(workspace, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("old, new, key", [
-    ("contextual_source = fresh", "contextual_source = vectors", "model.contextual_source"),
+    pytest.param("[model]\n", "[model]\ncontextual_source = vectors\n",
+                 "model.contextual_source", id="contextual_source-vectors"),
     ("contextual_model = ", "contextual_vectors = ", "paths.contextual_vectors"),
 ])
 def test_a_run_trained_on_retired_contextual_vectors_is_refused(workspace, tmp_path, capsys,
                                                                 old, new, key):
-    config = spawn_config(workspace, tmp_path, use_contextual=True,
-                          contextual_source="fresh", contextual_dim=4,
+    config = spawn_config(workspace, tmp_path, use_contextual=True, contextual_dim=4,
                           contextual_char_dim=2, contextual_epochs=0,
                           contextual_out_dim=4, epochs=1)
     assert run_cli(capsys, "train", config)[0] == 0
@@ -644,8 +677,7 @@ def test_a_run_trained_on_retired_contextual_vectors_is_refused(workspace, tmp_p
 
 
 def test_fresh_contextual_route_survives_a_restore(workspace, tmp_path, capsys):
-    config = spawn_config(workspace, tmp_path, use_contextual=True,
-                          contextual_source="fresh", contextual_dim=8,
+    config = spawn_config(workspace, tmp_path, use_contextual=True, contextual_dim=8,
                           contextual_char_dim=4, contextual_epochs=1,
                           contextual_out_dim=8, epochs=2)
     assert run_cli(capsys, "train", config)[0] == 0

@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from discrel.config import (
-    CONTEXTUAL_SOURCES,
     RunConfig,
     apply_baseline,
     ladder_rows,
@@ -105,7 +104,7 @@ def test_bad_bool_names_the_key(tmp_path):
     ({"use_word": False}, "model.use_word"),
     ({"use_subword": True, "subword_vector_dim": 0}, "model.subword_vector_dim"),
     ({"use_subword": True, "subword_kernel_sizes": ()}, "model.subword_kernel_sizes"),
-    ({"use_contextual": True, "contextual_source": "remote"}, "model.contextual_source"),
+    ({"use_contextual": True, "contextual_epochs": -1}, "model.contextual_epochs"),
     ({"use_contextual": True, "contextual_dim": 7}, "model.contextual_dim"),
     ({"use_contextual": True, "contextual_lr": 0.0}, "model.contextual_lr"),
     ({"learning_rate": 0.0}, "train.learning_rate"),
@@ -115,10 +114,9 @@ def test_bad_bool_names_the_key(tmp_path):
     ({"embedding_dropout": 1.0}, "train.embedding_dropout"),
     ({"encoder_dropout": -0.1}, "train.encoder_dropout"),
     ({"classifier_dropout": 1.5}, "train.classifier_dropout"),
-    # the retired source, which is refused even with the contextual part off
-    ({"contextual_source": "vectors"}, "model.contextual_source"),
-    ({"use_contextual": True, "contextual_source": "pretrained", "contextual_char_dim": 0},
-     "model.contextual_char_dim"),
+    ({"use_contextual": True, "contextual_model": "lm", "contextual_out_dim": 0},
+     "model.contextual_out_dim"),
+    ({"use_contextual": True, "contextual_char_dim": 0}, "model.contextual_char_dim"),
 ])
 def test_validation_names_the_offending_key(changes, needle):
     config = replace(RunConfig(), **changes)
@@ -132,8 +130,48 @@ def test_the_readme_configuration_example_parses(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text(example, encoding="utf-8")
     config = parse_config(path)
-    assert (config.contextual_source, config.contextual_model) == ("fresh", "lm")
+    assert (config.use_contextual, config.contextual_model) == (False, "lm")
     assert config.kernel_size == 5
+
+
+def test_a_loaded_language_model_brings_its_own_widths():
+    # the width and training keys describe the LM that training builds
+    validate(replace(RunConfig(), use_contextual=True, contextual_model="lm",
+                     contextual_dim=7, contextual_char_dim=0, contextual_epochs=-1,
+                     contextual_lr=0.0))
+
+
+def _with_retired_source(tmp_path, source, **changes):
+    """A config file as older releases wrote it, with model.contextual_source."""
+    path = tmp_path / "run.ini"
+    save_config(path, replace(RunConfig(), **changes))
+    text = path.read_text(encoding="utf-8")
+    assert "contextual_source" not in text
+    path.write_text(text.replace("[model]\n", f"[model]\ncontextual_source = {source}\n"),
+                    encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("source, kept", [("fresh", ""), ("pretrained", "lm")])
+def test_the_retired_contextual_source_still_reads(tmp_path, source, kept):
+    """``fresh`` trained a language model whatever paths.contextual_model
+    named; ``pretrained`` loaded the one it named."""
+    path = _with_retired_source(tmp_path, source, use_contextual=True, contextual_model="lm")
+    assert parse_config(path) == replace(RunConfig(), use_contextual=True,
+                                         contextual_model=kept)
+
+
+@pytest.mark.parametrize("use_contextual", [True, False])
+def test_the_retired_contextual_source_refuses_other_values(tmp_path, use_contextual):
+    path = _with_retired_source(tmp_path, "vectors", use_contextual=use_contextual)
+    with pytest.raises(ConfigError, match=r"model\.contextual_source: .*'vectors'"):
+        parse_config(path)
+
+
+def test_a_retired_pretrained_source_needs_a_path(tmp_path):
+    path = _with_retired_source(tmp_path, "pretrained", use_contextual=True)
+    with pytest.raises(ConfigError, match=r"paths\.contextual_model: required"):
+        parse_config(path)
 
 
 def test_even_kernel_is_fine_for_recurrent_blocks():
@@ -179,7 +217,6 @@ def run_configs(draw):
         max_tokens=draw(st.integers(2, 2**40)), classifier_hidden=draw(st.integers(0, 2**40)),
         subword_vector_dim=draw(_COUNT), subword_channels=draw(_COUNT),
         subword_kernel_sizes=tuple(draw(st.lists(_COUNT, min_size=1, max_size=4))),
-        contextual_source=draw(st.sampled_from(CONTEXTUAL_SOURCES)),
         contextual_dim=2 * draw(_COUNT), contextual_char_dim=draw(_COUNT),
         contextual_out_dim=draw(_COUNT), contextual_epochs=draw(st.integers(0, 2**40)),
         contextual_lr=draw(_STEP), learning_rate=draw(_STEP), batch_size=draw(_COUNT),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from discrel.bpe import load_merge_table, load_word_frequencies
-from discrel.config import RunConfig, parse_config
+from discrel.config import parse_config
 from discrel.data import (
     ELEVEN_WAY_SENSES,
     PDTB_JI,
@@ -381,7 +381,7 @@ _VALID_RECORD = b'{"arg1": ["a"], "arg2": ["b"], "senses": ["Expansion.List"]}\n
 
 def load_lm_manifest(path):
     """Load the pretrained language model whose manifest is ``path``."""
-    return load_contextual_model(path.parent, RunConfig())
+    return load_contextual_model(path.parent)
 
 
 @pytest.mark.parametrize("load,name,data", [

@@ -11,6 +11,7 @@ from discrel.pair_level import (
     pool_layer,
 )
 from block_oracles import composed_bi_attend
+from extra_ops import sum_all
 from gradcheck import assert_grads_match
 
 
@@ -123,9 +124,9 @@ class TestBiAttend:
             w1, w2 = attend(v1, v2, w, b)
             terms = []
             if graded != "second":
-                terms.append(T.sum_all(T.mul(w1, T.constant(g1))))
+                terms.append(sum_all(T.mul(w1, T.constant(g1))))
             if graded != "first":
-                terms.append(T.sum_all(T.mul(w2, T.constant(g2))))
+                terms.append(sum_all(T.mul(w2, T.constant(g2))))
             T.backward(terms[0] if len(terms) == 1 else terms[0] + terms[1])
             return (w1.numpy(), w2.numpy()), (v1.grad, v2.grad, w.grad, b.grad)
 
@@ -256,7 +257,7 @@ class TestPairRepresentation:
 
         def loss():
             o = build_pair_representation([v1], [v2], att)
-            return T.sum_all(o * o)
+            return sum_all(o * o)
 
         assert_grads_match(loss, [v1, v2] + att.parameters(), tol=1e-4)
 
@@ -266,7 +267,7 @@ class TestPairRepresentation:
         a, b = self.layers(rng, 3)
 
         def loss(layers):
-            return T.sum_all(build_pair_representation(layers[0], layers[1], att))
+            return sum_all(build_pair_representation(layers[0], layers[1], att))
 
         loss((a[:1], b[:1]))  # warm the tape then discard
         T.active_tape().clear()

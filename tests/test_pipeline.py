@@ -8,6 +8,7 @@ import json
 import os
 import shutil
 from dataclasses import fields, replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,9 +19,9 @@ from hypothesis import strategies as st
 from discrel import tensor as T
 from discrel.bpe import learn_bpe, save_merge_table, word_frequencies
 from discrel.cli import _FAILURES
-from discrel.config import RunConfig, save_config, to_train_config
+from discrel.config import RunConfig, parse_config, save_config, to_train_config
 from discrel.data import load_corpus, save_corpus, synthetic_corpus, synthetic_word_vectors
-from discrel.errors import ConfigError, DataError, InstanceKeyError, ParseError
+from discrel.errors import ConfigError, DataError, InstanceKeyError, ParseError, ShapeError
 from discrel.model import RelationModel
 from discrel.pipeline import (
     build_model,
@@ -296,11 +297,10 @@ def test_a_run_written_in_the_older_layout_restores(tmp_path, source):
     merges = tmp_path / "merges.txt"
     lm_dir = tmp_path / "lm"
     config = small_config(tmp_path, task="binary:Expansion", epochs=2, use_subword=True,
-                          merge_table=str(merges), use_contextual=True,
-                          contextual_source=source, contextual_dim=4,
+                          merge_table=str(merges), use_contextual=True, contextual_dim=4,
                           contextual_char_dim=2, contextual_epochs=1,
                           contextual_out_dim=3, subword_vector_dim=4, subword_channels=3,
-                          contextual_model=str(lm_dir))
+                          contextual_model=str(lm_dir) if source == "pretrained" else "")
     records = load_corpus(config.corpus)
     save_merge_table(merges, learn_bpe(word_frequencies(
         [rec.arg1 for rec in records] + [rec.arg2 for rec in records]), 10))
@@ -346,8 +346,7 @@ def test_a_pretrained_run_equals_a_fresh_run_with_the_same_language_model(tmp_pa
     fresh = prepare_training(config)
     fresh_dir = write_run(tmp_path / "fresh", fresh, run_training(fresh))
     lm_dir = write_contextual_model(tmp_path / "lm", fresh.model.embedder.contextual)
-    pretrained = prepare_training(replace(config, contextual_source="pretrained",
-                                          contextual_model=str(lm_dir)))
+    pretrained = prepare_training(replace(config, contextual_model=str(lm_dir)))
     pretrained_dir = write_run(tmp_path / "pretrained", pretrained, run_training(pretrained))
     for name in ("model.ckpt", "trace.csv", "manifest.json"):
         assert (fresh_dir / name).read_bytes() == (pretrained_dir / name).read_bytes(), name
@@ -366,8 +365,7 @@ def test_a_pretrained_run_equals_a_fresh_run_with_the_same_language_model(tmp_pa
 def test_a_language_model_round_trips_bitwise(tmp_path):
     toy, _ = build_toy_embedder([["ab", "c"], ["c", "ab", "d"]], dim=4, char_dim=2,
                                 epochs=1)
-    config = RunConfig(use_contextual=True, contextual_dim=4, contextual_char_dim=2)
-    loaded = load_contextual_model(write_contextual_model(tmp_path / "lm", toy), config)
+    loaded = load_contextual_model(write_contextual_model(tmp_path / "lm", toy))
     assert (loaded.words, loaded.chars) == (toy.words, toy.chars)
     assert loaded.frozen
     for name, array in toy.state_arrays().items():
@@ -382,10 +380,7 @@ def test_a_language_model_of_another_format_is_refused(tmp_path):
     setup = prepare_training(config)
     run_dir = write_run(tmp_path / "run", setup, run_training(setup))
     with pytest.raises(ParseError, match="unsupported manifest format 'discrel-run 1'"):
-        load_contextual_model(run_dir, replace(config, use_contextual=True))
-
-
-_LM_CONFIG = RunConfig(use_contextual=True, contextual_dim=2, contextual_char_dim=1)
+        load_contextual_model(run_dir)
 
 
 @pytest.fixture(scope="module")
@@ -406,11 +401,97 @@ def test_any_mutation_of_a_language_model_loads_or_raises_a_reported_failure(
     for name, raw in lm_files.items():
         (lm_dir / name).write_bytes(data.draw(mutations(raw)) if name == mutated else raw)
     try:
-        contextual = load_contextual_model(lm_dir, _LM_CONFIG)
+        contextual = load_contextual_model(lm_dir)
     except _FAILURES:
         return
     lower, upper = contextual.embed(["ab", "unseen"])
-    assert lower.shape == upper.shape == (2, 2)
+    assert lower.shape == upper.shape == (2, contextual.dim)
+
+
+@pytest.mark.parametrize("fault, error, needle", [
+    (lambda a: a.pop("toy.char_table"), ParseError, "is missing array 'toy.char_table'"),
+    (lambda a: a.update({"toy.head_prev_b": np.zeros((6, 2))}), ShapeError,
+     "array 'toy.head_prev_b' has shape (6, 2)"),
+    (lambda a: a.pop("toy.char_kernel"), ParseError, "is missing array 'toy.char_kernel'"),
+    (lambda a: a.update({"toy.char_kernel": a["toy.char_kernel"][0]}), ShapeError,
+     "array 'toy.char_kernel' has shape (1, 2)"),
+    (lambda a: a.update({"toy.char_kernel": a["toy.char_kernel"][:, :, :1]}), ShapeError,
+     "array 'toy.char_kernel' has shape (3, 1, 1)"),
+], ids=["no-table", "bad-head", "no-kernel", "2-d-kernel", "odd-dim"])
+def test_a_malformed_language_model_is_refused_naming_its_checkpoint(
+        tmp_path, lm_files, fault, error, needle):
+    for name, raw in lm_files.items():
+        (tmp_path / name).write_bytes(raw)
+    checkpoint = tmp_path / "model.ckpt"
+    arrays = T.load_checkpoint(checkpoint)
+    fault(arrays)
+    T.save_checkpoint(checkpoint, arrays)
+    with pytest.raises(error) as raised:
+        load_contextual_model(tmp_path)
+    assert isinstance(raised.value, _FAILURES)
+    assert str(raised.value).startswith(f"{checkpoint} ")
+    assert needle in str(raised.value)
+
+
+def test_state_arrays_hold_no_language_model_and_model_ckpt_does(tmp_path):
+    config = small_config(tmp_path, epochs=2, use_contextual=True, contextual_dim=4,
+                          contextual_char_dim=2, contextual_epochs=1, contextual_out_dim=3)
+    setup = prepare_training(config)
+    result = run_training(setup)
+    trainable = [p.name for p in setup.model.parameters()]
+    assert list(setup.model.state_arrays()) == trainable
+    assert list(result.state) == trainable  # the best-dev snapshot
+    lm = setup.model.embedder.contextual.state_arrays()
+    saved = T.load_checkpoint(write_run(tmp_path / "run", setup, result) / "model.ckpt")
+    assert list(saved) == trainable + list(lm)
+    for name, array in lm.items():
+        assert saved[name].tobytes() == array.tobytes(), name
+
+
+# ---------------------------------------------------------------------------
+# Runs written before model.contextual_source was retired
+
+OLD_RUNS = Path(__file__).parent / "fixtures" / "runs_235ff3d"
+
+
+@pytest.mark.parametrize("route", ["fresh", "pretrained"])
+def test_a_run_of_either_retired_source_restores_to_the_same_predictions(monkeypatch, route):
+    """The runs in ``fixtures/runs_235ff3d`` (see its README) name their
+    inputs relative to that folder."""
+    monkeypatch.chdir(OLD_RUNS)
+    expected = json.loads(Path("expected.json").read_text(encoding="utf-8"))[route]
+    model = restore_run(route).model
+    pairs = [(rec.arg1, rec.arg2) for rec in load_corpus("corpus.jsonl")[:8]]
+    pairs.append((["novel", "words", "here"], ["and", "unseen"]))
+    assert len(pairs) == len(expected)
+    for (arg1, arg2), want in zip(pairs, expected):
+        label, probs = predict(model, arg1, arg2)
+        assert label == want["label"]
+        assert probs.tobytes() == np.array(want["probs"]).tobytes()
+
+
+def test_a_config_of_the_retired_fresh_source_trains_its_own_language_model(
+        tmp_path, monkeypatch):
+    """``fresh`` ignored paths.contextual_model, and still does: the fresh
+    run's config with the language model in ``lm/`` named trains the run
+    that commit wrote, byte for byte, without the retired line."""
+    monkeypatch.chdir(OLD_RUNS)
+    text = Path("fresh/config.ini").read_text(encoding="utf-8")
+    assert "contextual_source = fresh\n" in text
+    path = tmp_path / "config.ini"
+    path.write_text(text.replace("contextual_model = \n", "contextual_model = lm\n"),
+                    encoding="utf-8")
+    setup = prepare_training(parse_config(path))
+    assert setup.config.contextual_model == ""
+    loaded = load_contextual_model("lm").state_arrays()
+    trained = setup.model.embedder.contextual.state_arrays()
+    assert any(loaded[name].tobytes() != trained[name].tobytes() for name in loaded)
+
+    run_dir = write_run(tmp_path / "run", setup, run_training(setup))
+    for name in ("model.ckpt", "trace.csv", "manifest.json"):
+        assert (run_dir / name).read_bytes() == (OLD_RUNS / "fresh" / name).read_bytes(), name
+    assert (run_dir / "config.ini").read_text(encoding="utf-8") == text.replace(
+        "contextual_source = fresh\n", "")
 
 
 def test_restore_rejects_a_truncated_manifest(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from discrel import tensor as T
 from discrel.errors import ShapeError
 from discrel.recurrent import BiGRU
+from extra_ops import sum_all
 from gradcheck import assert_grads_match
 from gru_oracle import composed_gru
 
@@ -122,7 +123,7 @@ class TestGRUCell:
         probe = T.constant(rng.normal(size=(2 * 5, 8)))
 
         def loss():
-            return T.sum_all(run(layer, x, 2) * probe)
+            return sum_all(run(layer, x, 2) * probe)
 
         assert_grads_match(loss, [x] + layer.parameters(), tol=1e-6)
 
@@ -174,7 +175,7 @@ class TestBiGRU:
         x = T.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
 
         def loss():
-            return T.sum_all(run(layer, x))
+            return sum_all(run(layer, x))
 
         assert_grads_match(loss, [x] + layer.parameters(), tol=1e-6)
 
@@ -223,7 +224,7 @@ def output_and_gradients(bigru, x, forward, backward, probe, batch, x_reused):
         # x also feeds a second consumer, so its gradient arrives from two
         # places and the op must add to what is already there.
         out = T.concat([out, x * x], axis=1)
-    T.backward(T.sum_all(out))
+    T.backward(sum_all(out))
     tensors = [x] + forward + backward
     grads = [t.grad.copy() for t in tensors]
     for t in tensors:
@@ -265,7 +266,7 @@ class TestFusedSequence:
         read, unread = (backward, forward) if backward_half else (forward, backward)
 
         def loss():
-            return T.sum_all(scan(x, forward, backward, batch=2) * probe)
+            return sum_all(scan(x, forward, backward, batch=2) * probe)
 
         assert_grads_match(loss, [x] + read, tol=1e-6)
         T.backward(loss())
@@ -325,7 +326,7 @@ def distinct(tensors):
 
 def joint_output_and_gradients(outputs_of, xs, weights, probes):
     outs = outputs_of(xs, weights)
-    T.backward(T.sum_all(T.concat([o * p for o, p in zip(outs, probes)], axis=1)))
+    T.backward(sum_all(T.concat([o * p for o, p in zip(outs, probes)], axis=1)))
     tensors = distinct(xs + [t for pair in weights for d in pair for t in d])
     grads = [t.grad.copy() for t in tensors]
     for t in tensors:
@@ -391,7 +392,7 @@ class TestJointScan:
         xs = [T.Tensor(rng.normal(size=(4, 3)), requires_grad=True) for _ in range(2)]
         weights = layer_weights(rng, shared=False)
         _, second = T.bigru_scan(xs, weights)
-        T.backward(T.sum_all(second))
+        T.backward(sum_all(second))
         assert not xs[0].grad.any()
         assert all(not w.grad.any() for d in weights[0] for w in d)
         assert xs[1].grad.any()

@@ -5,6 +5,7 @@ from discrel import tensor as T
 from discrel.errors import ConfigError, ShapeError
 from discrel.recurrent import BiGRU
 from discrel.sentence_level import ConvBlock, EncoderStack, RecurrentBlock, argument_stacks
+from extra_ops import sum_all
 from gradcheck import assert_grads_match
 
 
@@ -177,7 +178,7 @@ class TestEncoderStack:
 
         def loss():
             outs = run_stack(stack, x)
-            return T.sum_all(T.concat(outs, axis=0))
+            return sum_all(T.concat(outs, axis=0))
 
         assert_grads_match(loss, [x] + stack.parameters(),
                            entries_per_array=6, seed=0, tol=1e-6)

@@ -19,6 +19,7 @@ from discrel.errors import (
 
 from block_oracles import composed_gated_conv
 from byte_mutations import mutations
+from extra_ops import sum_all, transpose
 from gradcheck import assert_grads_match
 
 
@@ -40,7 +41,7 @@ class TestMatmul:
         rng = np.random.default_rng(0)
         a = T.Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
         b = T.constant(rng.uniform(-1, 1, (4, 2)))
-        T.backward(T.sum_all(T.matmul(a, b)))
+        T.backward(sum_all(T.matmul(a, b)))
         expected = np.ones((3, 2)) @ b.data.T
         np.testing.assert_allclose(a.grad, expected, rtol=1e-12)
 
@@ -48,7 +49,7 @@ class TestMatmul:
         rng = np.random.default_rng(1)
         a = T.Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
         b = T.Tensor(rng.uniform(-1, 1, (4, 2)), requires_grad=True)
-        assert_grads_match(lambda: T.sum_all(T.tanh(T.matmul(a, b))), [a, b])
+        assert_grads_match(lambda: sum_all(T.tanh(T.matmul(a, b))), [a, b])
 
 
 class TestConv1d:
@@ -58,7 +59,7 @@ class TestConv1d:
     def test_pointwise_scaling(self):
         x = T.constant([[1.0], [2.0], [3.0]])
         kernel = T.constant(np.array([[[2.0]]]))  # k=1, d_in=1, d_out=1
-        out = T.conv1d(x, kernel)
+        out = T.conv1d(x, kernel, T.constant([0.0]))
         assert np.array_equal(out.data, [[2.0], [4.0], [6.0]])
 
     def test_window_sums_with_zero_edges(self):
@@ -81,7 +82,8 @@ class TestConv1d:
 
     def test_valid_mode_window_error(self):
         with pytest.raises(WindowError):
-            T.conv1d(T.constant(np.zeros((2, 1))), T.constant(np.zeros((3, 1, 1))))
+            T.conv1d(T.constant(np.zeros((2, 1))), T.constant(np.zeros((3, 1, 1))),
+                     T.constant(np.zeros(1)))
 
     def test_grad_vs_finite_differences(self):
         rng = np.random.default_rng(3)
@@ -89,15 +91,16 @@ class TestConv1d:
         kernel = T.Tensor(rng.uniform(-1, 1, (3, 4, 5)), requires_grad=True)
         bias = T.Tensor(rng.uniform(-1, 1, 5), requires_grad=True)
         assert_grads_match(
-            lambda: T.sum_all(T.tanh(T.conv1d(x, kernel, bias))), [x, kernel, bias]
+            lambda: sum_all(T.tanh(T.conv1d(x, kernel, bias))), [x, kernel, bias]
         )
 
     def test_grad_valid_mode(self):
         rng = np.random.default_rng(4)
         x = T.Tensor(rng.uniform(-1, 1, (5, 3)), requires_grad=True)
         kernel = T.Tensor(rng.uniform(-1, 1, (2, 3, 4)), requires_grad=True)
+        bias = T.constant(rng.uniform(-1, 1, 4))  # a frozen bias gets no gradient
         assert_grads_match(
-            lambda: T.sum_all(T.sigmoid(T.conv1d(x, kernel))), [x, kernel]
+            lambda: sum_all(T.sigmoid(T.conv1d(x, kernel, bias))), [x, kernel]
         )
 
 
@@ -129,12 +132,13 @@ class TestBatchedConv1d:
         kernel = T.Tensor(rng.uniform(-1, 1, (3, 4, 8)), requires_grad=True)
         bias = T.Tensor(rng.uniform(-1, 1, 8), requires_grad=True)
         assert_grads_match(
-            lambda: T.sum_all(T.tanh(convolve(pad, x, kernel, bias, batch=3))),
+            lambda: sum_all(T.tanh(convolve(pad, x, kernel, bias, batch=3))),
             [x, kernel, bias])
 
     def test_rows_must_split_into_the_batch(self):
         with pytest.raises(ShapeError, match="batch|sequences"):
-            T.conv1d(T.constant(np.zeros((7, 2))), T.constant(np.zeros((3, 2, 2))), batch=2)
+            T.conv1d(T.constant(np.zeros((7, 2))), T.constant(np.zeros((3, 2, 2))),
+                     T.constant(np.zeros(2)), batch=2)
 
 
 class TestGatedConv:
@@ -160,7 +164,7 @@ class TestGatedConv:
             out = block(x, kernel, bias, batch, residual)
             # x is read again after the block, so its gradient has a value
             # before the block's backward adds to it
-            T.backward(T.sum_all(T.mul(out, T.constant(g))) + T.sum_all(T.mul(x, T.constant(h))))
+            T.backward(sum_all(T.mul(out, T.constant(g))) + sum_all(T.mul(x, T.constant(h))))
             return out.numpy(), x.grad, kernel.grad, bias.grad
 
         for got, want in zip(run(T.gated_conv), run(composed_gated_conv)):
@@ -210,7 +214,7 @@ class TestSoftmaxRows:
         rng = np.random.default_rng(6)
         m = T.Tensor(rng.uniform(-1, 1, (4, 5)), requires_grad=True)
         w = T.constant(rng.uniform(-1, 1, (4, 5)))
-        assert_grads_match(lambda: T.sum_all(T.mul(T.softmax_rows(m), w)), [m])
+        assert_grads_match(lambda: sum_all(T.mul(T.softmax_rows(m), w)), [m])
 
 
 class TestTopkPool:
@@ -236,7 +240,7 @@ class TestTopkPool:
     def test_tie_break_is_stable_by_position(self):
         x = T.Tensor([[5.0], [5.0], [1.0]], requires_grad=True)
         out = T.topk_pool(x, 1)
-        T.backward(T.sum_all(out))
+        T.backward(sum_all(out))
         # the earlier of the tied rows gets the gradient
         assert np.array_equal(x.grad, [[1.0], [0.0], [0.0]])
 
@@ -244,7 +248,7 @@ class TestTopkPool:
         rng = np.random.default_rng(8)
         x = T.Tensor(rng.uniform(-1, 1, (6, 4)), requires_grad=True)
         w = T.constant(rng.uniform(-1, 1, 8))
-        assert_grads_match(lambda: T.sum_all(T.mul(T.topk_pool(x, 2), w)), [x])
+        assert_grads_match(lambda: sum_all(T.mul(T.topk_pool(x, 2), w)), [x])
 
     @pytest.mark.parametrize("k", [1, 2, "n"])
     def test_matches_a_stable_sort_with_planted_ties(self, k):
@@ -261,7 +265,7 @@ class TestTopkPool:
             assert np.array_equal(out.numpy(),
                                   np.take_along_axis(data, order, axis=0).T.ravel())
             w = rng.normal(size=kk * d)
-            T.backward(T.sum_all(T.mul(out, T.constant(w))))
+            T.backward(sum_all(T.mul(out, T.constant(w))))
             expected = np.zeros((n, d))
             np.put_along_axis(expected, order, w.reshape(d, kk).T, axis=0)
             assert np.array_equal(x.grad, expected), f"trial {trial}"
@@ -284,19 +288,19 @@ class TestSegmentMax:
             w = rng.normal(size=(b, d))
             x = T.Tensor(data, requires_grad=True)
             out = T.segment_max(x, b, valid)
-            T.backward(T.sum_all(T.mul(out, T.constant(w))))
+            T.backward(sum_all(T.mul(out, T.constant(w))))
             expected = np.zeros_like(data)
             for i in range(b):
                 block = T.Tensor(data[i * n:i * n + valid[i]], requires_grad=True)
                 top = T.topk_pool(block, 1)
                 assert np.array_equal(out.numpy()[i], top.numpy()), f"trial {trial}"
-                T.backward(T.sum_all(T.mul(top, T.constant(w[i]))))
+                T.backward(sum_all(T.mul(top, T.constant(w[i]))))
                 expected[i * n:i * n + valid[i]] = block.grad
             assert np.array_equal(x.grad, expected), f"trial {trial}"
 
     def test_tie_goes_to_the_earlier_row(self):
         x = T.Tensor([[1.0], [5.0], [5.0], [4.0], [4.0], [6.0]], requires_grad=True)
-        T.backward(T.sum_all(T.segment_max(x, 2, [3, 2])))
+        T.backward(sum_all(T.segment_max(x, 2, [3, 2])))
         assert np.array_equal(x.grad.ravel(), [0.0, 1.0, 0.0, 1.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("valid", [[0, 2], [2, 4], [3, -1]])
@@ -314,7 +318,7 @@ class TestSegmentMax:
         rng = np.random.default_rng(42)
         x = T.Tensor(rng.uniform(-1, 1, (12, 3)), requires_grad=True)
         w = T.constant(rng.uniform(-1, 1, (3, 3)))
-        assert_grads_match(lambda: T.sum_all(T.mul(T.segment_max(x, 3, [4, 1, 2]), w)), [x])
+        assert_grads_match(lambda: sum_all(T.mul(T.segment_max(x, 3, [4, 1, 2]), w)), [x])
 
 
 class TestElementwise:
@@ -347,25 +351,25 @@ class TestElementwise:
     def test_tanh_grad_vs_finite_differences(self):
         rng = np.random.default_rng(9)
         x = T.Tensor(rng.uniform(-1, 1, (3, 3)), requires_grad=True)
-        assert_grads_match(lambda: T.sum_all(T.tanh(x)), [x], tol=1e-6)
+        assert_grads_match(lambda: sum_all(T.tanh(x)), [x], tol=1e-6)
 
     def test_binary_op_grads(self):
         rng = np.random.default_rng(10)
         a = T.Tensor(rng.uniform(-1, 1, 5), requires_grad=True)
         b = T.Tensor(rng.uniform(-1, 1, 5), requires_grad=True)
-        assert_grads_match(lambda: T.sum_all(T.mul(T.add(a, b), T.sub(a, b))), [a, b])
+        assert_grads_match(lambda: sum_all(T.mul(T.add(a, b), T.sub(a, b))), [a, b])
 
     def test_scalar_mul_grad(self):
         rng = np.random.default_rng(11)
         s = T.Tensor([0.7], requires_grad=True)
         x = T.Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
-        assert_grads_match(lambda: T.sum_all(T.tanh(T.scalar_mul(s, x))), [s, x])
+        assert_grads_match(lambda: sum_all(T.tanh(T.scalar_mul(s, x))), [s, x])
 
     def test_add_bias_grad(self):
         rng = np.random.default_rng(12)
         m = T.Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
         b = T.Tensor(rng.uniform(-1, 1, 3), requires_grad=True)
-        assert_grads_match(lambda: T.sum_all(T.sigmoid(T.add_bias(m, b))), [m, b])
+        assert_grads_match(lambda: sum_all(T.sigmoid(T.add_bias(m, b))), [m, b])
 
 
 class TestUnreadGradients:
@@ -385,7 +389,7 @@ class TestUnreadGradients:
             kernel = T.Parameter(kernel_data.copy())
             bias = T.Parameter(bias_data.copy())
             out = convolve(pad, x, kernel, bias, batch)
-            T.backward(T.sum_all(T.mul(out, T.constant(g))))
+            T.backward(sum_all(T.mul(out, T.constant(g))))
             return kernel.grad, bias.grad
 
         frozen = T.constant(data)
@@ -402,10 +406,10 @@ class TestUnreadGradients:
         a_data, b_data = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
         frozen = T.constant(a_data)
         b = T.Parameter(b_data)
-        T.backward(T.sum_all(T.tanh(frozen @ b)))
+        T.backward(sum_all(T.tanh(frozen @ b)))
         assert frozen.grad is None
         tracked, b_ref = T.Tensor(a_data, requires_grad=True), T.Parameter(b_data)
-        T.backward(T.sum_all(T.tanh(tracked @ b_ref)))
+        T.backward(sum_all(T.tanh(tracked @ b_ref)))
         assert np.array_equal(b.grad, b_ref.grad)
 
 
@@ -413,7 +417,7 @@ class TestGatherSliceConcat:
     def test_gather_rows_grad_accumulates(self):
         table = T.Parameter(np.arange(6, dtype=float).reshape(3, 2))
         out = T.gather_rows(table, [1, 1, 0])
-        T.backward(T.sum_all(out))
+        T.backward(sum_all(out))
         assert np.array_equal(table.grad, [[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]])
 
     def test_gather_out_of_range(self):
@@ -423,7 +427,7 @@ class TestGatherSliceConcat:
     def test_slice_cols_grad(self):
         rng = np.random.default_rng(13)
         x = T.Tensor(rng.uniform(-1, 1, (3, 6)), requires_grad=True)
-        assert_grads_match(lambda: T.sum_all(T.tanh(T.slice_cols(x, 2, 5))), [x])
+        assert_grads_match(lambda: sum_all(T.tanh(T.slice_cols(x, 2, 5))), [x])
 
     def test_slice_rows_takes_a_contiguous_block(self):
         x = T.constant(np.arange(12.0).reshape(6, 2))
@@ -439,7 +443,7 @@ class TestGatherSliceConcat:
 
         def loss():
             # overlapping blocks: both add into the one gradient of x
-            return T.sum_all(T.tanh(T.slice_rows(x, 1, 4))) + T.sum_all(
+            return sum_all(T.tanh(T.slice_rows(x, 1, 4))) + sum_all(
                 T.sigmoid(T.slice_rows(x, 3, 6)))
 
         assert_grads_match(loss, [x])
@@ -448,14 +452,14 @@ class TestGatherSliceConcat:
         rng = np.random.default_rng(14)
         a = T.Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
         b = T.Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
-        assert_grads_match(lambda: T.sum_all(T.tanh(T.concat([a, b], axis=1))), [a, b])
-        assert_grads_match(lambda: T.sum_all(T.sigmoid(T.concat([a, b], axis=0))), [a, b])
+        assert_grads_match(lambda: sum_all(T.tanh(T.concat([a, b], axis=1))), [a, b])
+        assert_grads_match(lambda: sum_all(T.sigmoid(T.concat([a, b], axis=0))), [a, b])
 
     def test_reshape_transpose_grad(self):
         rng = np.random.default_rng(15)
         x = T.Tensor(rng.uniform(-1, 1, (2, 6)), requires_grad=True)
         assert_grads_match(
-            lambda: T.sum_all(T.tanh(T.transpose(T.reshape(x, (3, 4))))), [x]
+            lambda: sum_all(T.tanh(transpose(T.reshape(x, (3, 4))))), [x]
         )
 
 
@@ -493,12 +497,12 @@ class TestCrossEntropy:
 class TestBackward:
     def test_sum_gives_ones(self):
         x = T.Tensor(np.zeros((2, 3)), requires_grad=True)
-        T.backward(T.sum_all(x))
+        T.backward(sum_all(x))
         assert np.array_equal(x.grad, np.ones((2, 3)))
 
     def test_quadratic(self):
         x = T.Tensor([1.0, -2.0, 0.5], requires_grad=True)
-        T.backward(T.sum_all(T.mul(x, x)))
+        T.backward(sum_all(T.mul(x, x)))
         np.testing.assert_allclose(x.grad, 2 * x.data)
 
     def test_non_scalar_loss_rejected(self):
@@ -509,24 +513,24 @@ class TestBackward:
     def test_non_participating_tensor_keeps_no_grad(self):
         x = T.Tensor([1.0], requires_grad=True)
         y = T.Tensor([2.0], requires_grad=True)
-        T.backward(T.sum_all(T.mul(x, x)))
+        T.backward(sum_all(T.mul(x, x)))
         assert y.grad is None
 
     def test_reused_tensor_accumulates(self):
         x = T.Tensor([3.0], requires_grad=True)
         y = T.add(T.mul(x, x), x)  # d/dx = 2x + 1
-        T.backward(T.sum_all(y))
+        T.backward(sum_all(y))
         np.testing.assert_allclose(x.grad, [7.0])
 
     def test_tape_consumed_after_backward(self):
         x = T.Tensor([1.0], requires_grad=True)
-        T.backward(T.sum_all(T.tanh(x)))
+        T.backward(sum_all(T.tanh(x)))
         assert len(T.active_tape()) == 0
 
     def test_intermediate_gradients_are_dropped_once_passed_on(self):
         x = T.Tensor([0.5, -1.0], requires_grad=True)
         hidden = T.tanh(x)
-        T.backward(T.sum_all(T.mul(hidden, hidden)))
+        T.backward(sum_all(T.mul(hidden, hidden)))
         assert hidden.grad is None
         np.testing.assert_allclose(x.grad, 2 * np.tanh(x.data) * (1 - np.tanh(x.data) ** 2))
 
@@ -539,9 +543,9 @@ class TestBackward:
 
         T._record(failing, (T.tanh(x),), fail)
         with pytest.raises(RuntimeError, match="step failed"):
-            T.backward(T.sum_all(failing))
+            T.backward(sum_all(failing))
         assert len(T.active_tape()) == 0
-        T.backward(T.sum_all(T.mul(x, x)))
+        T.backward(sum_all(T.mul(x, x)))
         np.testing.assert_allclose(x.grad, 2 * x.data)
 
     def test_a_node_is_freed_once_replayed(self):
@@ -559,7 +563,7 @@ class TestBackward:
         T._record(first, (x,), first_bwd)
         hidden = T.tanh(first)
         kept = weakref.ref(hidden.data)
-        loss = T.sum_all(hidden)
+        loss = sum_all(hidden)
         del first, hidden
         T.backward(loss)
         assert freed == [True]
@@ -585,7 +589,7 @@ class TestDropout:
         x = T.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
         g = rng.normal(size=(4, 5))
         out = T.dropout(x, 0.4, np.random.default_rng(6))
-        T.backward(T.sum_all(T.mul(out, T.constant(g))))
+        T.backward(sum_all(T.mul(out, T.constant(g))))
         scale = (np.random.default_rng(6).random((4, 5)) >= 0.4) / (1.0 - 0.4)
         assert out.numpy().tobytes() == (x.data * scale).tobytes()
         assert x.grad.tobytes() == (g * scale).tobytes()

@@ -27,6 +27,7 @@ from discrel.word_level import (
     save_word_vectors,
 )
 import embed_oracle
+from extra_ops import sum_all
 import vectors_oracle
 from gradcheck import assert_grads_match
 
@@ -275,10 +276,15 @@ class TestSubwordEncoder:
         rng = np.random.default_rng(seed)
         return SubwordEncoder(pieces, rng, emb_dim=3, kernel_sizes=(2, 3), channels=2)
 
+    @staticmethod
+    def encode(enc, pieces):
+        """The features of one piece sequence, as the token embedder asks."""
+        return enc.encode_indices([enc.indices(pieces)])
+
     def test_output_shape_and_oracle(self):
         enc = self.make()
         with T.no_grad():
-            got = enc.encode(["ab", "e", "cd", "ab"]).numpy()
+            got = self.encode(enc, ["ab", "e", "cd", "ab"]).numpy()
         want, _ = numpy_subword_forward(enc, enc.indices(["ab", "e", "cd", "ab"]))
         assert got.shape == (1, 4)
         assert np.allclose(got[0], want, atol=1e-12)
@@ -286,7 +292,7 @@ class TestSubwordEncoder:
     def test_short_sequences_padded_to_kernel_reach(self):
         enc = self.make()
         with T.no_grad():
-            got = enc.encode(["e"]).numpy()
+            got = self.encode(enc, ["e"]).numpy()
         want, _ = numpy_subword_forward(enc, [enc.index["e"], 0, 0])
         assert np.allclose(got[0], want, atol=1e-12)
 
@@ -295,7 +301,7 @@ class TestSubwordEncoder:
         enc.gate_w.data[...] = 0.0
         enc.gate_b.data[...] = -1e3
         with T.no_grad():
-            got = enc.encode(["ab", "cd", "e"]).numpy()[0]
+            got = self.encode(enc, ["ab", "cd", "e"]).numpy()[0]
         _, u = numpy_subword_forward(enc, enc.indices(["ab", "cd", "e"]))
         assert np.max(np.abs(got - u)) < 1e-6
 
@@ -305,7 +311,7 @@ class TestSubwordEncoder:
         enc.carry_w.data[...] = 0.0
         enc.carry_b.data[...] = 0.0
         with T.no_grad():
-            got = enc.encode(["ab", "cd", "e"]).numpy()
+            got = self.encode(enc, ["ab", "cd", "e"]).numpy()
         assert np.max(np.abs(got)) < 1e-6
 
     def test_repeated_piece_pool_equals_single_window(self):
@@ -343,9 +349,11 @@ class TestSubwordEncoder:
     def test_empty_sequence_rejected(self):
         enc = self.make()
         with pytest.raises(DataError):
-            enc.encode([])
+            enc.indices([])
         with pytest.raises(DataError):
             enc.encode_indices([])
+        with pytest.raises(DataError):
+            enc.encode_indices([[]])
 
     # mixed lengths: one-piece rows, rows shorter than the widest kernel, an
     # unknown piece, and rows long enough to leave most rows padded
@@ -368,12 +376,12 @@ class TestSubwordEncoder:
         enc = self.make(seed=7)
         rows = [enc.indices(pieces) for pieces in self.MIXED]
         w = np.random.default_rng(8).normal(size=(len(rows), enc.out_dim))
-        T.backward(T.sum_all(T.mul(enc.encode_indices(rows), T.constant(w))))
+        T.backward(sum_all(T.mul(enc.encode_indices(rows), T.constant(w))))
         batched = [p.grad for p in enc.parameters()]
         for p in enc.parameters():
             p.grad = None
         for row, w_row in zip(rows, w):
-            T.backward(T.sum_all(T.mul(enc.encode_indices([row]), T.constant(w_row[None]))))
+            T.backward(sum_all(T.mul(enc.encode_indices([row]), T.constant(w_row[None]))))
         for p, got in zip(enc.parameters(), batched):
             assert np.max(np.abs(got - p.grad)) < 1e-12, p.name
 
@@ -387,7 +395,7 @@ class TestSubwordEncoder:
         idxs = enc.indices(["ab", "cd", "e", "ab"])
 
         def loss():
-            return T.sum_all(enc.encode_indices([idxs]))
+            return sum_all(enc.encode_indices([idxs]))
 
         assert_grads_match(loss, enc.parameters(), entries_per_array=6, tol=1e-6)
 
@@ -414,17 +422,25 @@ class TestContextualMixer:
                                 T.constant(rng.normal(size=(5, 3)))).numpy()
         assert np.array_equal(out, np.tile([1.5, -2.5], (5, 1)))
 
+    @staticmethod
+    def blend(mixer):
+        """The layer weights ``forward`` applies: an identity projection of
+        one row that is all lower layer against one that is all upper."""
+        mixer.proj_w.data[...] = np.eye(2)
+        with T.no_grad():
+            return mixer.forward(T.constant([[1.0, 0.0]]), T.constant([[0.0, 1.0]])).numpy()[0]
+
     def test_logit_gap_gives_three_to_one_blend(self):
         mixer = ContextualMixer(2, 2, np.random.default_rng(2))
         mixer.layer_logits.data[...] = [[np.log(3.0), 0.0]]
-        assert np.allclose(mixer.weights(), [0.75, 0.25], atol=1e-12)
+        assert np.allclose(self.blend(mixer), [0.75, 0.25], atol=1e-12)
 
     def test_weights_stay_on_simplex(self):
         rng = np.random.default_rng(3)
         mixer = ContextualMixer(2, 2, rng)
         for _ in range(20):
             mixer.layer_logits.data[...] = rng.normal(scale=5.0, size=(1, 2))
-            w = mixer.weights()
+            w = self.blend(mixer)
             assert np.all(w >= 0.0)
             assert abs(w.sum() - 1.0) < 1e-12
 
@@ -442,7 +458,7 @@ class TestContextualMixer:
         h1 = T.constant(rng.normal(size=(4, 3)))
 
         def loss():
-            return T.sum_all(mixer.forward(h0, h1))
+            return sum_all(mixer.forward(h0, h1))
 
         assert_grads_match(loss, mixer.parameters(), tol=1e-6)
 
@@ -544,35 +560,6 @@ class TestToyContextualEmbedder:
             tracemalloc.stop()
         assert grown < 1_000_000, f"traced memory grew by {grown} bytes"
 
-    def test_state_round_trip(self):
-        rng = np.random.default_rng(4)
-        emb = ToyContextualEmbedder.from_corpus([["a", "b"], ["b", "a"]], rng, dim=6, char_dim=4)
-        state = emb.state_arrays()
-        other = ToyContextualEmbedder(emb.words, emb.chars, np.random.default_rng(99), dim=6, char_dim=4)
-        other.load_state_arrays(state)
-        a = emb.embed(["a", "b", "a"])
-        b = other.embed(["a", "b", "a"])
-        assert np.array_equal(a[0], b[0])
-        assert np.array_equal(a[1], b[1])
-
-    def test_state_loading_names_a_missing_array(self):
-        rng = np.random.default_rng(4)
-        emb = ToyContextualEmbedder.from_corpus([["a", "b"], ["b", "a"]], rng, dim=6, char_dim=4)
-        state = emb.state_arrays()
-        name = emb.parameters()[0].name
-        del state[name]
-        with pytest.raises(ParseError, match=f"toy embedder state is missing array '{name}'"):
-            emb.load_state_arrays(state)
-
-    def test_state_loading_rejects_a_wrong_shape(self):
-        rng = np.random.default_rng(4)
-        emb = ToyContextualEmbedder.from_corpus([["a", "b"], ["b", "a"]], rng, dim=6, char_dim=4)
-        state = emb.state_arrays()
-        name = emb.parameters()[-1].name
-        state[name] = np.zeros(state[name].shape + (2,))
-        with pytest.raises(ShapeError, match=f"array '{name}' has shape"):
-            emb.load_state_arrays(state)
-
     def test_tiny_corpus_rejected(self):
         rng = np.random.default_rng(5)
         with pytest.raises(DataError):
@@ -607,8 +594,8 @@ class TestToyContextualEmbedder:
         results = []
         for layers in (emb._layers, per_word):
             lower, upper = layers(tokens)
-            T.backward(T.sum_all(T.mul(lower, T.constant(w[0])))
-                       + T.sum_all(T.mul(upper, T.constant(w[1]))))
+            T.backward(sum_all(T.mul(lower, T.constant(w[0])))
+                       + sum_all(T.mul(upper, T.constant(w[1]))))
             grads = []
             for p in emb.parameters():
                 grads.append(p.grad)
@@ -664,8 +651,8 @@ class TestTokenEmbedder:
         tokens = ["aa", "bb", "zz"]
         with T.no_grad():
             out = emb.embed([tokens], 3).numpy()
-            sub = T.concat([emb.subword.encode(["aa"]), emb.subword.encode(["bb"]),
-                            emb.subword.encode(["z", "z"])], axis=0).numpy()
+            sub = T.concat([emb.subword.encode_indices([emb.subword.indices(pieces)])
+                            for pieces in (["aa"], ["bb"], ["z", "z"])], axis=0).numpy()
             lower, upper = emb.contextual.embed(tokens)
             ctx = emb.mixer.forward(T.constant(lower), T.constant(upper)).numpy()
         assert out.shape == (3, 12)
@@ -746,7 +733,7 @@ class TestTokenEmbedder:
         emb = full_embedder(seed=4)
 
         def loss():
-            return T.sum_all(emb.embed([["aa", "aa", "bb"], ["bb", "zz"]], 3))
+            return sum_all(emb.embed([["aa", "aa", "bb"], ["bb", "zz"]], 3))
 
         assert_grads_match(loss, emb.parameters(), entries_per_array=5, tol=1e-6)
 
@@ -811,7 +798,7 @@ def embed_both_ways(emb, arguments, rows):
     results = []
     for embed in (emb.embed, lambda args, n: embed_oracle.per_sentence_embed(emb, args, n)):
         out = embed(arguments, rows)
-        T.backward(T.sum_all(T.mul(out, T.constant(w))))
+        T.backward(sum_all(T.mul(out, T.constant(w))))
         grads = []
         for p in emb.parameters():
             grads.append(p.grad)
