@@ -21,24 +21,30 @@ vector, at rates fixed when the model is built; the forward methods draw
 masks from an optional ``rng``, and a pass without an rng draws no masks.
 Masks are drawn in the order the pass runs: the first arguments'
 embeddings, the second arguments', the encoder inputs (layer by layer,
-argument 1 before argument 2 within a layer), then the pair vectors.
+argument 1 before argument 2 within a layer), then the pair vectors.  Each
+embedding and encoder mask is one draw of B*N rows, N = ``max_tokens``,
+whatever the rows the pass runs; row j of instance b takes draw row
+b*N + min(j, r_b), with r_b = min(len(argument), N).  Real tokens read
+their own draw rows, and all pad rows of an instance share the draw row of
+its first pad row (one mask tied across positions, as in Gal & Ghahramani,
+arXiv:1512.05287); a batch without padding reads every draw row once.
 
 Padding is computed once per distinct row, never trimmed.  Every ``<pad>``
 row embeds to the same vector (a zero word vector, the pad subword
-features, and zero contextual input to the row-wise mixer).  So in a
-same-padded conv stack of depth L and kernel k, with h = (k-1)/2 and R the
-longest real length among the instances fed to it, layer l holds one
-repeated row over [R + l*h, N - l*h) of every instance.  When a pass draws
-no embedding or encoder masks (inference, or training with both the
-embedding and encoder rates at 0), the block type is conv and
-N' = R + 2*L*h + 1 < N, each argument is embedded and encoded at N' rows,
-and each layer output is expanded back to N rows by one row gather: row j
-reads row j up to R + L*h, the repeated row R + L*h up to N - L*h, and row
-j - (N - N') after that.  Each row it reads sees the same windows as its
-full-length counterpart, so the outputs equal the full-length pass bitwise;
-the gather's backward sums the repeated row's gradients, which agree with
-the full-length pass up to rounding.  Recurrent blocks always run at N
-rows: their state changes along the pad run.
+features, and zero contextual input to the row-wise mixer), and all pad
+rows of an instance share their dropout masks.  So in a same-padded conv
+stack of depth L and kernel k, with h = (k-1)/2 and R the longest real
+length among the instances fed to it, layer l holds one repeated row over
+[R + l*h, N - l*h) of every instance, in training as in inference.  When
+the block type is conv and N' = R + 2*L*h + 1 < N, each argument is
+embedded and encoded at N' rows, and each layer output is expanded back to
+N rows by one row gather: row j reads row j up to R + L*h, the repeated row
+R + L*h up to N - L*h, and row j - (N - N') after that.  Each row it reads
+sees the same windows and masks as its full-length counterpart, so the
+outputs equal the full-length pass bitwise; the gather's backward sums the
+repeated row's gradients, which agree with the full-length pass up to
+rounding.  Recurrent blocks always run at N rows: their state changes
+along the pad run.
 
 Ablation toggles mirror the build-up used in experiments:
 
@@ -162,17 +168,21 @@ class RelationModel:
 
     # -- forward -------------------------------------------------------------
 
-    def _rows_per_instance(self, real: int, rng) -> int:
+    def _rows_per_instance(self, real: int) -> int:
         """Rows each instance runs through the encoders: ``max_tokens``, or
         the shortened N' when ``real`` (the longest real length) allows it."""
-        if self.pad_reach is None or (
-                rng is not None and (self.embedding_dropout or self.encoder_dropout)):
+        if self.pad_reach is None:
             return self.max_tokens
         return min(self.max_tokens, real + 2 * self.pad_reach + 1)
 
-    def _embed(self, arguments, rows: int, rng) -> Tensor:
-        """One argument of every instance, padded to ``rows`` and stacked."""
-        return T.dropout(self.embedder.embed(arguments, rows), self.embedding_dropout, rng)
+    def _mask_draw(self, arguments, rows: int) -> tuple[int, np.ndarray]:
+        """``tensor.dropout``'s draw for one argument of every instance at
+        ``rows`` rows each: B*N rows drawn, and row j of instance b reads
+        draw row b*N + min(j, r_b), where r_b is its real length."""
+        n = self.max_tokens
+        real = np.minimum([len(tokens) for tokens in arguments], n)
+        source = np.minimum(np.arange(rows), real[:, None])
+        return len(arguments) * n, (source + n * np.arange(len(arguments))[:, None]).ravel()
 
     def _expand(self, layers: list[Tensor], real: int, rows: int,
                 batch: int) -> list[Tensor]:
@@ -196,13 +206,15 @@ class RelationModel:
         args2 = [arg2 for _, arg2 in pairs]
         real1 = max(min(len(tokens), self.max_tokens) for tokens in args1)
         real2 = max(min(len(tokens), self.max_tokens) for tokens in args2)
-        rows1 = self._rows_per_instance(real1, rng)
-        rows2 = self._rows_per_instance(real2, rng)
-        e1 = self._embed(args1, rows1, rng)
-        e2 = self._embed(args2, rows2, rng)
+        rows1 = self._rows_per_instance(real1)
+        rows2 = self._rows_per_instance(real2)
+        draw1 = self._mask_draw(args1, rows1)
+        draw2 = self._mask_draw(args2, rows2)
+        e1 = T.dropout(self.embedder.embed(args1, rows1), self.embedding_dropout, rng, draw1)
+        e2 = T.dropout(self.embedder.embed(args2, rows2), self.embedding_dropout, rng, draw2)
         layers1, layers2 = EncoderStack.forward(
             (self.stack1, self.stack2), (e1, e2), batch,
-            dropout_rate=self.encoder_dropout, rng=rng)
+            dropout_rate=self.encoder_dropout, rng=rng, draws=(draw1, draw2))
         if not self.res_pair:
             layers1, layers2 = layers1[-1:], layers2[-1:]
         return (self._expand(layers1, real1, rows1, batch),

@@ -22,9 +22,13 @@ type's ``forward`` takes that layer's blocks and inputs, so the recurrent
 layers of every stack at a depth are one scan.  Input dropout is applied
 in front of every block, its masks drawn in the order the blocks run
 (layer by layer, stack order within a layer); a pass without an rng draws
-no masks (inference), and neither does a pass at rate 0.  With all weights
-zero, a residual block is exactly the identity; stacks for the two
-arguments of a pair are built either with their own weights or shared.
+no masks (inference), and neither does a pass at rate 0.  A stack's masks
+may come from a row-indexed draw (``tensor.dropout``'s ``draw``), one per
+stack for all its layers: the model uses it to give all pad rows of an
+instance one mask row, so a padded conv stack can run shortened while
+training (see ``model``).  With all weights zero, a residual block is
+exactly the identity; stacks for the two arguments of a pair are built
+either with their own weights or shared.
 """
 
 from __future__ import annotations
@@ -117,22 +121,26 @@ class EncoderStack:
     @staticmethod
     def forward(stacks: Sequence[EncoderStack], inputs: Sequence[Tensor], batch: int = 1, *,
                 dropout_rate: float = 0.0,
-                rng: np.random.Generator | None = None) -> list[list[Tensor]]:
+                rng: np.random.Generator | None = None,
+                draws: Sequence | None = None) -> list[list[Tensor]]:
         """Per stack, all layer outputs of ``stacks[i]`` over ``inputs[i]``,
         shallowest first; each is (B*N, width) for the ``batch`` = B
         instances stacked in the input.  The stacks share a block type and
         depth and advance one layer of all of them at a time, so that each
         depth's recurrences are one scan.  Dropout masks are drawn from
         ``rng`` only when one is given, in that order: layer by layer,
-        stack order within a layer."""
+        stack order within a layer.  ``draws[i]``, when given, is the
+        ``tensor.dropout`` draw of every mask in front of ``stacks[i]``."""
         for stack, x in zip(stacks, inputs, strict=True):
             if x.shape[1] != stack.width:
                 raise ShapeError(f"EncoderStack: input width {x.shape[1]} != {stack.width}")
         outputs = [[] for _ in stacks]
         hs = list(inputs)
+        draws = [None] * len(hs) if draws is None else draws
         for blocks in zip(*(stack.blocks for stack in stacks), strict=True):
             hs = type(blocks[0]).forward(
-                blocks, [T.dropout(h, dropout_rate, rng) for h in hs], batch)
+                blocks, [T.dropout(h, dropout_rate, rng, draw)
+                         for h, draw in zip(hs, draws, strict=True)], batch)
             for layers, h in zip(outputs, hs):
                 layers.append(h)
         return outputs

@@ -1,11 +1,12 @@
-"""Dropout-free conv passes compute each padding row once.
+"""Padded conv passes compute each padding row once.
 
 The model embeds and encodes every argument at N' = R + 2*L*h + 1 rows
-instead of ``max_tokens`` when no dropout is active, then expands each layer
-output back with one row gather.  These tests pin the precondition (every
-pad row embeds to the same vector), the equivalence with the full-length
-pass (logits, attention maps and gradients), and that the short path is the
-one actually taken.
+instead of ``max_tokens``, in inference and in training, then expands each
+layer output back with one row gather.  These tests pin the preconditions
+(every pad row embeds to the same vector, and all pad rows of an instance
+share one dropout mask row), the equivalence with the full-length pass
+under the same mask rule (logits, attention maps and gradients), and that
+the short path is the one actually taken.
 """
 
 from types import SimpleNamespace
@@ -91,17 +92,28 @@ def test_every_pad_row_embeds_identically(part):
 # Equivalence with the full-length pass
 
 
-def full_length_scores(model, pairs, rng=None):
-    """The unshortened oracle: both stacks run at ``max_tokens`` rows."""
-    n = model.max_tokens
+def pad_shared_draw(arguments, n):
+    """The mask rule at ``n`` rows per instance: B*n rows drawn, and row j of
+    instance b reads draw row b*n + min(j, real length)."""
+    return len(arguments) * n, np.array(
+        [b * n + min(j, len(tokens), n) for b, tokens in enumerate(arguments)
+         for j in range(n)])
 
+
+def full_length_scores(model, pairs, rng=None, shared_pad_masks=True):
+    """The unshortened oracle: both stacks run at ``max_tokens`` rows, with
+    embedding and encoder dropout under the pad-shared mask rule, or with
+    one plain mask per row when ``shared_pad_masks`` is off."""
+    n = model.max_tokens
+    arguments = ([arg1 for arg1, _ in pairs], [arg2 for _, arg2 in pairs])
+    draws = [pad_shared_draw(args, n) if shared_pad_masks else None for args in arguments]
+    embedded = [T.dropout(model.embedder.embed(args, n), model.embedding_dropout, rng, draw)
+                for args, draw in zip(arguments, draws)]
     layers1, layers2 = (
         layers if model.res_pair else layers[-1:]
         for layers in EncoderStack.forward(
-            [model.stack1, model.stack2],
-            [model.embedder.embed([arg1 for arg1, _ in pairs], n),
-             model.embedder.embed([arg2 for _, arg2 in pairs], n)],
-            len(pairs)))
+            [model.stack1, model.stack2], embedded, len(pairs),
+            dropout_rate=model.encoder_dropout, rng=rng, draws=draws))
     rows = []
     for i in range(len(pairs)):
         pair = build_pair_representation(
@@ -179,28 +191,89 @@ def test_eval_logits_equal_the_full_length_pass_bitwise(kernel_size, depth, long
     assert stack_rows[:2] == [len(pairs) * rows] * 2
 
 
-@pytest.mark.parametrize("kernel_size,depth,longest,options", CASES)
-def test_dropout_free_training_matches_the_full_length_pass(kernel_size, depth, longest,
-                                                            options):
-    # classifier dropout acts on the pooled pair vectors, so it leaves the
-    # encoders dropout-free and the short path open
-    model = eq_model(kernel_size, depth, classifier_dropout=0.3, **options)
-    pairs = eq_pairs(longest)
+def loss(rel, conn):
+    return T.cross_entropy(rel, [0, 1, 2, 0]) + T.cross_entropy(conn, [2, 1, 0, 1])
+
+
+def train_and_oracle(model, pairs, **oracle_options):
+    """Logits and gradients of one training pass, and of the oracle's, from
+    the same seed."""
     params = model.parameters()
-
-    def loss(rel, conn):
-        return T.cross_entropy(rel, [0, 1, 2, 0]) + T.cross_entropy(conn, [2, 1, 0, 1])
-
     rel, conn = model.batch_scores(pairs, np.random.default_rng(3))
     T.backward(loss(rel, conn))
     got = grads(params)
-    want_rel, want_conn, _, _ = full_length_scores(model, pairs, np.random.default_rng(3))
+    want_rel, want_conn, _, _ = full_length_scores(model, pairs, np.random.default_rng(3),
+                                                   **oracle_options)
     T.backward(loss(want_rel, want_conn))
     want = grads(params)
     assert rel.numpy().tobytes() == want_rel.numpy().tobytes()
     assert conn.numpy().tobytes() == want_conn.numpy().tobytes()
+    return params, got, want
+
+
+def assert_close_gradients(params, got, want):
     for p, g, w in zip(params, got, want):
         assert np.max(np.abs(g - w)) <= 1e-10 * max(1.0, np.max(np.abs(w))), p.name
+
+
+@pytest.mark.parametrize("kernel_size,depth,longest,options", CASES)
+def test_dropout_free_training_matches_the_full_length_pass(kernel_size, depth, longest,
+                                                            options):
+    # classifier dropout acts on the pooled pair vectors only
+    model = eq_model(kernel_size, depth, classifier_dropout=0.3, **options)
+    assert_close_gradients(*train_and_oracle(model, eq_pairs(longest)))
+
+
+DROPOUT = {"embedding_dropout": 0.4, "encoder_dropout": 0.3, "classifier_dropout": 0.2}
+
+
+@pytest.mark.parametrize("kernel_size,depth,longest,options",
+                         CASES + [(3, 2, 12, {"block_type": "recurrent"})])
+def test_training_with_dropout_matches_the_full_length_pass(kernel_size, depth, longest,
+                                                            options):
+    # the full embedder's pad row is not zero, so its pad-row masks show
+    model = eq_model(kernel_size, depth, **DROPOUT, **options)
+    assert_close_gradients(*train_and_oracle(model, eq_pairs(longest)))
+
+
+@pytest.mark.parametrize("block_type", ["conv", "recurrent"])
+def test_real_rows_keep_a_plain_draw_and_pad_rows_share_one(block_type, stack_rows,
+                                                           monkeypatch):
+    model = eq_model(kernel_size=3, depth=2, block_type=block_type, embedding_dropout=0.4)
+    width, n = model.embedder.dim, model.max_tokens
+    monkeypatch.setattr(model.embedder, "embed", lambda arguments, rows: T.constant(
+        np.ones((len(arguments) * rows, width))))
+    inputs = []
+    original = T.dropout
+
+    def spy(t, *args):
+        out = original(t, *args)
+        inputs.append(out.numpy())
+        return out
+
+    monkeypatch.setattr(T, "dropout", spy)
+    pairs = eq_pairs(12)
+    model.batch_scores(pairs, np.random.default_rng(3))
+    T.active_tape().clear()
+    replay = np.random.default_rng(3)
+    for argument, masked, rows in zip(zip(*pairs), inputs, stack_rows):
+        plain = (replay.random((len(pairs) * n, width)) >= 0.4) / 0.6
+        rows //= len(pairs)
+        assert rows == (n if block_type == "recurrent" else 12 + 2 * 2 + 1)
+        for b, tokens in enumerate(argument):
+            got = masked[b * rows:(b + 1) * rows]
+            real = len(tokens)
+            assert got[:real].tobytes() == plain[b * n:b * n + real].tobytes()
+            assert (got[real:] == plain[b * n + real]).all()
+
+
+def test_a_batch_without_padding_trains_as_under_one_mask_per_row():
+    model = eq_model(**DROPOUT)
+    rng = np.random.default_rng(9)
+    pairs = list(zip(sentences(rng, [40, 47, 55, 41]), sentences(rng, [44, 40, 60, 40])))
+    params, got, want = train_and_oracle(model, pairs, shared_pad_masks=False)
+    for p, g, w in zip(params, got, want):
+        assert g.tobytes() == w.tobytes(), p.name
 
 
 @pytest.mark.parametrize("longest", [1, 12, 55])
@@ -250,11 +323,11 @@ def test_single_predicts_attention_maps_and_dropout_free_training_are_shortened(
 
 
 @pytest.mark.parametrize("rates", [(0.4, 0.0), (0.0, 0.4)])
-def test_training_with_dropout_runs_the_full_length(rates, stack_rows):
+def test_training_with_dropout_runs_the_stacks_at_the_shortened_length(rates, stack_rows):
     model = guard_model(embedding_dropout=rates[0], encoder_dropout=rates[1])
     model.batch_scores(twenty_token_pairs(), np.random.default_rng(0))
     T.active_tape().clear()
-    assert stack_rows == [5 * 100, 5 * 100]
+    assert stack_rows == [5 * 37, 5 * 37]
 
 
 def test_recurrent_blocks_run_the_full_length(stack_rows):

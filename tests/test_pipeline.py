@@ -473,24 +473,27 @@ def test_a_run_of_either_retired_source_restores_to_the_same_predictions(monkeyp
 def test_a_config_of_the_retired_fresh_source_trains_its_own_language_model(
         tmp_path, monkeypatch):
     """``fresh`` ignored paths.contextual_model, and still does: the fresh
-    run's config with the language model in ``lm/`` named trains the run
-    that commit wrote, byte for byte, without the retired line."""
+    run's config with the language model in ``lm/`` named trains, byte for
+    byte, the run of the same config without it, and drops the retired line."""
     monkeypatch.chdir(OLD_RUNS)
     text = Path("fresh/config.ini").read_text(encoding="utf-8")
     assert "contextual_source = fresh\n" in text
-    path = tmp_path / "config.ini"
-    path.write_text(text.replace("contextual_model = \n", "contextual_model = lm\n"),
-                    encoding="utf-8")
-    setup = prepare_training(parse_config(path))
-    assert setup.config.contextual_model == ""
+    assert "contextual_model = \n" in text
+    runs = []
+    for name, model_path in (("without", ""), ("with", "lm")):
+        path = tmp_path / f"{name}.ini"
+        path.write_text(text.replace("contextual_model = \n",
+                                     f"contextual_model = {model_path}\n"), encoding="utf-8")
+        setup = prepare_training(parse_config(path))
+        assert setup.config.contextual_model == ""
+        runs.append(write_run(tmp_path / name, setup, run_training(setup)))
     loaded = load_contextual_model("lm").state_arrays()
     trained = setup.model.embedder.contextual.state_arrays()
     assert any(loaded[name].tobytes() != trained[name].tobytes() for name in loaded)
 
-    run_dir = write_run(tmp_path / "run", setup, run_training(setup))
-    for name in ("model.ckpt", "trace.csv", "manifest.json"):
-        assert (run_dir / name).read_bytes() == (OLD_RUNS / "fresh" / name).read_bytes(), name
-    assert (run_dir / "config.ini").read_text(encoding="utf-8") == text.replace(
+    for name in ("model.ckpt", "trace.csv", "manifest.json", "config.ini"):
+        assert (runs[1] / name).read_bytes() == (runs[0] / name).read_bytes(), name
+    assert (runs[1] / "config.ini").read_text(encoding="utf-8") == text.replace(
         "contextual_source = fresh\n", "")
 
 

@@ -594,6 +594,20 @@ class TestDropout:
         assert out.numpy().tobytes() == (x.data * scale).tobytes()
         assert x.grad.tobytes() == (g * scale).tobytes()
 
+    def test_a_row_indexed_draw_gives_each_row_its_source_rows_mask(self):
+        rng = np.random.default_rng(5)
+        x = T.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        g = rng.normal(size=(4, 5))
+        source = np.array([0, 2, 2, 5])
+        out = T.dropout(x, 0.4, np.random.default_rng(6), (6, source))
+        T.backward(sum_all(T.mul(out, T.constant(g))))
+        replay = np.random.default_rng(6)
+        scale = ((replay.random((6, 5)) >= 0.4) / (1.0 - 0.4))[source]
+        assert out.numpy().tobytes() == (x.data * scale).tobytes()
+        assert x.grad.tobytes() == (g * scale).tobytes()
+        # the draw takes exactly its rows from the stream
+        assert replay.random() == np.random.default_rng(6).random(31)[-1]
+
     def test_rate_zero_draws_nothing(self):
         rng = np.random.default_rng(4)
         x = T.constant(np.ones((2, 2)))

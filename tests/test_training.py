@@ -44,13 +44,13 @@ def toy_task(n=16, seed=0):
     return records, train_set, dev_set
 
 
-def toy_model(records, dim=8, depth=1, seed=0, **kwargs):
+def toy_model(records, dim=8, depth=1, seed=0, max_tokens=6, **kwargs):
     vocab, matrix = synthetic_word_vectors(records, dim=dim, seed=seed)
     embedder = TokenEmbedder(word_table=WordEmbeddingTable(vocab, matrix))
     connectives = sorted({r.connective for r in records})
     return RelationModel(embedder, n_relations=2, connectives=connectives,
                          rng=np.random.default_rng(seed + 1), depth=depth,
-                         kernel_size=3, max_tokens=6, **kwargs)
+                         kernel_size=3, max_tokens=max_tokens, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +253,22 @@ def test_same_seed_reproduces_trace_and_weights_bitwise(tmp_path):
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
 
+@pytest.mark.parametrize("block_type", ["conv", "recurrent"])
+def test_padded_training_with_dropout_reproduces_bitwise(block_type):
+    # 5-token arguments padded to 20 rows: a conv stack trains at N' = 10
+    def run():
+        records, train_set, dev_set = toy_task(8)
+        model = toy_model(records, depth=2, max_tokens=20, block_type=block_type,
+                          embedding_dropout=0.2, encoder_dropout=0.2,
+                          classifier_dropout=0.1)
+        return train(model, train_set, dev_set, quick_config(epochs=3))
+
+    first, second = run(), run()
+    assert first.trace == second.trace
+    for name, weights in first.state.items():
+        assert weights.tobytes() == second.state[name].tobytes(), name
+
+
 def test_empty_sets_are_rejected():
     records, train_set, dev_set = toy_task(4)
     model = toy_model(records)
@@ -361,10 +377,14 @@ def test_peak_memory_of_a_conv_training_step_is_what_the_nodes_keep():
     # On top of that come the parameter gradients and the temporaries of
     # one conv block's backward, bounded by 6 act (the gradient of its
     # buffer, that gradient spread over the padded rows, the padded input
-    # and its gradient).  With numpy 2.4.6 the step peaks at 3.15 MB
-    # against this bound of 4.07 MB; a tape that kept every intermediate
-    # of the composed conv block and attention, and held all nodes until
-    # backward ended, peaked at 6.46 MB.
+    # and its gradient).  The bound counts every activation at N = 50
+    # rows, but the stacks run at N' = 25 + 2*2*1 + 1 = 30 rows (all pad
+    # rows of an instance share one dropout mask row), and only the
+    # gathers back to N for the bi-attention hold full-length layers.
+    # With numpy 2.4.6 the step peaks at 2.90 MB against this bound of
+    # 4.07 MB; it peaked at 3.15 MB when training ran all 50 rows, and at
+    # 6.46 MB with a tape that kept every intermediate of the composed
+    # conv block and attention and held all nodes until backward ended.
     d, depth, n, batch = 64, 2, 50, 4
     rng = np.random.default_rng(0)
     words = [f"w{i}" for i in range(50)]
