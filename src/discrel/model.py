@@ -4,17 +4,19 @@ The forward pass is batch-first.  A batch's B first arguments are padded to
 a common length N and embedded in one call into one (B*N, dim) matrix, and
 likewise the second arguments.  The two argument stacks advance together,
 one layer of both at a time, so each recurrent layer is one scan of all four
-recurrences (both arguments, both directions).  Each instance's rows are
-then cross-attended layer by layer and 2-max pooled into its pair
-representation, and two heads score all B pair vectors at once — one over
-relation classes and one over implicit connectives.  The connective head
-exists purely as a training-time auxiliary signal; prediction reads the
-relation head alone.
+recurrences (both arguments, both directions).  The pair level takes the
+batch too: per layer, one bi-attention op cross-attends each instance's two
+arguments (never rows of two instances) and one 2-max pool per argument
+reduces every instance's rows, giving the (B, pair_dim) pair vectors.  Two
+heads score all B of them at once — one over relation classes and one over
+implicit connectives.  The connective head exists purely as a training-time
+auxiliary signal; prediction reads the relation head alone.
 
-On a training step's tape, each conv block, each attention call and the
-recurrences of each recurrent layer are one node apiece, keeping only what
-their backward reads, and ``tensor.backward`` frees every node once it has
-passed it: the forward activations, not the weights, set a step's memory.
+On a training step's tape, each conv block, each layer's attention and the
+recurrences of each recurrent layer are one node apiece for the whole
+batch, keeping only what their backward reads, and ``tensor.backward``
+frees every node once it has passed it: the forward activations, not the
+weights, set a step's memory.
 
 Dropout acts on the embeddings, each encoder block's input and the pair
 vector, at rates fixed when the model is built; the forward methods draw
@@ -223,14 +225,7 @@ class RelationModel:
     def _pair_rows(self, pairs, rng: np.random.Generator | None = None) -> Tensor:
         """(B, pair_dim) pair vectors for a list of (arg1 tokens, arg2 tokens)."""
         layers1, layers2 = self._layers(pairs, rng)
-        n = self.max_tokens
-        rows = []
-        for i in range(len(pairs)):
-            v1 = [T.slice_rows(v, i * n, (i + 1) * n) for v in layers1]
-            v2 = [T.slice_rows(v, i * n, (i + 1) * n) for v in layers2]
-            pair = build_pair_representation(v1, v2, self.attention)
-            rows.append(T.reshape(pair, (1, self.pair_dim)))
-        return rows[0] if len(rows) == 1 else T.concat(rows, axis=0)
+        return build_pair_representation(layers1, layers2, self.attention, len(pairs))
 
     def batch_scores(self, pairs, rng: np.random.Generator | None = None
                      ) -> tuple[Tensor, Tensor]:

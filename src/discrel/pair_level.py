@@ -9,12 +9,15 @@ attention-weighted mixture of the other:
     w2 = rowsoftmax(M)   v2     (one mixture of v2 rows per v1 position)
     w1 = rowsoftmax(M^T) v1     (one mixture of v1 rows per v2 position)
 
-Each layer's attention is one tape node, ``tensor.bi_attention``, which
-keeps the affine map and the two softmax matrices for its hand-written
-backward.  The two mixtures are 2-max pooled per feature and concatenated,
-giving a fixed-size slice per layer; the final pair representation strings
-the layer slices together, shallowest first, so every depth contributes
-directly.
+Every function here takes a batch: B instances' layer outputs stacked by
+rows, (B*N, width), as the encoders produce them.  Each layer's attention
+over the batch is one tape node, ``tensor.bi_attention``, which runs each
+instance's 2-D products on its own rows and keeps its affine map and two
+softmax matrices for the hand-written backward.  The two mixtures are 2-max
+pooled per instance and feature (one ``tensor.topk_pool`` each) and
+concatenated, giving a fixed-size slice per instance and layer; the pair
+representation strings the layer slices together, shallowest first, so
+every depth contributes directly: one (B, pair_dim) row per instance.
 
 Padding positions take part in attention and pooling like any other row.
 """
@@ -41,21 +44,27 @@ class BiAttention:
         return [self.ffn_w, self.ffn_b]
 
 
-def bi_attend(v1: Tensor, v2: Tensor, attention: BiAttention) -> tuple[Tensor, Tensor]:
-    """Cross-attended versions of both arguments, shapes preserved, as one
-    tape node."""
-    return T.bi_attention(v1, v2, attention.ffn_w, attention.ffn_b)
+def bi_attend(v1: Tensor, v2: Tensor, attention: BiAttention,
+              batch: int) -> tuple[Tensor, Tensor]:
+    """Cross-attended versions of both arguments of every instance, shapes
+    preserved, as one tape node."""
+    return T.bi_attention(v1, v2, attention.ffn_w, attention.ffn_b, batch)
 
 
-def pool_layer(w1: Tensor, w2: Tensor) -> Tensor:
-    """Per-layer slice: 2-max pools of both mixtures, first argument first."""
+def pool_layer(w1: Tensor, w2: Tensor, batch: int) -> Tensor:
+    """(B, 4 * width) per-layer slices: each instance's 2-max pools of both
+    mixtures, first argument first."""
     if w1.shape != w2.shape:
         raise ShapeError(f"pool_layer: shapes {w1.shape} and {w2.shape} differ")
-    return T.concat([T.topk_pool(w1, 2), T.topk_pool(w2, 2)], axis=0)
+    every_row = [w1.shape[0] // batch] * batch
+    return T.concat([T.topk_pool(w1, 2, batch, every_row),
+                     T.topk_pool(w2, 2, batch, every_row)], axis=1)
 
 
-def build_pair_representation(layers1, layers2, attention: BiAttention | None) -> Tensor:
-    """Flat pair vector of length 4 * len(layers) * width, layer-major.
+def build_pair_representation(layers1, layers2, attention: BiAttention | None,
+                              batch: int) -> Tensor:
+    """(B, 4 * len(layers) * width) pair vectors, one row per instance,
+    layer-major, for layer outputs of ``batch`` instances stacked by rows.
 
     Without ``attention`` the encoder outputs are pooled directly.
     """
@@ -68,11 +77,11 @@ def build_pair_representation(layers1, layers2, attention: BiAttention | None) -
     slices = []
     for v1, v2 in zip(layers1, layers2):
         if attention is not None:
-            v1, v2 = bi_attend(v1, v2, attention)
-        slices.append(pool_layer(v1, v2))
+            v1, v2 = bi_attend(v1, v2, attention, batch)
+        slices.append(pool_layer(v1, v2, batch))
     if len(slices) == 1:
         return slices[0]
-    return T.concat(slices, axis=0)
+    return T.concat(slices, axis=1)
 
 
 def attention_map(v1: Tensor, v2: Tensor, attention: BiAttention) -> np.ndarray:

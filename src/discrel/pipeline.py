@@ -433,8 +433,10 @@ def write_matrix_csv(path, matrix: np.ndarray) -> None:
 
 def export_attention(run: RestoredRun, records: list[InstanceRecord],
                      instance_ids, out_dir) -> list[Path]:
-    """Per instance and encoder layer: a PGM heatmap, the exact matrix as
-    CSV, and one JSON file with both (padded) token sequences."""
+    """Per instance and pooled encoder layer: a PGM heatmap, the exact
+    matrix as CSV, and one JSON file with both (padded) token sequences.
+    Files are numbered by encoder depth, so with ``res_pair`` off the one
+    map, the deepest layer's, is ``layer<depth>``."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -451,7 +453,8 @@ def export_attention(run: RestoredRun, records: list[InstanceRecord],
             json.dump(tokens, fh, indent=2)
             fh.write("\n")
         written.append(meta)
-        for layer, matrix in enumerate(maps, start=1):
+        # the pooled layers are the deepest len(maps) of the stack
+        for layer, matrix in enumerate(maps, start=run.model.depth - len(maps) + 1):
             pgm = out_dir / f"inst{instance_id}_layer{layer}.pgm"
             csv_path = out_dir / f"inst{instance_id}_layer{layer}.csv"
             write_pgm(pgm, matrix)

@@ -47,11 +47,9 @@ __all__ = [
     "tanh",
     "relu",
     "matmul",
-    "reshape",
     "concat",
     "gather_rows",
     "slice_cols",
-    "slice_rows",
     "softmax_rows",
     "conv1d",
     "gated_conv",
@@ -59,7 +57,6 @@ __all__ = [
     "attention_weights",
     "bigru_scan",
     "topk_pool",
-    "segment_max",
     "cross_entropy",
     "dropout",
     "adagrad_step",
@@ -389,18 +386,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def reshape(t: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(shape)
-    if int(np.prod(shape, dtype=np.int64)) != t.size:
-        raise ShapeError(f"reshape: cannot view {t.shape} as {shape}")
-    out = Tensor(t.data.reshape(shape))
-    if _tracked(t):
-        def bwd(g):
-            _accum(t, g.reshape(t.shape))
-        _record(out, (t,), bwd)
-    return out
-
-
 def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
     parts = list(parts)
     if not parts:
@@ -453,22 +438,6 @@ def slice_cols(t: Tensor, lo: int, hi: int) -> Tensor:
     return out
 
 
-def slice_rows(t: Tensor, lo: int, hi: int) -> Tensor:
-    """Rows [lo, hi) of a 2-D tensor; gradients add into one full-size buffer."""
-    if t.data.ndim != 2:
-        raise ShapeError(f"slice_rows needs a 2-D tensor, got {t.shape}")
-    if not (0 <= lo < hi <= t.shape[0]):
-        raise ShapeError(f"slice_rows: [{lo}, {hi}) outside {t.shape[0]} rows")
-    out = Tensor(t.data[lo:hi])
-    if _tracked(t):
-        def bwd(g):
-            if t.grad is None:
-                t.grad = np.zeros_like(t.data)
-            t.grad[lo:hi] += g
-        _record(out, (t,), bwd)
-    return out
-
-
 def _softmax_rows(a: np.ndarray) -> np.ndarray:
     """Row-wise softmax of a 2-D array, max-subtracted for stability."""
     e = a - a.max(axis=1, keepdims=True)
@@ -516,43 +485,69 @@ def attention_weights(v1: np.ndarray, v2: np.ndarray, w: np.ndarray,
     return affine, _softmax_rows(scores), _softmax_rows(scores.T.copy())
 
 
-def bi_attention(v1: Tensor, v2: Tensor, w: Tensor, b: Tensor) -> tuple[Tensor, Tensor]:
-    """Each of two (N, d) row sets re-expressed over the other, one tape node.
+def bi_attention(v1: Tensor, v2: Tensor, w: Tensor, b: Tensor,
+                 batch: int) -> tuple[Tensor, Tensor]:
+    """Each instance's two (N, d) row sets re-expressed over each other, one
+    tape node for the batch.
 
-    With p2, p1 the row softmaxes of the scores M and of M^T (see
-    ``attention_weights``), the outputs are (p1 v1, p2 v2): one mixture of
-    v1 rows per v2 row, then one of v2 rows per v1 row.  The node keeps the
-    affine map v1 w + b and the two softmax matrices; its backward is
-    written out by hand, and either output may go without a gradient.
+    ``v1`` and ``v2`` are (B*N, d): ``batch`` = B instances of N rows,
+    stacked instance-major.  For one instance, with p2, p1 the row softmaxes
+    of its scores M and of M^T (see ``attention_weights``), its output rows
+    are (p1 v1, p2 v2): one mixture of its v1 rows per v2 row, then one of
+    its v2 rows per v1 row.  Instances never mix, and each runs the 2-D
+    products it would run alone, so its outputs do not depend on the batch.
+    The node keeps each instance's affine map v1 w + b and two softmax
+    matrices; its backward is written out by hand, and either output may go
+    without a gradient.
     """
-    affine, p2, p1 = attention_weights(v1.data, v2.data, w.data, b.data)
-    outs = (Tensor(p1 @ v1.data), Tensor(p2 @ v2.data))
-    if not _tracked(v1, v2, w, b):
+    if v1.shape != v2.shape:
+        raise ShapeError(f"bi_attention: arguments {v1.shape} and {v2.shape} differ")
+    n = _sequence_length(v1, batch, "bi_attention")
+    tracked = _tracked(v1, v2, w, b)
+    blocks = [slice(i * n, (i + 1) * n) for i in range(batch)]
+    out1, out2 = np.empty_like(v1.data), np.empty_like(v2.data)
+    kept = []
+    for s in blocks:
+        # one instance at a time, so that inference drops its matrices at once
+        affine, p2, p1 = attention_weights(v1.data[s], v2.data[s], w.data, b.data)
+        out1[s] = p1 @ v1.data[s]
+        out2[s] = p2 @ v2.data[s]
+        if tracked:
+            kept.append((affine, p2, p1))
+    outs = (Tensor(out1), Tensor(out2))
+    if not tracked:
         return outs
 
     def bwd(grads):
         g1, g2 = grads
-        d_scores = None
-        if g1 is not None:
-            d_p1 = g1 @ v1.data.T
+        for t in (v1, v2):
+            if t.requires_grad and t.grad is None:
+                t.grad = np.zeros_like(t.data)
+        for s, (affine, p2, p1) in zip(blocks, kept):
+            x1, x2 = v1.data[s], v2.data[s]
+            d_scores = None
+            if g1 is not None:
+                d_scores = _softmax_rows_backward(g1[s] @ x1.T, p1).T
+            if g2 is not None:
+                d_p2 = _softmax_rows_backward(g2[s] @ x2.T, p2)
+                d_scores = d_p2 if d_scores is None else d_scores + d_p2
+            d_affine = d_scores @ x2
+            if w.requires_grad:
+                _accum(w, x1.T @ d_affine)
+            if b.requires_grad:
+                _accum(b, d_affine.sum(axis=0))
+            # an instance's two terms are summed before they join the
+            # buffer, as when the op took one instance: rows stay bitwise
             if v1.requires_grad:
-                _accum(v1, p1.T @ g1)
-            d_scores = _softmax_rows_backward(d_p1, p1).T
-        if g2 is not None:
-            d_p2 = g2 @ v2.data.T
+                d_x1 = d_affine @ w.data.T
+                if g1 is not None:
+                    d_x1 += p1.T @ g1[s]
+                v1.grad[s] += d_x1
             if v2.requires_grad:
-                _accum(v2, p2.T @ g2)
-            d_p2 = _softmax_rows_backward(d_p2, p2)
-            d_scores = d_p2 if d_scores is None else d_scores + d_p2
-        if v2.requires_grad:
-            _accum(v2, d_scores.T @ affine)
-        d_affine = d_scores @ v2.data
-        if w.requires_grad:
-            _accum(w, v1.data.T @ d_affine)
-        if b.requires_grad:
-            _accum(b, d_affine.sum(axis=0))
-        if v1.requires_grad:
-            _accum(v1, d_affine @ w.data.T)
+                d_x2 = d_scores.T @ affine
+                if g2 is not None:
+                    d_x2 += p2.T @ g2[s]
+                v2.grad[s] += d_x2
     _record(outs, (v1, v2, w, b), bwd)
     return outs
 
@@ -957,68 +952,46 @@ def _group_bptt(buf: np.ndarray, states: np.ndarray, slots, ranges: Sequence[int
                 g[:, t0:t1, col:col + dh] = rh[k].transpose(1, 0, 2)
 
 
-def topk_pool(x: Tensor, k: int) -> Tensor:
-    """Per column, the k largest values in descending order, feature-major.
+def topk_pool(x: Tensor, k: int, batch: int, valid) -> Tensor:
+    """Per block and column, the k largest of the block's first ``valid[b]``
+    rows in descending order, feature-major.
 
-    Output layout: the k values of feature 0, then feature 1, ...  Ties break
-    by position (earlier row first).  Each of the k passes takes every
-    column's argmax and masks the chosen rows with -inf before the next, so
-    the inputs must be finite.
+    ``x`` is (B*n, d): ``batch`` = B blocks of n rows, stacked block-major.
+    The output is (B, k*d), row b from block b: the k values of feature 0,
+    then feature 1, ...  Rows past a block's valid count are ignored,
+    whatever they hold.  Ties break by position (earlier row first).  Each
+    of the k passes takes every column's argmax and masks the chosen rows
+    with -inf before the next, so the valid rows must be finite.
     """
     if x.data.ndim != 2:
         raise ShapeError(f"topk_pool needs a 2-D tensor, got {x.shape}")
-    n, d = x.shape
-    if k < 1 or k > n:
-        raise WindowError(f"topk_pool: k={k} outside [1, {n}]")
-    cols = np.arange(d)
-    order = np.empty((k, d), dtype=np.intp)
-    rest = x.data if k == 1 else x.data.copy()
-    for i in range(k):
-        order[i] = rest.argmax(axis=0)
-        if i + 1 < k:
-            rest[order[i], cols] = -np.inf
-    out = Tensor(x.data[order, cols].T.ravel())
-    if _tracked(x):
-        def bwd(g):
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            # each column's k rows are distinct, so no index repeats
-            x.grad[order, cols] += g.reshape(d, k).T
-        _record(out, (x,), bwd)
-    return out
-
-
-def segment_max(x: Tensor, batch: int, valid) -> Tensor:
-    """Per column, the max over the first ``valid[b]`` rows of each block.
-
-    ``x`` is (B*n, d): ``batch`` = B blocks of n rows, stacked block-major;
-    the output is (B, d), row b from block b.  Rows past a block's valid
-    count are ignored, whatever they hold.  Ties break by position (earlier
-    row first), and the backward pass adds each gradient into the one row
-    that won.
-    """
-    if x.data.ndim != 2:
-        raise ShapeError(f"segment_max needs a 2-D tensor, got {x.shape}")
-    n = _sequence_length(x, batch, "segment_max")
+    n = _sequence_length(x, batch, "topk_pool")
     d = x.shape[1]
     valid = np.asarray(valid, dtype=np.intp)
     if valid.shape != (batch,):
-        raise ShapeError(f"segment_max: need {batch} valid counts, got shape {valid.shape}")
-    if valid.min() < 1 or valid.max() > n:
-        raise WindowError(f"segment_max: valid counts outside [1, {n}]")
-    blocks = x.data.reshape(batch, n, d)
+        raise ShapeError(f"topk_pool: need {batch} valid counts, got shape {valid.shape}")
+    if k < 1 or valid.min() < k or valid.max() > n:
+        raise WindowError(f"topk_pool: k={k} and valid counts outside 1 <= k <= valid <= {n}")
+    # each block's columns as contiguous rows, (B, d, n), so that every
+    # argmax runs along the last axis; rows past a valid count are -inf
+    work = x.data.reshape(batch, n, d).transpose(0, 2, 1).copy()
     if valid.min() < n:
-        blocks = blocks.copy()
-        blocks[np.arange(n) >= valid[:, None]] = -np.inf
-    rows = blocks.argmax(axis=1) + (np.arange(batch) * n)[:, None]
+        np.copyto(work, -np.inf, where=np.arange(n) >= valid[:, None, None])
+    at = np.arange(batch)[:, None]
     cols = np.arange(d)
-    out = Tensor(x.data[rows, cols])
+    order = np.empty((batch, d, k), dtype=np.intp)
+    for i in range(k):
+        order[..., i] = work.argmax(axis=2)
+        if i + 1 < k:
+            work[at, cols, order[..., i]] = -np.inf
+    rows = order + n * at[:, :, None]
+    out = Tensor(x.data[rows, cols[:, None]].reshape(batch, d * k))
     if _tracked(x):
         def bwd(g):
             if x.grad is None:
                 x.grad = np.zeros_like(x.data)
-            # each column's chosen rows lie in distinct blocks, so no index repeats
-            x.grad[rows, cols] += g
+            # each column's chosen rows are distinct, so no index repeats
+            x.grad[rows, cols[:, None]] += g.reshape(batch, d, k)
         _record(out, (x,), bwd)
     return out
 

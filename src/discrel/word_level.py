@@ -233,8 +233,8 @@ def _conv_max_pool(table: Parameter, rows, pad_index: int, convs) -> list[Tensor
     for i, row in enumerate(rows):
         idx[i, :len(row)] = row
     emb = T.gather_rows(table, idx.ravel())
-    return [T.segment_max(T.tanh(T.conv1d(emb, kernel, bias, batch=len(rows))),
-                          len(rows), lengths - kernel.shape[0] + 1)
+    return [T.topk_pool(T.tanh(T.conv1d(emb, kernel, bias, batch=len(rows))),
+                        1, len(rows), lengths - kernel.shape[0] + 1)
             for kernel, bias in convs]
 
 

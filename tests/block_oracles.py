@@ -1,8 +1,11 @@
-"""The gated conv block and the bi-attention composed from small tape ops.
+"""The gated conv block, the bi-attention and the pair level composed from
+small tape ops.
 
 These are the compositions that ``tensor.gated_conv`` and
-``tensor.bi_attention`` each replace with one tape node, kept as the
-references those ops are tested against.  The conv block is a valid
+``tensor.bi_attention`` each replace with one tape node, and the
+per-instance pair level that ``pair_level.build_pair_representation``
+replaces with one attention node and one pool per argument and layer, kept
+as the references those are tested against.  The conv block is a valid
 ``conv1d`` over explicitly zero-padded sequences, which does the same
 arithmetic as a same-padded convolution, then the gated linear unit
 written as ``slice_cols * sigmoid`` and the residual ``add``; the fused op
@@ -13,7 +16,7 @@ bilinear scores, the two row softmaxes and the two mixing matmuls.
 import numpy as np
 
 from discrel import tensor as T
-from extra_ops import transpose
+from extra_ops import slice_rows, transpose
 
 
 def same_padded(x, batch, pad):
@@ -25,7 +28,7 @@ def same_padded(x, batch, pad):
     zeros = T.constant(np.zeros((pad, x.shape[1])))
     parts = []
     for b in range(batch):
-        parts += [zeros, T.slice_rows(x, b * n, (b + 1) * n), zeros]
+        parts += [zeros, slice_rows(x, b * n, (b + 1) * n), zeros]
     return T.concat(parts, axis=0)
 
 
@@ -43,3 +46,21 @@ def composed_bi_attend(v1, v2, w, b):
     w2 = T.softmax_rows(scores) @ v2
     w1 = T.softmax_rows(transpose(scores)) @ v1
     return w1, w2
+
+
+def per_instance_pair_rows(layers1, layers2, attention, batch):
+    """(B, pair_dim) pair vectors built one instance at a time: each
+    instance's rows sliced out of every layer, attended (when ``attention``
+    is given) and 2-max pooled on their own, its layer slices joined into
+    one row, and the B rows stacked."""
+    n = layers1[0].shape[0] // batch
+    rows = []
+    for i in range(batch):
+        pieces = []
+        for v1, v2 in zip(layers1, layers2):
+            v1, v2 = slice_rows(v1, i * n, (i + 1) * n), slice_rows(v2, i * n, (i + 1) * n)
+            if attention is not None:
+                v1, v2 = T.bi_attention(v1, v2, attention.ffn_w, attention.ffn_b, 1)
+            pieces += [T.topk_pool(v1, 2, 1, [n]), T.topk_pool(v2, 2, 1, [n])]
+        rows.append(T.concat(pieces, axis=1))
+    return T.concat(rows, axis=0)

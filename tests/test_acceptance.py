@@ -20,7 +20,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from extra_ops import sum_all, transpose
+from extra_ops import reshape, sum_all, transpose
 from gradcheck import assert_grads_match
 
 from discrel import tensor as T
@@ -104,7 +104,7 @@ def operation_cases():
     wt = const(4, 3)
     case("transpose", lambda: sum_all(T.mul(transpose(a), wt)), a)
     w26 = const(2, 6)
-    case("reshape", lambda: sum_all(T.mul(T.reshape(a, (2, 6)), w26)), a)
+    case("reshape", lambda: sum_all(T.mul(reshape(a, (2, 6)), w26)), a)
 
     c1, c2, wc = var(2, 4), var(3, 4), const(5, 4)
     case("concat_rows", lambda: sum_all(T.mul(T.concat([c1, c2], axis=0), wc)), c1, c2)
@@ -123,8 +123,8 @@ def operation_cases():
     kern2, bias2, wv = var(3, 3, 2), var(2), const(5, 2)
     case("conv1d_valid", lambda: sum_all(T.mul(T.conv1d(x, kern2, bias2), wv)), x, kern2, bias2)
 
-    xp, wp = var(6, 4), const(8)
-    case("topk_pool", lambda: sum_all(T.mul(T.topk_pool(xp, 2), wp)), xp)
+    xp, wp = var(6, 4), const(1, 8)
+    case("topk_pool", lambda: sum_all(T.mul(T.topk_pool(xp, 2, 1, [6]), wp)), xp)
 
     logits = var(4, 5)
     case("cross_entropy", lambda: T.cross_entropy(logits, [0, 3, 2, 4]), logits)
@@ -135,7 +135,8 @@ def operation_cases():
              T.dropout(xd, 0.4, np.random.default_rng(11)), wdrop)), xd)
 
     xm, wm = var(8, 3), const(2, 3)
-    case("segment_max", lambda: sum_all(T.mul(T.segment_max(xm, 2, [3, 4]), wm)), xm)
+    case("topk_pool over blocks of valid rows",
+         lambda: sum_all(T.mul(T.topk_pool(xm, 1, 2, [3, 4]), wm)), xm)
 
     xr, wr = var(2 * 3, 2), const(2 * 3, 4)
     forward = [var(2, 6), var(2, 4), var(2, 2), var(6)]
@@ -167,10 +168,18 @@ def operation_cases():
     wu1, wu2 = const(5, 3), const(5, 3)
 
     def attended():
-        o1, o2 = T.bi_attention(u1, u2, fw, fb)
+        o1, o2 = T.bi_attention(u1, u2, fw, fb, 1)
         return sum_all(T.mul(o1, wu1)) + sum_all(T.mul(o2, wu2))
 
     case("bi_attention", attended, u1, u2, fw, fb)
+
+    z1, z2, wz1, wz2 = var(2 * 4, 3), var(2 * 4, 3), const(2 * 4, 3), const(2 * 4, 3)
+
+    def attended_over_two_instances():
+        o1, o2 = T.bi_attention(z1, z2, fw, fb, 2)
+        return sum_all(T.mul(o1, wz1)) + sum_all(T.mul(o2, wz2))
+
+    case("bi_attention over two instances", attended_over_two_instances, z1, z2, fw, fb)
 
     return cases
 
@@ -368,12 +377,12 @@ def test_attention_rows_normalize_and_pooling_ignores_token_order():
     assert np.abs(exported.sum(axis=1) - 1.0).max() <= 1e-12
 
     with T.no_grad():
-        base = build_pair_representation([v1, u1], [v2, u2], attention).numpy().copy()
+        base = build_pair_representation([v1, u1], [v2, u2], attention, 1).numpy().copy()
     p1, p2 = rng.permutation(9), rng.permutation(9)
     shuffled1 = [T.constant(v1.numpy()[p1]), T.constant(u1.numpy()[p1])]
     shuffled2 = [T.constant(v2.numpy()[p2]), T.constant(u2.numpy()[p2])]
     with T.no_grad():
-        permuted = build_pair_representation(shuffled1, shuffled2, attention).numpy()
+        permuted = build_pair_representation(shuffled1, shuffled2, attention, 1).numpy()
     assert np.abs(permuted - base).max() <= 1e-12
 
 

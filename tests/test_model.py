@@ -8,12 +8,14 @@ from discrel.errors import ConfigError, ParseError, ShapeError
 from discrel.model import ClassifierHead, RelationModel
 from discrel.pair_level import pool_layer
 from discrel.sentence_level import EncoderStack
+from discrel.training import joint_loss, predict
 from discrel.word_level import (
     ContextualMixer,
     TokenEmbedder,
     WordEmbeddingTable,
     build_toy_embedder,
 )
+from block_oracles import per_instance_pair_rows
 from extra_ops import sum_all
 from gradcheck import assert_grads_match
 
@@ -106,7 +108,7 @@ def test_baseline_without_attention_pools_encoder_outputs_directly():
     e2 = model.embedder.embed([ARG2], model.max_tokens)
     layers1, layers2 = EncoderStack.forward([model.stack1, model.stack2], [e1, e2])
     v1, v2 = layers1[-1], layers2[-1]
-    want = pool_layer(v1, v2).numpy()
+    want = pool_layer(v1, v2, 1).numpy()[0]
     assert np.array_equal(got, want)
 
 
@@ -329,3 +331,66 @@ def test_changing_one_instance_leaves_every_other_row_unchanged(block_type):
             assert rel_k.numpy()[others].tobytes() == rel.numpy()[others].tobytes()
             assert conn_k.numpy()[others].tobytes() == conn.numpy()[others].tobytes()
             assert not np.array_equal(rel_k.numpy()[k], rel.numpy()[k])
+
+
+# ---------------------------------------------------------------------------
+# The pair level over the batch against one instance at a time
+
+
+def ragged_pairs(batch, seed):
+    rng = np.random.default_rng(seed)
+
+    def sentence():  # 1 to 12 tokens, so some are cut to max_tokens = 10
+        return [WORDS[int(i)] for i in rng.integers(0, len(WORDS), int(rng.integers(1, 13)))]
+
+    return [(sentence(), sentence()) for _ in range(batch)]
+
+
+def oracle_scores(model, pairs, rng=None):
+    """``RelationModel.batch_scores`` with the pair level run per instance."""
+    layers1, layers2 = model._layers(pairs, rng)
+    rows = per_instance_pair_rows(layers1, layers2, model.attention, len(pairs))
+    rows = T.dropout(rows, model.classifier_dropout, rng)
+    return model.relation_head.forward(rows), model.connective_head.forward(rows)
+
+
+@pytest.mark.parametrize("batch", [1, 3, 16])
+@pytest.mark.parametrize("res_pair", [True, False])
+@pytest.mark.parametrize("bi_attention", [True, False])
+@pytest.mark.parametrize("block_type", ["conv", "recurrent"])
+def test_the_pair_level_over_the_batch_equals_the_per_instance_oracle(
+        batch, res_pair, bi_attention, block_type):
+    model = tiny_model(depth=3, max_tokens=10, block_type=block_type, bi_attention=bi_attention,
+                       res_pair=res_pair, embedding_dropout=0.2, encoder_dropout=0.2,
+                       classifier_dropout=0.2)
+    noise = np.random.default_rng(batch)
+    for p in model.parameters():  # move every block off its zero-initialised identity
+        p.data += noise.normal(scale=0.1, size=p.shape)
+    pairs = ragged_pairs(batch, seed=batch)
+    params = model.parameters()
+    gold = noise.integers(0, 3, batch)
+
+    def train_pass(scores):
+        rel, conn = scores(model, pairs, np.random.default_rng(4))
+        T.backward(joint_loss(rel, conn, gold, gold))
+        grads = [p.grad for p in params]
+        for p in params:
+            p.grad = None
+        return rel.numpy(), conn.numpy(), grads
+
+    rel, conn, grads = train_pass(RelationModel.batch_scores)
+    want_rel, want_conn, want_grads = train_pass(oracle_scores)
+    assert rel.tobytes() == want_rel.tobytes()
+    assert conn.tobytes() == want_conn.tobytes()
+    for p, got, want in zip(params, grads, want_grads):
+        assert np.max(np.abs(got - want)) <= 1e-10, p.name
+
+    # inference: the batched rows that predict_labels reads, and predict's
+    with T.no_grad():
+        rel, conn = model.batch_scores(pairs)
+        want_rel, want_conn = oracle_scores(model, pairs)
+        assert rel.numpy().tobytes() == want_rel.numpy().tobytes()
+        assert conn.numpy().tobytes() == want_conn.numpy().tobytes()
+        for pair in pairs:
+            want = T.softmax_rows(oracle_scores(model, [pair])[0]).numpy()[0]
+            assert predict(model, *pair)[1].tobytes() == want.tobytes()

@@ -10,7 +10,7 @@ from discrel.pair_level import (
     build_pair_representation,
     pool_layer,
 )
-from block_oracles import composed_bi_attend
+from block_oracles import composed_bi_attend, per_instance_pair_rows
 from extra_ops import sum_all
 from gradcheck import assert_grads_match
 
@@ -43,7 +43,7 @@ class TestBiAttend:
         v1 = T.constant(rng.normal(size=(1, 3)))
         v2 = T.constant(rng.normal(size=(1, 3)))
         with T.no_grad():
-            w1, w2 = bi_attend(v1, v2, att)
+            w1, w2 = bi_attend(v1, v2, att, 1)
         assert np.array_equal(w1.numpy(), v1.numpy())
         assert np.array_equal(w2.numpy(), v2.numpy())
 
@@ -54,7 +54,7 @@ class TestBiAttend:
         v1 = T.constant(rng.normal(size=(5, 4)))
         v2 = T.constant(np.tile(c, (5, 1)))
         with T.no_grad():
-            _, w2 = bi_attend(v1, v2, att)
+            _, w2 = bi_attend(v1, v2, att, 1)
         assert np.allclose(w2.numpy(), np.tile(c, (5, 1)), atol=1e-12)
 
     def test_matches_dense_oracle_identity_ffn(self):
@@ -63,7 +63,7 @@ class TestBiAttend:
         v1 = rng.normal(size=(4, 3))
         v2 = rng.normal(size=(4, 3))
         with T.no_grad():
-            w1, w2 = bi_attend(T.constant(v1), T.constant(v2), att)
+            w1, w2 = bi_attend(T.constant(v1), T.constant(v2), att, 1)
         want1, want2 = oracle_attend(v1, v2, np.eye(3), np.zeros(3))
         assert np.allclose(w1.numpy(), want1, atol=1e-12)
         assert np.allclose(w2.numpy(), want2, atol=1e-12)
@@ -78,7 +78,7 @@ class TestBiAttend:
             v1 = rng.normal(size=(n, d))
             v2 = rng.normal(size=(n, d))
             with T.no_grad():
-                w1, w2 = bi_attend(T.constant(v1), T.constant(v2), att)
+                w1, w2 = bi_attend(T.constant(v1), T.constant(v2), att, 1)
             want1, want2 = oracle_attend(v1, v2, att.ffn_w.numpy(), att.ffn_b.numpy())
             assert np.allclose(w1.numpy(), want1, atol=1e-12)
             assert np.allclose(w2.numpy(), want2, atol=1e-12)
@@ -101,7 +101,7 @@ class TestBiAttend:
         att = make_attention(n, seed=n + 1)
         v1 = T.constant(rng.normal(scale=2.0, size=(n, n)))
         v2 = T.constant(np.eye(n))
-        _, mixed = T.bi_attention(v1, v2, att.ffn_w, att.ffn_b)
+        _, mixed = T.bi_attention(v1, v2, att.ffn_w, att.ffn_b, 1)
         exported = attention_map(v1, v2, att)
         assert exported.tobytes() == mixed.numpy().tobytes()
         assert np.max(np.abs(exported - softmax_rows_np(
@@ -130,7 +130,8 @@ class TestBiAttend:
             T.backward(terms[0] if len(terms) == 1 else terms[0] + terms[1])
             return (w1.numpy(), w2.numpy()), (v1.grad, v2.grad, w.grad, b.grad)
 
-        (outs, grads), (want_outs, want_grads) = run(T.bi_attention), run(composed_bi_attend)
+        outs, grads = run(lambda *args: T.bi_attention(*args, 1))
+        want_outs, want_grads = run(composed_bi_attend)
         for got, want in zip(outs, want_outs):
             assert got.tobytes() == want.tobytes()
         for got, want in zip(grads, want_grads):
@@ -139,31 +140,33 @@ class TestBiAttend:
     def test_records_one_tape_node(self):
         att = make_attention(3)
         v1 = T.Tensor(np.zeros((4, 3)), requires_grad=True)
-        bi_attend(v1, T.constant(np.ones((4, 3))), att)
+        bi_attend(v1, T.constant(np.ones((4, 3))), att, 1)
         assert len(T.active_tape()) == 1
         T.active_tape().clear()
 
     def test_length_mismatch_rejected(self):
         att = make_attention(3)
         with pytest.raises(ShapeError):
-            bi_attend(T.constant(np.zeros((4, 3))), T.constant(np.zeros((5, 3))), att)
+            bi_attend(T.constant(np.zeros((4, 3))), T.constant(np.zeros((5, 3))), att, 1)
         with pytest.raises(ShapeError):
-            bi_attend(T.constant(np.zeros((4, 2))), T.constant(np.zeros((4, 2))), att)
+            bi_attend(T.constant(np.zeros((4, 2))), T.constant(np.zeros((4, 2))), att, 1)
+        with pytest.raises(ShapeError):
+            bi_attend(T.constant(np.zeros((7, 3))), T.constant(np.zeros((7, 3))), att, 2)
 
 
 class TestPoolLayer:
     def test_slice_length_is_four_widths(self):
         rng = np.random.default_rng(0)
         out = pool_layer(T.constant(rng.normal(size=(6, 5))),
-                         T.constant(rng.normal(size=(6, 5))))
-        assert out.shape == (20,)
+                         T.constant(rng.normal(size=(6, 5))), 1)
+        assert out.shape == (1, 20)
 
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(1)
         w1 = rng.normal(size=(7, 4))
         w2 = rng.normal(size=(7, 4))
         with T.no_grad():
-            got = pool_layer(T.constant(w1), T.constant(w2)).numpy()
+            got = pool_layer(T.constant(w1), T.constant(w2), 1).numpy()[0]
         want = []
         for arr in (w1, w2):
             for col in arr.T:
@@ -175,12 +178,12 @@ class TestPoolLayer:
         c = rng.normal(size=3)
         w1 = np.tile(c, (5, 1))
         with T.no_grad():
-            got = pool_layer(T.constant(w1), T.constant(rng.normal(size=(5, 3)))).numpy()
+            got = pool_layer(T.constant(w1), T.constant(rng.normal(size=(5, 3))), 1).numpy()[0]
         assert np.array_equal(got[:6], np.repeat(c, 2))
 
     def test_single_position_rejected(self):
         with pytest.raises(WindowError):
-            pool_layer(T.constant(np.zeros((1, 3))), T.constant(np.zeros((1, 3))))
+            pool_layer(T.constant(np.zeros((1, 3))), T.constant(np.zeros((1, 3))), 1)
 
 
 class TestPairRepresentation:
@@ -194,17 +197,17 @@ class TestPairRepresentation:
         att = make_attention(3, seed=1)
         a, b = self.layers(rng, 4)
         with T.no_grad():
-            o = build_pair_representation(a, b, att)
-        assert o.shape == (4 * 4 * 3,)
+            o = build_pair_representation(a, b, att, 1)
+        assert o.shape == (1, 4 * 4 * 3)
 
     def test_single_layer_equals_its_slice(self):
         rng = np.random.default_rng(1)
         att = make_attention(3, seed=2)
         a, b = self.layers(rng, 1)
         with T.no_grad():
-            o = build_pair_representation(a, b, att).numpy()
-            w1, w2 = bi_attend(a[0], b[0], att)
-            direct = pool_layer(w1, w2).numpy()
+            o = build_pair_representation(a, b, att, 1).numpy()
+            w1, w2 = bi_attend(a[0], b[0], att, 1)
+            direct = pool_layer(w1, w2, 1).numpy()
         assert np.array_equal(o, direct)
 
     def test_layer_slices_are_independent(self):
@@ -213,12 +216,12 @@ class TestPairRepresentation:
         att.ffn_b.data[...] = 0.0
         a, b = self.layers(rng, 3)
         with T.no_grad():
-            base = build_pair_representation(a, b, att).numpy()
+            base = build_pair_representation(a, b, att, 1).numpy()[0]
             a2 = list(a)
             b2 = list(b)
             a2[1] = T.constant(np.zeros((5, 3)))
             b2[1] = T.constant(np.zeros((5, 3)))
-            edited = build_pair_representation(a2, b2, att).numpy()
+            edited = build_pair_representation(a2, b2, att, 1).numpy()[0]
         step = 4 * 3
         assert np.array_equal(base[:step], edited[:step])
         assert np.array_equal(base[2 * step:], edited[2 * step:])
@@ -236,8 +239,8 @@ class TestPairRepresentation:
             pa = [T.constant(x.numpy()[perm]) for x in a]
             pb = [T.constant(x.numpy()[perm]) for x in b]
             with T.no_grad():
-                base = build_pair_representation(a, b, att).numpy()
-                permuted = build_pair_representation(pa, pb, att).numpy()
+                base = build_pair_representation(a, b, att, 1).numpy()
+                permuted = build_pair_representation(pa, pb, att, 1).numpy()
             assert np.max(np.abs(base - permuted)) <= 1e-12
 
     def test_layer_count_mismatch_rejected(self):
@@ -245,9 +248,9 @@ class TestPairRepresentation:
         att = make_attention(3)
         a, b = self.layers(rng, 2)
         with pytest.raises(ConfigError):
-            build_pair_representation(a, b[:1], att)
+            build_pair_representation(a, b[:1], att, 1)
         with pytest.raises(ConfigError):
-            build_pair_representation([], [], att)
+            build_pair_representation([], [], att, 1)
 
     def test_gradients_through_attention_and_pool(self):
         rng = np.random.default_rng(5)
@@ -256,7 +259,7 @@ class TestPairRepresentation:
         v2 = T.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
 
         def loss():
-            o = build_pair_representation([v1], [v2], att)
+            o = build_pair_representation([v1], [v2], att, 1)
             return sum_all(o * o)
 
         assert_grads_match(loss, [v1, v2] + att.parameters(), tol=1e-4)
@@ -267,7 +270,7 @@ class TestPairRepresentation:
         a, b = self.layers(rng, 3)
 
         def loss(layers):
-            return sum_all(build_pair_representation(layers[0], layers[1], att))
+            return sum_all(build_pair_representation(layers[0], layers[1], att, 1))
 
         loss((a[:1], b[:1]))  # warm the tape then discard
         T.active_tape().clear()
@@ -286,3 +289,51 @@ class TestPairRepresentation:
         # The single shared map accumulates contributions from every layer;
         # with extra layers the gradient must change.
         assert not np.allclose(g1, g3)
+
+
+class TestOverTheBatch:
+    @pytest.mark.parametrize("batch", [1, 3, 16])
+    @pytest.mark.parametrize("attend", [True, False])
+    def test_equals_the_per_instance_composition(self, batch, attend):
+        # Outputs and the layers' gradients are bitwise the oracle's; the
+        # shared attention weights sum over (layer, instance) rather than
+        # (instance, layer), so agree to rounding.
+        rng = np.random.default_rng(batch)
+        att = make_attention(4, seed=9) if attend else None
+        if attend:
+            att.ffn_b.data[...] = rng.normal(size=4)
+        data = [[rng.normal(size=(batch * 5, 4)) for _ in range(3)] for _ in range(2)]
+        weights = T.constant(rng.normal(size=(batch, 3 * 4 * 4)))
+
+        def run(pair_rows):
+            layers = [[T.Tensor(x.copy(), requires_grad=True) for x in side] for side in data]
+            out = pair_rows(layers[0], layers[1], att, batch)
+            T.backward(sum_all(T.mul(out, weights)))
+            shared = [] if att is None else att.parameters()
+            grads = [p.grad for p in shared]
+            for p in shared:
+                p.grad = None
+            return out.numpy(), [v.grad for side in layers for v in side], grads
+
+        got, got_layers, got_shared = run(build_pair_representation)
+        want, want_layers, want_shared = run(per_instance_pair_rows)
+        assert got.shape == (batch, 3 * 4 * 4)
+        assert got.tobytes() == want.tobytes()
+        for g, w in zip(got_layers, want_layers):
+            assert g.tobytes() == w.tobytes()
+        for g, w in zip(got_shared, want_shared):
+            assert np.max(np.abs(g - w)) <= 1e-10
+
+    @pytest.mark.parametrize("attend", [True, False])
+    def test_records_as_many_tape_nodes_for_any_batch(self, attend):
+        # one attention node and one pool per argument and layer, whatever B
+        rng = np.random.default_rng(0)
+        att = make_attention(3) if attend else None
+        counts = []
+        for batch in (2, 5):
+            layers = [[T.Tensor(rng.normal(size=(batch * 4, 3)), requires_grad=True)
+                       for _ in range(3)] for _ in range(2)]
+            build_pair_representation(layers[0], layers[1], att, batch)
+            counts.append(len(T.active_tape()))
+            T.active_tape().clear()
+        assert counts[0] == counts[1]

@@ -614,8 +614,8 @@ def test_matrix_csv_is_exact(tmp_path):
 # Attention export
 
 
-def trained_run(tmp_path, **overrides):
-    config = small_config(tmp_path, layers=2, max_tokens=5, epochs=2, **overrides)
+def trained_run(tmp_path, layers=2, **overrides):
+    config = small_config(tmp_path, layers=layers, max_tokens=5, epochs=2, **overrides)
     setup = prepare_training(config)
     result = run_training(setup)
     return restore_run(write_run(tmp_path / "run", setup, result)), config
@@ -640,6 +640,16 @@ def test_export_writes_heatmap_matrix_and_tokens_per_layer(tmp_path):
                 pixels = np.array([int(v) for v in row_line.split()])
                 assert pixels.sum() == 255
                 assert np.abs(pixels / 255.0 - row).max() < 1.0 / 255.0
+
+
+def test_export_numbers_the_one_pooled_layer_by_its_depth(tmp_path):
+    # with res_pair off only the deepest layer feeds the pair vector
+    run, config = trained_run(tmp_path, layers=3, res_pair=False)
+    records = load_corpus(config.corpus)
+    out = tmp_path / "maps"
+    export_attention(run, records, [0], out)
+    assert sorted(p.name for p in out.glob("*.pgm")) == ["inst0_layer3.pgm"]
+    assert sorted(p.name for p in out.glob("*.csv")) == ["inst0_layer3.csv"]
 
 
 def test_export_rejects_unknown_instances(tmp_path):

@@ -19,7 +19,7 @@ from discrel.errors import (
 
 from block_oracles import composed_gated_conv
 from byte_mutations import mutations
-from extra_ops import sum_all, transpose
+from extra_ops import reshape, slice_rows, sum_all, transpose
 from gradcheck import assert_grads_match
 
 
@@ -219,27 +219,27 @@ class TestSoftmaxRows:
 
 class TestTopkPool:
     def test_ordering(self):
-        out = T.topk_pool(T.constant([[1.0], [3.0], [2.0]]), 2)
-        assert np.array_equal(out.data, [3.0, 2.0])
+        out = T.topk_pool(T.constant([[1.0], [3.0], [2.0]]), 2, 1, [3])
+        assert np.array_equal(out.data, [[3.0, 2.0]])
 
     def test_feature_major_layout(self):
-        out = T.topk_pool(T.constant([[1.0, 9.0], [4.0, 8.0], [2.0, 7.0]]), 2)
-        assert np.array_equal(out.data, [4.0, 2.0, 9.0, 8.0])
+        out = T.topk_pool(T.constant([[1.0, 9.0], [4.0, 8.0], [2.0, 7.0]]), 2, 1, [3])
+        assert np.array_equal(out.data, [[4.0, 2.0, 9.0, 8.0]])
 
     def test_k_equals_n_is_column_sort(self):
         rng = np.random.default_rng(7)
         x = rng.uniform(-1, 1, (5, 3))
-        out = T.topk_pool(T.constant(x), 5)
+        out = T.topk_pool(T.constant(x), 5, 1, [5])
         expected = np.sort(x, axis=0)[::-1].T.ravel()
-        np.testing.assert_allclose(out.data, expected)
+        np.testing.assert_allclose(out.data, [expected])
 
     def test_k_too_large(self):
         with pytest.raises(WindowError):
-            T.topk_pool(T.constant(np.zeros((2, 2))), 3)
+            T.topk_pool(T.constant(np.zeros((2, 2))), 3, 1, [2])
 
     def test_tie_break_is_stable_by_position(self):
         x = T.Tensor([[5.0], [5.0], [1.0]], requires_grad=True)
-        out = T.topk_pool(x, 1)
+        out = T.topk_pool(x, 1, 1, [3])
         T.backward(sum_all(out))
         # the earlier of the tied rows gets the gradient
         assert np.array_equal(x.grad, [[1.0], [0.0], [0.0]])
@@ -247,8 +247,8 @@ class TestTopkPool:
     def test_grad_vs_finite_differences(self):
         rng = np.random.default_rng(8)
         x = T.Tensor(rng.uniform(-1, 1, (6, 4)), requires_grad=True)
-        w = T.constant(rng.uniform(-1, 1, 8))
-        assert_grads_match(lambda: sum_all(T.mul(T.topk_pool(x, 2), w)), [x])
+        w = T.constant(rng.uniform(-1, 1, (1, 8)))
+        assert_grads_match(lambda: sum_all(T.mul(T.topk_pool(x, 2, 1, [6]), w)), [x])
 
     @pytest.mark.parametrize("k", [1, 2, "n"])
     def test_matches_a_stable_sort_with_planted_ties(self, k):
@@ -261,64 +261,70 @@ class TestTopkPool:
             data[rng.integers(n)] = data[rng.integers(n)]  # a repeated row
             order = np.argsort(-data, axis=0, kind="stable")[:kk]
             x = T.Tensor(data, requires_grad=True)
-            out = T.topk_pool(x, kk)
+            out = T.topk_pool(x, kk, 1, [n])
             assert np.array_equal(out.numpy(),
-                                  np.take_along_axis(data, order, axis=0).T.ravel())
-            w = rng.normal(size=kk * d)
+                                  [np.take_along_axis(data, order, axis=0).T.ravel()])
+            w = rng.normal(size=(1, kk * d))
             T.backward(sum_all(T.mul(out, T.constant(w))))
             expected = np.zeros((n, d))
             np.put_along_axis(expected, order, w.reshape(d, kk).T, axis=0)
             assert np.array_equal(x.grad, expected), f"trial {trial}"
 
 
-class TestSegmentMax:
+class TestTopkPoolOverBlocks:
     def test_masks_rows_past_each_valid_count(self):
         x = T.constant([[1.0, 5.0], [2.0, 0.0], [9.0, 9.0],
                         [3.0, 1.0], [0.0, 4.0], [7.0, 8.0]])
-        out = T.segment_max(x, 2, [2, 1])
+        out = T.topk_pool(x, 1, 2, [2, 1])
         assert np.array_equal(out.numpy(), [[2.0, 5.0], [3.0, 1.0]])
+        out = T.topk_pool(x, 2, 2, [2, 2])
+        assert np.array_equal(out.numpy(), [[2.0, 1.0, 5.0, 0.0], [3.0, 0.0, 4.0, 1.0]])
 
-    def test_matches_per_block_top1_with_planted_ties(self):
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_matches_per_block_pools_with_planted_ties(self, k):
         rng = np.random.default_rng(41)
         for trial in range(30):
-            b, n, d = int(rng.integers(1, 5)), int(rng.integers(1, 7)), int(rng.integers(1, 5))
+            b, n, d = int(rng.integers(1, 5)), int(rng.integers(k, 7)), int(rng.integers(1, 5))
             # few distinct values, so most columns hold ties
             data = rng.integers(-2, 3, (b * n, d)).astype(float)
-            valid = rng.integers(1, n + 1, b)
-            w = rng.normal(size=(b, d))
+            valid = rng.integers(k, n + 1, b)
+            w = rng.normal(size=(b, k * d))
             x = T.Tensor(data, requires_grad=True)
-            out = T.segment_max(x, b, valid)
+            out = T.topk_pool(x, k, b, valid)
             T.backward(sum_all(T.mul(out, T.constant(w))))
             expected = np.zeros_like(data)
             for i in range(b):
                 block = T.Tensor(data[i * n:i * n + valid[i]], requires_grad=True)
-                top = T.topk_pool(block, 1)
-                assert np.array_equal(out.numpy()[i], top.numpy()), f"trial {trial}"
-                T.backward(sum_all(T.mul(top, T.constant(w[i]))))
+                top = T.topk_pool(block, k, 1, [valid[i]])
+                assert np.array_equal(out.numpy()[i], top.numpy()[0]), f"trial {trial}"
+                T.backward(sum_all(T.mul(top, T.constant(w[i:i + 1]))))
                 expected[i * n:i * n + valid[i]] = block.grad
             assert np.array_equal(x.grad, expected), f"trial {trial}"
 
     def test_tie_goes_to_the_earlier_row(self):
         x = T.Tensor([[1.0], [5.0], [5.0], [4.0], [4.0], [6.0]], requires_grad=True)
-        T.backward(sum_all(T.segment_max(x, 2, [3, 2])))
+        T.backward(sum_all(T.topk_pool(x, 1, 2, [3, 2])))
         assert np.array_equal(x.grad.ravel(), [0.0, 1.0, 0.0, 1.0, 0.0, 0.0])
 
-    @pytest.mark.parametrize("valid", [[0, 2], [2, 4], [3, -1]])
-    def test_valid_count_outside_the_block(self, valid):
+    @pytest.mark.parametrize("k, valid", [(1, [0, 2]), (1, [2, 4]), (1, [3, -1]),
+                                          (2, [1, 3]), (0, [2, 2])])
+    def test_valid_count_outside_the_block(self, k, valid):
         with pytest.raises(WindowError):
-            T.segment_max(T.constant(np.zeros((6, 2))), 2, valid)
+            T.topk_pool(T.constant(np.zeros((6, 2))), k, 2, valid)
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
-            T.segment_max(T.constant(np.zeros((6, 2))), 2, [1, 1, 1])
+            T.topk_pool(T.constant(np.zeros((6, 2))), 1, 2, [1, 1, 1])
         with pytest.raises(ShapeError):
-            T.segment_max(T.constant(np.zeros((5, 2))), 2, [1, 1])
+            T.topk_pool(T.constant(np.zeros((5, 2))), 1, 2, [1, 1])
+        with pytest.raises(ShapeError):
+            T.topk_pool(T.constant(np.zeros(6)), 1, 2, [1, 1])
 
     def test_grad_vs_finite_differences(self):
         rng = np.random.default_rng(42)
         x = T.Tensor(rng.uniform(-1, 1, (12, 3)), requires_grad=True)
-        w = T.constant(rng.uniform(-1, 1, (3, 3)))
-        assert_grads_match(lambda: sum_all(T.mul(T.segment_max(x, 3, [4, 1, 2]), w)), [x])
+        w = T.constant(rng.uniform(-1, 1, (3, 6)))
+        assert_grads_match(lambda: sum_all(T.mul(T.topk_pool(x, 2, 3, [4, 2, 3]), w)), [x])
 
 
 class TestElementwise:
@@ -431,11 +437,11 @@ class TestGatherSliceConcat:
 
     def test_slice_rows_takes_a_contiguous_block(self):
         x = T.constant(np.arange(12.0).reshape(6, 2))
-        assert np.array_equal(T.slice_rows(x, 2, 4).numpy(), [[4.0, 5.0], [6.0, 7.0]])
+        assert np.array_equal(slice_rows(x, 2, 4).numpy(), [[4.0, 5.0], [6.0, 7.0]])
         with pytest.raises(ShapeError):
-            T.slice_rows(x, 4, 7)
+            slice_rows(x, 4, 7)
         with pytest.raises(ShapeError):
-            T.slice_rows(x, 3, 3)
+            slice_rows(x, 3, 3)
 
     def test_slice_rows_grad(self):
         rng = np.random.default_rng(16)
@@ -443,8 +449,8 @@ class TestGatherSliceConcat:
 
         def loss():
             # overlapping blocks: both add into the one gradient of x
-            return sum_all(T.tanh(T.slice_rows(x, 1, 4))) + sum_all(
-                T.sigmoid(T.slice_rows(x, 3, 6)))
+            return sum_all(T.tanh(slice_rows(x, 1, 4))) + sum_all(
+                T.sigmoid(slice_rows(x, 3, 6)))
 
         assert_grads_match(loss, [x])
 
@@ -459,7 +465,7 @@ class TestGatherSliceConcat:
         rng = np.random.default_rng(15)
         x = T.Tensor(rng.uniform(-1, 1, (2, 6)), requires_grad=True)
         assert_grads_match(
-            lambda: sum_all(T.tanh(transpose(T.reshape(x, (3, 4))))), [x]
+            lambda: sum_all(T.tanh(transpose(reshape(x, (3, 4))))), [x]
         )
 
 

@@ -585,7 +585,7 @@ class TestToyContextualEmbedder:
                 idxs += [emb.CHAR_PAD] * max(0, 3 - len(idxs))
                 conv = T.tanh(T.conv1d(T.gather_rows(emb.char_table, idxs),
                                        emb.char_kernel, emb.char_bias))
-                vectors.append(T.reshape(T.topk_pool(conv, 1), (1, emb.dim)))
+                vectors.append(T.topk_pool(conv, 1, 1, [conv.shape[0]]))
             (lower,) = BiGRU.forward([emb.rnn1], [T.concat(vectors, axis=0)])
             (upper,) = BiGRU.forward([emb.rnn2], [lower])
             return lower, upper
