@@ -39,14 +39,15 @@ stack of depth L and kernel k, with h = (k-1)/2 and R the longest real
 length among the instances fed to it, layer l holds one repeated row over
 [R + l*h, N - l*h) of every instance, in training as in inference.  When
 the block type is conv and N' = R + 2*L*h + 1 < N, each argument is
-embedded and encoded at N' rows, and each layer output is expanded back to
-N rows by one row gather: row j reads row j up to R + L*h, the repeated row
-R + L*h up to N - L*h, and row j - (N - N') after that.  Each row it reads
-sees the same windows and masks as its full-length counterpart, so the
-outputs equal the full-length pass bitwise; the gather's backward sums the
-repeated row's gradients, which agree with the full-length pass up to
-rounding.  Recurrent blocks always run at N rows: their state changes
-along the pad run.
+embedded and encoded at N' rows: rows up to R + L*h, then the Lh tail rows,
+each seeing the windows and masks of its full-length counterpart.  Row
+R + L*h stands for the whole pad run [R + L*h, N - L*h), so the pair level
+takes every layer at N' rows with one count vector per argument: 1 for
+each row, and N - N' + 1 for that one, at the same index in every
+instance.  Bi-attention weighs a row's softmax score by its count and
+2-max pooling may choose it up to its count times, which gives what the
+full-length pass gives up to rounding.  Recurrent blocks always run at N
+rows, with all-ones counts: their state changes along the pad run.
 
 Ablation toggles mirror the build-up used in experiments:
 
@@ -186,23 +187,20 @@ class RelationModel:
         source = np.minimum(np.arange(rows), real[:, None])
         return len(arguments) * n, (source + n * np.arange(len(arguments))[:, None]).ravel()
 
-    def _expand(self, layers: list[Tensor], real: int, rows: int,
-                batch: int) -> list[Tensor]:
-        """Layer outputs of ``rows`` rows per instance back to ``max_tokens``."""
-        n = self.max_tokens
-        if rows == n:
-            return layers
-        edge = real + self.pad_reach
-        j = np.arange(n)
-        source = np.where(j <= edge, j,
-                          np.where(j < n - self.pad_reach, edge, j - (n - rows)))
-        index = (np.arange(batch)[:, None] * rows + source).ravel()
-        return [T.gather_rows(v, index) for v in layers]
+    def _counts(self, real: int, rows: int) -> np.ndarray:
+        """How many full-length rows each of an argument's ``rows`` layer
+        rows stands for: one each, except that a shortened stack's row
+        R + L*h stands for the whole pad run [R + L*h, N - L*h)."""
+        counts = np.ones(rows, dtype=np.intp)
+        if rows < self.max_tokens:
+            counts[real + self.pad_reach] += self.max_tokens - rows
+        return counts
 
-    def _layers(self, pairs, rng: np.random.Generator | None = None
-                ) -> tuple[list[Tensor], list[Tensor]]:
+    def _layers(self, pairs, rng: np.random.Generator | None = None):
         """The encoder layers that feed the pair vector (all of them, or the
-        deepest when ``res_pair`` is off) for both arguments, each (B*N, width)."""
+        deepest when ``res_pair`` is off) for both arguments, each
+        (B*rows, width), and each argument's row counts (see ``_counts``):
+        (layers1, layers2, counts1, counts2)."""
         batch = len(pairs)
         args1 = [arg1 for arg1, _ in pairs]
         args2 = [arg2 for _, arg2 in pairs]
@@ -219,13 +217,13 @@ class RelationModel:
             dropout_rate=self.encoder_dropout, rng=rng, draws=(draw1, draw2))
         if not self.res_pair:
             layers1, layers2 = layers1[-1:], layers2[-1:]
-        return (self._expand(layers1, real1, rows1, batch),
-                self._expand(layers2, real2, rows2, batch))
+        return layers1, layers2, self._counts(real1, rows1), self._counts(real2, rows2)
 
     def _pair_rows(self, pairs, rng: np.random.Generator | None = None) -> Tensor:
         """(B, pair_dim) pair vectors for a list of (arg1 tokens, arg2 tokens)."""
-        layers1, layers2 = self._layers(pairs, rng)
-        return build_pair_representation(layers1, layers2, self.attention, len(pairs))
+        layers1, layers2, counts1, counts2 = self._layers(pairs, rng)
+        return build_pair_representation(layers1, layers2, self.attention, len(pairs),
+                                         counts1, counts2)
 
     def batch_scores(self, pairs, rng: np.random.Generator | None = None
                      ) -> tuple[Tensor, Tensor]:
@@ -240,10 +238,11 @@ class RelationModel:
         return self.batch_scores([(arg1_tokens, arg2_tokens)])
 
     def attention_maps(self, arg1_tokens, arg2_tokens) -> list[np.ndarray]:
-        """Per layer, the softmaxed score matrix of argument 1 over argument 2."""
+        """Per layer, the (N, N) softmaxed score matrix of argument 1 over
+        argument 2, N = ``max_tokens``."""
         if self.attention is None:
             raise ConfigError("model was built without bi-attention")
         with T.no_grad():
-            layers1, layers2 = self._layers([(arg1_tokens, arg2_tokens)])
-            return [attention_map(v1, v2, self.attention)
+            layers1, layers2, counts1, counts2 = self._layers([(arg1_tokens, arg2_tokens)])
+            return [attention_map(v1, v2, self.attention, counts1, counts2)
                     for v1, v2 in zip(layers1, layers2)]

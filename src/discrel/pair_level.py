@@ -10,16 +10,20 @@ attention-weighted mixture of the other:
     w1 = rowsoftmax(M^T) v1     (one mixture of v1 rows per v2 position)
 
 Every function here takes a batch: B instances' layer outputs stacked by
-rows, (B*N, width), as the encoders produce them.  Each layer's attention
-over the batch is one tape node, ``tensor.bi_attention``, which runs each
-instance's 2-D products on its own rows and keeps its affine map and two
-softmax matrices for the hand-written backward.  The two mixtures are 2-max
+rows, (B*N, width), as the encoders produce them; the two arguments' N may
+differ.  Each layer's attention over the batch is one tape node,
+``tensor.bi_attention``, which runs each instance's 2-D products on its own
+rows and keeps its affine map and two softmax matrices for the hand-written
+backward.  The two mixtures are 2-max
 pooled per instance and feature (one ``tensor.topk_pool`` each) and
 concatenated, giving a fixed-size slice per instance and layer; the pair
 representation strings the layer slices together, shallowest first, so
 every depth contributes directly: one (B, pair_dim) row per instance.
 
-Padding positions take part in attention and pooling like any other row.
+Padding positions take part in attention and pooling, each distinct row
+once, weighted by the number of positions it stands for (its count; see the
+``model`` module): a row of count c weighs as c equal rows in the softmax
+and may be pooled up to c times.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .init import uniform_param, zeros_param
 from .tensor import Parameter, Tensor
 
@@ -44,27 +48,30 @@ class BiAttention:
         return [self.ffn_w, self.ffn_b]
 
 
-def bi_attend(v1: Tensor, v2: Tensor, attention: BiAttention,
-              batch: int) -> tuple[Tensor, Tensor]:
-    """Cross-attended versions of both arguments of every instance, shapes
-    preserved, as one tape node."""
-    return T.bi_attention(v1, v2, attention.ffn_w, attention.ffn_b, batch)
+def bi_attend(v1: Tensor, v2: Tensor, attention: BiAttention, batch: int,
+              counts1=None, counts2=None) -> tuple[Tensor, Tensor]:
+    """Cross-attended versions of both arguments of every instance, as one
+    tape node: one mixture of each instance's v1 rows per v2 row, then one
+    of its v2 rows per v1 row.  ``counts1`` and ``counts2`` (None for all
+    ones) are the rows' counts, as ``tensor.bi_attention`` takes them."""
+    return T.bi_attention(v1, v2, attention.ffn_w, attention.ffn_b, batch, counts1, counts2)
 
 
-def pool_layer(w1: Tensor, w2: Tensor, batch: int) -> Tensor:
+def pool_layer(w1: Tensor, w2: Tensor, batch: int, counts1=None, counts2=None) -> Tensor:
     """(B, 4 * width) per-layer slices: each instance's 2-max pools of both
-    mixtures, first argument first."""
-    if w1.shape != w2.shape:
-        raise ShapeError(f"pool_layer: shapes {w1.shape} and {w2.shape} differ")
-    every_row = [w1.shape[0] // batch] * batch
-    return T.concat([T.topk_pool(w1, 2, batch, every_row),
-                     T.topk_pool(w2, 2, batch, every_row)], axis=1)
+    mixtures, first argument first, each row weighed by its count."""
+    return T.concat([T.topk_pool(w1, 2, batch, [w1.shape[0] // batch] * batch, counts1),
+                     T.topk_pool(w2, 2, batch, [w2.shape[0] // batch] * batch, counts2)],
+                    axis=1)
 
 
 def build_pair_representation(layers1, layers2, attention: BiAttention | None,
-                              batch: int) -> Tensor:
+                              batch: int, counts1=None, counts2=None) -> Tensor:
     """(B, 4 * len(layers) * width) pair vectors, one row per instance,
     layer-major, for layer outputs of ``batch`` instances stacked by rows.
+    ``counts1`` and ``counts2`` (None for all ones) say how many equal rows
+    each row of an argument's layers stands for, the same in every layer
+    and instance.
 
     Without ``attention`` the encoder outputs are pooled directly.
     """
@@ -76,17 +83,28 @@ def build_pair_representation(layers1, layers2, attention: BiAttention | None,
         raise ConfigError("pair representation: no layer outputs")
     slices = []
     for v1, v2 in zip(layers1, layers2):
-        if attention is not None:
-            v1, v2 = bi_attend(v1, v2, attention, batch)
-        slices.append(pool_layer(v1, v2, batch))
+        if attention is None:
+            slices.append(pool_layer(v1, v2, batch, counts1, counts2))
+        else:
+            # each mixture has a row per row of the other argument
+            w1, w2 = bi_attend(v1, v2, attention, batch, counts1, counts2)
+            slices.append(pool_layer(w1, w2, batch, counts2, counts1))
     if len(slices) == 1:
         return slices[0]
     return T.concat(slices, axis=1)
 
 
-def attention_map(v1: Tensor, v2: Tensor, attention: BiAttention) -> np.ndarray:
+def attention_map(v1: Tensor, v2: Tensor, attention: BiAttention,
+                  counts1=None, counts2=None) -> np.ndarray:
     """Softmaxed score matrix (first argument attending over the second),
     for inspection and export: the one ``bi_attend`` mixes the second
-    argument's rows with, computed off the gradient tape."""
-    _, p2, _ = T.attention_weights(v1.data, v2.data, attention.ffn_w.data, attention.ffn_b.data)
+    argument's rows with, computed off the gradient tape.  With counts, each
+    row and column is repeated as often as it counts, and a column's weight
+    is shared evenly among its copies: the map over the repeated rows."""
+    _, p2, _ = T.attention_weights(v1.data, v2.data, attention.ffn_w.data,
+                                   attention.ffn_b.data, counts1, counts2)
+    if counts2 is not None:
+        p2 = np.repeat(p2 / counts2, counts2, axis=1)
+    if counts1 is not None:
+        p2 = np.repeat(p2, counts1, axis=0)
     return p2

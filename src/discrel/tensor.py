@@ -438,9 +438,15 @@ def slice_cols(t: Tensor, lo: int, hi: int) -> Tensor:
     return out
 
 
-def _softmax_rows(a: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of a 2-D array, max-subtracted for stability."""
+def _softmax_rows(a: np.ndarray, weights: tuple[np.ndarray, np.ndarray] | None = None
+                  ) -> np.ndarray:
+    """Row-wise softmax of a 2-D array, max-subtracted for stability.  With
+    ``weights`` = (columns, log counts), each of those columns first gains
+    its log count, so that a column of count c weighs as c equal columns."""
     e = a - a.max(axis=1, keepdims=True)
+    if weights is not None:
+        columns, log_counts = weights
+        e[:, columns] += log_counts
     np.exp(e, out=e)
     e /= e.sum(axis=1, keepdims=True)
     return e
@@ -467,51 +473,97 @@ def softmax_rows(m: Tensor) -> Tensor:
     return out
 
 
-def attention_weights(v1: np.ndarray, v2: np.ndarray, w: np.ndarray,
-                      b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(v1 w + b, softmax_rows(M), softmax_rows(M^T)) for two (N, d) row
-    sets, ``w`` (d, d) and ``b`` (d,), where M = (v1 w + b) v2^T holds the
-    (N, N) bilinear scores of v1's rows against v2's.  Plain arrays: this
-    is the arithmetic of ``bi_attention`` and of exported attention maps."""
-    if (v1.ndim != 2 or v2.shape != v1.shape or w.shape != (v1.shape[1],) * 2
-            or b.shape != (v1.shape[1],)):
-        raise ShapeError(f"bi_attention: arguments {v1.shape} and {v2.shape} must both be "
-                         f"(N, d) for weights (d, d) and (d,), got {w.shape} and {b.shape}")
+def _checked_counts(counts, rows: int, op: str) -> np.ndarray | None:
+    """``counts`` as a length-``rows`` integer array, or None when it is
+    None or every count is 1: the weighing is then skipped altogether."""
+    if counts is None:
+        return None
+    counts = np.asarray(counts)
+    if counts.shape != (rows,) or counts.dtype.kind not in "iu" or counts.min() < 1:
+        raise ShapeError(f"{op}: need {rows} integer counts of at least 1, got {counts}")
+    return counts if counts.max() > 1 else None
+
+
+def _log_weights(counts, rows: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """``_softmax_rows``'s weights for ``rows`` counts: the rows of count
+    above 1 and their log counts, or None when there are none."""
+    counts = _checked_counts(counts, rows, "bi_attention")
+    if counts is None:
+        return None
+    heavy = np.flatnonzero(counts > 1)
+    return heavy, np.log(counts[heavy])
+
+
+def _check_attention(v1: np.ndarray, v2: np.ndarray, w: np.ndarray, b: np.ndarray) -> None:
+    if (v1.ndim != 2 or v2.ndim != 2 or v2.shape[1] != v1.shape[1]
+            or w.shape != (v1.shape[1],) * 2 or b.shape != (v1.shape[1],)):
+        raise ShapeError(f"bi_attention: arguments {v1.shape} and {v2.shape} must be "
+                         f"(N1, d) and (N2, d) for weights (d, d) and (d,), got {w.shape} "
+                         f"and {b.shape}")
+
+
+def _attention_weights(v1: np.ndarray, v2: np.ndarray, w: np.ndarray, b: np.ndarray,
+                       weights1, weights2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     affine = v1 @ w
     affine += b
     # v2^T as a contiguous copy, as the scores have always been computed:
     # a transposed view takes another BLAS path and moves the last bits.
     scores = affine @ v2.T.copy()
-    return affine, _softmax_rows(scores), _softmax_rows(scores.T.copy())
+    return (affine, _softmax_rows(scores, weights2),
+            _softmax_rows(scores.T.copy(), weights1))
 
 
-def bi_attention(v1: Tensor, v2: Tensor, w: Tensor, b: Tensor,
-                 batch: int) -> tuple[Tensor, Tensor]:
-    """Each instance's two (N, d) row sets re-expressed over each other, one
-    tape node for the batch.
+def attention_weights(v1: np.ndarray, v2: np.ndarray, w: np.ndarray, b: np.ndarray,
+                      counts1=None, counts2=None
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(v1 w + b, softmax_rows(M + log c2), softmax_rows(M^T + log c1)) for
+    (N1, d) and (N2, d) row sets, ``w`` (d, d) and ``b`` (d,), where
+    M = (v1 w + b) v2^T holds the (N1, N2) bilinear scores of v1's rows
+    against v2's.  ``counts1`` and ``counts2`` (None for all ones) say how
+    many equal rows each row of v1 and v2 stands for: log c2[j] is added to
+    column j of every row of M before its softmax, and log c1[i] to column
+    i of M^T, so that a softmax row equals that over the repeated rows with
+    each row's copies summed.  Plain arrays: this is the arithmetic of
+    ``bi_attention`` and of exported attention maps."""
+    _check_attention(v1, v2, w, b)
+    return _attention_weights(v1, v2, w, b, _log_weights(counts1, v1.shape[0]),
+                              _log_weights(counts2, v2.shape[0]))
 
-    ``v1`` and ``v2`` are (B*N, d): ``batch`` = B instances of N rows,
-    stacked instance-major.  For one instance, with p2, p1 the row softmaxes
-    of its scores M and of M^T (see ``attention_weights``), its output rows
-    are (p1 v1, p2 v2): one mixture of its v1 rows per v2 row, then one of
-    its v2 rows per v1 row.  Instances never mix, and each runs the 2-D
-    products it would run alone, so its outputs do not depend on the batch.
-    The node keeps each instance's affine map v1 w + b and two softmax
-    matrices; its backward is written out by hand, and either output may go
-    without a gradient.
+
+def bi_attention(v1: Tensor, v2: Tensor, w: Tensor, b: Tensor, batch: int,
+                 counts1=None, counts2=None) -> tuple[Tensor, Tensor]:
+    """Each instance's two row sets re-expressed over each other, one tape
+    node for the batch.
+
+    ``v1`` is (B*N1, d) and ``v2`` (B*N2, d): ``batch`` = B instances of N1
+    and of N2 rows, stacked instance-major, with ``counts1`` (N1,) and
+    ``counts2`` (N2,) the same for every instance.  For one instance, with
+    p2, p1 the row softmaxes of its scores M and of M^T weighed by the
+    counts (see ``attention_weights``), its output rows are (p1 v1, p2 v2):
+    one mixture of its v1 rows per v2 row (N2 rows), then one of its v2
+    rows per v1 row (N1 rows).  Over distinct rows and their counts, the op
+    gives what it gives over the rows repeated, and passes back the
+    repeated rows' gradients summed over each row's copies.  Instances
+    never mix, and each runs the 2-D products it would run alone, so its
+    outputs do not depend on the batch.  The node keeps each instance's
+    affine map v1 w + b and two softmax matrices; its backward is written
+    out by hand, and either output may go without a gradient.
     """
-    if v1.shape != v2.shape:
-        raise ShapeError(f"bi_attention: arguments {v1.shape} and {v2.shape} differ")
-    n = _sequence_length(v1, batch, "bi_attention")
+    _check_attention(v1.data, v2.data, w.data, b.data)
+    n1 = _sequence_length(v1, batch, "bi_attention")
+    n2 = _sequence_length(v2, batch, "bi_attention")
     tracked = _tracked(v1, v2, w, b)
-    blocks = [slice(i * n, (i + 1) * n) for i in range(batch)]
-    out1, out2 = np.empty_like(v1.data), np.empty_like(v2.data)
+    blocks = [(slice(i * n1, (i + 1) * n1), slice(i * n2, (i + 1) * n2))
+              for i in range(batch)]
+    out1, out2 = np.empty_like(v2.data), np.empty_like(v1.data)
     kept = []
-    for s in blocks:
+    weights1, weights2 = _log_weights(counts1, n1), _log_weights(counts2, n2)
+    for s1, s2 in blocks:
         # one instance at a time, so that inference drops its matrices at once
-        affine, p2, p1 = attention_weights(v1.data[s], v2.data[s], w.data, b.data)
-        out1[s] = p1 @ v1.data[s]
-        out2[s] = p2 @ v2.data[s]
+        affine, p2, p1 = _attention_weights(v1.data[s1], v2.data[s2], w.data, b.data,
+                                            weights1, weights2)
+        out1[s2] = p1 @ v1.data[s1]
+        out2[s1] = p2 @ v2.data[s2]
         if tracked:
             kept.append((affine, p2, p1))
     outs = (Tensor(out1), Tensor(out2))
@@ -523,13 +575,13 @@ def bi_attention(v1: Tensor, v2: Tensor, w: Tensor, b: Tensor,
         for t in (v1, v2):
             if t.requires_grad and t.grad is None:
                 t.grad = np.zeros_like(t.data)
-        for s, (affine, p2, p1) in zip(blocks, kept):
-            x1, x2 = v1.data[s], v2.data[s]
+        for (s1, s2), (affine, p2, p1) in zip(blocks, kept):
+            x1, x2 = v1.data[s1], v2.data[s2]
             d_scores = None
             if g1 is not None:
-                d_scores = _softmax_rows_backward(g1[s] @ x1.T, p1).T
+                d_scores = _softmax_rows_backward(g1[s2] @ x1.T, p1).T
             if g2 is not None:
-                d_p2 = _softmax_rows_backward(g2[s] @ x2.T, p2)
+                d_p2 = _softmax_rows_backward(g2[s1] @ x2.T, p2)
                 d_scores = d_p2 if d_scores is None else d_scores + d_p2
             d_affine = d_scores @ x2
             if w.requires_grad:
@@ -541,13 +593,13 @@ def bi_attention(v1: Tensor, v2: Tensor, w: Tensor, b: Tensor,
             if v1.requires_grad:
                 d_x1 = d_affine @ w.data.T
                 if g1 is not None:
-                    d_x1 += p1.T @ g1[s]
-                v1.grad[s] += d_x1
+                    d_x1 += p1.T @ g1[s2]
+                v1.grad[s1] += d_x1
             if v2.requires_grad:
                 d_x2 = d_scores.T @ affine
                 if g2 is not None:
-                    d_x2 += p2.T @ g2[s]
-                v2.grad[s] += d_x2
+                    d_x2 += p2.T @ g2[s1]
+                v2.grad[s2] += d_x2
     _record(outs, (v1, v2, w, b), bwd)
     return outs
 
@@ -952,16 +1004,20 @@ def _group_bptt(buf: np.ndarray, states: np.ndarray, slots, ranges: Sequence[int
                 g[:, t0:t1, col:col + dh] = rh[k].transpose(1, 0, 2)
 
 
-def topk_pool(x: Tensor, k: int, batch: int, valid) -> Tensor:
+def topk_pool(x: Tensor, k: int, batch: int, valid, counts=None) -> Tensor:
     """Per block and column, the k largest of the block's first ``valid[b]``
     rows in descending order, feature-major.
 
     ``x`` is (B*n, d): ``batch`` = B blocks of n rows, stacked block-major.
     The output is (B, k*d), row b from block b: the k values of feature 0,
     then feature 1, ...  Rows past a block's valid count are ignored,
-    whatever they hold.  Ties break by position (earlier row first).  Each
-    of the k passes takes every column's argmax and masks the chosen rows
-    with -inf before the next, so the valid rows must be finite.
+    whatever they hold.  ``counts`` (n,), None for all ones, weighs row i
+    of every block as counts[i] equal rows in its place, so it may be
+    chosen up to min(counts[i], k) times.  Ties break by position (earlier
+    row first), and a row's copies all come before the next row.  Each of
+    the k passes takes every column's argmax and masks the rows it has
+    chosen as often as they count with -inf before the next, so the valid
+    rows must be finite.
     """
     if x.data.ndim != 2:
         raise ShapeError(f"topk_pool needs a 2-D tensor, got {x.shape}")
@@ -970,8 +1026,12 @@ def topk_pool(x: Tensor, k: int, batch: int, valid) -> Tensor:
     valid = np.asarray(valid, dtype=np.intp)
     if valid.shape != (batch,):
         raise ShapeError(f"topk_pool: need {batch} valid counts, got shape {valid.shape}")
-    if k < 1 or valid.min() < k or valid.max() > n:
-        raise WindowError(f"topk_pool: k={k} and valid counts outside 1 <= k <= valid <= {n}")
+    counts = _checked_counts(counts, n, "topk_pool")
+    if valid.min() < 1 or valid.max() > n:
+        raise WindowError(f"topk_pool: valid counts outside 1 <= valid <= {n}")
+    picks = valid if counts is None else np.cumsum(counts)[valid - 1]
+    if k < 1 or picks.min() < k:
+        raise WindowError(f"topk_pool: k={k} outside 1 <= k <= {picks.min()} valid rows")
     # each block's columns as contiguous rows, (B, d, n), so that every
     # argmax runs along the last axis; rows past a valid count are -inf
     work = x.data.reshape(batch, n, d).transpose(0, 2, 1).copy()
@@ -981,17 +1041,29 @@ def topk_pool(x: Tensor, k: int, batch: int, valid) -> Tensor:
     cols = np.arange(d)
     order = np.empty((batch, d, k), dtype=np.intp)
     for i in range(k):
-        order[..., i] = work.argmax(axis=2)
-        if i + 1 < k:
-            work[at, cols, order[..., i]] = -np.inf
+        pick = order[..., i] = work.argmax(axis=2)
+        if i + 1 == k:
+            break
+        if counts is None:
+            work[at, cols, pick] = -np.inf
+        else:
+            # a row leaves once it has been chosen as often as it counts
+            spent = (order[..., :i + 1] == pick[..., None]).sum(axis=2) == counts[pick]
+            work[(*np.nonzero(spent), pick[spent])] = -np.inf
     rows = order + n * at[:, :, None]
     out = Tensor(x.data[rows, cols[:, None]].reshape(batch, d * k))
     if _tracked(x):
         def bwd(g):
             if x.grad is None:
                 x.grad = np.zeros_like(x.data)
-            # each column's chosen rows are distinct, so no index repeats
-            x.grad[rows, cols[:, None]] += g.reshape(batch, d, k)
+            g = g.reshape(batch, d, k)
+            if counts is None:
+                # each column's chosen rows are distinct, so no index repeats
+                x.grad[rows, cols[:, None]] += g
+                return
+            # a row chosen twice takes both gradients: one scatter per pass
+            for i in range(k):
+                x.grad[rows[..., i], cols] += g[..., i]
         _record(out, (x,), bwd)
     return out
 

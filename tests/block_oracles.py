@@ -5,7 +5,8 @@ These are the compositions that ``tensor.gated_conv`` and
 ``tensor.bi_attention`` each replace with one tape node, and the
 per-instance pair level that ``pair_level.build_pair_representation``
 replaces with one attention node and one pool per argument and layer, kept
-as the references those are tested against.  The conv block is a valid
+as the references those are tested against, and the row gather that
+expands layer rows weighed by counts back to the rows they stand for.  The conv block is a valid
 ``conv1d`` over explicitly zero-padded sequences, which does the same
 arithmetic as a same-padded convolution, then the gated linear unit
 written as ``slice_cols * sigmoid`` and the residual ``add``; the fused op
@@ -64,3 +65,21 @@ def per_instance_pair_rows(layers1, layers2, attention, batch):
             pieces += [T.topk_pool(v1, 2, 1, [n]), T.topk_pool(v2, 2, 1, [n])]
         rows.append(T.concat(pieces, axis=1))
     return T.concat(rows, axis=0)
+
+
+def full_length(layers, counts, batch):
+    """Each of ``layers`` (``batch`` instances of len(counts) rows) with row
+    i of every instance repeated counts[i] times, through one row gather
+    each: the full-length rows that the counted rows stand for."""
+    rows = len(counts)
+    index = (np.arange(batch)[:, None] * rows + np.repeat(np.arange(rows), counts)).ravel()
+    return [T.gather_rows(v, index) for v in layers]
+
+
+def shortened(model, pairs):
+    """Whether ``model`` runs either argument of ``pairs`` at fewer rows
+    than ``max_tokens``: then its pair level attends over fewer rows than
+    the full-length pass does."""
+    n = model.max_tokens
+    return any(model._rows_per_instance(max(min(len(a), n) for a in args)) < n
+               for args in zip(*pairs))

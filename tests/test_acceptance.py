@@ -181,6 +181,22 @@ def operation_cases():
 
     case("bi_attention over two instances", attended_over_two_instances, z1, z2, fw, fb)
 
+    # arguments of 3 and 5 rows per instance, some rows standing for several
+    y1, y2, wy1, wy2 = var(2 * 3, 3), var(2 * 5, 3), const(2 * 5, 3), const(2 * 3, 3)
+
+    def attended_over_counted_rows():
+        o1, o2 = T.bi_attention(y1, y2, fw, fb, 2, [1, 4, 1], [2, 1, 1, 3, 1])
+        return sum_all(T.mul(o1, wy1)) + sum_all(T.mul(o2, wy2))
+
+    case("bi_attention over counted rows of unequal lengths", attended_over_counted_rows,
+         y1, y2, fw, fb)
+
+    # row 1 of each block counts twice and leads every column: both picks
+    xc, wxc = var(2 * 4, 3), const(2, 6)
+    xc.data[[1, 5]] += 6.0
+    case("topk_pool picking a counted row twice",
+         lambda: sum_all(T.mul(T.topk_pool(xc, 2, 2, [4, 4], [1, 2, 1, 1]), wxc)), xc)
+
     return cases
 
 

@@ -15,7 +15,8 @@ from discrel.word_level import (
     WordEmbeddingTable,
     build_toy_embedder,
 )
-from block_oracles import per_instance_pair_rows
+from block_oracles import full_length, per_instance_pair_rows, shortened
+from claims import assert_agree, shapes_claim
 from extra_ops import sum_all
 from gradcheck import assert_grads_match
 
@@ -297,6 +298,14 @@ def test_batched_rows_equal_single_pair_scores(block_type, bi_attention):
 def test_batched_gradients_equal_the_sum_of_single_pair_gradients(block_type):
     model = tiny_model(block_type=block_type)
     params = model.parameters()
+    # Off the zero-initialised identity blocks, no two rows of an instance
+    # are equal unless their whole contexts are.  At the identity, rows at
+    # different positions tie (every pad row, repeated tokens), and a 2-max
+    # pool sends the gradient to whichever tied row rounds highest, which
+    # varies with the row count the attention runs at and the BLAS kernel.
+    noise = np.random.default_rng(5)
+    for p in params:
+        p.data += noise.normal(scale=0.1, size=p.shape)
 
     def grads_of(loss):
         T.backward(loss)
@@ -347,11 +356,21 @@ def ragged_pairs(batch, seed):
 
 
 def oracle_scores(model, pairs, rng=None):
-    """``RelationModel.batch_scores`` with the pair level run per instance."""
-    layers1, layers2 = model._layers(pairs, rng)
-    rows = per_instance_pair_rows(layers1, layers2, model.attention, len(pairs))
+    """``RelationModel.batch_scores`` with the pair level run per instance,
+    over the layer rows expanded to the full length."""
+    layers1, layers2, counts1, counts2 = model._layers(pairs, rng)
+    rows = per_instance_pair_rows(full_length(layers1, counts1, len(pairs)),
+                                  full_length(layers2, counts2, len(pairs)),
+                                  model.attention, len(pairs))
     rows = T.dropout(rows, model.classifier_dropout, rng)
     return model.relation_head.forward(rows), model.connective_head.forward(rows)
+
+
+def oracle_claim(model, pairs):
+    """The oracle pools the same layer rows, and attends over all N rows
+    where the model attends over a shortened stack's N' rows: bitwise
+    unless it attends at a different length."""
+    return shapes_claim(model.attention is None or not shortened(model, pairs))
 
 
 @pytest.mark.parametrize("batch", [1, 3, 16])
@@ -380,8 +399,9 @@ def test_the_pair_level_over_the_batch_equals_the_per_instance_oracle(
 
     rel, conn, grads = train_pass(RelationModel.batch_scores)
     want_rel, want_conn, want_grads = train_pass(oracle_scores)
-    assert rel.tobytes() == want_rel.tobytes()
-    assert conn.tobytes() == want_conn.tobytes()
+    claim = oracle_claim(model, pairs)
+    assert_agree(rel, want_rel, claim)
+    assert_agree(conn, want_conn, claim)
     for p, got, want in zip(params, grads, want_grads):
         assert np.max(np.abs(got - want)) <= 1e-10, p.name
 
@@ -389,8 +409,8 @@ def test_the_pair_level_over_the_batch_equals_the_per_instance_oracle(
     with T.no_grad():
         rel, conn = model.batch_scores(pairs)
         want_rel, want_conn = oracle_scores(model, pairs)
-        assert rel.numpy().tobytes() == want_rel.numpy().tobytes()
-        assert conn.numpy().tobytes() == want_conn.numpy().tobytes()
+        assert_agree(rel.numpy(), want_rel.numpy(), claim)
+        assert_agree(conn.numpy(), want_conn.numpy(), claim)
         for pair in pairs:
             want = T.softmax_rows(oracle_scores(model, [pair])[0]).numpy()[0]
-            assert predict(model, *pair)[1].tobytes() == want.tobytes()
+            assert_agree(predict(model, *pair)[1], want, oracle_claim(model, [pair]))

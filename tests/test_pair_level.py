@@ -10,7 +10,8 @@ from discrel.pair_level import (
     build_pair_representation,
     pool_layer,
 )
-from block_oracles import composed_bi_attend, per_instance_pair_rows
+from block_oracles import composed_bi_attend, full_length, per_instance_pair_rows
+from claims import BITWISE, CLOSE, assert_agree
 from extra_ops import sum_all
 from gradcheck import assert_grads_match
 
@@ -147,11 +148,25 @@ class TestBiAttend:
     def test_length_mismatch_rejected(self):
         att = make_attention(3)
         with pytest.raises(ShapeError):
-            bi_attend(T.constant(np.zeros((4, 3))), T.constant(np.zeros((5, 3))), att, 1)
-        with pytest.raises(ShapeError):
             bi_attend(T.constant(np.zeros((4, 2))), T.constant(np.zeros((4, 2))), att, 1)
         with pytest.raises(ShapeError):
+            bi_attend(T.constant(np.zeros((4, 3))), T.constant(np.zeros((4, 2))), att, 1)
+        with pytest.raises(ShapeError):
             bi_attend(T.constant(np.zeros((7, 3))), T.constant(np.zeros((7, 3))), att, 2)
+        with pytest.raises(ShapeError):
+            bi_attend(T.constant(np.zeros((4, 3))), T.constant(np.zeros((5, 3))), att, 2)
+        with pytest.raises(ShapeError):  # a count per row, each at least 1
+            bi_attend(T.constant(np.zeros((4, 3))), T.constant(np.zeros((4, 3))), att, 1,
+                      [1, 1, 1], [1, 1, 1, 1])
+        with pytest.raises(ShapeError):
+            bi_attend(T.constant(np.zeros((4, 3))), T.constant(np.zeros((4, 3))), att, 1,
+                      [1, 0, 1, 1], [1, 1, 1, 1])
+        # unequal row counts are two arguments of different lengths: each
+        # mixture has a row per row of the other argument
+        with T.no_grad():
+            w1, w2 = bi_attend(T.constant(np.zeros((4, 3))), T.constant(np.zeros((10, 3))),
+                               att, 2)
+        assert (w1.shape, w2.shape) == ((10, 3), (4, 3))
 
 
 class TestPoolLayer:
@@ -323,6 +338,42 @@ class TestOverTheBatch:
             assert g.tobytes() == w.tobytes()
         for g, w in zip(got_shared, want_shared):
             assert np.max(np.abs(g - w)) <= 1e-10
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("attend", [True, False])
+    def test_counted_rows_equal_the_repeated_rows(self, batch, attend):
+        # Arguments of 4 and 6 distinct rows, one of each standing for
+        # several.  Unattended, pooling selects the same values, bitwise,
+        # even among ties (integer rows plant them).  Attended, the
+        # softmaxes run over fewer rows and agree within 1e-10; the rows
+        # are drawn untied there, since equal mixtures of different rows
+        # would tie up to rounding, and rounding would pick the row pooled.
+        rng = np.random.default_rng(batch)
+        att = make_attention(3, seed=9) if attend else None
+        counts = (np.array([1, 1, 5, 1]), np.array([2, 1, 1, 1, 4, 1]))
+        shapes = [(batch * len(c), 3) for c in counts]
+        data = [[rng.normal(size=shape) if attend else
+                 rng.integers(-2, 3, shape).astype(float) for _ in range(2)]
+                for shape in shapes]
+        weights = T.constant(rng.normal(size=(batch, 2 * 4 * 3)))
+
+        def run(repeat):
+            layers = [[T.Tensor(x.copy(), requires_grad=True) for x in side] for side in data]
+            if repeat:
+                out = build_pair_representation(
+                    *(full_length(side, c, batch) for side, c in zip(layers, counts)),
+                    att, batch)
+            else:
+                out = build_pair_representation(*layers, att, batch, *counts)
+            T.backward(sum_all(T.mul(out, weights)))
+            shared = [] if att is None else att.parameters()
+            grads = [p.grad for p in shared]
+            for p in shared:
+                p.grad = None
+            return [out.numpy()] + [v.grad for side in layers for v in side] + grads
+
+        for got, want in zip(run(False), run(True)):
+            assert_agree(got, want, CLOSE if attend else BITWISE)
 
     @pytest.mark.parametrize("attend", [True, False])
     def test_records_as_many_tape_nodes_for_any_batch(self, attend):

@@ -47,6 +47,7 @@ from discrel.word_level import (
     save_word_vectors,
 )
 from byte_mutations import mutations
+from claims import CLOSE, assert_agree
 
 SENSES = ["Expansion.Conjunction", "Temporal.Asynchronous"]
 
@@ -457,7 +458,9 @@ OLD_RUNS = Path(__file__).parent / "fixtures" / "runs_235ff3d"
 @pytest.mark.parametrize("route", ["fresh", "pretrained"])
 def test_a_run_of_either_retired_source_restores_to_the_same_predictions(monkeypatch, route):
     """The runs in ``fixtures/runs_235ff3d`` (see its README) name their
-    inputs relative to that folder."""
+    inputs relative to that folder.  ``expected.json`` was written on one
+    host's BLAS kernel, and by a pair level that attended over every row:
+    labels are exact, probability rows within 1e-10."""
     monkeypatch.chdir(OLD_RUNS)
     expected = json.loads(Path("expected.json").read_text(encoding="utf-8"))[route]
     model = restore_run(route).model
@@ -467,7 +470,7 @@ def test_a_run_of_either_retired_source_restores_to_the_same_predictions(monkeyp
     for (arg1, arg2), want in zip(pairs, expected):
         label, probs = predict(model, arg1, arg2)
         assert label == want["label"]
-        assert probs.tobytes() == np.array(want["probs"]).tobytes()
+        assert_agree(probs, np.array(want["probs"]), CLOSE)
 
 
 def test_a_config_of_the_retired_fresh_source_trains_its_own_language_model(

@@ -17,8 +17,9 @@ from discrel.errors import (
     WindowError,
 )
 
-from block_oracles import composed_gated_conv
+from block_oracles import composed_gated_conv, full_length
 from byte_mutations import mutations
+from claims import BITWISE, CLOSE, assert_agree
 from extra_ops import reshape, slice_rows, sum_all, transpose
 from gradcheck import assert_grads_match
 
@@ -325,6 +326,95 @@ class TestTopkPoolOverBlocks:
         x = T.Tensor(rng.uniform(-1, 1, (12, 3)), requires_grad=True)
         w = T.constant(rng.uniform(-1, 1, (3, 6)))
         assert_grads_match(lambda: sum_all(T.mul(T.topk_pool(x, 2, 3, [4, 2, 3]), w)), [x])
+
+
+class TestCountedRows:
+    """An op over distinct rows and their counts against the same op over
+    the rows repeated as often as they count: outputs equal the repeated
+    rows' outputs, and gradients their gradients summed over each row's
+    copies (what ``gather_rows`` passes back)."""
+
+    def test_a_row_picked_twice_takes_both_gradients(self):
+        x = T.Tensor([[1.0], [5.0], [2.0]], requires_grad=True)
+        out = T.topk_pool(x, 2, 1, [3], [1, 2, 1])
+        assert np.array_equal(out.numpy(), [[5.0, 5.0]])
+        T.backward(sum_all(T.mul(out, T.constant([[3.0, 0.5]]))))
+        assert np.array_equal(x.grad, [[0.0], [3.5], [0.0]])
+
+    def test_copies_come_before_the_next_row(self):
+        # the tie at 5 goes to row 1's two copies before row 2
+        x = T.Tensor([[1.0], [5.0], [5.0]], requires_grad=True)
+        T.backward(sum_all(T.topk_pool(x, 2, 1, [3], [1, 2, 1])))
+        assert np.array_equal(x.grad, [[0.0], [2.0], [0.0]])
+
+    def test_counts_are_checked(self):
+        x = T.constant(np.zeros((6, 2)))
+        with pytest.raises(ShapeError):
+            T.topk_pool(x, 1, 2, [3, 3], [1, 1])
+        with pytest.raises(ShapeError):
+            T.topk_pool(x, 1, 2, [3, 3], [1, 0, 2])
+        with pytest.raises(ShapeError):
+            T.topk_pool(x, 1, 2, [3, 3], [1.0, 1.5, 2.0])
+        with pytest.raises(WindowError):  # fewer than k rows counted
+            T.topk_pool(x, 4, 2, [2, 3], [1, 2, 1])
+        assert T.topk_pool(x, 3, 2, [2, 3], [1, 2, 1]).shape == (2, 6)
+
+    def test_topk_pool_equals_the_repeated_rows_with_planted_ties(self):
+        # pooling only selects values, so both ways agree bitwise
+        rng = np.random.default_rng(43)
+        for trial in range(60):
+            b, n, d = (int(v) for v in rng.integers(1, 5, 3))
+            counts = rng.integers(1, 4, n)
+            capacity = np.cumsum(counts)
+            k = int(rng.integers(1, min(4, capacity[-1]) + 1))
+            valid = rng.integers(np.searchsorted(capacity, k) + 1, n + 1, b)
+            # few distinct values, so most columns hold ties
+            data = rng.integers(-2, 3, (b * n, d)).astype(float)
+            w = T.constant(rng.normal(size=(b, k * d)))
+            x = T.Tensor(data, requires_grad=True)
+            out = T.topk_pool(x, k, b, valid, counts)
+            T.backward(sum_all(T.mul(out, w)))
+            got = x.grad
+            x.grad = None
+            want = T.topk_pool(full_length([x], counts, b)[0], k, b, capacity[valid - 1])
+            T.backward(sum_all(T.mul(want, w)))
+            assert_agree(out.numpy(), want.numpy(), BITWISE, f"trial {trial}")
+            assert_agree(got, x.grad, BITWISE, f"trial {trial}")
+
+    @pytest.mark.parametrize("graded", ["both", "first", "second"])
+    def test_bi_attention_equals_the_repeated_rows(self, graded):
+        rng = np.random.default_rng(44)
+        for trial in range(20):
+            b, n1, n2, d = (int(v) for v in rng.integers(1, 5, 4))
+            counts1, counts2 = rng.integers(1, 5, n1), rng.integers(1, 5, n2)
+            data = [rng.normal(size=(b * n1, d)), rng.normal(size=(b * n2, d)),
+                    rng.normal(size=(d, d)), rng.normal(size=d)]
+            g1 = T.constant(rng.normal(size=(b * counts2.sum(), d)))
+            g2 = T.constant(rng.normal(size=(b * counts1.sum(), d)))
+
+            def run(attend):
+                v1, v2 = T.Tensor(data[0], requires_grad=True), T.Tensor(data[1], requires_grad=True)
+                w, bias = T.Parameter(data[2].copy()), T.Parameter(data[3].copy())
+                o1, o2 = attend(v1, v2, w, bias)
+                terms = []
+                if graded != "second":
+                    terms.append(sum_all(T.mul(o1, g1)))
+                if graded != "first":
+                    terms.append(sum_all(T.mul(o2, g2)))
+                T.backward(terms[0] if len(terms) == 1 else terms[0] + terms[1])
+                return [o1.numpy(), o2.numpy(), v1.grad, v2.grad, w.grad, bias.grad]
+
+            def counted(v1, v2, w, bias):
+                # each output row stands for its copies among the repeated rows
+                o1, o2 = T.bi_attention(v1, v2, w, bias, b, counts1, counts2)
+                return full_length([o1], counts2, b) + full_length([o2], counts1, b)
+
+            def repeated_rows(v1, v2, w, bias):
+                return T.bi_attention(*full_length([v1], counts1, b),
+                                      *full_length([v2], counts2, b), w, bias, b)
+
+            for got, want in zip(run(counted), run(repeated_rows)):
+                assert_agree(got, want, CLOSE, f"trial {trial}")
 
 
 class TestElementwise:

@@ -26,6 +26,7 @@ from discrel.word_level import (
     load_word_vectors,
     save_word_vectors,
 )
+from claims import BITWISE, CLOSE, assert_agree, shapes_claim
 import embed_oracle
 from extra_ops import sum_all
 import vectors_oracle
@@ -656,9 +657,10 @@ class TestTokenEmbedder:
             lower, upper = emb.contextual.embed(tokens)
             ctx = emb.mixer.forward(T.constant(lower), T.constant(upper)).numpy()
         assert out.shape == (3, 12)
-        assert np.array_equal(out[:, 0:4], emb.word_table.embed(tokens))
-        assert np.array_equal(out[:, 4:8], sub)
-        assert np.array_equal(out[:, 8:12], ctx)
+        assert_agree(out[:, 0:4], emb.word_table.embed(tokens), BITWISE)
+        # one encode over the three tokens, against three one-token encodes
+        assert_agree(out[:, 4:8], sub, CLOSE)
+        assert_agree(out[:, 8:12], ctx, BITWISE)
 
     def test_all_zero_parts_give_zero_rows(self):
         emb = full_embedder(seed=1)
@@ -818,11 +820,15 @@ class TestEmbedEqualsThePerSentencePath:
     @pytest.mark.parametrize("config", ["word", "subword", "full", "full-toy"])
     @pytest.mark.parametrize("rows", [3, 5, 9])
     @pytest.mark.parametrize("count", [1, 4])
-    def test_outputs_bitwise_and_gradients_to_rounding(self, config, rows, count):
+    def test_outputs_and_gradients_match(self, config, rows, count):
+        # Over several sentences, the batch encodes their distinct tokens in
+        # one product and the oracle sentence by sentence: different row
+        # counts, so outputs agree within 1e-10.  A word-only embedding is a
+        # plain gather, and one sentence is the same product either way.
         emb = embedder_config(config)
         (got, grads), (want, want_grads) = embed_both_ways(emb, EQ_ARGUMENTS[:count], rows)
         assert got.shape == (count * rows, emb.dim)
-        assert got.tobytes() == want.tobytes()
+        assert_agree(got, want, shapes_claim(config == "word" or count == 1))
         assert_grads_close(emb, grads, want_grads)
 
     @pytest.mark.parametrize("config", ["subword", "full-toy"])
