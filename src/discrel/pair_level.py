@@ -49,15 +49,15 @@ class BiAttention:
 
 
 def bi_attend(v1: Tensor, v2: Tensor, attention: BiAttention, batch: int,
-              counts1=None, counts2=None) -> tuple[Tensor, Tensor]:
+              counts1, counts2) -> tuple[Tensor, Tensor]:
     """Cross-attended versions of both arguments of every instance, as one
     tape node: one mixture of each instance's v1 rows per v2 row, then one
-    of its v2 rows per v1 row.  ``counts1`` and ``counts2`` (None for all
-    ones) are the rows' counts, as ``tensor.bi_attention`` takes them."""
+    of its v2 rows per v1 row.  ``counts1`` and ``counts2`` are the rows'
+    counts, as ``tensor.bi_attention`` takes them."""
     return T.bi_attention(v1, v2, attention.ffn_w, attention.ffn_b, batch, counts1, counts2)
 
 
-def pool_layer(w1: Tensor, w2: Tensor, batch: int, counts1=None, counts2=None) -> Tensor:
+def pool_layer(w1: Tensor, w2: Tensor, batch: int, counts1, counts2) -> Tensor:
     """(B, 4 * width) per-layer slices: each instance's 2-max pools of both
     mixtures, first argument first, each row weighed by its count."""
     return T.concat([T.topk_pool(w1, 2, batch, [w1.shape[0] // batch] * batch, counts1),
@@ -66,12 +66,11 @@ def pool_layer(w1: Tensor, w2: Tensor, batch: int, counts1=None, counts2=None) -
 
 
 def build_pair_representation(layers1, layers2, attention: BiAttention | None,
-                              batch: int, counts1=None, counts2=None) -> Tensor:
+                              batch: int, counts1, counts2) -> Tensor:
     """(B, 4 * len(layers) * width) pair vectors, one row per instance,
     layer-major, for layer outputs of ``batch`` instances stacked by rows.
-    ``counts1`` and ``counts2`` (None for all ones) say how many equal rows
-    each row of an argument's layers stands for, the same in every layer
-    and instance.
+    ``counts1`` and ``counts2`` say how many equal rows each row of an
+    argument's layers stands for, the same in every layer and instance.
 
     Without ``attention`` the encoder outputs are pooled directly.
     """
@@ -95,16 +94,12 @@ def build_pair_representation(layers1, layers2, attention: BiAttention | None,
 
 
 def attention_map(v1: Tensor, v2: Tensor, attention: BiAttention,
-                  counts1=None, counts2=None) -> np.ndarray:
+                  counts1, counts2) -> np.ndarray:
     """Softmaxed score matrix (first argument attending over the second),
     for inspection and export: the one ``bi_attend`` mixes the second
-    argument's rows with, computed off the gradient tape.  With counts, each
-    row and column is repeated as often as it counts, and a column's weight
-    is shared evenly among its copies: the map over the repeated rows."""
+    argument's rows with, computed off the gradient tape.  Each row and
+    column is repeated as often as it counts, and a column's weight is
+    shared evenly among its copies: the map over the repeated rows."""
     _, p2, _ = T.attention_weights(v1.data, v2.data, attention.ffn_w.data,
                                    attention.ffn_b.data, counts1, counts2)
-    if counts2 is not None:
-        p2 = np.repeat(p2 / counts2, counts2, axis=1)
-    if counts1 is not None:
-        p2 = np.repeat(p2, counts1, axis=0)
-    return p2
+    return np.repeat(np.repeat(p2 / counts2, counts2, axis=1), counts1, axis=0)

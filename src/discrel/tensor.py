@@ -473,23 +473,19 @@ def softmax_rows(m: Tensor) -> Tensor:
     return out
 
 
-def _checked_counts(counts, rows: int, op: str) -> np.ndarray | None:
-    """``counts`` as a length-``rows`` integer array, or None when it is
-    None or every count is 1: the weighing is then skipped altogether."""
-    if counts is None:
-        return None
+def _checked_counts(counts, rows: int, op: str) -> np.ndarray:
+    """``counts`` as a length-``rows`` integer array of counts of at least 1."""
     counts = np.asarray(counts)
     if counts.shape != (rows,) or counts.dtype.kind not in "iu" or counts.min() < 1:
         raise ShapeError(f"{op}: need {rows} integer counts of at least 1, got {counts}")
-    return counts if counts.max() > 1 else None
+    return counts
 
 
-def _log_weights(counts, rows: int) -> tuple[np.ndarray, np.ndarray] | None:
+def _log_weights(counts, rows: int) -> tuple[np.ndarray, np.ndarray]:
     """``_softmax_rows``'s weights for ``rows`` counts: the rows of count
-    above 1 and their log counts, or None when there are none."""
+    above 1 (none for all ones, so that no log is added) and their log
+    counts."""
     counts = _checked_counts(counts, rows, "bi_attention")
-    if counts is None:
-        return None
     heavy = np.flatnonzero(counts > 1)
     return heavy, np.log(counts[heavy])
 
@@ -514,16 +510,15 @@ def _attention_weights(v1: np.ndarray, v2: np.ndarray, w: np.ndarray, b: np.ndar
 
 
 def attention_weights(v1: np.ndarray, v2: np.ndarray, w: np.ndarray, b: np.ndarray,
-                      counts1=None, counts2=None
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                      counts1, counts2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(v1 w + b, softmax_rows(M + log c2), softmax_rows(M^T + log c1)) for
     (N1, d) and (N2, d) row sets, ``w`` (d, d) and ``b`` (d,), where
     M = (v1 w + b) v2^T holds the (N1, N2) bilinear scores of v1's rows
-    against v2's.  ``counts1`` and ``counts2`` (None for all ones) say how
-    many equal rows each row of v1 and v2 stands for: log c2[j] is added to
-    column j of every row of M before its softmax, and log c1[i] to column
-    i of M^T, so that a softmax row equals that over the repeated rows with
-    each row's copies summed.  Plain arrays: this is the arithmetic of
+    against v2's.  ``counts1`` and ``counts2`` say how many equal rows each
+    row of v1 and v2 stands for: log c2[j] is added to column j of every
+    row of M before its softmax, and log c1[i] to column i of M^T, so that
+    a softmax row equals that over the repeated rows with each row's copies
+    summed.  Plain arrays: this is the arithmetic of
     ``bi_attention`` and of exported attention maps."""
     _check_attention(v1, v2, w, b)
     return _attention_weights(v1, v2, w, b, _log_weights(counts1, v1.shape[0]),
@@ -531,7 +526,7 @@ def attention_weights(v1: np.ndarray, v2: np.ndarray, w: np.ndarray, b: np.ndarr
 
 
 def bi_attention(v1: Tensor, v2: Tensor, w: Tensor, b: Tensor, batch: int,
-                 counts1=None, counts2=None) -> tuple[Tensor, Tensor]:
+                 counts1, counts2) -> tuple[Tensor, Tensor]:
     """Each instance's two row sets re-expressed over each other, one tape
     node for the batch.
 
@@ -1004,20 +999,33 @@ def _group_bptt(buf: np.ndarray, states: np.ndarray, slots, ranges: Sequence[int
                 g[:, t0:t1, col:col + dh] = rh[k].transpose(1, 0, 2)
 
 
+# How near a column's largest value another must be, relative to the larger
+# of 1 and that value's magnitude, to tie with it in ``topk_pool``.  Rows
+# that are equal in exact arithmetic (an instance's pad rows, or its
+# repeated tokens, while the encoder blocks are still the identity) leave a
+# matrix product a few ulps apart, by their place in it, its shape and the
+# BLAS kernel.  Breaking their tie by position keeps the pick, and so the
+# gradient, the same for any batch and on any host.
+_POOL_TIE = 1e-12
+
+
 def topk_pool(x: Tensor, k: int, batch: int, valid, counts=None) -> Tensor:
     """Per block and column, the k largest of the block's first ``valid[b]``
-    rows in descending order, feature-major.
+    rows, largest first, feature-major.
 
     ``x`` is (B*n, d): ``batch`` = B blocks of n rows, stacked block-major.
     The output is (B, k*d), row b from block b: the k values of feature 0,
     then feature 1, ...  Rows past a block's valid count are ignored,
-    whatever they hold.  ``counts`` (n,), None for all ones, weighs row i
+    whatever they hold.  ``counts`` (n,), all ones if None, weighs row i
     of every block as counts[i] equal rows in its place, so it may be
-    chosen up to min(counts[i], k) times.  Ties break by position (earlier
-    row first), and a row's copies all come before the next row.  Each of
-    the k passes takes every column's argmax and masks the rows it has
-    chosen as often as they count with -inf before the next, so the valid
-    rows must be finite.
+    chosen up to min(counts[i], k) times.  Values within ``_POOL_TIE`` of
+    a column's largest (relative to the larger of 1 and its magnitude) tie
+    with it, and ties break by position (earlier row first; a row's copies
+    all come before the next row), so a pass may take a value up to that
+    margin below the largest.  Each of the k passes takes every column's
+    earliest row within the margin of its largest and masks the rows it
+    has chosen as often as they count with -inf before the next, so the
+    valid rows must be finite.
     """
     if x.data.ndim != 2:
         raise ShapeError(f"topk_pool needs a 2-D tensor, got {x.shape}")
@@ -1026,30 +1034,31 @@ def topk_pool(x: Tensor, k: int, batch: int, valid, counts=None) -> Tensor:
     valid = np.asarray(valid, dtype=np.intp)
     if valid.shape != (batch,):
         raise ShapeError(f"topk_pool: need {batch} valid counts, got shape {valid.shape}")
-    counts = _checked_counts(counts, n, "topk_pool")
+    counts = _checked_counts(np.ones(n, np.intp) if counts is None else counts, n,
+                             "topk_pool")
     if valid.min() < 1 or valid.max() > n:
         raise WindowError(f"topk_pool: valid counts outside 1 <= valid <= {n}")
-    picks = valid if counts is None else np.cumsum(counts)[valid - 1]
+    picks = np.cumsum(counts)[valid - 1]
     if k < 1 or picks.min() < k:
         raise WindowError(f"topk_pool: k={k} outside 1 <= k <= {picks.min()} valid rows")
-    # each block's columns as contiguous rows, (B, d, n), so that every
-    # argmax runs along the last axis; rows past a valid count are -inf
-    work = x.data.reshape(batch, n, d).transpose(0, 2, 1).copy()
+    # (B, n, d), each pass reducing over a block's rows; rows past a valid
+    # count are -inf
+    work = x.data.reshape(batch, n, d).copy()
     if valid.min() < n:
-        np.copyto(work, -np.inf, where=np.arange(n) >= valid[:, None, None])
+        np.copyto(work, -np.inf, where=np.arange(n)[:, None] >= valid[:, None, None])
     at = np.arange(batch)[:, None]
     cols = np.arange(d)
     order = np.empty((batch, d, k), dtype=np.intp)
     for i in range(k):
-        pick = order[..., i] = work.argmax(axis=2)
+        top = work.max(axis=1, keepdims=True)
+        top -= _POOL_TIE * np.maximum(np.abs(top), 1.0)
+        pick = order[..., i] = (work >= top).argmax(axis=1)
         if i + 1 == k:
             break
-        if counts is None:
-            work[at, cols, pick] = -np.inf
-        else:
-            # a row leaves once it has been chosen as often as it counts
-            spent = (order[..., :i + 1] == pick[..., None]).sum(axis=2) == counts[pick]
-            work[(*np.nonzero(spent), pick[spent])] = -np.inf
+        # a row leaves once it has been chosen as often as it counts
+        spent = (order[..., :i + 1] == pick[..., None]).sum(axis=2) == counts[pick]
+        block, col = np.nonzero(spent)
+        work[block, pick[spent], col] = -np.inf
     rows = order + n * at[:, :, None]
     out = Tensor(x.data[rows, cols[:, None]].reshape(batch, d * k))
     if _tracked(x):
@@ -1057,10 +1066,6 @@ def topk_pool(x: Tensor, k: int, batch: int, valid, counts=None) -> Tensor:
             if x.grad is None:
                 x.grad = np.zeros_like(x.data)
             g = g.reshape(batch, d, k)
-            if counts is None:
-                # each column's chosen rows are distinct, so no index repeats
-                x.grad[rows, cols[:, None]] += g
-                return
             # a row chosen twice takes both gradients: one scatter per pass
             for i in range(k):
                 x.grad[rows[..., i], cols] += g[..., i]

@@ -61,10 +61,17 @@ def per_instance_pair_rows(layers1, layers2, attention, batch):
         for v1, v2 in zip(layers1, layers2):
             v1, v2 = slice_rows(v1, i * n, (i + 1) * n), slice_rows(v2, i * n, (i + 1) * n)
             if attention is not None:
-                v1, v2 = T.bi_attention(v1, v2, attention.ffn_w, attention.ffn_b, 1)
+                v1, v2 = T.bi_attention(v1, v2, attention.ffn_w, attention.ffn_b, 1,
+                                        *each_once(1, v1, v2))
             pieces += [T.topk_pool(v1, 2, 1, [n]), T.topk_pool(v2, 2, 1, [n])]
         rows.append(T.concat(pieces, axis=1))
     return T.concat(rows, axis=0)
+
+
+def each_once(batch, *args):
+    """All-ones counts for each of ``args`` (``batch`` instances stacked by
+    rows): every row stands for itself alone."""
+    return [np.ones(a.shape[0] // batch, dtype=np.intp) for a in args]
 
 
 def full_length(layers, counts, batch):

@@ -20,6 +20,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from block_oracles import each_once
 from extra_ops import reshape, sum_all, transpose
 from gradcheck import assert_grads_match
 
@@ -168,7 +169,7 @@ def operation_cases():
     wu1, wu2 = const(5, 3), const(5, 3)
 
     def attended():
-        o1, o2 = T.bi_attention(u1, u2, fw, fb, 1)
+        o1, o2 = T.bi_attention(u1, u2, fw, fb, 1, *each_once(1, u1, u2))
         return sum_all(T.mul(o1, wu1)) + sum_all(T.mul(o2, wu2))
 
     case("bi_attention", attended, u1, u2, fw, fb)
@@ -176,7 +177,7 @@ def operation_cases():
     z1, z2, wz1, wz2 = var(2 * 4, 3), var(2 * 4, 3), const(2 * 4, 3), const(2 * 4, 3)
 
     def attended_over_two_instances():
-        o1, o2 = T.bi_attention(z1, z2, fw, fb, 2)
+        o1, o2 = T.bi_attention(z1, z2, fw, fb, 2, *each_once(2, z1, z2))
         return sum_all(T.mul(o1, wz1)) + sum_all(T.mul(o2, wz2))
 
     case("bi_attention over two instances", attended_over_two_instances, z1, z2, fw, fb)
@@ -385,20 +386,22 @@ def test_attention_rows_normalize_and_pooling_ignores_token_order():
     u1 = T.constant(rng.normal(size=(9, 7)))
     u2 = T.constant(rng.normal(size=(9, 7)))
 
+    counts = each_once(1, v1, v2)
     _, forward_rows, backward_rows = T.attention_weights(
-        v1.numpy(), v2.numpy(), attention.ffn_w.numpy(), attention.ffn_b.numpy())
+        v1.numpy(), v2.numpy(), attention.ffn_w.numpy(), attention.ffn_b.numpy(), *counts)
     for rows in (forward_rows, backward_rows):
         assert np.abs(rows.sum(axis=1) - 1.0).max() <= 1e-12
-    exported = attention_map(v1, v2, attention)
+    exported = attention_map(v1, v2, attention, *counts)
     assert np.abs(exported.sum(axis=1) - 1.0).max() <= 1e-12
 
     with T.no_grad():
-        base = build_pair_representation([v1, u1], [v2, u2], attention, 1).numpy().copy()
+        base = build_pair_representation([v1, u1], [v2, u2], attention, 1, *counts).numpy().copy()
     p1, p2 = rng.permutation(9), rng.permutation(9)
     shuffled1 = [T.constant(v1.numpy()[p1]), T.constant(u1.numpy()[p1])]
     shuffled2 = [T.constant(v2.numpy()[p2]), T.constant(u2.numpy()[p2])]
     with T.no_grad():
-        permuted = build_pair_representation(shuffled1, shuffled2, attention, 1).numpy()
+        permuted = build_pair_representation(shuffled1, shuffled2, attention, 1,
+                                             *counts).numpy()
     assert np.abs(permuted - base).max() <= 1e-12
 
 

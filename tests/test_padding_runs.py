@@ -29,7 +29,7 @@ from discrel.word_level import (
     WordEmbeddingTable,
     build_toy_embedder,
 )
-from block_oracles import per_instance_pair_rows, shortened
+from block_oracles import each_once, per_instance_pair_rows, shortened
 from claims import assert_agree, shapes_claim
 
 WORDS = [f"tok{i}" for i in range(24)]
@@ -298,7 +298,7 @@ def test_attention_maps_equal_the_full_length_pass(longest):
     claim = full_length_claim(model, [(arg1, arg2)])
     for got, v1, v2 in zip(maps, layers1, layers2):
         assert got.shape == (40, 40)
-        assert_agree(got, attention_map(v1, v2, model.attention), claim)
+        assert_agree(got, attention_map(v1, v2, model.attention, *each_once(1, v1, v2)), claim)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from discrel.pair_level import (
     build_pair_representation,
     pool_layer,
 )
-from block_oracles import composed_bi_attend, full_length, per_instance_pair_rows
+from block_oracles import composed_bi_attend, each_once, full_length, per_instance_pair_rows
 from claims import BITWISE, CLOSE, assert_agree
 from extra_ops import sum_all
 from gradcheck import assert_grads_match
@@ -44,7 +44,7 @@ class TestBiAttend:
         v1 = T.constant(rng.normal(size=(1, 3)))
         v2 = T.constant(rng.normal(size=(1, 3)))
         with T.no_grad():
-            w1, w2 = bi_attend(v1, v2, att, 1)
+            w1, w2 = bi_attend(v1, v2, att, 1, *each_once(1, v1, v2))
         assert np.array_equal(w1.numpy(), v1.numpy())
         assert np.array_equal(w2.numpy(), v2.numpy())
 
@@ -55,7 +55,7 @@ class TestBiAttend:
         v1 = T.constant(rng.normal(size=(5, 4)))
         v2 = T.constant(np.tile(c, (5, 1)))
         with T.no_grad():
-            _, w2 = bi_attend(v1, v2, att, 1)
+            _, w2 = bi_attend(v1, v2, att, 1, *each_once(1, v1, v2))
         assert np.allclose(w2.numpy(), np.tile(c, (5, 1)), atol=1e-12)
 
     def test_matches_dense_oracle_identity_ffn(self):
@@ -64,7 +64,7 @@ class TestBiAttend:
         v1 = rng.normal(size=(4, 3))
         v2 = rng.normal(size=(4, 3))
         with T.no_grad():
-            w1, w2 = bi_attend(T.constant(v1), T.constant(v2), att, 1)
+            w1, w2 = bi_attend(T.constant(v1), T.constant(v2), att, 1, *each_once(1, v1, v2))
         want1, want2 = oracle_attend(v1, v2, np.eye(3), np.zeros(3))
         assert np.allclose(w1.numpy(), want1, atol=1e-12)
         assert np.allclose(w2.numpy(), want2, atol=1e-12)
@@ -79,7 +79,8 @@ class TestBiAttend:
             v1 = rng.normal(size=(n, d))
             v2 = rng.normal(size=(n, d))
             with T.no_grad():
-                w1, w2 = bi_attend(T.constant(v1), T.constant(v2), att, 1)
+                w1, w2 = bi_attend(T.constant(v1), T.constant(v2), att, 1,
+                                   *each_once(1, v1, v2))
             want1, want2 = oracle_attend(v1, v2, att.ffn_w.numpy(), att.ffn_b.numpy())
             assert np.allclose(w1.numpy(), want1, atol=1e-12)
             assert np.allclose(w2.numpy(), want2, atol=1e-12)
@@ -90,7 +91,7 @@ class TestBiAttend:
         for _ in range(10):
             v1 = rng.normal(scale=3.0, size=(6, 3))
             v2 = rng.normal(scale=3.0, size=(6, 3))
-            probs = attention_map(T.constant(v1), T.constant(v2), att)
+            probs = attention_map(T.constant(v1), T.constant(v2), att, *each_once(1, v1, v2))
             assert np.all(probs >= 0.0)
             assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-12
 
@@ -102,8 +103,8 @@ class TestBiAttend:
         att = make_attention(n, seed=n + 1)
         v1 = T.constant(rng.normal(scale=2.0, size=(n, n)))
         v2 = T.constant(np.eye(n))
-        _, mixed = T.bi_attention(v1, v2, att.ffn_w, att.ffn_b, 1)
-        exported = attention_map(v1, v2, att)
+        _, mixed = T.bi_attention(v1, v2, att.ffn_w, att.ffn_b, 1, *each_once(1, v1, v2))
+        exported = attention_map(v1, v2, att, *each_once(1, v1, v2))
         assert exported.tobytes() == mixed.numpy().tobytes()
         assert np.max(np.abs(exported - softmax_rows_np(
             (v1.numpy() @ att.ffn_w.numpy() + att.ffn_b.numpy()) @ v2.numpy().T))) < 1e-12
@@ -131,7 +132,7 @@ class TestBiAttend:
             T.backward(terms[0] if len(terms) == 1 else terms[0] + terms[1])
             return (w1.numpy(), w2.numpy()), (v1.grad, v2.grad, w.grad, b.grad)
 
-        outs, grads = run(lambda *args: T.bi_attention(*args, 1))
+        outs, grads = run(lambda *args: T.bi_attention(*args, 1, *each_once(1, *args[:2])))
         want_outs, want_grads = run(composed_bi_attend)
         for got, want in zip(outs, want_outs):
             assert got.tobytes() == want.tobytes()
@@ -141,20 +142,25 @@ class TestBiAttend:
     def test_records_one_tape_node(self):
         att = make_attention(3)
         v1 = T.Tensor(np.zeros((4, 3)), requires_grad=True)
-        bi_attend(v1, T.constant(np.ones((4, 3))), att, 1)
+        bi_attend(v1, T.constant(np.ones((4, 3))), att, 1, *each_once(1, v1, v1))
         assert len(T.active_tape()) == 1
         T.active_tape().clear()
 
     def test_length_mismatch_rejected(self):
         att = make_attention(3)
+        ones = np.ones(4, dtype=int)
         with pytest.raises(ShapeError):
-            bi_attend(T.constant(np.zeros((4, 2))), T.constant(np.zeros((4, 2))), att, 1)
+            bi_attend(T.constant(np.zeros((4, 2))), T.constant(np.zeros((4, 2))), att, 1,
+                      ones, ones)
         with pytest.raises(ShapeError):
-            bi_attend(T.constant(np.zeros((4, 3))), T.constant(np.zeros((4, 2))), att, 1)
+            bi_attend(T.constant(np.zeros((4, 3))), T.constant(np.zeros((4, 2))), att, 1,
+                      ones, ones)
         with pytest.raises(ShapeError):
-            bi_attend(T.constant(np.zeros((7, 3))), T.constant(np.zeros((7, 3))), att, 2)
+            bi_attend(T.constant(np.zeros((7, 3))), T.constant(np.zeros((7, 3))), att, 2,
+                      ones[:3], ones[:3])
         with pytest.raises(ShapeError):
-            bi_attend(T.constant(np.zeros((4, 3))), T.constant(np.zeros((5, 3))), att, 2)
+            bi_attend(T.constant(np.zeros((4, 3))), T.constant(np.zeros((5, 3))), att, 2,
+                      ones[:2], ones[:2])
         with pytest.raises(ShapeError):  # a count per row, each at least 1
             bi_attend(T.constant(np.zeros((4, 3))), T.constant(np.zeros((4, 3))), att, 1,
                       [1, 1, 1], [1, 1, 1, 1])
@@ -165,15 +171,15 @@ class TestBiAttend:
         # mixture has a row per row of the other argument
         with T.no_grad():
             w1, w2 = bi_attend(T.constant(np.zeros((4, 3))), T.constant(np.zeros((10, 3))),
-                               att, 2)
+                               att, 2, ones[:2], np.ones(5, dtype=int))
         assert (w1.shape, w2.shape) == ((10, 3), (4, 3))
 
 
 class TestPoolLayer:
     def test_slice_length_is_four_widths(self):
         rng = np.random.default_rng(0)
-        out = pool_layer(T.constant(rng.normal(size=(6, 5))),
-                         T.constant(rng.normal(size=(6, 5))), 1)
+        w1, w2 = T.constant(rng.normal(size=(6, 5))), T.constant(rng.normal(size=(6, 5)))
+        out = pool_layer(w1, w2, 1, *each_once(1, w1, w2))
         assert out.shape == (1, 20)
 
     def test_matches_sort_oracle(self):
@@ -181,7 +187,7 @@ class TestPoolLayer:
         w1 = rng.normal(size=(7, 4))
         w2 = rng.normal(size=(7, 4))
         with T.no_grad():
-            got = pool_layer(T.constant(w1), T.constant(w2), 1).numpy()[0]
+            got = pool_layer(T.constant(w1), T.constant(w2), 1, *each_once(1, w1, w2)).numpy()[0]
         want = []
         for arr in (w1, w2):
             for col in arr.T:
@@ -193,12 +199,14 @@ class TestPoolLayer:
         c = rng.normal(size=3)
         w1 = np.tile(c, (5, 1))
         with T.no_grad():
-            got = pool_layer(T.constant(w1), T.constant(rng.normal(size=(5, 3))), 1).numpy()[0]
+            w2 = rng.normal(size=(5, 3))
+            got = pool_layer(T.constant(w1), T.constant(w2), 1, *each_once(1, w1, w2)).numpy()[0]
         assert np.array_equal(got[:6], np.repeat(c, 2))
 
     def test_single_position_rejected(self):
         with pytest.raises(WindowError):
-            pool_layer(T.constant(np.zeros((1, 3))), T.constant(np.zeros((1, 3))), 1)
+            pool_layer(T.constant(np.zeros((1, 3))), T.constant(np.zeros((1, 3))), 1,
+                       [1], [1])
 
 
 class TestPairRepresentation:
@@ -212,7 +220,7 @@ class TestPairRepresentation:
         att = make_attention(3, seed=1)
         a, b = self.layers(rng, 4)
         with T.no_grad():
-            o = build_pair_representation(a, b, att, 1)
+            o = build_pair_representation(a, b, att, 1, *each_once(1, a[0], b[0]))
         assert o.shape == (1, 4 * 4 * 3)
 
     def test_single_layer_equals_its_slice(self):
@@ -220,9 +228,10 @@ class TestPairRepresentation:
         att = make_attention(3, seed=2)
         a, b = self.layers(rng, 1)
         with T.no_grad():
-            o = build_pair_representation(a, b, att, 1).numpy()
-            w1, w2 = bi_attend(a[0], b[0], att, 1)
-            direct = pool_layer(w1, w2, 1).numpy()
+            counts = each_once(1, a[0], b[0])
+            o = build_pair_representation(a, b, att, 1, *counts).numpy()
+            w1, w2 = bi_attend(a[0], b[0], att, 1, *counts)
+            direct = pool_layer(w1, w2, 1, *counts).numpy()
         assert np.array_equal(o, direct)
 
     def test_layer_slices_are_independent(self):
@@ -231,12 +240,13 @@ class TestPairRepresentation:
         att.ffn_b.data[...] = 0.0
         a, b = self.layers(rng, 3)
         with T.no_grad():
-            base = build_pair_representation(a, b, att, 1).numpy()[0]
+            base = build_pair_representation(a, b, att, 1, *each_once(1, a[0], b[0])).numpy()[0]
             a2 = list(a)
             b2 = list(b)
             a2[1] = T.constant(np.zeros((5, 3)))
             b2[1] = T.constant(np.zeros((5, 3)))
-            edited = build_pair_representation(a2, b2, att, 1).numpy()[0]
+            edited = build_pair_representation(a2, b2, att, 1,
+                                               *each_once(1, a[0], b[0])).numpy()[0]
         step = 4 * 3
         assert np.array_equal(base[:step], edited[:step])
         assert np.array_equal(base[2 * step:], edited[2 * step:])
@@ -254,18 +264,20 @@ class TestPairRepresentation:
             pa = [T.constant(x.numpy()[perm]) for x in a]
             pb = [T.constant(x.numpy()[perm]) for x in b]
             with T.no_grad():
-                base = build_pair_representation(a, b, att, 1).numpy()
-                permuted = build_pair_representation(pa, pb, att, 1).numpy()
+                counts = each_once(1, a[0], b[0])
+                base = build_pair_representation(a, b, att, 1, *counts).numpy()
+                permuted = build_pair_representation(pa, pb, att, 1, *counts).numpy()
             assert np.max(np.abs(base - permuted)) <= 1e-12
 
     def test_layer_count_mismatch_rejected(self):
         rng = np.random.default_rng(4)
         att = make_attention(3)
         a, b = self.layers(rng, 2)
+        counts = each_once(1, a[0], b[0])
         with pytest.raises(ConfigError):
-            build_pair_representation(a, b[:1], att, 1)
+            build_pair_representation(a, b[:1], att, 1, *counts)
         with pytest.raises(ConfigError):
-            build_pair_representation([], [], att, 1)
+            build_pair_representation([], [], att, 1, *counts)
 
     def test_gradients_through_attention_and_pool(self):
         rng = np.random.default_rng(5)
@@ -274,7 +286,7 @@ class TestPairRepresentation:
         v2 = T.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
 
         def loss():
-            o = build_pair_representation([v1], [v2], att, 1)
+            o = build_pair_representation([v1], [v2], att, 1, *each_once(1, v1, v2))
             return sum_all(o * o)
 
         assert_grads_match(loss, [v1, v2] + att.parameters(), tol=1e-4)
@@ -285,7 +297,8 @@ class TestPairRepresentation:
         a, b = self.layers(rng, 3)
 
         def loss(layers):
-            return sum_all(build_pair_representation(layers[0], layers[1], att, 1))
+            return sum_all(build_pair_representation(layers[0], layers[1], att, 1,
+                                                     *each_once(1, a[0], b[0])))
 
         loss((a[:1], b[:1]))  # warm the tape then discard
         T.active_tape().clear()
@@ -330,7 +343,9 @@ class TestOverTheBatch:
                 p.grad = None
             return out.numpy(), [v.grad for side in layers for v in side], grads
 
-        got, got_layers, got_shared = run(build_pair_representation)
+        counts = each_once(batch, data[0][0], data[1][0])
+        got, got_layers, got_shared = run(
+            lambda *args: build_pair_representation(*args, *counts))
         want, want_layers, want_shared = run(per_instance_pair_rows)
         assert got.shape == (batch, 3 * 4 * 4)
         assert got.tobytes() == want.tobytes()
@@ -360,9 +375,9 @@ class TestOverTheBatch:
         def run(repeat):
             layers = [[T.Tensor(x.copy(), requires_grad=True) for x in side] for side in data]
             if repeat:
-                out = build_pair_representation(
-                    *(full_length(side, c, batch) for side, c in zip(layers, counts)),
-                    att, batch)
+                full = [full_length(side, c, batch) for side, c in zip(layers, counts)]
+                out = build_pair_representation(*full, att, batch,
+                                                *each_once(batch, full[0][0], full[1][0]))
             else:
                 out = build_pair_representation(*layers, att, batch, *counts)
             T.backward(sum_all(T.mul(out, weights)))
@@ -384,7 +399,8 @@ class TestOverTheBatch:
         for batch in (2, 5):
             layers = [[T.Tensor(rng.normal(size=(batch * 4, 3)), requires_grad=True)
                        for _ in range(3)] for _ in range(2)]
-            build_pair_representation(layers[0], layers[1], att, batch)
+            build_pair_representation(layers[0], layers[1], att, batch,
+                                      *each_once(batch, layers[0][0], layers[1][0]))
             counts.append(len(T.active_tape()))
             T.active_tape().clear()
         assert counts[0] == counts[1]

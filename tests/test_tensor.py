@@ -17,7 +17,7 @@ from discrel.errors import (
     WindowError,
 )
 
-from block_oracles import composed_gated_conv, full_length
+from block_oracles import composed_gated_conv, each_once, full_length
 from byte_mutations import mutations
 from claims import BITWISE, CLOSE, assert_agree
 from extra_ops import reshape, slice_rows, sum_all, transpose
@@ -245,6 +245,20 @@ class TestTopkPool:
         # the earlier of the tied rows gets the gradient
         assert np.array_equal(x.grad, [[1.0], [0.0], [0.0]])
 
+    def test_values_rounded_apart_tie_by_position(self):
+        # an ulp apart is a tie: the earlier row is taken first
+        above = np.nextafter(5.0, 6.0)
+        x = T.Tensor([[5.0], [above], [1.0]], requires_grad=True)
+        out = T.topk_pool(x, 2, 1, [3])
+        T.backward(sum_all(T.mul(out, T.constant([[1.0, 2.0]]))))
+        assert out.data.tolist() == [[5.0, above]]
+        assert x.grad.tolist() == [[1.0], [2.0], [0.0]]
+        # the margin is relative to the larger of 1 and the largest value
+        for rows, pick in [([5.0, 5.0 + 1e-9, 1.0], 1), ([-1e-13, 0.0], 0),
+                           ([0.0, 1e-11], 1), ([3e6, 3e6 + 1e-7], 0)]:
+            out = T.topk_pool(T.constant(np.array(rows)[:, None]), 1, 1, [len(rows)])
+            assert out.data.tolist() == [[rows[pick]]], rows
+
     def test_grad_vs_finite_differences(self):
         rng = np.random.default_rng(8)
         x = T.Tensor(rng.uniform(-1, 1, (6, 4)), requires_grad=True)
@@ -410,8 +424,8 @@ class TestCountedRows:
                 return full_length([o1], counts2, b) + full_length([o2], counts1, b)
 
             def repeated_rows(v1, v2, w, bias):
-                return T.bi_attention(*full_length([v1], counts1, b),
-                                      *full_length([v2], counts2, b), w, bias, b)
+                full1, full2 = full_length([v1], counts1, b) + full_length([v2], counts2, b)
+                return T.bi_attention(full1, full2, w, bias, b, *each_once(b, full1, full2))
 
             for got, want in zip(run(counted), run(repeated_rows)):
                 assert_agree(got, want, CLOSE, f"trial {trial}")
