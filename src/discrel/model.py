@@ -34,20 +34,22 @@ arXiv:1512.05287); a batch without padding reads every draw row once.
 Padding is computed once per distinct row, never trimmed.  Every ``<pad>``
 row embeds to the same vector (a zero word vector, the pad subword
 features, and zero contextual input to the row-wise mixer), and all pad
-rows of an instance share their dropout masks.  So in a same-padded conv
-stack of depth L and kernel k, with h = (k-1)/2 and R the longest real
-length among the instances fed to it, layer l holds one repeated row over
-[R + l*h, N - l*h) of every instance, in training as in inference.  When
-the block type is conv and N' = R + 2*L*h + 1 < N, each argument is
-embedded and encoded at N' rows: rows up to R + L*h, then the Lh tail rows,
-each seeing the windows and masks of its full-length counterpart.  Row
-R + L*h stands for the whole pad run [R + L*h, N - L*h), so the pair level
-takes every layer at N' rows with one count vector per argument: 1 for
-each row, and N - N' + 1 for that one, at the same index in every
-instance.  Bi-attention weighs a row's softmax score by its count and
-2-max pooling may choose it up to its count times, which gives what the
-full-length pass gives up to rounding.  Recurrent blocks always run at N
-rows, with all-ones counts: their state changes along the pad run.
+rows of an instance share their dropout masks.  So with R the longest real
+length among the instances fed to a stack, the embedding holds one
+repeated row over [R, N), and a same-padded conv layer l of kernel k,
+h = (k-1)/2, holds one over [R + l*h, N - l*h), in training as in
+inference.  A conv stack therefore embeds R + 1 rows, and each layer grows
+its input by 2h rows, up to N: it inserts 2h copies of the pad run's row
+R + (l-1)*h right after it (``tensor.gated_conv``'s ``grow``), which is
+the input its windows read in full-length coordinates with the run
+shortened, and its output holds rows up to R + l*h, then the l*h tail
+rows.  Row R + l*h stands for layer l's whole pad run, so the pair level
+takes each layer at its own rows with one count vector per argument and
+layer: 1 for each row, and N - rows + 1 for that one, at the same index in
+every instance.  Bi-attention weighs a row's softmax score by its count
+and 2-max pooling may choose it up to its count times, which gives what
+the full-length pass gives up to rounding.  Recurrent blocks always run
+at N rows, with all-ones counts: their state changes along the pad run.
 
 Ablation toggles mirror the build-up used in experiments:
 
@@ -118,8 +120,8 @@ class RelationModel:
                 raise ConfigError(f"{what}_dropout must be in [0, 1), got {rate}")
         self.embedder = embedder
         self.depth = depth
-        # how far past the last real row a conv stack's outputs keep changing
-        self.pad_reach = depth * (kernel_size - 1) // 2 if block_type == "conv" else None
+        self.block_type = block_type
+        self.kernel_size = kernel_size
         self.res_pair = res_pair
         self.max_tokens = max_tokens
         self.embedding_dropout = embedding_dropout
@@ -171,13 +173,6 @@ class RelationModel:
 
     # -- forward -------------------------------------------------------------
 
-    def _rows_per_instance(self, real: int) -> int:
-        """Rows each instance runs through the encoders: ``max_tokens``, or
-        the shortened N' when ``real`` (the longest real length) allows it."""
-        if self.pad_reach is None:
-            return self.max_tokens
-        return min(self.max_tokens, real + 2 * self.pad_reach + 1)
-
     def _mask_draw(self, arguments, rows: int) -> tuple[int, np.ndarray]:
         """``tensor.dropout``'s draw for one argument of every instance at
         ``rows`` rows each: B*N rows drawn, and row j of instance b reads
@@ -187,37 +182,49 @@ class RelationModel:
         source = np.minimum(np.arange(rows), real[:, None])
         return len(arguments) * n, (source + n * np.arange(len(arguments))[:, None]).ravel()
 
-    def _counts(self, real: int, rows: int) -> np.ndarray:
-        """How many full-length rows each of an argument's ``rows`` layer
-        rows stands for: one each, except that a shortened stack's row
-        R + L*h stands for the whole pad run [R + L*h, N - L*h)."""
-        counts = np.ones(rows, dtype=np.intp)
-        if rows < self.max_tokens:
-            counts[real + self.pad_reach] += self.max_tokens - rows
-        return counts
+    def _schedule(self, arguments):
+        """The rows one argument of every instance runs at: (rows, draws,
+        grows, counts).  It is embedded at ``rows`` rows, and per encoder
+        layer, ``draws`` holds the dropout draw in front of it, ``grows``
+        the (row, copies) it grows each instance by and ``counts`` how many
+        full-length rows each of its output rows stands for.  A conv stack
+        with h = (k-1)/2 embeds R + 1 rows, R the longest real length, and
+        layer l inserts 2h copies of its input's row R + (l-1)*h, up to
+        ``max_tokens`` rows; its row R + l*h then stands for the pad run
+        [R + l*h, N - l*h).  A recurrent stack runs all N rows."""
+        n, h = self.max_tokens, (self.kernel_size - 1) // 2
+        real = max(min(len(tokens), n) for tokens in arguments)
+        rows = embedded = min(n, real + 1) if self.block_type == "conv" else n
+        draws, grows, counts = [], [], []
+        for layer in range(1, self.depth + 1):
+            draws.append(self._mask_draw(arguments, rows))
+            copies = min(2 * h, n - rows)
+            grows.append((real + (layer - 1) * h, copies))
+            rows += copies
+            counts.append(np.ones(rows, dtype=np.intp))
+            if rows < n:
+                counts[-1][real + layer * h] += n - rows
+        return embedded, draws, grows, counts
 
     def _layers(self, pairs, rng: np.random.Generator | None = None):
         """The encoder layers that feed the pair vector (all of them, or the
         deepest when ``res_pair`` is off) for both arguments, each
-        (B*rows, width), and each argument's row counts (see ``_counts``):
-        (layers1, layers2, counts1, counts2)."""
+        (B*rows, width), and each argument's counts, one vector per layer
+        (see ``_schedule``): (layers1, layers2, counts1, counts2)."""
         batch = len(pairs)
         args1 = [arg1 for arg1, _ in pairs]
         args2 = [arg2 for _, arg2 in pairs]
-        real1 = max(min(len(tokens), self.max_tokens) for tokens in args1)
-        real2 = max(min(len(tokens), self.max_tokens) for tokens in args2)
-        rows1 = self._rows_per_instance(real1)
-        rows2 = self._rows_per_instance(real2)
-        draw1 = self._mask_draw(args1, rows1)
-        draw2 = self._mask_draw(args2, rows2)
-        e1 = T.dropout(self.embedder.embed(args1, rows1), self.embedding_dropout, rng, draw1)
-        e2 = T.dropout(self.embedder.embed(args2, rows2), self.embedding_dropout, rng, draw2)
+        rows1, draws1, grows1, counts1 = self._schedule(args1)
+        rows2, draws2, grows2, counts2 = self._schedule(args2)
+        e1 = T.dropout(self.embedder.embed(args1, rows1), self.embedding_dropout, rng, draws1[0])
+        e2 = T.dropout(self.embedder.embed(args2, rows2), self.embedding_dropout, rng, draws2[0])
         layers1, layers2 = EncoderStack.forward(
-            (self.stack1, self.stack2), (e1, e2), batch,
-            dropout_rate=self.encoder_dropout, rng=rng, draws=(draw1, draw2))
+            (self.stack1, self.stack2), (e1, e2), batch, dropout_rate=self.encoder_dropout,
+            rng=rng, draws=(draws1, draws2), grows=(grows1, grows2))
         if not self.res_pair:
-            layers1, layers2 = layers1[-1:], layers2[-1:]
-        return layers1, layers2, self._counts(real1, rows1), self._counts(real2, rows2)
+            layers1, layers2, counts1, counts2 = (
+                layers1[-1:], layers2[-1:], counts1[-1:], counts2[-1:])
+        return layers1, layers2, counts1, counts2
 
     def _pair_rows(self, pairs, rng: np.random.Generator | None = None) -> Tensor:
         """(B, pair_dim) pair vectors for a list of (arg1 tokens, arg2 tokens)."""
@@ -244,5 +251,5 @@ class RelationModel:
             raise ConfigError("model was built without bi-attention")
         with T.no_grad():
             layers1, layers2, counts1, counts2 = self._layers([(arg1_tokens, arg2_tokens)])
-            return [attention_map(v1, v2, self.attention, counts1, counts2)
-                    for v1, v2 in zip(layers1, layers2)]
+            return [attention_map(v1, v2, self.attention, c1, c2)
+                    for v1, v2, c1, c2 in zip(layers1, layers2, counts1, counts2)]

@@ -69,8 +69,8 @@ def build_pair_representation(layers1, layers2, attention: BiAttention | None,
                               batch: int, counts1, counts2) -> Tensor:
     """(B, 4 * len(layers) * width) pair vectors, one row per instance,
     layer-major, for layer outputs of ``batch`` instances stacked by rows.
-    ``counts1`` and ``counts2`` say how many equal rows each row of an
-    argument's layers stands for, the same in every layer and instance.
+    ``counts1[l]`` and ``counts2[l]`` say how many equal rows each row of
+    an argument's layer l stands for, the same in every instance.
 
     Without ``attention`` the encoder outputs are pooled directly.
     """
@@ -81,13 +81,13 @@ def build_pair_representation(layers1, layers2, attention: BiAttention | None,
     if not layers1:
         raise ConfigError("pair representation: no layer outputs")
     slices = []
-    for v1, v2 in zip(layers1, layers2):
+    for v1, v2, c1, c2 in zip(layers1, layers2, counts1, counts2, strict=True):
         if attention is None:
-            slices.append(pool_layer(v1, v2, batch, counts1, counts2))
+            slices.append(pool_layer(v1, v2, batch, c1, c2))
         else:
             # each mixture has a row per row of the other argument
-            w1, w2 = bi_attend(v1, v2, attention, batch, counts1, counts2)
-            slices.append(pool_layer(w1, w2, batch, counts2, counts1))
+            w1, w2 = bi_attend(v1, v2, attention, batch, c1, c2)
+            slices.append(pool_layer(w1, w2, batch, c2, c1))
     if len(slices) == 1:
         return slices[0]
     return T.concat(slices, axis=1)

@@ -22,13 +22,14 @@ type's ``forward`` takes that layer's blocks and inputs, so the recurrent
 layers of every stack at a depth are one scan.  Input dropout is applied
 in front of every block, its masks drawn in the order the blocks run
 (layer by layer, stack order within a layer); a pass without an rng draws
-no masks (inference), and neither does a pass at rate 0.  A stack's masks
-may come from a row-indexed draw (``tensor.dropout``'s ``draw``), one per
-stack for all its layers: the model uses it to give all pad rows of an
-instance one mask row, so a padded conv stack can run shortened while
-training (see ``model``).  With all weights zero, a residual block is
-exactly the identity; stacks for the two arguments of a pair are built
-either with their own weights or shared.
+no masks (inference), and neither does a pass at rate 0.  Each mask of a
+stack may come from a row-indexed draw (``tensor.dropout``'s ``draw``),
+one per layer, and each conv layer may grow its input's rows by copies of
+one row (``tensor.gated_conv``'s ``grow``): the model uses both to give
+all pad rows of an instance one mask row and to run each layer of a padded
+conv stack at its own distinct rows (see ``model``).  With all weights
+zero, a residual block is exactly the identity; stacks for the two
+arguments of a pair are built either with their own weights or shared.
 """
 
 from __future__ import annotations
@@ -58,12 +59,14 @@ class ConvBlock:
         return [self.kernel, self.bias]
 
     @staticmethod
-    def forward(blocks: Sequence[ConvBlock], inputs: Sequence[Tensor],
-                batch: int = 1) -> list[Tensor]:
-        """``blocks[i]`` over ``inputs[i]``, one after the other, each one
-        tape node."""
-        return [T.gated_conv(x, block.kernel, block.bias, batch, block.residual)
-                for block, x in zip(blocks, inputs)]
+    def forward(blocks: Sequence[ConvBlock], inputs: Sequence[Tensor], batch: int = 1,
+                grows: Sequence[tuple[int, int]] | None = None) -> list[Tensor]:
+        """``blocks[i]`` over ``inputs[i]`` grown by ``grows[i]`` (see
+        ``tensor.gated_conv``; no growth without ``grows``), one after the
+        other, each one tape node."""
+        return [T.gated_conv(x, block.kernel, block.bias, batch, block.residual, grow)
+                for block, x, grow in zip(blocks, inputs, grows or [(0, 0)] * len(blocks),
+                                          strict=True)]
 
 
 class RecurrentBlock:
@@ -79,10 +82,13 @@ class RecurrentBlock:
         return self.bigru.parameters() + [self.proj_w, self.proj_b]
 
     @staticmethod
-    def forward(blocks: Sequence[RecurrentBlock], inputs: Sequence[Tensor],
-                batch: int = 1) -> list[Tensor]:
+    def forward(blocks: Sequence[RecurrentBlock], inputs: Sequence[Tensor], batch: int = 1,
+                grows: Sequence[tuple[int, int]] = ()) -> list[Tensor]:
         """``blocks[i]`` over ``inputs[i]``; the recurrences of all of them
-        are one scan."""
+        are one scan.  A recurrent block grows no rows: every copy in
+        ``grows`` must be 0."""
+        if any(copies for _, copies in grows):
+            raise ShapeError(f"RecurrentBlock: cannot grow rows, got {list(grows)}")
         states = BiGRU.forward([block.bigru for block in blocks], inputs, batch)
         out = []
         for block, x, h in zip(blocks, inputs, states):
@@ -122,25 +128,33 @@ class EncoderStack:
     def forward(stacks: Sequence[EncoderStack], inputs: Sequence[Tensor], batch: int = 1, *,
                 dropout_rate: float = 0.0,
                 rng: np.random.Generator | None = None,
-                draws: Sequence | None = None) -> list[list[Tensor]]:
+                draws: Sequence[Sequence] | None = None,
+                grows: Sequence[Sequence[tuple[int, int]]] | None = None
+                ) -> list[list[Tensor]]:
         """Per stack, all layer outputs of ``stacks[i]`` over ``inputs[i]``,
-        shallowest first; each is (B*N, width) for the ``batch`` = B
-        instances stacked in the input.  The stacks share a block type and
-        depth and advance one layer of all of them at a time, so that each
-        depth's recurrences are one scan.  Dropout masks are drawn from
-        ``rng`` only when one is given, in that order: layer by layer,
-        stack order within a layer.  ``draws[i]``, when given, is the
-        ``tensor.dropout`` draw of every mask in front of ``stacks[i]``."""
+        shallowest first, for the ``batch`` = B instances stacked in each
+        input.  The stacks share a block type and depth and advance one
+        layer of all of them at a time, so that each depth's recurrences
+        are one scan.  Dropout masks are drawn from ``rng`` only when one is
+        given, in that order: layer by layer, stack order within a layer.
+        ``draws[i][l]``, when given, is the ``tensor.dropout`` draw of the
+        mask in front of layer l of ``stacks[i]``, and ``grows[i][l]`` the
+        (row, copies) that layer's conv grows each instance's rows by (see
+        ``tensor.gated_conv``); without ``grows``, every layer keeps the
+        rows of its input."""
         for stack, x in zip(stacks, inputs, strict=True):
             if x.shape[1] != stack.width:
                 raise ShapeError(f"EncoderStack: input width {x.shape[1]} != {stack.width}")
+        depth = stacks[0].depth
+        draws = [[None] * depth] * len(stacks) if draws is None else draws
+        grows = [[(0, 0)] * depth] * len(stacks) if grows is None else grows
         outputs = [[] for _ in stacks]
         hs = list(inputs)
-        draws = [None] * len(hs) if draws is None else draws
-        for blocks in zip(*(stack.blocks for stack in stacks), strict=True):
+        for layer, blocks in enumerate(zip(*(stack.blocks for stack in stacks), strict=True)):
             hs = type(blocks[0]).forward(
-                blocks, [T.dropout(h, dropout_rate, rng, draw)
-                         for h, draw in zip(hs, draws, strict=True)], batch)
+                blocks, [T.dropout(h, dropout_rate, rng, draw[layer])
+                         for h, draw in zip(hs, draws, strict=True)],
+                batch, [grow[layer] for grow in grows])
             for layers, h in zip(outputs, hs):
                 layers.append(h)
         return outputs

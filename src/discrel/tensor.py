@@ -607,70 +607,97 @@ def _sequence_length(x: Tensor, batch: int, op: str) -> int:
     return rows // batch
 
 
-# The one convolution: ``batch`` sequences stacked by rows, each zero-padded
-# by ``pad`` rows at both ends, lie end to end ``stride`` = N + 2*pad rows
-# apart, and k shifted matmuls run one valid convolution over all of them.
-# Output row b*stride + i is position i of sequence b; the windows in
+# The one convolution: ``batch`` sequences stacked by rows lie end to end
+# with ``pad`` zero rows before, between and after them, ``stride`` = n + pad
+# rows apart, and k shifted matmuls run one valid convolution over all of
+# them.  Output row b*stride + i is position i of sequence b; the windows in
 # between straddle two sequences and are dropped.
 
 
-def _padded(x: np.ndarray, batch: int, pad: int) -> np.ndarray:
-    """The sequences of ``x``, each between ``pad`` zero rows, end to end."""
-    if not pad:
+def _sequences(xp: np.ndarray, batch: int, pad: int) -> np.ndarray:
+    """The (B, n, d) view of the sequences in a ``_padded`` layout."""
+    n = (xp.shape[0] - pad) // batch - pad
+    return xp[pad:].reshape(batch, n + pad, xp.shape[1])[:, :n]
+
+
+def _padded(x: np.ndarray, batch: int, pad: int, grow: tuple[int, int]) -> np.ndarray:
+    """The sequences of ``x`` end to end, with ``pad`` zero rows before,
+    between and after them; with ``grow`` = (row, copies), each sequence
+    has ``copies`` more copies of its row ``row`` right after that row."""
+    row, copies = grow
+    if not pad and not copies:
         return x
     n, d = x.shape[0] // batch, x.shape[1]
-    xp = np.zeros((batch, n + 2 * pad, d))
-    xp[:, pad:pad + n] = x.reshape(batch, n, d)
-    return xp.reshape(-1, d)
+    xp = np.zeros((batch * (n + copies + pad) + pad, d))
+    seqs, grown = x.reshape(batch, n, d), _sequences(xp, batch, pad)
+    split = row + 1 if copies else n
+    grown[:, :split] = seqs[:, :split]
+    grown[:, split:split + copies] = seqs[:, split - 1:split]
+    grown[:, split + copies:] = seqs[:, split:]
+    return xp
 
 
-def _conv_windows(rows: int, k: int, batch: int, pad: int) -> tuple[int, int, np.ndarray | None]:
-    """(stride, span, kept rows) of the convolution; no row is dropped for
-    a single sequence."""
-    stride = rows // batch + 2 * pad
-    span = batch * stride - k + 1
+def _folded(dxp: np.ndarray, batch: int, pad: int, grow: tuple[int, int]) -> np.ndarray:
+    """Gradients of the rows of a ``_padded`` layout as gradients of the
+    (B*n, d) rows it was built from: a grown row takes its copies'."""
+    row, copies = grow
+    if not pad and not copies:
+        return dxp
+    grown = _sequences(dxp, batch, pad)
+    starts = np.delete(np.arange(grown.shape[1]), np.arange(row + 1, row + 1 + copies))
+    return np.add.reduceat(grown, starts, axis=1).reshape(-1, dxp.shape[1])
+
+
+def _conv_windows(rows: int, k: int, batch: int, pad: int) -> tuple[int, np.ndarray | None]:
+    """(span, kept rows) of the convolution over a ``_padded`` layout of
+    ``rows`` rows; no row is dropped for a single sequence."""
+    stride = (rows - pad) // batch
+    span = rows - k + 1
     if batch == 1:
-        return stride, span, None
-    return stride, span, (np.arange(batch)[:, None] * stride + np.arange(stride - k + 1)).ravel()
+        return span, None
+    return span, (np.arange(batch)[:, None] * stride + np.arange(stride + pad - k + 1)).ravel()
 
 
-def _conv(x: np.ndarray, kernel: np.ndarray, batch: int, pad: int) -> np.ndarray:
-    """(B*N, d_in) -> (B*(N + 2*pad - k + 1), d_out) for a (k, d_in, d_out)
-    kernel."""
-    _, span, keep = _conv_windows(x.shape[0], kernel.shape[0], batch, pad)
-    xp = _padded(x, batch, pad)
+def _conv(xp: np.ndarray, kernel: np.ndarray, batch: int, pad: int) -> np.ndarray:
+    """(B*(n + 2*pad - k + 1), d_out) for the ``_padded`` layout ``xp`` of B
+    sequences of n rows and a (k, d_in, d_out) kernel."""
+    span, keep = _conv_windows(xp.shape[0], kernel.shape[0], batch, pad)
     y = xp[:span] @ kernel[0]
     for j in range(1, kernel.shape[0]):
         y += xp[j:j + span] @ kernel[j]
     return y if keep is None else y[keep]
 
 
-def _conv_backward(x: Tensor, kernel: Tensor, g: np.ndarray, batch: int, pad: int) -> None:
-    """Adds the gradients of ``_conv`` for output gradient ``g`` into those
-    of ``kernel`` and ``x`` that require one.  The padded copy of ``x`` is
-    built again here rather than kept from the forward pass."""
+def _conv_backward(x: Tensor, kernel: Tensor, g: np.ndarray, batch: int, pad: int,
+                   grow: tuple[int, int] = (0, 0)) -> None:
+    """Adds the gradients of ``_conv`` over ``_padded(x, batch, pad, grow)``
+    for output gradient ``g`` into those of ``kernel`` and ``x`` that
+    require one.  The padded copy of ``x`` is built again here rather than
+    kept from the forward pass."""
     k, d_in, d_out = kernel.shape
-    stride, span, keep = _conv_windows(x.shape[0], k, batch, pad)
+    rows = batch * (x.shape[0] // batch + grow[1] + pad) + pad
+    span, keep = _conv_windows(rows, k, batch, pad)
     if keep is not None:
         g_all = np.zeros((span, d_out))
         g_all[keep] = g
         g = g_all
     if kernel.requires_grad:
-        xp = _padded(x.data, batch, pad)
+        xp = _padded(x.data, batch, pad, grow)
         if kernel.grad is None:
-            kernel.grad = np.zeros_like(kernel.data)
-        for j in range(k):
-            kernel.grad[j] += xp[j:j + span].T @ g
+            # each slice written in place; a shared kernel's second use adds
+            kernel.grad = np.empty_like(kernel.data)
+            for j in range(k):
+                np.matmul(xp[j:j + span].T, g, out=kernel.grad[j])
+        else:
+            for j in range(k):
+                kernel.grad[j] += xp[j:j + span].T @ g
         del xp
     if not x.requires_grad:
         return
-    dxp = np.zeros((batch * stride, d_in))
+    dxp = np.zeros((rows, d_in))
     for j in range(k):
         dxp[j:j + span] += g @ kernel.data[j].T
-    if pad:
-        n = stride - 2 * pad
-        dxp = dxp.reshape(batch, stride, d_in)[:, pad:pad + n].reshape(batch * n, d_in)
-    _accum(x, dxp)
+    _accum(x, _folded(dxp, batch, pad, grow))
 
 
 def conv1d(x: Tensor, kernel: Tensor, bias: Tensor, batch: int = 1) -> Tensor:
@@ -705,17 +732,22 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor, batch: int = 1) -> Tensor:
 
 
 def gated_conv(x: Tensor, kernel: Tensor, bias: Tensor, batch: int = 1,
-               residual: bool = True) -> Tensor:
+               residual: bool = True, grow: tuple[int, int] = (0, 0)) -> Tensor:
     """The gated convolution block, x + a * sigmoid(b), as one tape node.
 
     [a | b] is the same-padded convolution of ``x`` plus ``bias``: ``x`` is
     (B*N, w), ``batch`` = B sequences of N rows stacked instance-major,
     ``kernel`` is (k, w, 2w) with k odd and ``bias`` is (2w,).  Each
-    sequence is zero-padded by (k - 1)/2 rows at both ends on its own, so
-    the output has the shape of ``x``; without ``residual`` it is the gated
-    linear unit a * sigmoid(b) alone.  The node keeps one (B*N, 2w) buffer
-    holding [a | sigmoid(b)] besides its output; the backward pass builds
-    the padded copy of ``x`` again.
+    sequence is zero-padded by h = (k - 1)/2 rows at both ends on its own
+    (the sequences share the h zero rows between them), so the output has
+    the shape of ``x``; without ``residual`` it is the gated linear unit
+    a * sigmoid(b) alone.  With ``grow`` = (row, copies), the block runs
+    over each sequence with ``copies`` more copies of its row ``row``
+    right after that row, convolution and residual alike, giving N + copies
+    rows per sequence; the copies' gradients are summed onto that row.
+    The node keeps one (B*(N + copies), 2w) buffer holding [a | sigmoid(b)]
+    besides its output; the backward pass builds the padded copy of ``x``
+    again.
     """
     if x.data.ndim != 2 or kernel.data.ndim != 3:
         raise ShapeError(f"gated_conv: x must be 2-D and kernel 3-D, got {x.shape}, "
@@ -728,27 +760,32 @@ def gated_conv(x: Tensor, kernel: Tensor, bias: Tensor, batch: int = 1,
         raise ShapeError(f"gated_conv: same-padding requires an odd kernel size, got {k}")
     if bias.shape != (d_out,):
         raise ShapeError(f"gated_conv: bias {bias.shape} does not match d_out {d_out}")
-    _sequence_length(x, batch, "gated_conv")
+    n = _sequence_length(x, batch, "gated_conv")
+    row, copies = grow
+    if copies < 0 or copies and not 0 <= row < n:
+        raise ShapeError(f"gated_conv: cannot grow {n} rows by {copies} copies of row {row}")
     pad = (k - 1) // 2
-    buf = _conv(x.data, kernel.data, batch, pad)
+    xp = _padded(x.data, batch, pad, grow)
+    buf = _conv(xp, kernel.data, batch, pad)
     buf += bias.data
     a, s = buf[:, :w], buf[:, w:]
     _sigmoid(s, out=s)
     y = a * s
     if residual:
-        y += x.data
+        grown = y.reshape(batch, -1, w)
+        grown += _sequences(xp, batch, pad)
     out = Tensor(y)
 
     if _tracked(x, kernel, bias):
         def bwd(g):
             if residual:
-                _accum(x, g)
+                _accum(x, _folded(g, batch, 0, grow))
             # the GLU's gradient as the composed block computed it, added
             # into zeros in this order, so every gradient stays bitwise equal
             d_buf = np.zeros_like(buf)
             d_buf[:, :w] += g * s
             d_buf[:, w:] += g * a * s * (1.0 - s)
-            _conv_backward(x, kernel, d_buf, batch, pad)
+            _conv_backward(x, kernel, d_buf, batch, pad, grow)
             if bias.requires_grad:
                 _accum(bias, d_buf.sum(axis=0))
         _record(out, (x, kernel, bias), bwd)

@@ -6,9 +6,10 @@ These are the compositions that ``tensor.gated_conv`` and
 per-instance pair level that ``pair_level.build_pair_representation``
 replaces with one attention node and one pool per argument and layer, kept
 as the references those are tested against, and the row gather that
-expands layer rows weighed by counts back to the rows they stand for.  The conv block is a valid
-``conv1d`` over explicitly zero-padded sequences, which does the same
-arithmetic as a same-padded convolution, then the gated linear unit
+expands layer rows weighed by counts back to the rows they stand for.  The
+conv block is one valid ``conv1d`` over the sequences laid end to end
+between explicit zero rows, the layout the fused op multiplies, then the
+gated linear unit
 written as ``slice_cols * sigmoid`` and the residual ``add``; the fused op
 must reproduce it bitwise, outputs and gradients.  The attention is the
 bilinear scores, the two row softmaxes and the two mixing matmuls.
@@ -21,22 +22,27 @@ from extra_ops import slice_rows, transpose
 
 
 def same_padded(x, batch, pad):
-    """Each of the ``batch`` sequences of ``x`` between ``pad`` zero rows,
-    stacked in order."""
+    """The ``batch`` sequences of ``x`` end to end, with ``pad`` zero rows
+    before, between and after them, as one sequence."""
     if pad == 0:
         return x
     n = x.shape[0] // batch
     zeros = T.constant(np.zeros((pad, x.shape[1])))
-    parts = []
+    parts = [zeros]
     for b in range(batch):
-        parts += [zeros, slice_rows(x, b * n, (b + 1) * n), zeros]
+        parts += [slice_rows(x, b * n, (b + 1) * n), zeros]
     return T.concat(parts, axis=0)
 
 
 def composed_gated_conv(x, kernel, bias, batch=1, residual=True):
-    """x + a * sigmoid(b) for [a | b] the same-padded convolution of x."""
+    """x + a * sigmoid(b) for [a | b] the same-padded convolution of x: one
+    valid convolution over the sequences laid end to end, keeping the
+    windows of each (those between two sequences straddle both)."""
     k, w, _ = kernel.shape
-    conv = T.conv1d(same_padded(x, batch, (k - 1) // 2), kernel, bias, batch=batch)
+    pad, n = (k - 1) // 2, x.shape[0] // batch
+    conv = T.conv1d(same_padded(x, batch, pad), kernel, bias)
+    conv = T.concat([slice_rows(conv, b * (n + pad), b * (n + pad) + n) for b in range(batch)],
+                    axis=0)
     gated = T.slice_cols(conv, 0, w) * T.sigmoid(T.slice_cols(conv, w, 2 * w))
     return x + gated if residual else gated
 
@@ -75,18 +81,20 @@ def each_once(batch, *args):
 
 
 def full_length(layers, counts, batch):
-    """Each of ``layers`` (``batch`` instances of len(counts) rows) with row
-    i of every instance repeated counts[i] times, through one row gather
-    each: the full-length rows that the counted rows stand for."""
-    rows = len(counts)
-    index = (np.arange(batch)[:, None] * rows + np.repeat(np.arange(rows), counts)).ravel()
-    return [T.gather_rows(v, index) for v in layers]
+    """Each of ``layers`` (``batch`` instances of len(counts[l]) rows for
+    layer l) with row i of every instance of layer l repeated counts[l][i]
+    times, through one row gather each: the full-length rows that the
+    counted rows stand for."""
+    out = []
+    for v, c in zip(layers, counts, strict=True):
+        rows = len(c)
+        index = (np.arange(batch)[:, None] * rows + np.repeat(np.arange(rows), c)).ravel()
+        out.append(T.gather_rows(v, index))
+    return out
 
 
 def shortened(model, pairs):
-    """Whether ``model`` runs either argument of ``pairs`` at fewer rows
-    than ``max_tokens``: then its pair level attends over fewer rows than
-    the full-length pass does."""
-    n = model.max_tokens
-    return any(model._rows_per_instance(max(min(len(a), n) for a in args)) < n
-               for args in zip(*pairs))
+    """Whether ``model`` embeds either argument of ``pairs`` at fewer rows
+    than ``max_tokens``: then its stacks and pair level run at fewer rows
+    than the full-length pass does."""
+    return any(model._schedule(list(args))[0] < model.max_tokens for args in zip(*pairs))

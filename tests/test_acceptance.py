@@ -198,6 +198,11 @@ def operation_cases():
     case("topk_pool picking a counted row twice",
          lambda: sum_all(T.mul(T.topk_pool(xc, 2, 2, [4, 4], [1, 2, 1, 1]), wxc)), xc)
 
+    # row 1 of each 3-row instance grown by two copies: 5 rows out
+    xw, kw, bw, ww = var(2 * 3, 3), var(3, 3, 6), var(6), const(2 * 5, 3)
+    case("gated_conv growing a row",
+         lambda: sum_all(T.mul(T.gated_conv(xw, kw, bw, 2, True, (1, 2)), ww)), xw, kw, bw)
+
     return cases
 
 
@@ -395,13 +400,14 @@ def test_attention_rows_normalize_and_pooling_ignores_token_order():
     assert np.abs(exported.sum(axis=1) - 1.0).max() <= 1e-12
 
     with T.no_grad():
-        base = build_pair_representation([v1, u1], [v2, u2], attention, 1, *counts).numpy().copy()
+        base = build_pair_representation([v1, u1], [v2, u2], attention, 1,
+                                         each_once(1, v1, u1), each_once(1, v2, u2)).numpy().copy()
     p1, p2 = rng.permutation(9), rng.permutation(9)
     shuffled1 = [T.constant(v1.numpy()[p1]), T.constant(u1.numpy()[p1])]
     shuffled2 = [T.constant(v2.numpy()[p2]), T.constant(u2.numpy()[p2])]
     with T.no_grad():
         permuted = build_pair_representation(shuffled1, shuffled2, attention, 1,
-                                             *counts).numpy()
+                                             each_once(1, v1, u1), each_once(1, v2, u2)).numpy()
     assert np.abs(permuted - base).max() <= 1e-12
 
 

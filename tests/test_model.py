@@ -110,7 +110,8 @@ def test_baseline_without_attention_pools_encoder_outputs_directly():
     layers1, layers2 = EncoderStack.forward([model.stack1, model.stack2], [e1, e2])
     v1, v2 = layers1[-1], layers2[-1]
     want = pool_layer(v1, v2, 1, *each_once(1, v1, v2)).numpy()[0]
-    assert np.array_equal(got, want)
+    # the model runs the stacks at fewer rows than max_tokens: within 1e-10
+    assert_agree(got, want, shapes_claim(not shortened(model, [(ARG1, ARG2)])))
 
 
 def test_all_layers_pooled_without_attention_when_pair_residual_on():
@@ -332,21 +333,46 @@ def test_batched_gradients_equal_the_sum_of_single_pair_gradients(block_type, in
         assert np.max(np.abs(got - want)) <= 1e-10, p.name
 
 
-@pytest.mark.parametrize("block_type", ["conv", "recurrent"])
-def test_changing_one_instance_leaves_every_other_row_unchanged(block_type):
-    # Catches padding, convolution windows or recurrent state leaking
-    # across the instance boundaries of the stacked batch.
-    model = tiny_model(block_type=block_type, depth=2)
+def assert_only_the_changed_row_moves(model, replace):
+    """Scores of PAIRS against those with instance k replaced by
+    ``replace(arg1, arg2)``, for each k: every other row agrees, bitwise
+    where both batches run the stacks at the same rows, else within 1e-10
+    (the products run at other row counts)."""
     with T.no_grad():
         rel, conn = model.batch_scores(PAIRS)
         for k in range(len(PAIRS)):
             changed = list(PAIRS)
-            changed[k] = (["cue1b", "w0", "w0"], ["cue0a", "w5", "w4", "w3", "w2"])
+            changed[k] = replace(*PAIRS[k])
             rel_k, conn_k = model.batch_scores(changed)
+            claim = shapes_claim(all(
+                model._schedule(list(old))[0] == model._schedule(list(new))[0]
+                for old, new in zip(zip(*PAIRS), zip(*changed))))
             others = [i for i in range(len(PAIRS)) if i != k]
-            assert rel_k.numpy()[others].tobytes() == rel.numpy()[others].tobytes()
-            assert conn_k.numpy()[others].tobytes() == conn.numpy()[others].tobytes()
+            assert_agree(rel_k.numpy()[others], rel.numpy()[others], claim)
+            assert_agree(conn_k.numpy()[others], conn.numpy()[others], claim)
             assert not np.array_equal(rel_k.numpy()[k], rel.numpy()[k])
+
+
+@pytest.mark.parametrize("block_type", ["conv", "recurrent"])
+def test_changing_one_instance_leaves_every_other_row_unchanged(block_type):
+    # Catches padding, convolution windows or recurrent state leaking
+    # across the instance boundaries of the stacked batch.  Tokens of the
+    # same lengths leave both arguments' longest real length, and so every
+    # shape, alone: bitwise.
+    model = tiny_model(block_type=block_type, depth=2)
+    assert_only_the_changed_row_moves(
+        model, lambda arg1, arg2: (["cue1b"] * len(arg1), ["w0"] * len(arg2)))
+
+
+@pytest.mark.parametrize("block_type", ["conv", "recurrent"])
+def test_changing_the_longest_length_leaves_every_other_row_within_rounding(block_type):
+    # Five second-argument tokens move that argument's longest real length
+    # from 4 to 5 (and replacing the 9-token instance moves the first's), so
+    # a conv stack runs at other row counts: within 1e-10.  Recurrent
+    # stacks run all rows either way: bitwise.
+    model = tiny_model(block_type=block_type, depth=2)
+    assert_only_the_changed_row_moves(
+        model, lambda arg1, arg2: (["cue1b", "w0", "w0"], ["cue0a", "w5", "w4", "w3", "w2"]))
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +401,7 @@ def oracle_scores(model, pairs, rng=None):
 
 def oracle_claim(model, pairs):
     """The oracle pools the same layer rows, and attends over all N rows
-    where the model attends over a shortened stack's N' rows: bitwise
+    where the model attends over a shortened stack's fewer rows: bitwise
     unless it attends at a different length."""
     return shapes_claim(model.attention is None or not shortened(model, pairs))
 

@@ -1,8 +1,9 @@
 """Padded conv passes compute each padding row once.
 
-The model embeds and encodes every argument at N' = R + 2*L*h + 1 rows
-instead of ``max_tokens``, in inference and in training, and the pair level
-weighs the one row that stands for the pad run by its count.  These tests
+The model embeds every argument at R + 1 rows instead of ``max_tokens``,
+and each conv layer grows them by 2h, in inference and in training; the
+pair level weighs the one row of each layer that stands for its pad run by
+its count.  These tests
 pin the preconditions (every pad row embeds to the same vector, and all pad
 rows of an instance share one dropout mask row), the equivalence with the
 full-length pass under the same mask rule (logits, attention maps and
@@ -117,7 +118,8 @@ def full_length_scores(model, pairs, rng=None, shared_pad_masks=True):
         layers if model.res_pair else layers[-1:]
         for layers in EncoderStack.forward(
             [model.stack1, model.stack2], embedded, len(pairs),
-            dropout_rate=model.encoder_dropout, rng=rng, draws=draws))
+            dropout_rate=model.encoder_dropout, rng=rng,
+            draws=[[draw] * model.depth for draw in draws]))
     rows = per_instance_pair_rows(layers1, layers2, model.attention, len(pairs))
     pooled = T.dropout(rows, model.classifier_dropout, rng)
     return (model.relation_head.forward(pooled), model.connective_head.forward(pooled),
@@ -144,13 +146,16 @@ def eq_pairs(longest, batch=4, seed=9):
 
 @pytest.fixture
 def stack_rows(monkeypatch):
-    """Input rows of every stack run by ``EncoderStack.forward``, in call order."""
+    """Per stack run by ``EncoderStack.forward``, in call order, the rows of
+    its input and of each of its layers' outputs."""
     seen = []
     original = EncoderStack.forward
 
     def spy(stacks, inputs, batch=1, **kwargs):
-        seen.extend(x.shape[0] for x in inputs)
-        return original(stacks, inputs, batch, **kwargs)
+        outputs = original(stacks, inputs, batch, **kwargs)
+        seen.extend([x.shape[0]] + [h.shape[0] for h in layers]
+                    for x, layers in zip(inputs, outputs))
+        return outputs
 
     monkeypatch.setattr(EncoderStack, "forward", spy)
     return seen
@@ -192,8 +197,10 @@ def test_eval_logits_equal_the_full_length_pass(kernel_size, depth, longest, opt
     claim = full_length_claim(model, pairs)
     assert_agree(rel.numpy(), want_rel.numpy(), claim)
     assert_agree(conn.numpy(), want_conn.numpy(), claim)
-    rows = min(40, min(longest, 40) + depth * (kernel_size - 1) + 1)
-    assert stack_rows[:2] == [len(pairs) * rows] * 2
+    # R + 1 rows embedded, then 2h more per layer, up to max_tokens
+    rows = [min(40, min(longest, 40) + 1 + layer * (kernel_size - 1))
+            for layer in range(depth + 1)]
+    assert stack_rows[:2] == [[len(pairs) * r for r in rows]] * 2
 
 
 def loss(rel, conn):
@@ -242,6 +249,37 @@ def test_training_with_dropout_matches_the_full_length_pass(kernel_size, depth, 
     assert_close_gradients(*train_and_oracle(model, eq_pairs(longest)))
 
 
+# (kernel size, depth, longest argument, model options, rows embedded and
+# out of each layer for both arguments)
+SCHEDULE_EDGES = {
+    "growth-cut-by-max-tokens": (5, 4, 30, {}, [31, 35, 39, 40, 40]),
+    "kernel-1": (1, 3, 12, {}, [13, 13, 13, 13]),
+    "res-pair-off": (3, 3, 12, {"res_pair": False}, [13, 15, 17, 19]),
+    "shared-stacks": (3, 3, 12, {"shared_stacks": True}, [13, 15, 17, 19]),
+    "truncated": (5, 2, 55, {}, [40, 40, 40]),
+}
+
+
+@pytest.mark.parametrize("kernel_size,depth,longest,options,rows", SCHEDULE_EDGES.values(),
+                         ids=SCHEDULE_EDGES.keys())
+def test_schedule_edges_match_the_full_length_pass(kernel_size, depth, longest, options, rows,
+                                                   stack_rows):
+    model = eq_model(kernel_size, depth, **DROPOUT, **options)
+    pairs = eq_pairs(longest)
+    assert_close_gradients(*train_and_oracle(model, pairs))
+    assert stack_rows[:2] == [[len(pairs) * r for r in rows]] * 2
+    # the first pair holds the longest first argument, so its rows are the batch's
+    arg1, arg2 = pairs[0]
+    maps = model.attention_maps(arg1, arg2)
+    with T.no_grad():
+        _, _, layers1, layers2 = full_length_scores(model, [(arg1, arg2)])
+    assert len(maps) == (depth if options.get("res_pair", True) else 1)
+    claim = full_length_claim(model, [(arg1, arg2)])
+    for got, v1, v2 in zip(maps, layers1, layers2, strict=True):
+        assert got.shape == (40, 40)
+        assert_agree(got, attention_map(v1, v2, model.attention, *each_once(1, v1, v2)), claim)
+
+
 @pytest.mark.parametrize("block_type", ["conv", "recurrent"])
 def test_real_rows_keep_a_plain_draw_and_pad_rows_share_one(block_type, stack_rows,
                                                            monkeypatch):
@@ -262,10 +300,10 @@ def test_real_rows_keep_a_plain_draw_and_pad_rows_share_one(block_type, stack_ro
     model.batch_scores(pairs, np.random.default_rng(3))
     T.active_tape().clear()
     replay = np.random.default_rng(3)
-    for argument, masked, rows in zip(zip(*pairs), inputs, stack_rows):
+    for argument, masked, (rows, *_) in zip(zip(*pairs), inputs, stack_rows):
         plain = (replay.random((len(pairs) * n, width)) >= 0.4) / 0.6
         rows //= len(pairs)
-        assert rows == (n if block_type == "recurrent" else 12 + 2 * 2 + 1)
+        assert rows == (n if block_type == "recurrent" else 12 + 1)
         for b, tokens in enumerate(argument):
             got = masked[b * rows:(b + 1) * rows]
             real = len(tokens)
@@ -316,13 +354,17 @@ def twenty_token_pairs(batch=5):
     return list(zip(sentences(rng, [20] * batch), sentences(rng, [20, 3, 17, 20, 9][:batch])))
 
 
+# R + 1 = 21 rows embedded, then 2h = 4 more per layer: 37 at the deepest
+# of L = 4 layers, not 100
+SCHEDULE = [21, 25, 29, 33, 37]
+
+
 def test_predict_labels_runs_the_stacks_at_the_shortened_length(stack_rows):
-    # N' = R + 2*L*h + 1 = 20 + 2*4*2 + 1 = 37 rows per instance, not 100
     pairs = twenty_token_pairs()
     instances = [SimpleNamespace(record=SimpleNamespace(arg1=a1, arg2=a2)) for a1, a2 in pairs]
     model = guard_model(embedding_dropout=0.4, encoder_dropout=0.4)
     predict_labels(model, instances)
-    assert stack_rows == [5 * 37, 5 * 37]
+    assert stack_rows == [[5 * r for r in SCHEDULE]] * 2
 
 
 def test_single_predicts_attention_maps_and_dropout_free_training_are_shortened(stack_rows):
@@ -332,7 +374,7 @@ def test_single_predicts_attention_maps_and_dropout_free_training_are_shortened(
     model.attention_maps(*pairs[0])
     model.batch_scores(pairs, np.random.default_rng(0))
     T.active_tape().clear()
-    assert stack_rows == [37, 37, 37, 37, 5 * 37, 5 * 37]
+    assert stack_rows == [SCHEDULE] * 4 + [[5 * r for r in SCHEDULE]] * 2
 
 
 @pytest.mark.parametrize("rates", [(0.4, 0.0), (0.0, 0.4)])
@@ -340,7 +382,7 @@ def test_training_with_dropout_runs_the_stacks_at_the_shortened_length(rates, st
     model = guard_model(embedding_dropout=rates[0], encoder_dropout=rates[1])
     model.batch_scores(twenty_token_pairs(), np.random.default_rng(0))
     T.active_tape().clear()
-    assert stack_rows == [5 * 37, 5 * 37]
+    assert stack_rows == [[5 * r for r in SCHEDULE]] * 2
 
 
 def test_a_shortened_training_step_records_39_tape_nodes_and_no_gather():
@@ -365,4 +407,4 @@ def test_recurrent_blocks_run_the_full_length(stack_rows):
     model = guard_model(block_type="recurrent")
     predict_labels(model, [SimpleNamespace(record=SimpleNamespace(arg1=a1, arg2=a2))
                            for a1, a2 in twenty_token_pairs()])
-    assert stack_rows == [5 * 100, 5 * 100]
+    assert stack_rows == [[5 * 100] * 5] * 2

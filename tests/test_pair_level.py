@@ -220,7 +220,7 @@ class TestPairRepresentation:
         att = make_attention(3, seed=1)
         a, b = self.layers(rng, 4)
         with T.no_grad():
-            o = build_pair_representation(a, b, att, 1, *each_once(1, a[0], b[0]))
+            o = build_pair_representation(a, b, att, 1, each_once(1, *a), each_once(1, *b))
         assert o.shape == (1, 4 * 4 * 3)
 
     def test_single_layer_equals_its_slice(self):
@@ -229,7 +229,7 @@ class TestPairRepresentation:
         a, b = self.layers(rng, 1)
         with T.no_grad():
             counts = each_once(1, a[0], b[0])
-            o = build_pair_representation(a, b, att, 1, *counts).numpy()
+            o = build_pair_representation(a, b, att, 1, *([c] for c in counts)).numpy()
             w1, w2 = bi_attend(a[0], b[0], att, 1, *counts)
             direct = pool_layer(w1, w2, 1, *counts).numpy()
         assert np.array_equal(o, direct)
@@ -240,13 +240,14 @@ class TestPairRepresentation:
         att.ffn_b.data[...] = 0.0
         a, b = self.layers(rng, 3)
         with T.no_grad():
-            base = build_pair_representation(a, b, att, 1, *each_once(1, a[0], b[0])).numpy()[0]
+            base = build_pair_representation(a, b, att, 1, each_once(1, *a),
+                                             each_once(1, *b)).numpy()[0]
             a2 = list(a)
             b2 = list(b)
             a2[1] = T.constant(np.zeros((5, 3)))
             b2[1] = T.constant(np.zeros((5, 3)))
-            edited = build_pair_representation(a2, b2, att, 1,
-                                               *each_once(1, a[0], b[0])).numpy()[0]
+            edited = build_pair_representation(a2, b2, att, 1, each_once(1, *a),
+                                               each_once(1, *b)).numpy()[0]
         step = 4 * 3
         assert np.array_equal(base[:step], edited[:step])
         assert np.array_equal(base[2 * step:], edited[2 * step:])
@@ -264,7 +265,7 @@ class TestPairRepresentation:
             pa = [T.constant(x.numpy()[perm]) for x in a]
             pb = [T.constant(x.numpy()[perm]) for x in b]
             with T.no_grad():
-                counts = each_once(1, a[0], b[0])
+                counts = each_once(1, *a), each_once(1, *b)
                 base = build_pair_representation(a, b, att, 1, *counts).numpy()
                 permuted = build_pair_representation(pa, pb, att, 1, *counts).numpy()
             assert np.max(np.abs(base - permuted)) <= 1e-12
@@ -273,7 +274,7 @@ class TestPairRepresentation:
         rng = np.random.default_rng(4)
         att = make_attention(3)
         a, b = self.layers(rng, 2)
-        counts = each_once(1, a[0], b[0])
+        counts = each_once(1, *a), each_once(1, *b)
         with pytest.raises(ConfigError):
             build_pair_representation(a, b[:1], att, 1, *counts)
         with pytest.raises(ConfigError):
@@ -286,7 +287,7 @@ class TestPairRepresentation:
         v2 = T.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
 
         def loss():
-            o = build_pair_representation([v1], [v2], att, 1, *each_once(1, v1, v2))
+            o = build_pair_representation([v1], [v2], att, 1, each_once(1, v1), each_once(1, v2))
             return sum_all(o * o)
 
         assert_grads_match(loss, [v1, v2] + att.parameters(), tol=1e-4)
@@ -297,8 +298,8 @@ class TestPairRepresentation:
         a, b = self.layers(rng, 3)
 
         def loss(layers):
-            return sum_all(build_pair_representation(layers[0], layers[1], att, 1,
-                                                     *each_once(1, a[0], b[0])))
+            return sum_all(build_pair_representation(*layers, att, 1, each_once(1, *layers[0]),
+                                                     each_once(1, *layers[1])))
 
         loss((a[:1], b[:1]))  # warm the tape then discard
         T.active_tape().clear()
@@ -343,7 +344,7 @@ class TestOverTheBatch:
                 p.grad = None
             return out.numpy(), [v.grad for side in layers for v in side], grads
 
-        counts = each_once(batch, data[0][0], data[1][0])
+        counts = each_once(batch, *data[0]), each_once(batch, *data[1])
         got, got_layers, got_shared = run(
             lambda *args: build_pair_representation(*args, *counts))
         want, want_layers, want_shared = run(per_instance_pair_rows)
@@ -357,27 +358,29 @@ class TestOverTheBatch:
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("attend", [True, False])
     def test_counted_rows_equal_the_repeated_rows(self, batch, attend):
-        # Arguments of 4 and 6 distinct rows, one of each standing for
-        # several.  Unattended, pooling selects the same values, bitwise,
-        # even among ties (integer rows plant them).  Attended, the
-        # softmaxes run over fewer rows and agree within 1e-10; the rows
-        # are drawn untied there, since equal mixtures of different rows
-        # would tie up to rounding, and rounding would pick the row pooled.
+        # Two layers per argument, each with its own rows and counts, one
+        # row of each standing for several: 8 full-length rows for the
+        # first argument and 10 for the second.  Unattended, pooling
+        # selects the same values, bitwise, even among ties (integer rows
+        # plant them).  Attended, the softmaxes run over fewer rows and
+        # agree within 1e-10; the rows are drawn untied there, since equal
+        # mixtures of different rows would tie up to rounding, and rounding
+        # would pick the row pooled.
         rng = np.random.default_rng(batch)
         att = make_attention(3, seed=9) if attend else None
-        counts = (np.array([1, 1, 5, 1]), np.array([2, 1, 1, 1, 4, 1]))
-        shapes = [(batch * len(c), 3) for c in counts]
-        data = [[rng.normal(size=shape) if attend else
-                 rng.integers(-2, 3, shape).astype(float) for _ in range(2)]
-                for shape in shapes]
+        counts = ([np.array([1, 1, 5, 1]), np.array([1, 1, 1, 3, 1, 1])],
+                  [np.array([2, 1, 1, 1, 4, 1]), np.array([1, 1, 7, 1])])
+        data = [[rng.normal(size=(batch * len(c), 3)) if attend else
+                 rng.integers(-2, 3, (batch * len(c), 3)).astype(float) for c in side]
+                for side in counts]
         weights = T.constant(rng.normal(size=(batch, 2 * 4 * 3)))
 
         def run(repeat):
             layers = [[T.Tensor(x.copy(), requires_grad=True) for x in side] for side in data]
             if repeat:
                 full = [full_length(side, c, batch) for side, c in zip(layers, counts)]
-                out = build_pair_representation(*full, att, batch,
-                                                *each_once(batch, full[0][0], full[1][0]))
+                out = build_pair_representation(*full, att, batch, each_once(batch, *full[0]),
+                                                each_once(batch, *full[1]))
             else:
                 out = build_pair_representation(*layers, att, batch, *counts)
             T.backward(sum_all(T.mul(out, weights)))
@@ -399,8 +402,8 @@ class TestOverTheBatch:
         for batch in (2, 5):
             layers = [[T.Tensor(rng.normal(size=(batch * 4, 3)), requires_grad=True)
                        for _ in range(3)] for _ in range(2)]
-            build_pair_representation(layers[0], layers[1], att, batch,
-                                      *each_once(batch, layers[0][0], layers[1][0]))
+            build_pair_representation(*layers, att, batch, each_once(batch, *layers[0]),
+                                      each_once(batch, *layers[1]))
             counts.append(len(T.active_tape()))
             T.active_tape().clear()
         assert counts[0] == counts[1]

@@ -171,6 +171,47 @@ class TestGatedConv:
         for got, want in zip(run(T.gated_conv), run(composed_gated_conv)):
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("residual", [True, False])
+    @pytest.mark.parametrize("k,n,row,copies", [(3, 5, 2, 2), (5, 6, 0, 4), (5, 6, 5, 1),
+                                                (5, 6, 9, 0), (1, 4, 3, 0)])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_grown_rows_equal_the_repeated_rows(self, batch, k, n, row, copies, residual):
+        # Over its grown rows the op runs the products it runs over the
+        # rows repeated by a gather, so outputs and the weights' gradients
+        # are bitwise equal; the copies' gradients are summed in another
+        # order than the gather's scatter, so the input's agree to rounding.
+        rng = np.random.default_rng(batch * 100 + k * 10 + copies)
+        w = 3
+        data = rng.normal(size=(batch * n, w))
+        kernel_data, bias_data = rng.normal(size=(k, w, 2 * w)), rng.normal(size=2 * w)
+        g = rng.normal(size=(batch * (n + copies), w))
+        counts = np.ones(n, dtype=np.intp)
+        if copies:
+            counts[row] += copies
+
+        def run(grown):
+            x = T.Tensor(data.copy(), requires_grad=True)
+            kernel, bias = T.Parameter(kernel_data.copy()), T.Parameter(bias_data.copy())
+            if grown:
+                out = T.gated_conv(x, kernel, bias, batch, residual, (row, copies))
+            else:
+                out = T.gated_conv(full_length([x], [counts], batch)[0], kernel, bias, batch,
+                                   residual)
+            T.backward(sum_all(T.mul(out, T.constant(g))))
+            return out.numpy(), kernel.grad, bias.grad, x.grad
+
+        *got, got_x = run(True)
+        *want, want_x = run(False)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        assert_agree(got_x, want_x, CLOSE)
+
+    @pytest.mark.parametrize("grow", [(0, -1), (4, 1), (-1, 2)])
+    def test_grow_is_checked(self, grow):
+        with pytest.raises(ShapeError, match="grow"):
+            T.gated_conv(T.constant(np.zeros((8, 2))), T.constant(np.zeros((3, 2, 4))),
+                         T.constant(np.zeros(4)), 2, True, grow)
+
     def test_records_one_tape_node(self):
         x = T.Tensor(np.zeros((2 * 3, 2)), requires_grad=True)
         T.gated_conv(x, T.Parameter(np.zeros((3, 2, 4))), T.Parameter(np.zeros(4)), batch=2)
@@ -390,7 +431,7 @@ class TestCountedRows:
             T.backward(sum_all(T.mul(out, w)))
             got = x.grad
             x.grad = None
-            want = T.topk_pool(full_length([x], counts, b)[0], k, b, capacity[valid - 1])
+            want = T.topk_pool(full_length([x], [counts], b)[0], k, b, capacity[valid - 1])
             T.backward(sum_all(T.mul(want, w)))
             assert_agree(out.numpy(), want.numpy(), BITWISE, f"trial {trial}")
             assert_agree(got, x.grad, BITWISE, f"trial {trial}")
@@ -421,10 +462,10 @@ class TestCountedRows:
             def counted(v1, v2, w, bias):
                 # each output row stands for its copies among the repeated rows
                 o1, o2 = T.bi_attention(v1, v2, w, bias, b, counts1, counts2)
-                return full_length([o1], counts2, b) + full_length([o2], counts1, b)
+                return full_length([o1], [counts2], b) + full_length([o2], [counts1], b)
 
             def repeated_rows(v1, v2, w, bias):
-                full1, full2 = full_length([v1], counts1, b) + full_length([v2], counts2, b)
+                full1, full2 = full_length([v1], [counts1], b) + full_length([v2], [counts2], b)
                 return T.bi_attention(full1, full2, w, bias, b, *each_once(b, full1, full2))
 
             for got, want in zip(run(counted), run(repeated_rows)):

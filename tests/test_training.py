@@ -255,7 +255,7 @@ def test_same_seed_reproduces_trace_and_weights_bitwise(tmp_path):
 
 @pytest.mark.parametrize("block_type", ["conv", "recurrent"])
 def test_padded_training_with_dropout_reproduces_bitwise(block_type):
-    # 5-token arguments padded to 20 rows: a conv stack trains at N' = 10
+    # 5-token arguments padded to 20 rows: a conv stack trains at 6, 8 and 10 rows
     def run():
         records, train_set, dev_set = toy_task(8)
         model = toy_model(records, depth=2, max_tokens=20, block_type=block_type,
@@ -378,11 +378,12 @@ def test_peak_memory_of_a_conv_training_step_is_what_the_nodes_keep():
     # one conv block's backward, bounded by 6 act (the gradient of its
     # buffer, that gradient spread over the padded rows, the padded input
     # and its gradient).  The bound counts every activation at N = 50
-    # rows, but the stacks run at N' = 25 + 2*2*1 + 1 = 30 rows (all pad
-    # rows of an instance share one dropout mask row), and only the
-    # gathers back to N for the bi-attention hold full-length layers.
-    # With numpy 2.4.6 the step peaks at 2.90 MB against this bound of
-    # 4.07 MB; it peaked at 3.15 MB when training ran all 50 rows, and at
+    # rows, but the stacks embed R + 1 = 26 rows and run their two layers
+    # at 28 and 30 (all pad rows of an instance share one dropout mask
+    # row), and so does the pair level.  With numpy 2.4.6 the step peaks
+    # at 1.90 MB against this bound of 4.07 MB (1.97 MB with every layer
+    # at 30 rows, 2.90 MB with the pair level's layers gathered back to
+    # 50 rows); it peaked at 3.15 MB when training ran all 50 rows, and at
     # 6.46 MB with a tape that kept every intermediate of the composed
     # conv block and attention and held all nodes until backward ended.
     d, depth, n, batch = 64, 2, 50, 4
