@@ -221,10 +221,8 @@ class RelationModel:
         layers1, layers2 = EncoderStack.forward(
             (self.stack1, self.stack2), (e1, e2), batch, dropout_rate=self.encoder_dropout,
             rng=rng, draws=(draws1, draws2), grows=(grows1, grows2))
-        if not self.res_pair:
-            layers1, layers2, counts1, counts2 = (
-                layers1[-1:], layers2[-1:], counts1[-1:], counts2[-1:])
-        return layers1, layers2, counts1, counts2
+        pooled = slice(0 if self.res_pair else -1, None)
+        return layers1[pooled], layers2[pooled], counts1[pooled], counts2[pooled]
 
     def _pair_rows(self, pairs, rng: np.random.Generator | None = None) -> Tensor:
         """(B, pair_dim) pair vectors for a list of (arg1 tokens, arg2 tokens)."""

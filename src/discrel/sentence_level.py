@@ -145,9 +145,8 @@ class EncoderStack:
         for stack, x in zip(stacks, inputs, strict=True):
             if x.shape[1] != stack.width:
                 raise ShapeError(f"EncoderStack: input width {x.shape[1]} != {stack.width}")
-        depth = stacks[0].depth
-        draws = [[None] * depth] * len(stacks) if draws is None else draws
-        grows = [[(0, 0)] * depth] * len(stacks) if grows is None else grows
+        draws = draws or [[None] * stacks[0].depth] * len(stacks)
+        grows = grows or [[(0, 0)] * stacks[0].depth] * len(stacks)
         outputs = [[] for _ in stacks]
         hs = list(inputs)
         for layer, blocks in enumerate(zip(*(stack.blocks for stack in stacks), strict=True)):

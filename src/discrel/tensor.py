@@ -644,8 +644,11 @@ def _folded(dxp: np.ndarray, batch: int, pad: int, grow: tuple[int, int]) -> np.
     if not pad and not copies:
         return dxp
     grown = _sequences(dxp, batch, pad)
-    starts = np.delete(np.arange(grown.shape[1]), np.arange(row + 1, row + 1 + copies))
-    return np.add.reduceat(grown, starts, axis=1).reshape(-1, dxp.shape[1])
+    split = row + 1 if copies else grown.shape[1]
+    dx = np.concatenate([grown[:, :split], grown[:, split + copies:]], axis=1)
+    if copies:
+        dx[:, row] += grown[:, split:split + copies].sum(axis=1)
+    return dx.reshape(-1, dxp.shape[1])
 
 
 def _conv_windows(rows: int, k: int, batch: int, pad: int) -> tuple[int, np.ndarray | None]:

@@ -3,13 +3,13 @@
 The model embeds every argument at R + 1 rows instead of ``max_tokens``,
 and each conv layer grows them by 2h, in inference and in training; the
 pair level weighs the one row of each layer that stands for its pad run by
-its count.  These tests
-pin the preconditions (every pad row embeds to the same vector, and all pad
-rows of an instance share one dropout mask row), the equivalence with the
-full-length pass under the same mask rule (logits, attention maps and
-gradients), and that the short path is the one actually taken.  Where the
-short path runs, the two passes multiply different row counts, so they
-agree within 1e-10; where it does not, they agree bitwise.
+its count.  These tests pin the preconditions (every pad row embeds to the
+same vector, and all pad rows of an instance share one dropout mask row),
+the equivalence with the full-length pass under the same mask rule
+(logits, attention maps and gradients), and that the short path is the one
+actually taken.  Where the short path runs, the two passes multiply
+different row counts, so they agree within 1e-10; where it does not, they
+agree bitwise.
 """
 
 from types import SimpleNamespace
