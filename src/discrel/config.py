@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import configparser
 
-from .data import SPLITS, TOP_LEVEL_CLASSES
+from .data import SPLITS, task_label_space
 from .errors import ConfigError, utf8_text
 from .sentence_level import BLOCK_TYPES
 from .training import TrainConfig
@@ -106,7 +106,6 @@ _SCHEMA = [
 ]
 
 _BY_LOCATION = {(section, key): (attr, kind) for section, key, attr, kind in _SCHEMA}
-_KEY_OF_ATTR = {attr: f"{section}.{key}" for section, key, attr, _ in _SCHEMA}
 
 
 def _parse_value(location: str, raw: str, kind: str):
@@ -197,12 +196,7 @@ def validate(config: RunConfig) -> None:
         if kind == "str" and (value != value.strip() or "\n" in value or "\r" in value):
             raise ConfigError(f"{section}.{key}: must be one line without surrounding "
                               f"whitespace, got {value!r}")
-    task = config.task
-    if task not in ("eleven-way", "four-way"):
-        if not task.startswith("binary:") or task.split(":", 1)[1] not in TOP_LEVEL_CLASSES:
-            raise ConfigError(
-                f"task.kind: expected eleven-way, four-way, or binary:<one of "
-                f"{'/'.join(TOP_LEVEL_CLASSES)}>, got {task!r}")
+    task_label_space(config.task)
     if config.split not in SPLITS:
         raise ConfigError(f"task.split: unknown split {config.split!r} "
                           f"(choose one of {sorted(SPLITS)})")

@@ -201,6 +201,20 @@ class LabelSpace:
         return out
 
 
+def task_label_space(task: str) -> LabelSpace:
+    """The label space of a ``task.kind`` value."""
+    if task == "eleven-way":
+        return LabelSpace.eleven_way()
+    if task == "four-way":
+        return LabelSpace.four_way()
+    target = task.removeprefix("binary:")
+    if task.startswith("binary:") and target in TOP_LEVEL_CLASSES:
+        return LabelSpace.binary(target)
+    raise ConfigError(
+        f"task.kind: expected eleven-way, four-way, or binary:<one of "
+        f"{'/'.join(TOP_LEVEL_CLASSES)}>, got {task!r}")
+
+
 # ---------------------------------------------------------------------------
 # Split materialization
 

@@ -24,12 +24,12 @@ masks from an optional ``rng``, and a pass without an rng draws no masks.
 Masks are drawn in the order the pass runs: the first arguments'
 embeddings, the second arguments', the encoder inputs (layer by layer,
 argument 1 before argument 2 within a layer), then the pair vectors.  Each
-embedding and encoder mask is one draw of B*N rows, N = ``max_tokens``,
-whatever the rows the pass runs; row j of instance b takes draw row
-b*N + min(j, r_b), with r_b = min(len(argument), N).  Real tokens read
-their own draw rows, and all pad rows of an instance share the draw row of
-its first pad row (one mask tied across positions, as in Gal & Ghahramani,
-arXiv:1512.05287); a batch without padding reads every draw row once.
+embedding and encoder mask is one draw at the rows its input has, and row
+j of instance b reads mask row min(j, r_b) of that instance, r_b its real
+length (``tensor.dropout``'s ``lengths``).  Real tokens read their own mask
+rows, and all pad rows of an instance share the mask row of its first pad
+row (one mask tied across positions, as in Gal & Ghahramani,
+arXiv:1512.05287); a batch without padding reads every mask row once.
 
 Padding is computed once per distinct row, never trimmed.  Every ``<pad>``
 row embeds to the same vector (a zero word vector, the pad subword
@@ -153,14 +153,7 @@ class RelationModel:
             groups.append(self.attention.parameters())
         groups.append(self.relation_head.parameters())
         groups.append(self.connective_head.parameters())
-        seen = set()
-        out = []
-        for group in groups:
-            for p in group:
-                if id(p) not in seen:
-                    seen.add(id(p))
-                    out.append(p)
-        return out
+        return [p for group in groups for p in group]
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """A copy of every trainable weight, by name.  The frozen parts are
@@ -173,38 +166,28 @@ class RelationModel:
 
     # -- forward -------------------------------------------------------------
 
-    def _mask_draw(self, arguments, rows: int) -> tuple[int, np.ndarray]:
-        """``tensor.dropout``'s draw for one argument of every instance at
-        ``rows`` rows each: B*N rows drawn, and row j of instance b reads
-        draw row b*N + min(j, r_b), where r_b is its real length."""
-        n = self.max_tokens
-        real = np.minimum([len(tokens) for tokens in arguments], n)
-        source = np.minimum(np.arange(rows), real[:, None])
-        return len(arguments) * n, (source + n * np.arange(len(arguments))[:, None]).ravel()
-
     def _schedule(self, arguments):
-        """The rows one argument of every instance runs at: (rows, draws,
-        grows, counts).  It is embedded at ``rows`` rows, and per encoder
-        layer, ``draws`` holds the dropout draw in front of it, ``grows``
-        the (row, copies) it grows each instance by and ``counts`` how many
-        full-length rows each of its output rows stands for.  A conv stack
-        with h = (k-1)/2 embeds R + 1 rows, R the longest real length, and
-        layer l inserts 2h copies of its input's row R + (l-1)*h, up to
-        ``max_tokens`` rows; its row R + l*h then stands for the pad run
-        [R + l*h, N - l*h).  A recurrent stack runs all N rows."""
+        """The rows one argument of every instance runs at: (rows, grows,
+        counts).  It is embedded at ``rows`` rows, and per encoder layer,
+        ``grows`` holds the (row, copies) it grows each instance by and
+        ``counts`` how many full-length rows each of its output rows stands
+        for.  A conv stack with h = (k-1)/2 embeds R + 1 rows, R the longest
+        real length, and layer l inserts 2h copies of its input's row
+        R + (l-1)*h, up to ``max_tokens`` rows; its row R + l*h then stands
+        for the pad run [R + l*h, N - l*h).  A recurrent stack runs all N
+        rows."""
         n, h = self.max_tokens, (self.kernel_size - 1) // 2
         real = max(min(len(tokens), n) for tokens in arguments)
         rows = embedded = min(n, real + 1) if self.block_type == "conv" else n
-        draws, grows, counts = [], [], []
+        grows, counts = [], []
         for layer in range(1, self.depth + 1):
-            draws.append(self._mask_draw(arguments, rows))
             copies = min(2 * h, n - rows)
             grows.append((real + (layer - 1) * h, copies))
             rows += copies
             counts.append(np.ones(rows, dtype=np.intp))
             if rows < n:
                 counts[-1][real + layer * h] += n - rows
-        return embedded, draws, grows, counts
+        return embedded, grows, counts
 
     def _layers(self, pairs, rng: np.random.Generator | None = None):
         """The encoder layers that feed the pair vector (all of them, or the
@@ -214,13 +197,15 @@ class RelationModel:
         batch = len(pairs)
         args1 = [arg1 for arg1, _ in pairs]
         args2 = [arg2 for _, arg2 in pairs]
-        rows1, draws1, grows1, counts1 = self._schedule(args1)
-        rows2, draws2, grows2, counts2 = self._schedule(args2)
-        e1 = T.dropout(self.embedder.embed(args1, rows1), self.embedding_dropout, rng, draws1[0])
-        e2 = T.dropout(self.embedder.embed(args2, rows2), self.embedding_dropout, rng, draws2[0])
+        lengths1 = [len(tokens) for tokens in args1]
+        lengths2 = [len(tokens) for tokens in args2]
+        rows1, grows1, counts1 = self._schedule(args1)
+        rows2, grows2, counts2 = self._schedule(args2)
+        e1 = T.dropout(self.embedder.embed(args1, rows1), self.embedding_dropout, rng, lengths1)
+        e2 = T.dropout(self.embedder.embed(args2, rows2), self.embedding_dropout, rng, lengths2)
         layers1, layers2 = EncoderStack.forward(
             (self.stack1, self.stack2), (e1, e2), batch, dropout_rate=self.encoder_dropout,
-            rng=rng, draws=(draws1, draws2), grows=(grows1, grows2))
+            rng=rng, lengths=(lengths1, lengths2), grows=(grows1, grows2))
         pooled = slice(0 if self.res_pair else -1, None)
         return layers1[pooled], layers2[pooled], counts1[pooled], counts2[pooled]
 

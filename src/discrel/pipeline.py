@@ -48,6 +48,7 @@ from .data import (
     macro_f1_4way,
     make_splits,
     pad_truncate,
+    task_label_space,
 )
 from .errors import ConfigError, DataError, InstanceKeyError, ParseError, ShapeError, utf8_text
 from .model import RelationModel
@@ -74,16 +75,6 @@ TRACE_NAME = "trace.csv"
 CONFIG_NAME = "config.ini"
 _MANIFEST_FORMAT = "discrel-run 1"
 _LM_FORMAT = "discrel-lm 1"
-
-
-def task_label_space(task: str) -> LabelSpace:
-    if task == "eleven-way":
-        return LabelSpace.eleven_way()
-    if task == "four-way":
-        return LabelSpace.four_way()
-    if task.startswith("binary:"):
-        return LabelSpace.binary(task.split(":", 1)[1])
-    raise ConfigError(f"task.kind: unknown task {task!r}")
 
 
 def resolve_output_dir(config: RunConfig) -> Path:

@@ -22,14 +22,14 @@ type's ``forward`` takes that layer's blocks and inputs, so the recurrent
 layers of every stack at a depth are one scan.  Input dropout is applied
 in front of every block, its masks drawn in the order the blocks run
 (layer by layer, stack order within a layer); a pass without an rng draws
-no masks (inference), and neither does a pass at rate 0.  Each mask of a
-stack may come from a row-indexed draw (``tensor.dropout``'s ``draw``),
-one per layer, and each conv layer may grow its input's rows by copies of
-one row (``tensor.gated_conv``'s ``grow``): the model uses both to give
-all pad rows of an instance one mask row and to run each layer of a padded
-conv stack at its own distinct rows (see ``model``).  With all weights
-zero, a residual block is exactly the identity; stacks for the two
-arguments of a pair are built either with their own weights or shared.
+no masks (inference), and neither does a pass at rate 0.  Given the
+instances' real lengths, a stack's masks tie each instance's pad rows to
+one mask row (``tensor.dropout``'s ``lengths``), and each conv layer may
+grow its input's rows by copies of one row (``tensor.gated_conv``'s
+``grow``): the model uses both to run each layer of a padded conv stack at
+its own distinct rows (see ``model``).  With all weights zero, a residual
+block is exactly the identity; stacks for the two arguments of a pair are
+built either with their own weights or shared.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ class EncoderStack:
     def forward(stacks: Sequence[EncoderStack], inputs: Sequence[Tensor], batch: int = 1, *,
                 dropout_rate: float = 0.0,
                 rng: np.random.Generator | None = None,
-                draws: Sequence[Sequence] | None = None,
+                lengths: Sequence[Sequence[int]] | None = None,
                 grows: Sequence[Sequence[tuple[int, int]]] | None = None
                 ) -> list[list[Tensor]]:
         """Per stack, all layer outputs of ``stacks[i]`` over ``inputs[i]``,
@@ -137,22 +137,23 @@ class EncoderStack:
         layer of all of them at a time, so that each depth's recurrences
         are one scan.  Dropout masks are drawn from ``rng`` only when one is
         given, in that order: layer by layer, stack order within a layer.
-        ``draws[i][l]``, when given, is the ``tensor.dropout`` draw of the
-        mask in front of layer l of ``stacks[i]``, and ``grows[i][l]`` the
-        (row, copies) that layer's conv grows each instance's rows by (see
-        ``tensor.gated_conv``); without ``grows``, every layer keeps the
-        rows of its input."""
+        ``lengths[i]``, when given, holds the instances' real lengths in
+        ``inputs[i]``, and every mask of ``stacks[i]`` ties each instance's
+        pad rows to one mask row (see ``tensor.dropout``).  ``grows[i][l]``
+        is the (row, copies) that layer l's conv grows each instance's rows
+        by (see ``tensor.gated_conv``); without ``grows``, every layer keeps
+        the rows of its input."""
         for stack, x in zip(stacks, inputs, strict=True):
             if x.shape[1] != stack.width:
                 raise ShapeError(f"EncoderStack: input width {x.shape[1]} != {stack.width}")
-        draws = draws or [[None] * stacks[0].depth] * len(stacks)
+        lengths = lengths or [None] * len(stacks)
         grows = grows or [[(0, 0)] * stacks[0].depth] * len(stacks)
         outputs = [[] for _ in stacks]
         hs = list(inputs)
         for layer, blocks in enumerate(zip(*(stack.blocks for stack in stacks), strict=True)):
             hs = type(blocks[0]).forward(
-                blocks, [T.dropout(h, dropout_rate, rng, draw[layer])
-                         for h, draw in zip(hs, draws, strict=True)],
+                blocks, [T.dropout(h, dropout_rate, rng, real)
+                         for h, real in zip(hs, lengths, strict=True)],
                 batch, [grow[layer] for grow in grows])
             for layers, h in zip(outputs, hs):
                 layers.append(h)

@@ -1138,24 +1138,24 @@ def cross_entropy(logits: Tensor, gold) -> Tensor:
 
 
 def dropout(t: Tensor, rate: float, rng: np.random.Generator | None,
-            draw: tuple[int, np.ndarray] | None = None) -> Tensor:
+            lengths: Sequence[int] | None = None) -> Tensor:
     """Inverted-scaling dropout; identity (and no RNG draw) without an ``rng``.
 
-    Without ``draw`` the mask is one uniform draw of ``t``'s shape.  With
-    ``draw = (rows, source)`` the draw is ``rows`` rows of ``t``'s width,
-    and row i of ``t`` takes the mask of draw row ``source[i]``, so rows
-    may share a mask row and the draw need not have ``t``'s row count.
+    The mask is one uniform draw of ``t``'s shape.  Given ``lengths``, the
+    real lengths of the B sequences stacked in ``t``'s rows, every row at or
+    past ``lengths[b]`` of sequence b reads the mask of its row
+    ``lengths[b]``: the pad rows of a sequence share one mask row.
     """
     if not (0.0 <= rate < 1.0):
         raise ShapeError(f"dropout: rate must be in [0, 1), got {rate}")
     if rng is None or rate == 0.0:
         return t
     keep = 1.0 - rate
-    if draw is None:
-        mask = rng.random(t.shape) >= rate
-    else:
-        rows, source = draw
-        mask = (rng.random((rows, t.shape[1])) >= rate)[source]
+    mask = rng.random(t.shape) >= rate
+    if lengths is not None:
+        n = _sequence_length(t, len(lengths), "dropout")
+        source = np.minimum(np.arange(n), np.asarray(lengths)[:, None])
+        mask = mask[(source + n * np.arange(len(lengths))[:, None]).ravel()]
     out = Tensor(t.data * (mask / keep))
     if _tracked(t):
         def bwd(g):

@@ -97,29 +97,60 @@ def test_every_pad_row_embeds_identically(part):
 # Equivalence with the full-length pass
 
 
-def pad_shared_draw(arguments, n):
-    """The mask rule at ``n`` rows per instance: B*n rows drawn, and row j of
-    instance b reads draw row b*n + min(j, real length)."""
-    return len(arguments) * n, np.array(
-        [b * n + min(j, len(tokens), n) for b, tokens in enumerate(arguments)
-         for j in range(n)])
+def mask_rows(model, arguments):
+    """Per dropout slot of one argument's stack (the embedding, then each
+    encoder layer's input), the rows per instance that the model's pass
+    holds there: a conv stack embeds min(N, R + 1) rows and each layer adds
+    k - 1 more, up to N; a recurrent stack holds N."""
+    n = model.max_tokens
+    if model.block_type != "conv":
+        return [n] * (model.depth + 1)
+    rows = min(n, max(len(tokens) for tokens in arguments) + 1)
+    slots = [rows]
+    for _ in range(model.depth):
+        slots.append(rows)
+        rows = min(n, rows + model.kernel_size - 1)
+    return slots
+
+
+def pad_shared_dropout(t, rate, rng, rows, arguments):
+    """Dropout under the pad-shared mask rule, at full length: one draw of
+    ``rows`` rows per instance, and full-length row j of instance b reads
+    mask row min(j, r_b) of that instance, r_b its real length."""
+    if rng is None or rate == 0.0:
+        return t
+    n = t.shape[0] // len(arguments)
+    drawn = (rng.random((len(arguments) * rows, t.shape[1])) >= rate) / (1.0 - rate)
+    source = [b * rows + min(j, len(tokens), n) for b, tokens in enumerate(arguments)
+              for j in range(n)]
+    return T.mul(t, T.constant(drawn[source]))
 
 
 def full_length_scores(model, pairs, rng=None, shared_pad_masks=True):
     """The unshortened oracle: both stacks run at ``max_tokens`` rows, with
-    embedding and encoder dropout under the pad-shared mask rule, or with
-    one plain mask per row when ``shared_pad_masks`` is off."""
+    embedding and encoder dropout under the pad-shared mask rule, each mask
+    drawn at the rows the model's pass holds in its slot, or with one plain
+    mask per row when ``shared_pad_masks`` is off."""
     n = model.max_tokens
     arguments = ([arg1 for arg1, _ in pairs], [arg2 for _, arg2 in pairs])
-    draws = [pad_shared_draw(args, n) if shared_pad_masks else None for args in arguments]
-    embedded = [T.dropout(model.embedder.embed(args, n), model.embedding_dropout, rng, draw)
-                for args, draw in zip(arguments, draws)]
-    layers1, layers2 = (
-        layers if model.res_pair else layers[-1:]
-        for layers in EncoderStack.forward(
-            [model.stack1, model.stack2], embedded, len(pairs),
-            dropout_rate=model.encoder_dropout, rng=rng,
-            draws=[[draw] * model.depth for draw in draws]))
+    slots = [mask_rows(model, args) for args in arguments]
+
+    def drop(t, rate, stack, slot):
+        if not shared_pad_masks:
+            return T.dropout(t, rate, rng)
+        return pad_shared_dropout(t, rate, rng, slots[stack][slot], arguments[stack])
+
+    hs = [drop(model.embedder.embed(args, n), model.embedding_dropout, i, 0)
+          for i, args in enumerate(arguments)]
+    layers1, layers2 = [], []
+    for layer, blocks in enumerate(zip(model.stack1.blocks, model.stack2.blocks)):
+        hs = type(blocks[0]).forward(
+            blocks, [drop(h, model.encoder_dropout, i, layer + 1) for i, h in enumerate(hs)],
+            len(pairs))
+        layers1.append(hs[0])
+        layers2.append(hs[1])
+    if not model.res_pair:
+        layers1, layers2 = layers1[-1:], layers2[-1:]
     rows = per_instance_pair_rows(layers1, layers2, model.attention, len(pairs))
     pooled = T.dropout(rows, model.classifier_dropout, rng)
     return (model.relation_head.forward(pooled), model.connective_head.forward(pooled),
@@ -301,14 +332,15 @@ def test_real_rows_keep_a_plain_draw_and_pad_rows_share_one(block_type, stack_ro
     T.active_tape().clear()
     replay = np.random.default_rng(3)
     for argument, masked, (rows, *_) in zip(zip(*pairs), inputs, stack_rows):
-        plain = (replay.random((len(pairs) * n, width)) >= 0.4) / 0.6
+        # one draw at the rows the pass holds, not at max_tokens
+        plain = (replay.random((rows, width)) >= 0.4) / 0.6
         rows //= len(pairs)
         assert rows == (n if block_type == "recurrent" else 12 + 1)
         for b, tokens in enumerate(argument):
             got = masked[b * rows:(b + 1) * rows]
             real = len(tokens)
-            assert got[:real].tobytes() == plain[b * n:b * n + real].tobytes()
-            assert (got[real:] == plain[b * n + real]).all()
+            assert got[:real].tobytes() == plain[b * rows:b * rows + real].tobytes()
+            assert (got[real:] == plain[b * rows + real]).all()
 
 
 def test_a_batch_without_padding_trains_as_under_one_mask_per_row():

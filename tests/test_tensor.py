@@ -745,19 +745,23 @@ class TestDropout:
         assert out.numpy().tobytes() == (x.data * scale).tobytes()
         assert x.grad.tobytes() == (g * scale).tobytes()
 
-    def test_a_row_indexed_draw_gives_each_row_its_source_rows_mask(self):
+    def test_given_lengths_each_sequences_pad_rows_share_one_mask_row(self):
+        # three sequences of 4 rows, of real lengths 1, 6 (cut to its 4
+        # rows: no pad) and 2
         rng = np.random.default_rng(5)
-        x = T.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
-        g = rng.normal(size=(4, 5))
-        source = np.array([0, 2, 2, 5])
-        out = T.dropout(x, 0.4, np.random.default_rng(6), (6, source))
+        x = T.Tensor(rng.normal(size=(12, 5)), requires_grad=True)
+        g = rng.normal(size=(12, 5))
+        out = T.dropout(x, 0.4, np.random.default_rng(6), [1, 6, 2])
         T.backward(sum_all(T.mul(out, T.constant(g))))
         replay = np.random.default_rng(6)
-        scale = ((replay.random((6, 5)) >= 0.4) / (1.0 - 0.4))[source]
+        drawn = (replay.random((12, 5)) >= 0.4) / (1.0 - 0.4)
+        # real rows read their own mask row, and pad rows that of the
+        # sequence's first pad row
+        scale = drawn[[0, 1, 1, 1, 4, 5, 6, 7, 8, 9, 10, 10]]
         assert out.numpy().tobytes() == (x.data * scale).tobytes()
         assert x.grad.tobytes() == (g * scale).tobytes()
-        # the draw takes exactly its rows from the stream
-        assert replay.random() == np.random.default_rng(6).random(31)[-1]
+        # the draw takes exactly t.size uniforms from the stream
+        assert replay.random() == np.random.default_rng(6).random(61)[-1]
 
     def test_rate_zero_draws_nothing(self):
         rng = np.random.default_rng(4)

@@ -360,8 +360,16 @@ def tape_nodes_per_instance(monkeypatch, max_tokens, batch_size=4):
 def test_recurrent_training_step_tape_grows_with_depth_not_length(monkeypatch):
     # The fused recurrence records one node per bidirectional layer; a
     # per-time-step tape would record thousands per instance at 100 tokens.
+    # The step of 4 instances, depth 4, every dropout on, records 59:
+    # per layer, one scan of both arguments and per argument the
+    # projection (a matmul and a bias) and the residual add, and after
+    # the first layer a dropout per argument (the frozen embedding's
+    # dropout is not recorded); per layer, an attention node, two pools
+    # and a concat; then the layer concat, the pair dropout, the two
+    # heads (a matmul and a bias each) and the loss (two cross-entropies
+    # and a sum).
     long = tape_nodes_per_instance(monkeypatch, max_tokens=100)
-    assert long < 200
+    assert long * 4 == 59
     assert tape_nodes_per_instance(monkeypatch, max_tokens=10) == long
 
 
