@@ -91,8 +91,10 @@ def load_corpus(path) -> list[InstanceRecord]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+            # JSONDecodeError, or nesting too deep or an integer too long to read
+            except (RecursionError, ValueError) as exc:
+                raise ParseError(f"{path}:{lineno}: invalid JSON "
+                                 f"({getattr(exc, 'msg', exc)})") from None
             if not isinstance(obj, dict):
                 raise ParseError(f"{path}:{lineno}: record must be an object")
             unknown = set(obj) - _RECORD_KEYS

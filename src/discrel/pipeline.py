@@ -277,10 +277,12 @@ class RestoredRun:
 
 def _read_manifest(path: Path, kind: str = _MANIFEST_FORMAT) -> dict:
     """The JSON manifest at ``path``, whose format must be ``kind``."""
+    with utf8_text(path), open(path, encoding="utf-8") as fh:
+        text = fh.read()
     try:
-        with utf8_text(path), open(path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
+        manifest = json.loads(text)
+    # JSONDecodeError, or nesting too deep or an integer too long to read
+    except (RecursionError, ValueError) as exc:
         raise ParseError(f"{path}: not a JSON manifest ({exc})") from None
     if not isinstance(manifest, dict) or manifest.get("format") != kind:
         found = manifest.get("format") if isinstance(manifest, dict) else manifest

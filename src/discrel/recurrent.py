@@ -44,7 +44,9 @@ class BiGRU:
         return [*self.fwd, *self.bwd]
 
     @staticmethod
-    def forward(layers: Sequence[BiGRU], inputs: Sequence[Tensor],
-                batch: int = 1) -> tuple[Tensor, ...]:
-        """``layers[i]`` over ``inputs[i]`` (B*N rows each), all in one scan."""
-        return T.bigru_scan(inputs, [(layer.fwd, layer.bwd) for layer in layers], batch)
+    def forward(layers: Sequence[BiGRU], inputs: Sequence[Tensor], batch: int = 1,
+                lengths: Sequence[int] | None = None) -> tuple[Tensor, ...]:
+        """``layers[i]`` over ``inputs[i]`` (B*N rows each), all in one scan;
+        ``lengths`` as ``tensor.bigru_scan`` takes them."""
+        return T.bigru_scan(inputs, [(layer.fwd, layer.bwd) for layer in layers], batch,
+                            lengths)

@@ -120,7 +120,8 @@ class Parameter(Tensor):
     __slots__ = ("accumulator", "name")
 
     def __init__(self, data, name: str = ""):
-        super().__init__(data, requires_grad=True)
+        # C order, so that ``adagrad_step`` can update it in flat blocks
+        super().__init__(np.require(data, np.float64, "C"), requires_grad=True)
         self.accumulator = np.zeros_like(self.data)
         self.name = name
 
@@ -823,9 +824,19 @@ def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
+def _backward_order(batch: int, n: int, lengths: Sequence[int]) -> np.ndarray:
+    """Row indices of B sequences of N rows, in a backward stream's scan
+    order: step-major, sequence b read from row lengths[b] - 1 down to 0,
+    then its rows past lengths[b] in order."""
+    steps = np.arange(n)[:, None]
+    real = np.asarray(lengths)[None, :]
+    rows = np.where(steps < real, real - 1 - steps, steps)
+    return (rows + n * np.arange(batch)).ravel()
+
+
 def bigru_scan(inputs: Sequence[Tensor],
                weights: Sequence[tuple[Sequence[Tensor], Sequence[Tensor]]],
-               batch: int = 1) -> tuple[Tensor, ...]:
+               batch: int = 1, lengths: Sequence[int] | None = None) -> tuple[Tensor, ...]:
     """Bidirectional gated recurrences over several inputs, one tape node.
 
     Each input is (B*N, d): ``batch`` = B sequences of N rows, stacked
@@ -846,6 +857,12 @@ def bigru_scan(inputs: Sequence[Tensor],
     ``b_gates`` is (3h,).  Output i is (B*N, 2h), aligned to the rows of
     input i: forward states in columns [0, h), backward states in [h, 2h).
 
+    ``lengths``, B ints in [1, N], makes sequence b its first ``lengths[b]``
+    rows (r_b): its backward streams start from row r_b - 1, and its output
+    rows at or past r_b are zero.  The rows past r_b are scanned too, after
+    the real ones in both directions, so no real row reads them.  It is for
+    untracked calls only: a tracked call with ``lengths`` raises ShapeError.
+
     The S = 2 * len(inputs) recurrences (every input's forward stream, then
     every input's backward stream) never feed each other, so they advance
     together: each step multiplies the (S, B, h) states of all of them by
@@ -853,7 +870,7 @@ def bigru_scan(inputs: Sequence[Tensor],
     stream-major and step-major, (S, N, B, .), so one step of all streams is
     one strided view.  One (S, N, B, 3h) buffer is the only per-step store:
     it is filled with the input projections before the loop (a backward
-    stream's time-reversed, so it too is read first step to last), each
+    stream's in its scan order, so it too is read first step to last), each
     step overwrites its projections with that step's [r | z | c], and the
     backpropagation through time overwrites those with their gradients,
     from which the weight and input gradients are each one matmul per
@@ -893,11 +910,20 @@ def bigru_scan(inputs: Sequence[Tensor],
     n_streams = 2 * n_in
     flat = [t for pair in weights for direction in pair for t in direction]
     tracked = _tracked(*inputs, *flat)
+    if lengths is not None:
+        lengths = [int(r) for r in lengths]
+        if len(lengths) != batch or not all(1 <= r <= n for r in lengths):
+            raise ShapeError(f"bigru_scan: need {batch} lengths in [1, {n}], got {lengths}")
+        if tracked:
+            raise ShapeError("bigru_scan: lengths are for untracked calls only")
+        order = _backward_order(batch, n, lengths)
 
     buf = np.empty((n_streams, n, batch, 3 * dh))
     for s, ((i, reverse), (w_gates, _, _, b_gates)) in enumerate(zip(streams, params)):
         proj = buf[s].reshape(n * batch, 3 * dh)
-        np.matmul(_scan_order(inputs[i].data, batch, n, reverse), w_gates.data, out=proj)
+        x = (inputs[i].data[order] if reverse and lengths is not None
+             else _scan_order(inputs[i].data, batch, n, reverse))
+        np.matmul(x, w_gates.data, out=proj)
         proj += b_gates.data
     # Each group of streams: its stream range, then the ranges of the
     # inputs it scans forwards and backwards.
@@ -934,6 +960,12 @@ def bigru_scan(inputs: Sequence[Tensor],
                 states[f_lo:f_hi, :, t, :dh] = h[:split]
             if b_hi > b_lo:
                 states[b_lo:b_hi, :, n - 1 - t, dh:] = h[split:]
+    # Step t of a backward stream wrote row N - 1 - t; for a shorter
+    # sequence that step was its row r_b - 1 - t.
+    for b, r in enumerate(lengths or ()):
+        if r < n:
+            states[:, b, :r, dh:] = states[:, b, n - r:, dh:]
+            states[:, b, r:] = 0.0
     outs = tuple(Tensor(states[i].reshape(batch * n, 2 * dh)) for i in range(n_in))
     if not tracked:
         return outs
@@ -1168,20 +1200,40 @@ def dropout(t: Tensor, rate: float, rng: np.random.Generator | None,
 # Optimizer
 
 
+# Elements per block of ``adagrad_step``: its two scratch vectors of this
+# length (128 KiB each) stay in cache between the block's passes, where
+# whole-array passes over train-conv's 7.3M weights stream every temporary
+# through memory.
+ADAGRAD_BLOCK = 16384
+
+
 def adagrad_step(params: Iterable[Parameter], lr: float = 0.001, eps: float = 1e-8) -> None:
     """One AdaGrad update: acc += g^2; theta -= lr * g / (sqrt(acc) + eps).
 
     Gradients must have been populated by a backward pass; they are cleared
-    after the step.
+    after the step.  Each parameter is updated ``ADAGRAD_BLOCK`` elements at
+    a time, in two scratch vectors made for the call, with the same
+    operations in the same order as whole-array arithmetic, so the results
+    are bitwise those.
     """
     params = list(params)
     for p in params:
         if p.grad is None:
             raise MissingGradientError(f"parameter {p.name or '<anon>'} has no gradient; run backward first")
+    size = min(ADAGRAD_BLOCK, max((p.size for p in params), default=0))
+    square, step = np.empty(size), np.empty(size)
     for p in params:
-        g = p.grad
-        p.accumulator += g * g
-        p.data -= lr * g / (np.sqrt(p.accumulator) + eps)
+        g, acc, theta = p.grad.reshape(-1), p.accumulator.reshape(-1), p.data.reshape(-1)
+        for lo in range(0, g.size, ADAGRAD_BLOCK):
+            hi = min(lo + ADAGRAD_BLOCK, g.size)
+            gb, sq, st = g[lo:hi], square[:hi - lo], step[:hi - lo]
+            np.multiply(gb, gb, out=sq)
+            acc[lo:hi] += sq
+            np.sqrt(acc[lo:hi], out=sq)
+            sq += eps
+            np.multiply(lr, gb, out=st)
+            st /= sq
+            theta[lo:hi] -= st
         p.grad = None
 
 

@@ -14,8 +14,9 @@ Each token's representation is the concatenation, always in this order, of
 
 The contextual embedder behind (3) is a small character-level bidirectional
 language model, a stand-in for a large pretrained one: trained once, frozen,
-then run over each argument's real tokens.  ``TokenEmbedder.embed`` embeds one
-argument of every instance in a batch in one call.
+then run over the real tokens of a whole batch of arguments at once.
+``TokenEmbedder.embed`` embeds one argument of every instance in a batch in
+one call, with one call of the language model.
 """
 
 from __future__ import annotations
@@ -322,11 +323,12 @@ class ToyContextualEmbedder:
     """Small character-level bidirectional language model used as a stand-in.
 
     Words are encoded by a character convolution with max pooling (each
-    distinct word of a sentence once, in one batch); two
-    stacked bidirectional recurrent layers produce the per-token outputs
-    (lower layer, upper layer).  The model is trained to predict each
-    position's next word with its forward state and previous word with its
-    backward state, then frozen.
+    distinct word of a batch of sentences once, in one batch); two stacked
+    bidirectional recurrent layers, each one scan over all the sentences at
+    their own lengths, produce the per-token outputs (lower layer, upper
+    layer).  The model is trained to predict each position's next word with
+    its forward state and previous word with its backward state, one
+    sentence at a time, then frozen.
     """
 
     CHAR_PAD = 0
@@ -373,22 +375,41 @@ class ToyContextualEmbedder:
                 + self.rnn1.parameters() + self.rnn2.parameters()
                 + [self.head_next_w, self.head_next_b, self.head_prev_w, self.head_prev_b])
 
-    def _layers(self, tokens) -> tuple[Tensor, Tensor]:
-        if not tokens:
+    def _layers(self, sentences) -> tuple[Tensor, Tensor]:
+        """(lower, upper), each (B*N, dim) for B sentences of at most N
+        tokens, stacked sentence-major; a sentence's rows past its length
+        are zero."""
+        if not sentences or not all(sentences):
             raise DataError("toy embedder: empty token sequence")
-        words, positions = _distinct(tokens)
+        lengths = [len(tokens) for tokens in sentences]
+        n = max(lengths)
+        words, slots = _distinct([tok for tokens in sentences for tok in tokens])
         rows = [[self.char_ids.get(c, self.CHAR_UNK) for c in w] for w in words]
         (vectors,) = _conv_max_pool(self.char_table, rows, self.CHAR_PAD,
                                     [(self.char_kernel, self.char_bias)])
-        (lower,) = BiGRU.forward([self.rnn1], [T.gather_rows(vectors, positions)])
-        (upper,) = BiGRU.forward([self.rnn2], [lower])
+        # A sentence's rows past its length repeat its first word; the scan
+        # never lets them reach its real rows.
+        positions = []
+        start = 0
+        for r in lengths:
+            positions += slots[start:start + r] + [slots[start]] * (n - r)
+            start += r
+        # Equal lengths scan without them, as the tracked one-sentence
+        # batches of ``train_lm`` must.
+        ragged = lengths if min(lengths) < n else None
+        (lower,) = BiGRU.forward([self.rnn1], [T.gather_rows(vectors, positions)],
+                                 len(sentences), ragged)
+        (upper,) = BiGRU.forward([self.rnn2], [lower], len(sentences), ragged)
         return lower, upper
 
-    def embed(self, tokens) -> tuple[np.ndarray, np.ndarray]:
-        """(lower, upper) arrays, each (len(tokens), dim), computed without a
-        tape on every call; nothing is kept between calls."""
+    def embed(self, sentences) -> tuple[np.ndarray, np.ndarray]:
+        """(lower, upper) arrays, each (B*N, dim) for B sentences of at most
+        N tokens: sentence b's token j is row b*N + j, and its rows past its
+        length are zero.  One character convolution and one scan per layer
+        serve the whole batch, without a tape; nothing is kept between
+        calls."""
         with T.no_grad():
-            lower, upper = self._layers(list(tokens))
+            lower, upper = self._layers([list(tokens) for tokens in sentences])
         return lower.numpy(), upper.numpy()
 
     def freeze(self) -> None:
@@ -412,7 +433,7 @@ class ToyContextualEmbedder:
             for si in order:
                 sent = sentences[si]
                 n = len(sent)
-                _, upper = self._layers(sent)
+                _, upper = self._layers([sent])
                 fwd = T.slice_cols(upper, 0, half)
                 bwd = T.slice_cols(upper, half, self.dim)
                 next_ids = [self.word_ids.get(w, self.EDGE_CLASS) for w in sent[1:]] + [self.EDGE_CLASS]
@@ -511,8 +532,8 @@ class TokenEmbedder:
         ``<pad>`` to ``rows`` tokens, stacked in order.
 
         The batch shares one word-vector gather, one subword batch over its
-        distinct tokens and one mixer pass.  The contextual embedder runs over
-        each argument's real tokens; its padding rows are zero mixer input.
+        distinct tokens, one contextual embedder call over the arguments' real
+        tokens and one mixer pass; padding rows are zero mixer input.
         """
         arguments = [list(argument) for argument in arguments]
         if not arguments or not all(arguments):
@@ -527,13 +548,12 @@ class TokenEmbedder:
                 [self._token_piece_indices(tok) for tok in distinct])
             parts.append(T.gather_rows(features, positions))
         if self.mixer is not None:
-            lower = np.zeros((len(tokens), self.mixer.d_in))
-            upper = np.zeros((len(tokens), self.mixer.d_in))
-            for start, argument in zip(range(0, len(tokens), rows), arguments):
-                lo, up = self.contextual.embed(argument[:rows])
-                lower[start:start + len(lo)] = lo
-                upper[start:start + len(up)] = up
-            parts.append(self.mixer.forward(T.constant(lower), T.constant(upper)))
+            layers = self.contextual.embed([argument[:rows] for argument in arguments])
+            real = len(layers[0]) // len(arguments)
+            parts.append(self.mixer.forward(*(
+                T.constant(np.pad(a.reshape(len(arguments), real, -1),
+                                  ((0, 0), (0, rows - real), (0, 0))).reshape(len(tokens), -1))
+                for a in layers)))
         if len(parts) == 1:
             return parts[0]
         return T.concat(parts, axis=1)

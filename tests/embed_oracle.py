@@ -3,8 +3,8 @@
 Each argument is embedded on its own, cut or padded with ``<pad>`` to
 ``rows`` tokens: its word vectors looked up one token at a time, one
 subword batch over its own distinct tokens, and one mixer pass over the
-contextual embedder's output for its real tokens, zero-filled on the
-padding rows.  The parts are concatenated by column, then the arguments by
+contextual embedder's output for its real tokens alone (a call of one
+sentence), zero-filled on the padding rows.  The parts are concatenated by column, then the arguments by
 row.  ``embed`` must reproduce it bitwise, and its gradients up to rounding.
 """
 
@@ -36,7 +36,7 @@ def embed_sentence(embedder, tokens, n_real):
             [embedder._token_piece_indices(tok) for tok in slots])
         parts.append(T.gather_rows(features, positions))
     if embedder.mixer is not None:
-        lower, upper = embedder.contextual.embed(tokens[:n_real])
+        lower, upper = embedder.contextual.embed([tokens[:n_real]])
         fill = np.zeros((len(tokens) - n_real, embedder.mixer.d_in))
         parts.append(embedder.mixer.forward(T.constant(np.vstack([lower, fill])),
                                             T.constant(np.vstack([upper, fill]))))

@@ -3,8 +3,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given
 
+from byte_mutations import mutations
 from discrel.bpe import load_merge_table, load_word_frequencies
+from discrel.cli import _FAILURES
 from discrel.config import parse_config
 from discrel.data import (
     ELEVEN_WAY_SENSES,
@@ -403,3 +406,45 @@ def test_text_loaders_report_non_utf8_bytes(tmp_path, load, name, data):
     path.write_bytes(data)
     with pytest.raises(ParseError, match=re.escape(f"{name}: not UTF-8 text")):
         load(path)
+
+
+# JSON that Python's reader refuses without a JSONDecodeError: nesting past
+# the interpreter's recursion limit (RecursionError), and an integer of more
+# digits than int() converts (ValueError, 4,300 by default).
+_DEEP_JSON = b"[" * 100_000 + b"\n"
+_LONG_INTEGER = (b'{"arg1": ["a"], "arg2": ["b"], "senses": ["Expansion.List"], "section": '
+                 + b"7" * 5000 + b"}\n")
+
+
+@pytest.mark.parametrize("load,name,before,needle", [
+    pytest.param(load_corpus, "input.txt", _VALID_RECORD, "input.txt:2: invalid JSON",
+                 id="corpus"),
+    pytest.param(load_lm_manifest, MANIFEST_NAME, b"",
+                 f"{MANIFEST_NAME}: not a JSON manifest", id="manifest"),
+])
+@pytest.mark.parametrize("line", [_DEEP_JSON, _LONG_INTEGER], ids=["nested", "long-integer"])
+def test_json_readers_report_deep_nesting_and_long_integers(tmp_path, load, name, before,
+                                                            needle, line):
+    path = tmp_path / name
+    path.write_bytes(before + line)
+    with pytest.raises(ParseError, match=re.escape(needle)):
+        load(path)
+
+
+# Two records, one with two senses and a connective, as save_corpus writes them.
+_CORPUS = b"".join(json.dumps(rec.to_dict()).encode() + b"\n" for rec in synthetic_corpus(
+    2, ELEVEN_WAY_SENSES, seed=4, arg_len=3, multi_sense_rate=1.0))
+
+
+# The two inputs above, which random edits rarely reach, are pinned.
+@example(corpus=_VALID_RECORD + _DEEP_JSON)
+@example(corpus=_VALID_RECORD + _LONG_INTEGER)
+@given(corpus=mutations(_CORPUS))
+def test_any_mutation_of_a_corpus_loads_or_raises_a_reported_failure(tmp_path_factory, corpus):
+    path = tmp_path_factory.getbasetemp() / "mutated.jsonl"
+    path.write_bytes(corpus)
+    try:
+        records = load_corpus(path)
+    except _FAILURES:
+        return
+    assert all(isinstance(rec, InstanceRecord) for rec in records)

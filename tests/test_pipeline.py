@@ -371,9 +371,9 @@ def test_a_language_model_round_trips_bitwise(tmp_path):
     assert loaded.frozen
     for name, array in toy.state_arrays().items():
         assert loaded.state_arrays()[name].tobytes() == array.tobytes(), name
-    for tokens in (["ab", "c"], ["zz", "ab", "q"]):
-        for got, want in zip(loaded.embed(tokens), toy.embed(tokens)):
-            assert got.tobytes() == want.tobytes()
+    sentences = [["ab", "c"], ["zz", "ab", "q"]]
+    for got, want in zip(loaded.embed(sentences), toy.embed(sentences)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_a_language_model_of_another_format_is_refused(tmp_path):
@@ -405,7 +405,7 @@ def test_any_mutation_of_a_language_model_loads_or_raises_a_reported_failure(
         contextual = load_contextual_model(lm_dir)
     except _FAILURES:
         return
-    lower, upper = contextual.embed(["ab", "unseen"])
+    lower, upper = contextual.embed([["ab", "unseen"]])
     assert lower.shape == upper.shape == (2, contextual.dim)
 
 

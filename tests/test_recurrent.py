@@ -8,6 +8,7 @@ from discrel.errors import ShapeError
 from discrel.recurrent import BiGRU
 from extra_ops import sum_all
 from gradcheck import assert_grads_match
+from claims import CLOSE, assert_agree
 from gru_oracle import composed_gru
 
 GRADIENT_NAMES = ["x"] + [f"{direction}.{name}" for direction in ("fwd", "bwd")
@@ -439,3 +440,52 @@ class TestJointScan:
         outputs = 2 * batch * n * 2 * h * 8
         projection = n * batch * 3 * h * 8
         assert peak <= buffer + outputs + projection
+
+
+class TestScanLengths:
+    """``tensor.bigru_scan`` over sequences of their own lengths, untracked."""
+
+    # Lengths below N, one of them 1, and one whose real rows overlap the
+    # rows its backward states were written to (5 of 7).
+    LENGTHS = [7, 3, 1, 5]
+
+    @pytest.mark.parametrize("group_bytes", [None, 0])
+    @pytest.mark.parametrize("n_in", [1, 2])
+    def test_a_ragged_batch_equals_each_sequence_scanned_alone(self, monkeypatch, n_in,
+                                                               group_bytes):
+        if group_bytes is not None:
+            monkeypatch.setattr(T, "SCAN_GROUP_BYTES", group_bytes)
+        rng = np.random.default_rng(30 + n_in)
+        batch, n = len(self.LENGTHS), max(self.LENGTHS)
+        xs = [rng.normal(size=(batch, n, 3)) for _ in range(n_in)]
+        weights = layer_weights(rng, shared=False)[:n_in]
+        with T.no_grad():
+            outs = T.bigru_scan([T.constant(x.reshape(batch * n, 3)) for x in xs], weights,
+                                batch, self.LENGTHS)
+            for x, w, out in zip(xs, weights, outs):
+                got = out.numpy().reshape(batch, n, 8)
+                for b, r in enumerate(self.LENGTHS):
+                    (alone,) = T.bigru_scan([T.constant(x[b, :r])], [w])
+                    assert_agree(got[b, :r], alone.numpy(), CLOSE, f"sequence {b}")
+                    assert not got[b, r:].any()
+
+    def test_every_length_n_gives_bitwise_the_scan_without_lengths(self):
+        rng = np.random.default_rng(33)
+        xs = [T.constant(rng.normal(size=(3 * 6, 3))) for _ in range(2)]
+        weights = layer_weights(rng, shared=True)
+        with T.no_grad():
+            plain = T.bigru_scan(xs, weights, 3)
+            full = T.bigru_scan(xs, weights, 3, [6, 6, 6])
+        for got, want in zip(full, plain):
+            assert got.numpy().tobytes() == want.numpy().tobytes()
+
+    def test_rejects_bad_lengths_and_tracked_calls(self):
+        rng = np.random.default_rng(34)
+        weights = layer_weights(rng, shared=False)[:1]
+        x = T.constant(rng.normal(size=(2 * 4, 3)))
+        with T.no_grad():
+            for lengths in ([4], [4, 4, 4], [0, 4], [2, 5]):
+                with pytest.raises(ShapeError):
+                    T.bigru_scan([x], weights, 2, lengths)
+        with pytest.raises(ShapeError, match="untracked"):
+            T.bigru_scan([x], weights, 2, [4, 2])

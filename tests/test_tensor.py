@@ -813,6 +813,28 @@ class TestAdagrad:
         T.adagrad_step([p])
         assert p.grad is None
 
+    @pytest.mark.parametrize("block", [T.ADAGRAD_BLOCK, 7, 1])
+    def test_blocks_give_bitwise_the_whole_array_update(self, monkeypatch, block):
+        # shapes that fill no block, several blocks and a ragged last one;
+        # a scalar; a transposed (not C-ordered) weight and gradient
+        monkeypatch.setattr(T, "ADAGRAD_BLOCK", block)
+        rng = np.random.default_rng(20)
+        shapes = [(3,), (4, 5), (2, 3, 7), ()]
+        params = [T.Parameter(rng.normal(size=shape)) for shape in shapes]
+        params.append(T.Parameter(rng.normal(size=(6, 4)).T))
+        want = [(p.data.copy(), p.accumulator.copy()) for p in params]
+        for _ in range(3):
+            grads = [rng.normal(size=p.shape) for p in params]
+            grads[-1] = rng.normal(size=params[-1].shape[::-1]).T
+            for p, g, (data, acc) in zip(params, grads, want):
+                p.grad = g
+                acc += g * g
+                data -= 0.05 * g / (np.sqrt(acc) + 1e-8)
+            T.adagrad_step(params, lr=0.05)
+            for p, (data, acc) in zip(params, want):
+                assert p.data.tobytes() == data.tobytes()
+                assert p.accumulator.tobytes() == acc.tobytes()
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):

@@ -487,7 +487,7 @@ class TestToyContextualEmbedder:
     def test_output_alignment_and_width(self):
         rng = np.random.default_rng(0)
         emb = ToyContextualEmbedder.from_corpus([["a", "b", "c"], ["b", "c"]], rng, dim=8, char_dim=4)
-        lower, upper = emb.embed(["c", "a", "b", "a"])
+        lower, upper = emb.embed([["c", "a", "b", "a"]])
         assert lower.shape == (4, 8)
         assert upper.shape == (4, 8)
         assert emb.dim == 8
@@ -495,15 +495,15 @@ class TestToyContextualEmbedder:
     def test_inference_is_deterministic(self):
         rng = np.random.default_rng(1)
         emb = ToyContextualEmbedder.from_corpus([["a", "b"], ["b", "a"]], rng, dim=6, char_dim=4)
-        a = emb.embed(["a", "b", "a"])
-        b = emb.embed(["a", "b", "a"])
+        a = emb.embed([["a", "b", "a"]])
+        b = emb.embed([["a", "b", "a"]])
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
 
     def test_unseen_words_still_embed(self):
         rng = np.random.default_rng(2)
         emb = ToyContextualEmbedder.from_corpus([["ab", "cd"], ["cd", "ab"]], rng, dim=6, char_dim=4)
-        lower, _ = emb.embed(["zz", "qq"])
+        lower, _ = emb.embed([["zz", "qq"]])
         assert lower.shape == (2, 6)
 
     def test_perplexity_decreases_during_training(self):
@@ -519,8 +519,8 @@ class TestToyContextualEmbedder:
         emb.freeze()
         with pytest.raises(ConfigError):
             emb.train_lm([["a", "b"]], epochs=1)
-        first = emb.embed(["a", "b"])
-        again = emb.embed(["a", "b"])
+        first = emb.embed([["a", "b"]])
+        again = emb.embed([["a", "b"]])
         assert first[0] is not again[0]  # computed afresh, nothing kept
         assert first[0].tobytes() == again[0].tobytes()
         assert first[1].tobytes() == again[1].tobytes()
@@ -533,12 +533,12 @@ class TestToyContextualEmbedder:
         second = ToyContextualEmbedder.from_corpus(words, np.random.default_rng(7), dim=6, char_dim=4)
         first.freeze()
         second.freeze()
-        first.embed(["a b", "c"])
-        got = first.embed(["a", "b c"])
-        want = second.embed(["a", "b c"])
+        first.embed([["a b", "c"]])
+        got = first.embed([["a", "b c"]])
+        want = second.embed([["a", "b c"]])
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
-        assert not np.array_equal(got[0], first.embed(["a b", "c"])[0])
+        assert not np.array_equal(got[0], first.embed([["a b", "c"]])[0])
 
     def test_serving_distinct_sentences_keeps_no_memory(self):
         # a frozen embedder at the served width embeds 500 distinct 20-token
@@ -550,16 +550,48 @@ class TestToyContextualEmbedder:
         emb.freeze()
         sentences = [[words[j] for j in rng.integers(0, len(words), 20)] for _ in range(500)]
         assert len({tuple(s) for s in sentences}) == 500
-        emb.embed(sentences[0])  # first-call allocations are not growth
+        emb.embed([sentences[0]])  # first-call allocations are not growth
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             for tokens in sentences:
-                emb.embed(tokens)
+                emb.embed([tokens])
             grown = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
         assert grown < 1_000_000, f"traced memory grew by {grown} bytes"
+
+    def test_one_sentence_is_one_unbatched_scan_per_layer(self):
+        # the single-sentence call as it was before batches: the sentence's
+        # distinct words through the character convolution, then one scan
+        # per layer over one sequence, without lengths
+        emb = ToyContextualEmbedder.from_corpus(toy_corpus(20), np.random.default_rng(9),
+                                                dim=8, char_dim=4)
+        tokens = ["sun", "moon", "sun", "zz", "moonlight"]
+        words = list(dict.fromkeys(tokens))
+        with T.no_grad():
+            (vectors,) = word_level._conv_max_pool(
+                emb.char_table, [[emb.char_ids.get(c, emb.CHAR_UNK) for c in w] for w in words],
+                emb.CHAR_PAD, [(emb.char_kernel, emb.char_bias)])
+            (lower,) = BiGRU.forward([emb.rnn1], [T.gather_rows(vectors, [words.index(t)
+                                                                          for t in tokens])])
+            (upper,) = BiGRU.forward([emb.rnn2], [lower])
+        for got, want in zip(emb.embed([tokens]), (lower, upper)):
+            assert_agree(got, want.numpy(), BITWISE)
+
+    def test_a_ragged_batch_equals_each_sentence_alone(self):
+        rng = np.random.default_rng(10)
+        emb = ToyContextualEmbedder.from_corpus(toy_corpus(20), rng, dim=8, char_dim=4)
+        for p in emb.parameters():  # off the zero biases
+            p.data += rng.normal(scale=0.3, size=p.shape)
+        sentences = [["sun", "moon", "sun"], ["tide"], ["wind", "rain", "leaf", "stone", "zz"],
+                     ["moon", "sun"]]
+        batched = emb.embed(sentences)
+        for b, tokens in enumerate(sentences):
+            for got, want in zip(batched, emb.embed([tokens])):
+                rows = got.reshape(len(sentences), 5, emb.dim)[b]
+                assert_agree(rows[:len(tokens)], want, CLOSE, f"sentence {b}")
+                assert not rows[len(tokens):].any()
 
     def test_tiny_corpus_rejected(self):
         rng = np.random.default_rng(5)
@@ -593,7 +625,7 @@ class TestToyContextualEmbedder:
 
         w = rng.normal(size=(2, len(tokens), emb.dim))
         results = []
-        for layers in (emb._layers, per_word):
+        for layers in (lambda tokens: emb._layers([tokens]), per_word):
             lower, upper = layers(tokens)
             T.backward(sum_all(T.mul(lower, T.constant(w[0])))
                        + sum_all(T.mul(upper, T.constant(w[1]))))
@@ -618,13 +650,16 @@ class FixedContextualEmbedder:
     def __init__(self, dim):
         self.dim = dim
 
-    def embed(self, tokens):
+    def embed(self, sentences):
         def vec(tok, layer):
             rng = np.random.default_rng(abs(hash((tok, layer))) % (2 ** 32))
             return rng.normal(size=self.dim)
-        lower = np.array([vec(t, 0) for t in tokens])
-        upper = np.array([vec(t, 1) for t in tokens])
-        return lower, upper
+        n = max(len(tokens) for tokens in sentences)
+        layers = np.zeros((2, len(sentences), n, self.dim))
+        for b, tokens in enumerate(sentences):
+            for j, tok in enumerate(tokens):
+                layers[:, b, j] = vec(tok, 0), vec(tok, 1)
+        return tuple(layer.reshape(len(sentences) * n, self.dim) for layer in layers)
 
 
 def full_embedder(seed=0, dim_w=4, ctx_dim=6, ctx_out=4, toy=False):
@@ -654,7 +689,7 @@ class TestTokenEmbedder:
             out = emb.embed([tokens], 3).numpy()
             sub = T.concat([emb.subword.encode_indices([emb.subword.indices(pieces)])
                             for pieces in (["aa"], ["bb"], ["z", "z"])], axis=0).numpy()
-            lower, upper = emb.contextual.embed(tokens)
+            lower, upper = emb.contextual.embed([tokens])
             ctx = emb.mixer.forward(T.constant(lower), T.constant(upper)).numpy()
         assert out.shape == (3, 12)
         assert_agree(out[:, 0:4], emb.word_table.embed(tokens), BITWISE)
@@ -730,6 +765,20 @@ class TestTokenEmbedder:
         # aa, bb, <pad>, zz, cc: each once, in first-appearance order
         assert batches == [[emb._token_piece_indices(tok)
                             for tok in ["aa", "bb", "<pad>", "zz", "cc"]]]
+
+    def test_one_call_is_one_language_model_call_over_the_cut_arguments(self, monkeypatch):
+        emb = full_embedder(seed=8, toy=True)
+        calls = []
+        embed = emb.contextual.embed
+
+        def recording_embed(sentences):
+            calls.append([list(tokens) for tokens in sentences])
+            return embed(sentences)
+
+        monkeypatch.setattr(emb.contextual, "embed", recording_embed)
+        with T.no_grad():
+            emb.embed([["aa", "bb", "aa"], ["zz"], ["cc", "aa", "bb", "zz", "cc"]], 4)
+        assert calls == [[["aa", "bb", "aa"], ["zz"], ["cc", "aa", "bb", "zz"]]]
 
     def test_gradients_with_repeated_tokens(self):
         emb = full_embedder(seed=4)
