@@ -548,12 +548,12 @@ class TokenEmbedder:
                 [self._token_piece_indices(tok) for tok in distinct])
             parts.append(T.gather_rows(features, positions))
         if self.mixer is not None:
-            layers = self.contextual.embed([argument[:rows] for argument in arguments])
-            real = len(layers[0]) // len(arguments)
-            parts.append(self.mixer.forward(*(
-                T.constant(np.pad(a.reshape(len(arguments), real, -1),
-                                  ((0, 0), (0, rows - real), (0, 0))).reshape(len(tokens), -1))
-                for a in layers)))
+            layers = [np.zeros((len(arguments), rows, self.mixer.d_in)) for _ in range(2)]
+            for out, real in zip(layers, self.contextual.embed([a[:rows] for a in arguments])):
+                out[:, :len(real) // len(arguments)] = real.reshape(len(arguments), -1,
+                                                                    self.mixer.d_in)
+            parts.append(self.mixer.forward(*(T.constant(out.reshape(len(tokens), -1))
+                                              for out in layers)))
         if len(parts) == 1:
             return parts[0]
         return T.concat(parts, axis=1)
